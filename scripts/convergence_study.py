@@ -13,31 +13,27 @@ import numpy as np
 
 from idpfem.config import RunConfig
 from idpfem.diagnostics import error_norms
-from idpfem.runner import setup
-from idpfem.timestepping import compute_dt, ssp_rk_step
+from idpfem.runner import integrate, setup
+from idpfem.timestepping import TimeControls
 
 
 def solve_l1(limiter, h, t_end, cfl):
     cfg = RunConfig(benchmark="advected_gaussian", h=h, limiter=limiter,
                     vx=1.0, vy=1.0, cfl=cfl, t_end=t_end)
     bench, ms, model, scheme, u = setup(cfg)
-    stage = scheme.stage_map()
-    t = 0.0
-    while t < t_end - 1e-13:
-        dt = compute_dt(scheme.dt_bound(u, t), cfg.cfl, t, t_end)
-        u = ssp_rk_step(cfg.rk, stage, u, t, dt)
-        t += dt
+    controls = TimeControls(cfl=cfl, t_end=t_end, scheme=cfg.rk)
+    u, t, _ = integrate(scheme, u, controls)
     return error_norms(ms, u, bench.exact, t)["l1"][0]
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t-end", type=float, default=0.25)
     ap.add_argument("--cfl", type=float, default=0.5)
     ap.add_argument("--levels", type=int, nargs="+", default=[4, 5, 6])
     ap.add_argument("--schemes", nargs="+",
                     default=["none", "low", "mcl.cs", "fct.cs"])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     hs = [1.0 / 2 ** k for k in args.levels]
     print(f"advected Gaussian, t_end = {args.t_end}, cfl = {args.cfl}")

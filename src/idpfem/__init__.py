@@ -1,11 +1,10 @@
 """Invariant-domain-preserving P1 finite element solver with element-based convex limiting."""
 
-from .mesh import Mesh, Connectivity, ElementGeometry, MeshSystem, read_mesh, structured_rect
+from .mesh import Mesh, ElementGeometry, MeshSystem, read_mesh, structured_rect
 from .models import LinearAdvection, Burgers2D, Euler, make_model
 
 __all__ = [
     "Mesh",
-    "Connectivity",
     "ElementGeometry",
     "MeshSystem",
     "read_mesh",

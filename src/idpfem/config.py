@@ -5,18 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .schemes import SCHEME_KEYS
+
 
 class ConfigError(Exception):
     pass
 
 
-_LIMITERS = ("none", "low", "fct.scale", "fct.cs", "mcl.scale", "mcl.cs")
 _ENUMS = {
     "model": ("advection", "burgers", "euler"),
     "velocity": ("translation", "rotation"),
-    "limiter": _LIMITERS,
+    "limiter": SCHEME_KEYS,
     "system_limiter": ("sequential", "synchronized"),
-    "idp_fix": ("bisection",),
     "bounds": ("auto", "barstate", "stencil"),
     "rs_operator": ("clip", "scale"),
     "rk": ("euler", "ssp2", "ssp3"),
@@ -39,7 +39,6 @@ class RunConfig:
     body: str = "smooth"
     limiter: str = "mcl.cs"
     system_limiter: str = "sequential"
-    idp_fix: str = "bisection"
     bounds: str = "auto"
     rs_operator: str = "clip"
     cfl: float = 0.5
@@ -51,7 +50,6 @@ class RunConfig:
     audit_every: int = 1
     audit_bound_tol: float = 1e-10
     audit_cons_tol: float = 1e-10
-    seed: int = 0
 
     def effective_text(self) -> str:
         lines = []
@@ -65,7 +63,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"h", "gamma", "vx", "vy", "cfl", "t_end", "dt_max",
                "output_every_t", "audit_bound_tol", "audit_cons_tol"}
-_INT_KEYS = {"audit_every", "seed"}
+_INT_KEYS = {"audit_every"}
 _STR_KEYS = {"mesh", "out"}
 
 

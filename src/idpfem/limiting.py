@@ -22,8 +22,6 @@ class LimiterConfig:
     system: str = "sequential"    # "sequential" | "synchronized"
     bounds: str = "auto"          # "auto" | "barstate" | "stencil"
     rs_operator: str = "clip"     # "clip" | "scale": R_S in the product rule
-    idp: str = "bisection"
-    idp_iters: int = 30
 
     def bounds_mode(self, driver: str) -> str:
         if self.bounds != "auto":
@@ -249,6 +247,6 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     else:
         raise ValueError(f"unknown system limiter {cfg.system!r}")
 
-    alpha_phi = idp_fix(model, base, f_star, gamma, iters=cfg.idp_iters)
+    alpha_phi = idp_fix(model, base, f_star, gamma)
     f_star *= alpha_phi[:, None, None]
     return LimitResult(f_star=f_star, alpha=alpha_phi)

@@ -1,8 +1,8 @@
-"""Triangular mesh handling: reading, validation, connectivity and P1 geometry.
+"""Triangular mesh handling: reading, validation and P1 geometry.
 
 All solvers work on a :class:`MeshSystem`, which bundles the validated mesh
-with its adjacency structure, per-element geometric quantities and the
-degree-of-freedom identification used for periodic boundaries.
+with its per-element geometric quantities and the degree-of-freedom
+identification used for periodic boundaries.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class Mesh:
         uniq, counts = np.unique(pairs, axis=0, return_counts=True)
         return uniq, counts
 
-    def boundary_edges(self) -> list:
-        uniq, counts = self.edges()
-        return [tuple(e) for e in uniq[counts == 1]]
-
     def validate(self) -> "Mesh":
         """Check all mesh invariants in place and reorient triangles CCW.
 
@@ -100,10 +96,7 @@ class Mesh:
             if not isinstance(tag, str):
                 raise MeshError(f"boundary tag for edge ({i}, {j}) is not a string")
 
-        boundary_nodes = set()
-        for i, j in self.boundary_edges():
-            boundary_nodes.add(int(i))
-            boundary_nodes.add(int(j))
+        boundary_nodes = set(uniq[counts == 1].ravel().tolist())
         for a, b in self.periodic_pairs.items():
             if a == b:
                 raise MeshError(f"node {a} periodically paired with itself")
@@ -114,26 +107,6 @@ class Mesh:
             if a not in boundary_nodes or b not in boundary_nodes:
                 raise MeshError(f"periodic pair ({a}, {b}) involves a non-boundary node")
         return self
-
-
-@dataclass
-class Connectivity:
-    """Node-to-element and element-to-node adjacency."""
-
-    node_elements: list                     # per node: sorted list of element ids
-    element_nodes: np.ndarray               # (E, 3), identical to mesh.triangles
-
-
-def build_connectivity(mesh: Mesh) -> Connectivity:
-    node_elements = [[] for _ in range(mesh.n_nodes)]
-    for e, (i, j, k) in enumerate(mesh.triangles):
-        node_elements[i].append(e)
-        node_elements[j].append(e)
-        node_elements[k].append(e)
-    return Connectivity(
-        node_elements=[sorted(lst) for lst in node_elements],
-        element_nodes=mesh.triangles.copy(),
-    )
 
 
 @dataclass
@@ -195,13 +168,12 @@ def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
 
 @dataclass
 class MeshSystem:
-    """Everything the schemes need: mesh, adjacency, geometry, DOFs and masses.
+    """Everything the schemes need: mesh, geometry, DOFs and masses.
 
     Immutable after construction; safe to share read-only.
     """
 
     mesh: Mesh
-    connectivity: Connectivity
     geometry: ElementGeometry
     dof_of_node: np.ndarray                 # (N,)
     n_dofs: int
@@ -219,7 +191,6 @@ class MeshSystem:
 
 def build_system(mesh: Mesh) -> MeshSystem:
     mesh.validate()
-    conn = build_connectivity(mesh)
     geom = element_geometry(mesh)
     dof_of_node, n_dofs = _dof_map(mesh)
     elem_dofs = dof_of_node[mesh.triangles]
@@ -252,7 +223,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         dof_tags[dof_of_node[j]].add(tag)
 
     return MeshSystem(
-        mesh=mesh, connectivity=conn, geometry=geom,
+        mesh=mesh, geometry=geom,
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
         boundary_normal=normal, boundary_dofs=boundary_dofs, dof_tags=dof_tags,

@@ -168,13 +168,6 @@ class Euler:
         pass
 
 
-def require_admissible(model, u: np.ndarray, slack: float = 0.0, what: str = "state"):
-    ok = model.admissible(u, slack)
-    if not np.all(ok):
-        bad = int(np.argmin(np.asarray(ok).ravel()))
-        raise AdmissibilityError(f"non-admissible {what} (first offender index {bad})")
-
-
 # --- named velocity fields for advection benchmarks ----------------------
 
 def translation_velocity(vx: float = 1.0, vy: float = 1.0):

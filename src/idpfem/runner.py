@@ -5,7 +5,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,10 +42,32 @@ def setup(cfg: RunConfig):
     u0 = np.asarray(bench.u0(ms.dof_coords), dtype=float)
     model.set_global_bounds(u0)
     lcfg = LimiterConfig(system=cfg.system_limiter, bounds=cfg.bounds,
-                         rs_operator=cfg.rs_operator, idp=cfg.idp_fix)
+                         rs_operator=cfg.rs_operator)
     scheme = SpatialScheme(ms=ms, model=model, limiter=cfg.limiter,
                            lcfg=lcfg, bc=bench.bc)
     return bench, ms, model, scheme, u0
+
+
+def integrate(scheme: SpatialScheme, u: np.ndarray, controls: TimeControls,
+              t: float = 0.0, on_step: Optional[Callable] = None):
+    """Advance ``u`` from ``t`` to ``controls.t_end`` with adaptive SSP steps.
+
+    Every step takes ``controls.cfl`` times the IDP bound of ``scheme``,
+    capped by ``controls.dt_max`` and by the time left. ``on_step(u, t, dt,
+    step)`` is called after each step. Returns ``(u, t, steps)``.
+    """
+    t_end = controls.t_end
+    stage = scheme.stage_map()
+    steps = 0
+    while t < t_end - 1e-14 * max(t_end, 1.0):
+        dt = compute_dt(scheme.dt_bound(u, t), controls.cfl, t, t_end,
+                        controls.dt_max)
+        u = ssp_rk_step(controls.scheme, stage, u, t, dt)
+        t += dt
+        steps += 1
+        if on_step is not None:
+            on_step(u, t, dt, steps)
+    return u, t, steps
 
 
 def _global_bounds(model, m: int):
@@ -77,7 +99,7 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     csv_lines = [csv_header(model.m)]
     reports: list[StepReport] = []
 
-    def audit(t, dt):
+    def audit(u, t, dt):
         bounds = None
         if gbounds is not None and idp_claim:
             lo, hi = gbounds[0]
@@ -94,37 +116,32 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
 
     snap = 0
 
-    def snapshot():
+    def snapshot(u):
         nonlocal snap
         write_vtk(out / f"state_{snap:06d}.vtk", ms, u, model)
         snap += 1
 
-    t0_wall = time.perf_counter()
-    t = 0.0
-    step = 0
-    audit(t, 0.0)
-    snapshot()
     next_out = cfg.output_every_t if cfg.output_every_t else None
 
-    stage = scheme.stage_map()
-    while t < t_end - 1e-14 * max(t_end, 1.0):
-        dt = compute_dt(scheme.dt_bound(u, t), controls.cfl, t, t_end,
-                        controls.dt_max)
-        u = ssp_rk_step(controls.scheme, stage, u, t, dt)
-        t += dt
-        step += 1
+    def on_step(u, t, dt, step):
+        nonlocal next_out
         if idp_claim and not np.all(model.admissible(u, cfg.audit_bound_tol)):
             raise AuditError(f"inadmissible state after step {step}, t = {t:g}")
         if cfg.audit_every and step % cfg.audit_every == 0:
-            audit(t, dt)
+            audit(u, t, dt)
         if next_out is not None and t >= next_out - 1e-14:
-            snapshot()
+            snapshot(u)
             next_out += cfg.output_every_t
         if not quiet and step % 50 == 0:
             print(f"step {step:6d}  t = {t:.6f}  dt = {dt:.3e}")
+
+    t0_wall = time.perf_counter()
+    audit(u, 0.0, 0.0)
+    snapshot(u)
+    u, t, step = integrate(scheme, u, controls, on_step=on_step)
     wall = time.perf_counter() - t0_wall
 
-    snapshot()
+    snapshot(u)
     csv_path.write_text("\n".join(csv_lines) + "\n")
 
     norms = None

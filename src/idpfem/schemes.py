@@ -78,10 +78,6 @@ class SpatialScheme:
         if kind is not None:
             self.lcfg.kind = kind
 
-    @property
-    def is_step_map(self) -> bool:
-        return self.driver == "fct"
-
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1."""
         work, bwork = assemble(self.ms, self.model, u, t, self.bc,
@@ -99,46 +95,43 @@ class SpatialScheme:
         mask = denom > 0
         return float((self.ms.lumped_mass[mask] / denom[mask]).min())
 
-    # --- semi-discrete operators -----------------------------------------
-
-    def rhs(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-        if self.driver == "low":
-            work, bwork = assemble(self.ms, self.model, u, t, self.bc,
-                                   with_antidiffusion=False)
-            total = _scatter(self.ms, work.r_rusanov, bwork, u.shape)
-            return total / self.ms.lumped_mass[:, None]
-        if self.driver == "none":
-            work, bwork = assemble(self.ms, self.model, u, t, self.bc)
-            total = _scatter(self.ms, work.r_rusanov + work.f_anti, bwork, u.shape)
-            return total / self.ms.lumped_mass[:, None]
-        if self.driver == "mcl":
-            return self._mcl_rhs(u, t)
-        raise ValueError(f"{self.limiter!r} is not a semi-discrete scheme")
-
-    def _mcl_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
-        ms = self.ms
-        work, bwork = assemble(ms, self.model, u, t, self.bc)
-        gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
-        active = work.d > 0
-        f_in = np.where(active[:, None, None], work.f_anti, 0.0)
-
-        mode = self.lcfg.bounds_mode("mcl")
-        bounds = _component_bounds(ms, u, work, bwork, mode)
+    def _limit(self, f, base, gamma, bounds):
+        """Limit the antidiffusive contributions ``f`` (E, 3, m) so that every
+        ``base + f / gamma`` stays within the per-DOF ``bounds``."""
         self.last_bounds = bounds
         if self.model.m == 1:
             lo, hi = bounds[0]
-            res = limit_scalar_contributions(ms, f_in[..., 0],
-                                             work.bar_states[..., 0], gamma,
-                                             lo, hi, self.lcfg)
+            res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
+                                             gamma, lo, hi, self.lcfg)
             f_star = res.f_star[..., None]
         else:
-            res = limit_system_contributions(ms, self.model, f_in,
-                                             work.bar_states, gamma, bounds,
-                                             self.lcfg)
+            res = limit_system_contributions(self.ms, self.model, f, base,
+                                             gamma, bounds, self.lcfg)
             f_star = res.f_star
-        f_star = np.where(active[:, None, None], f_star, 0.0)
         self.last_alpha = res.alpha
-        total = _scatter(ms, work.r_rusanov + f_star, bwork, u.shape)
+        return f_star
+
+    # --- semi-discrete operators -----------------------------------------
+
+    def rhs(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+        if self.driver not in ("low", "none", "mcl"):
+            raise ValueError(f"{self.limiter!r} is not a semi-discrete scheme")
+        ms = self.ms
+        work, bwork = assemble(ms, self.model, u, t, self.bc,
+                               with_antidiffusion=self.driver != "low")
+        contrib = work.r_rusanov
+        if self.driver == "none":
+            contrib = contrib + work.f_anti
+        elif self.driver == "mcl":
+            # MCL: bar states as base, gamma = 2 d^e.
+            gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
+            active = (work.d > 0)[:, None, None]
+            bounds = _component_bounds(ms, u, work, bwork,
+                                       self.lcfg.bounds_mode("mcl"))
+            f_star = self._limit(np.where(active, work.f_anti, 0.0),
+                                 work.bar_states, gamma, bounds)
+            contrib = contrib + np.where(active, f_star, 0.0)
+        total = _scatter(ms, contrib, bwork, u.shape)
         return total / ms.lumped_mass[:, None]
 
     # --- FCT stage map ----------------------------------------------------
@@ -155,44 +148,21 @@ class SpatialScheme:
         low = _scatter(ms, work.r_rusanov, bwork, u.shape)
         u_low = u + dt * low / ms.lumped_mass[:, None]
 
+        # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.broadcast_to((ms.geometry.m_elem / dt)[:, None], (ms.n_elements, 3))
-        base = u_low[ms.elem_dofs]
         mode = self.lcfg.bounds_mode("fct")
-        # For barstate bounds the reference must cover both u and u_low, so
-        # lo and hi come from separate passes over the pointwise min/max.
+        bounds = _component_bounds(ms, u_low, work, bwork, mode)
         if mode == "barstate":
-            bounds = []
-            for k in range(u.shape[-1]):
-                extra_dofs = bwork.dofs if bwork is not None else None
-                extra_vals = bwork.bar_states[:, k] if bwork is not None else None
-                lo, _ = local_bounds(ms, np.minimum(u, u_low)[:, k],
-                                     work.bar_states[..., k], mode,
-                                     extra_dofs, extra_vals)
-                _, hi = local_bounds(ms, np.maximum(u, u_low)[:, k],
-                                     work.bar_states[..., k], mode,
-                                     extra_dofs, extra_vals)
-                bounds.append((lo, hi))
-        else:
-            bounds = _component_bounds(ms, u_low, work, bwork, mode)
-        self.last_bounds = bounds
-
-        if self.model.m == 1:
-            lo, hi = bounds[0]
-            res = limit_scalar_contributions(ms, work.f_anti[..., 0],
-                                             base[..., 0], gamma, lo, hi,
-                                             self.lcfg)
-            f_star = res.f_star[..., None]
-        else:
-            res = limit_system_contributions(ms, self.model, work.f_anti,
-                                             base, gamma, bounds, self.lcfg)
-            f_star = res.f_star
-        self.last_alpha = res.alpha
+            # Bar-state bounds must cover both u and u_low.
+            bounds = [(np.minimum(lo, u[:, k]), np.maximum(hi, u[:, k]))
+                      for k, (lo, hi) in enumerate(bounds)]
+        f_star = self._limit(work.f_anti, u_low[ms.elem_dofs], gamma, bounds)
         corr = _scatter(ms, f_star, None, u.shape)
         return u_low + dt * corr / ms.lumped_mass[:, None]
 
     def stage_map(self):
         """Forward-Euler stage map usable by the SSP integrators."""
-        if self.is_step_map:
+        if self.driver == "fct":
             return self.step
 
         def fe(u, t, dt):

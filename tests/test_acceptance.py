@@ -15,9 +15,9 @@ from idpfem.diagnostics import audit_step, csv_header, error_norms
 from idpfem.limiting import LimitResult, clip_and_scale, scaling_limiter
 from idpfem.mesh import Mesh, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, make_model
-from idpfem.runner import run, setup
+from idpfem.runner import integrate, run, setup
 from idpfem.schemes import SpatialScheme
-from idpfem.timestepping import compute_dt, ssp_rk_step
+from idpfem.timestepping import TimeControls, ssp_rk_step
 
 
 def verdict(num, ok, text):
@@ -274,12 +274,8 @@ def _gaussian_l1(limiter, h, t_end):
     cfg = RunConfig(benchmark="advected_gaussian", h=h, limiter=limiter,
                     vx=1.0, vy=1.0, cfl=0.5, t_end=t_end)
     bench, ms, model, scheme, u = setup(cfg)
-    stage = scheme.stage_map()
-    t = 0.0
-    while t < t_end - 1e-13:
-        dt = compute_dt(scheme.dt_bound(u, t), cfg.cfl, t, t_end)
-        u = ssp_rk_step(cfg.rk, stage, u, t, dt)
-        t += dt
+    controls = TimeControls(cfl=cfg.cfl, t_end=t_end, scheme=cfg.rk)
+    u, t, _ = integrate(scheme, u, controls)
     return error_norms(ms, u, bench.exact, t)["l1"][0]
 
 

@@ -135,10 +135,11 @@ class TestStructuredRect:
         assert mesh.n_elements == 2 * 4 * 3
 
     def test_interior_node_valence_six(self):
-        ms = build_system(structured_rect(4, 4))
-        conn = ms.connectivity
-        interior = 6  # node (1..3, 1..3); pick (2,2) -> id 2*5+2
-        assert len(conn.node_elements[2 * 5 + 2]) == interior
+        mesh = structured_rect(4, 4)
+        counts = np.zeros(mesh.n_nodes, dtype=int)
+        np.add.at(counts, mesh.triangles, 1)
+        # node (ix, iy) has id iy * 5 + ix; interior nodes are (1..3, 1..3)
+        assert np.all(counts.reshape(5, 5)[1:-1, 1:-1] == 6)
 
     def test_total_mass_equals_area(self):
         ms = build_system(structured_rect(5, 7, 0.0, 2.0, 0.0, 3.0))

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpfem.models import (AdmissibilityError, Burgers2D, Euler,
-                           LinearAdvection, make_model, require_admissible,
-                           rotation_velocity, translation_velocity)
+                           LinearAdvection, make_model, rotation_velocity,
+                           translation_velocity)
 
 from conftest import random_euler_states
 
@@ -143,11 +143,3 @@ class TestFactory:
     def test_unknown_velocity_rejected(self):
         with pytest.raises(ValueError, match="velocity"):
             make_model("advection", velocity="banana")
-
-
-def test_require_admissible_raises_with_context():
-    model = Euler()
-    u = np.stack([model.conserved(1.0, [0.0, 0.0], 1.0),
-                  np.array([1.0, 5.0, 0.0, 1.0])])
-    with pytest.raises(AdmissibilityError):
-        require_admissible(model, u)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import idpfem.schemes as schemes_mod
-from idpfem.limiting import LimiterConfig
+from idpfem.assembly import assemble
+from idpfem.limiting import LimiterConfig, local_bounds
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler, make_model
 from idpfem.schemes import CFLError, SpatialScheme, parse_limiter_key
+from idpfem.timestepping import ssp_rk_step
 
 from conftest import single_triangle_system
 
@@ -129,6 +131,67 @@ class TestFct:
         low = make_scheme(ms, model, "low")
         with pytest.raises(ValueError):
             low.step(u, 0.0, 0.1)
+
+
+def _euler_setup(n=8):
+    ms = build_system(structured_rect(n, n, periodic=True))
+    model = Euler()
+    x = ms.dof_coords
+    rho = 1.0 + 0.5 * np.sin(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+    v = np.stack([0.8 * np.cos(2 * np.pi * x[:, 1]),
+                  -0.4 * np.ones(ms.n_dofs)], axis=-1)
+    p = 1.0 + 0.3 * np.cos(2 * np.pi * x[:, 0])
+    return ms, model, model.conserved(rho, v, p)
+
+
+def _two_pass_barstate_bounds(scheme, u, t, dt):
+    """Bar-state bounds of min(u, u_low) and max(u, u_low), one pass each."""
+    ms = scheme.ms
+    work, bwork = assemble(ms, scheme.model, u, t, scheme.bc)
+    low = schemes_mod._scatter(ms, work.r_rusanov, bwork, u.shape)
+    u_low = u + dt * low / ms.lumped_mass[:, None]
+    return [(local_bounds(ms, np.minimum(u, u_low)[:, k],
+                          work.bar_states[..., k], "barstate")[0],
+             local_bounds(ms, np.maximum(u, u_low)[:, k],
+                          work.bar_states[..., k], "barstate")[1])
+            for k in range(u.shape[1])]
+
+
+class TestFctBarstateBounds:
+    def _run(self, ms, model, u, in_bounds, steps=5):
+        scheme = make_scheme(ms, model, "fct.cs", bounds="barstate")
+        stages = 0
+
+        def stage(v, t, dt):
+            nonlocal stages
+            out = scheme.step(v, t, dt)
+            ref = _two_pass_barstate_bounds(scheme, v, t, dt)
+            for (lo, hi), (lo_ref, hi_ref) in zip(scheme.last_bounds, ref):
+                np.testing.assert_allclose(lo, lo_ref, rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(hi, hi_ref, rtol=1e-14, atol=1e-14)
+            total_in = (ms.lumped_mass[:, None] * v).sum(axis=0)
+            total_out = (ms.lumped_mass[:, None] * out).sum(axis=0)
+            np.testing.assert_allclose(total_out, total_in, rtol=0,
+                                       atol=1e-12 * np.abs(total_in).max())
+            assert in_bounds(out)
+            stages += 1
+            return out
+
+        t = 0.0
+        for _ in range(steps):
+            dt = 0.9 * scheme.dt_bound(u, t)
+            u = ssp_rk_step("ssp2", stage, u, t, dt)
+            t += dt
+        assert stages == 2 * steps
+
+    def test_scalar_advection(self):
+        ms, model, _, u = _scalar_setup("fct.cs")
+        self._run(ms, model, u, lambda v: v.min() >= -1e-12
+                  and v.max() <= 1.0 + 1e-12)
+
+    def test_euler(self):
+        ms, model, u = _euler_setup()
+        self._run(ms, model, u, lambda v: np.all(model.admissible(v, 0.0)))
 
 
 class TestMcl:

@@ -1,0 +1,39 @@
+"""Smoke tests of the experiment scripts on tiny inputs."""
+
+import importlib.util
+import math
+import pathlib
+
+from idpfem.schemes import SCHEME_KEYS
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def table_rows(out):
+    """Output lines after the title and the column header."""
+    return out.splitlines()[2:]
+
+
+def test_convergence_study(capsys):
+    main = load_script("convergence_study").main
+    assert main(["--levels", "3", "4", "--t-end", "0.05"]) == 0
+    rows = table_rows(capsys.readouterr().out)
+    assert len(rows) == 4 * 2          # default schemes x levels
+    for row in rows:
+        assert math.isfinite(float(row.split()[2]))
+
+
+def test_scheme_comparison(capsys):
+    main = load_script("scheme_comparison").main
+    assert main(["--h", "1/8", "--t-end", "0.05"]) == 0
+    rows = table_rows(capsys.readouterr().out)
+    assert [row.split()[0] for row in rows] == list(SCHEME_KEYS)
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.split()[1:])

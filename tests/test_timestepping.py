@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from idpfem.mesh import build_system, structured_rect
+from idpfem.models import make_model
+from idpfem.runner import integrate
+from idpfem.schemes import SpatialScheme
 from idpfem.timestepping import (TimeControls, TimeSteppingError, compute_dt,
                                  ssp_rk_step)
 
@@ -47,6 +51,19 @@ def decay_stage(u, t, dt):
     return u + dt * (-u)
 
 
+class DecayScheme:
+    """The ODE u' = -u posing as a spatial scheme with a fixed step bound."""
+
+    def __init__(self, dt):
+        self.dt = dt
+
+    def dt_bound(self, u, t):
+        return self.dt
+
+    def stage_map(self):
+        return decay_stage
+
+
 class TestSspRk:
     def test_ssp2_hand_example(self):
         u = np.array([1.0])
@@ -73,12 +90,8 @@ class TestSspRk:
                                                  ("ssp3", 2.90)])
     def test_order_of_accuracy_on_decay_ode(self, scheme, min_rate):
         def solve(dt):
-            u = np.array([1.0])
-            t = 0.0
-            while t < 1.0 - 1e-12:
-                step = min(dt, 1.0 - t)
-                u = ssp_rk_step(scheme, decay_stage, u, t, step)
-                t += step
+            controls = TimeControls(cfl=1.0, t_end=1.0, scheme=scheme)
+            u, _, _ = integrate(DecayScheme(dt), np.array([1.0]), controls)
             return abs(u[0] - np.exp(-1.0))
 
         errors = [solve(dt) for dt in (0.1, 0.05, 0.025)]
@@ -101,3 +114,56 @@ class TestSspRk:
     def test_unknown_scheme(self):
         with pytest.raises(TimeSteppingError):
             ssp_rk_step("rk4", decay_stage, np.array([1.0]), 0.0, 0.1)
+
+
+def _advection_scheme(vx=1.0, vy=0.5):
+    ms = build_system(structured_rect(8, 8, periodic=True))
+    model = make_model("advection", velocity="translation", vx=vx, vy=vy)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, (ms.n_dofs, 1))
+    model.set_global_bounds(u)
+    return SpatialScheme(ms=ms, model=model, limiter="mcl.cs"), u
+
+
+class TestIntegrate:
+    def test_lands_on_t_end_and_calls_on_step_once_per_step(self):
+        scheme, u0 = _advection_scheme()
+        calls = []
+        controls = TimeControls(cfl=0.5, t_end=0.1, scheme="ssp2")
+        u, t, steps = integrate(
+            scheme, u0, controls,
+            on_step=lambda u, t, dt, step: calls.append((t, dt, step)))
+        assert t == pytest.approx(0.1, rel=0, abs=1e-14)
+        assert steps > 1
+        assert [c[2] for c in calls] == list(range(1, steps + 1))
+        assert calls[-1][0] == t
+        assert sum(c[1] for c in calls) == pytest.approx(0.1, abs=1e-14)
+
+    def test_starts_at_given_time(self):
+        scheme, u0 = _advection_scheme()
+        controls = TimeControls(cfl=0.5, t_end=0.1, scheme="ssp2")
+        _, t, steps = integrate(scheme, u0, controls, t=0.1)
+        assert (t, steps) == (0.1, 0)
+
+    def test_matches_hand_written_loop(self):
+        scheme, u0 = _advection_scheme()
+        controls = TimeControls(cfl=0.5, t_end=0.1, scheme="ssp3")
+        u, t, steps = integrate(scheme, u0, controls)
+
+        stage = scheme.stage_map()
+        ref, t_ref, n_ref = u0, 0.0, 0
+        while t_ref < 0.1 - 1e-14:
+            dt = compute_dt(scheme.dt_bound(ref, t_ref), 0.5, t_ref, 0.1)
+            ref = ssp_rk_step("ssp3", stage, ref, t_ref, dt)
+            t_ref += dt
+            n_ref += 1
+        assert (t, steps) == (t_ref, n_ref)
+        assert u.tobytes() == ref.tobytes()
+
+    def test_zero_wave_speeds_without_dt_max_raise(self):
+        scheme, u0 = _advection_scheme(vx=0.0, vy=0.0)
+        controls = TimeControls(cfl=0.5, t_end=0.1, scheme="ssp2")
+        with pytest.raises(TimeSteppingError, match="dt_max"):
+            integrate(scheme, u0, controls)
+        capped = TimeControls(cfl=0.5, t_end=0.1, scheme="ssp2", dt_max=0.025)
+        u, t, steps = integrate(scheme, u0, capped)
+        assert steps == 4 and np.allclose(u, u0, rtol=0, atol=1e-15)
