@@ -28,7 +28,13 @@ from .models import TINY
 
 @dataclass
 class ElementWork:
-    """Everything the limiters and schemes consume, for all elements at once."""
+    """Everything the limiters and schemes consume, for all elements at once.
+
+    ``f_anti`` and ``mass_term`` are None for a low-order assembly
+    (``with_antidiffusion=False``). ``r_high``, ``r_low`` and
+    ``fluctuation`` only verify the residual split; they are computed when
+    read.
+    """
 
     u_loc: np.ndarray         # (E, 3, m) gathered nodal states
     ubar: np.ndarray          # (E, m) element averages
@@ -36,11 +42,26 @@ class ElementWork:
     d: np.ndarray             # (E,) Rusanov viscosity
     bar_states: np.ndarray    # (E, 3, m)
     r_rusanov: np.ndarray     # (E, 3, m) closed-form low-order residual
+    residual: np.ndarray      # (n_dofs, m) assembled r_rusanov + boundary terms
     udot: np.ndarray          # (n_dofs, m) lumped time-derivative approximation
-    f_anti: np.ndarray        # (E, 3, m) antidiffusive contributions
-    r_high: np.ndarray        # (E, 3, m) high-order residual
-    r_low: np.ndarray         # (E, 3, m) = r_high - f_anti
-    fluctuation: np.ndarray   # (E, m)
+    flux_c: np.ndarray        # (E, 3, m) f(u_i) . c_i
+    f_anti: Optional[np.ndarray] = None     # (E, 3, m) antidiffusive contributions
+    mass_term: Optional[np.ndarray] = None  # (E, 3, m) sum_j m_ij (udot_i - udot_j)
+
+    @property
+    def fluctuation(self) -> np.ndarray:
+        """(E, m) element fluctuation sum_j f(u_j) . c_j."""
+        return self.flux_c.sum(axis=1)
+
+    @property
+    def r_high(self) -> np.ndarray:
+        """(E, 3, m) high-order residual."""
+        return self.mass_term + self.fluctuation[:, None, :] / 3.0
+
+    @property
+    def r_low(self) -> np.ndarray:
+        """(E, 3, m) low-order residual, r_high - f_anti."""
+        return self.r_high - self.f_anti
 
 
 @dataclass
@@ -54,29 +75,39 @@ class BoundaryWork:
     bar_states: np.ndarray    # (B, m) boundary bar states (IDP audit / bounds)
 
 
+def _node_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the three element nodes (axis 1 of (E, 3, ...)). Written out,
+    because numpy's reduce over a length-3 axis costs several times more."""
+    return a[:, 0] + a[:, 1] + a[:, 2]
+
+
 def element_average(u_loc: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the three nodal states."""
-    return u_loc.mean(axis=-2)
+    return _node_sum(u_loc) / 3.0
 
 
 def wave_speeds(model, ms: MeshSystem, u_loc, ubar) -> np.ndarray:
     """Directional wave-speed bound between ubar and each node, (E, 3)."""
     geom = ms.geometry
-    cnorm = np.linalg.norm(geom.c, axis=-1)
-    nhat = geom.c / np.maximum(cnorm, TINY)[..., None]
     x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
-    return model.max_wave_speed(ubar[:, None, :], u_loc, nhat, x)
+    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat, x)
 
 
-def rusanov_viscosity(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray) -> np.ndarray:
     """d^e = max_i lambda_i |c_i|."""
-    return (lam * np.linalg.norm(c, axis=-1)).max(axis=-1)
+    a = lam * c_norm
+    return np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2])
 
 
-def bar_states(flux_bar, flux_loc, u_loc, ubar, c, d) -> np.ndarray:
-    """Riemann-averaged intermediate states; arithmetic mean where d = 0."""
-    df = np.einsum("emx,eix->eim", flux_bar, c) - np.einsum("eimx,eix->eim",
-                                                            flux_loc, c)
+def _dot(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """f . c over the space axis: f (..., m, 2), c (..., 2) -> (..., m)."""
+    return f[..., 0] * c[..., None, 0] + f[..., 1] * c[..., None, 1]
+
+
+def bar_states(fbar_c, flux_c, u_loc, ubar, d) -> np.ndarray:
+    """Riemann-averaged intermediate states from f(ubar) . c_i and
+    f(u_i) . c_i; arithmetic mean where d = 0."""
+    df = fbar_c - flux_c
     mean = 0.5 * (ubar[:, None, :] + u_loc)
     bars = mean - df / (2.0 * np.maximum(d, TINY))[:, None, None]
     zero = d <= 0
@@ -97,55 +128,43 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     u_loc = u[ms.elem_dofs]                       # (E, 3, m)
     ubar = element_average(u_loc)
     lam = wave_speeds(model, ms, u_loc, ubar)
-    d = rusanov_viscosity(lam, geom.c)
+    d = rusanov_viscosity(lam, geom.c_norm)
 
     x_bar = geom.centroid
     x_loc = np.broadcast_to(x_bar[:, None, :], geom.c.shape)
     flux_bar = model.flux(ubar, x_bar)            # (E, m, 2)
     flux_loc = model.flux(u_loc, x_loc)           # (E, 3, m, 2)
+    fbar_c = _dot(flux_bar[:, None], geom.c)     # f(ubar) . c_i
+    flux_c = _dot(flux_loc, geom.c)              # f(u_i) . c_i
 
-    bars = bar_states(flux_bar, flux_loc, u_loc, ubar, geom.c, d)
+    bars = bar_states(fbar_c, flux_c, u_loc, ubar, d)
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
-    fbar_c = np.einsum("emx,eix->eim", flux_bar, geom.c)
-    r_rus = d[:, None, None] * (ubar[:, None, :] - u_loc) - fbar_c
+    visc = d[:, None, None] * (ubar[:, None, :] - u_loc)
+    r_rus = visc - fbar_c
 
     bwork = boundary_terms(ms, model, u, t, bc) if bc is not None else None
 
-    rhs = np.zeros_like(u)
-    np.add.at(rhs, ms.elem_dofs, r_rus)
+    residual = ms.scatter_add(r_rus)
     if bwork is not None:
-        rhs[bwork.dofs] += bwork.flux_term
-    udot = rhs / ms.lumped_mass[:, None]
+        residual[bwork.dofs] += bwork.flux_term
+    udot = residual / ms.lumped_mass[:, None]
 
+    work = ElementWork(u_loc=u_loc, ubar=ubar, lam=lam, d=d, bar_states=bars,
+                       r_rusanov=r_rus, residual=residual, udot=udot,
+                       flux_c=flux_c)
     if not with_antidiffusion:
-        zero = np.zeros_like(r_rus)
-        work = ElementWork(u_loc=u_loc, ubar=ubar, lam=lam, d=d,
-                           bar_states=bars, r_rusanov=r_rus, udot=udot,
-                           f_anti=zero, r_high=zero, r_low=zero,
-                           fluctuation=np.zeros_like(ubar))
         return work, bwork
 
     udot_loc = udot[ms.elem_dofs]                 # (E, 3, m)
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j)
-    mass_term = (geom.area[:, None, None] / 12.0) * (
-        3.0 * udot_loc - udot_loc.sum(axis=1, keepdims=True))
-
-    # fluctuation r^e = sum_j f(u_j) . c_j (group finite elements, exact)
-    fluct = np.einsum("ejmx,ejx->em", flux_loc, geom.c)
+    work.mass_term = (geom.area[:, None, None] / 12.0) * (
+        3.0 * udot_loc - _node_sum(udot_loc)[:, None, :])
 
     # direct antidiffusion formula
-    sum_flux = flux_loc.sum(axis=1)               # (E, m, 2)
-    flux_part = (-np.einsum("emx,eix->eim", sum_flux, geom.c) / 3.0
-                 + np.einsum("emx,eix->eim", flux_bar, geom.c))
-    f_anti = mass_term + flux_part - d[:, None, None] * (ubar[:, None, :] - u_loc)
-
-    r_high = mass_term + fluct[:, None, :] / 3.0
-    r_low = r_high - f_anti
-
-    work = ElementWork(u_loc=u_loc, ubar=ubar, lam=lam, d=d, bar_states=bars,
-                       r_rusanov=r_rus, udot=udot, f_anti=f_anti,
-                       r_high=r_high, r_low=r_low, fluctuation=fluct)
+    sum_flux = _node_sum(flux_loc)                # (E, m, 2)
+    flux_part = -_dot(sum_flux[:, None], geom.c) / 3.0 + fbar_c
+    work.f_anti = work.mass_term + flux_part - visc
     return work, bwork
 
 
@@ -171,8 +190,8 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
 
     lam = model.max_wave_speed(u_in, u_ext, nhat, x)
     visc = lam * nlen
-    f_in = np.einsum("bmx,bx->bm", model.flux(u_in, x), n)
-    f_ext = np.einsum("bmx,bx->bm", model.flux(u_ext, x), n)
+    f_in = _dot(model.flux(u_in, x), n)
+    f_ext = _dot(model.flux(u_ext, x), n)
     flux_term = -0.5 * (f_in + f_ext) + 0.5 * visc[:, None] * (u_ext - u_in)
 
     # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_hat / (2 lambda)

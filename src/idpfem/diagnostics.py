@@ -67,8 +67,10 @@ class StepReport:
     alpha_min: float
 
     def csv_row(self) -> str:
-        vals = [self.t, self.dt, *self.comp_min, *self.comp_max, *self.totals,
-                self.bound_violation, self.zerosum_defect, self.alpha_mean]
+        # Python floats format faster than numpy scalars, to the same text.
+        vals = [self.t, self.dt, *self.comp_min.tolist(), *self.comp_max.tolist(),
+                *self.totals.tolist(), self.bound_violation, self.zerosum_defect,
+                self.alpha_mean]
         return ",".join(f"{v:.17g}" for v in vals)
 
 

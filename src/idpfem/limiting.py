@@ -29,6 +29,21 @@ class LimiterConfig:
         return "barstate" if driver == "mcl" else "stencil"
 
 
+# Reductions over the three nodes of an element (the last axis) are written
+# out: numpy's reduce over a length-3 axis costs several times more.
+
+def _sum3(a):
+    return (a[..., 0] + a[..., 1] + a[..., 2])[..., None]
+
+
+def _min3(a):
+    return np.minimum(np.minimum(a[..., 0], a[..., 1]), a[..., 2])[..., None]
+
+
+def _max3(a):
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])[..., None]
+
+
 def scaling_limiter(f, fmin, fmax):
     """Single per-element factor alpha = min_i alpha_i applied to all f_i.
 
@@ -39,7 +54,7 @@ def scaling_limiter(f, fmin, fmax):
     under = f < fmin
     alpha_i = np.where(over, fmax / denom, np.where(under, fmin / denom, 1.0))
     alpha_i = np.clip(alpha_i, 0.0, 1.0)
-    alpha = alpha_i.min(axis=-1)
+    alpha = _min3(alpha_i)[..., 0]
     return alpha[..., None] * f, alpha, alpha_i
 
 
@@ -47,8 +62,8 @@ def clip_and_scale(f, fmin, fmax):
     """Clip each f_i into its bounds, then rescale the positive or negative
     part to restore the zero sum. Returns f_star of the same shape."""
     ft = np.clip(f, fmin, fmax)
-    pos = np.sum(np.maximum(ft, 0.0), axis=-1, keepdims=True)
-    neg = np.sum(np.minimum(ft, 0.0), axis=-1, keepdims=True)
+    pos = _sum3(np.maximum(ft, 0.0))
+    neg = _sum3(np.minimum(ft, 0.0))
     s = pos + neg
     pos_scale = -neg / np.maximum(pos, TINY)
     neg_scale = pos / np.maximum(-neg, TINY)
@@ -74,22 +89,20 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals: np.ndarray,
     "barstate"; ignored for "stencil", which uses the nodal stencil of
     ``field``). ``extra_*`` injects boundary bar states.
     """
-    lo = field.copy()
-    hi = field.copy()
     if mode == "barstate":
-        np.minimum.at(lo, ms.elem_dofs, elem_vals)
-        np.maximum.at(hi, ms.elem_dofs, elem_vals)
+        cand_lo = cand_hi = elem_vals
     elif mode == "stencil":
         f_loc = field[ms.elem_dofs]
-        emin = np.broadcast_to(f_loc.min(axis=1, keepdims=True), f_loc.shape)
-        emax = np.broadcast_to(f_loc.max(axis=1, keepdims=True), f_loc.shape)
-        np.minimum.at(lo, ms.elem_dofs, emin)
-        np.maximum.at(hi, ms.elem_dofs, emax)
+        cand_lo = np.broadcast_to(_min3(f_loc), f_loc.shape)
+        cand_hi = np.broadcast_to(_max3(f_loc), f_loc.shape)
     else:
         raise ValueError(f"unknown bounds mode {mode!r}")
+    lo = np.minimum(field, ms.scatter_min(cand_lo))
+    hi = np.maximum(field, ms.scatter_max(cand_hi))
     if extra_dofs is not None and len(extra_dofs):
-        np.minimum.at(lo, extra_dofs, extra_vals)
-        np.maximum.at(hi, extra_dofs, extra_vals)
+        # boundary dofs are unique, so plain fancy indexing suffices
+        lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)
+        hi[extra_dofs] = np.maximum(hi[extra_dofs], extra_vals)
     return lo, hi
 
 
@@ -121,8 +134,8 @@ def _repair_zero_sum(fk, safe, v_lo, v_hi, gamma, base_k):
     bounds, shrink toward ``safe`` and re-center. Any residual bound defect
     is at most the subtracted mean.
     """
-    fk = fk - fk.mean(axis=1, keepdims=True)
-    scale = np.abs(v_hi - v_lo).max(axis=1, keepdims=True) + TINY
+    fk = fk - _sum3(fk) / 3.0
+    scale = _max3(np.abs(v_hi - v_lo)) + TINY
     for _ in range(2):
         val = base_k + fk / gamma
         bad = (val > v_hi + 1e-13 * scale) | (val < v_lo - 1e-13 * scale)
@@ -133,10 +146,9 @@ def _repair_zero_sum(fk, safe, v_lo, v_hi, gamma, base_k):
         dd = np.where(np.abs(diff) > TINY, diff, np.inf)
         theta_hi = np.where(diff > 0, (v_hi - v0) / dd, np.inf)
         theta_lo = np.where(diff < 0, (v_lo - v0) / dd, np.inf)
-        theta = np.clip(np.minimum(theta_hi, theta_lo).min(axis=1, keepdims=True),
-                        0.0, 1.0)
+        theta = np.clip(_min3(np.minimum(theta_hi, theta_lo)), 0.0, 1.0)
         fk = safe + theta * (fk - safe)
-        fk = fk - fk.mean(axis=1, keepdims=True)
+        fk = fk - _sum3(fk) / 3.0
     return fk
 
 
@@ -168,12 +180,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     g = f_k - rs
     phi_eL = (base_k + rs / gamma) / rho_bar_star
 
-    phi_lo = np.full(ms.n_dofs, np.inf)
-    phi_hi = np.full(ms.n_dofs, -np.inf)
-    np.minimum.at(phi_lo, ms.elem_dofs, phi_eL)
-    np.maximum.at(phi_hi, ms.elem_dofs, phi_eL)
-    phi_lo_g = phi_lo[ms.elem_dofs]
-    phi_hi_g = phi_hi[ms.elem_dofs]
+    phi_lo_g = ms.scatter_min(phi_eL)[ms.elem_dofs]
+    phi_hi_g = ms.scatter_max(phi_eL)[ms.elem_dofs]
 
     v_lo = rho_bar_star * phi_lo_g
     v_hi = rho_bar_star * phi_hi_g
@@ -194,7 +202,8 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30):
 
     def ok(alpha):
         cand = base + alpha[:, None, None] * corr
-        return np.all(model.phi_values(cand) >= 0.0, axis=(1, 2))
+        adm = model.admissible(cand, 0.0)
+        return adm[:, 0] & adm[:, 1] & adm[:, 2]
 
     n_e = base.shape[0]
     alpha = np.ones(n_e)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import TINY
+
 
 class MeshError(Exception):
     """Raised for parse errors, non-conforming meshes or degenerate triangles."""
@@ -50,9 +52,12 @@ class Mesh:
     def edges(self):
         """Yield each undirected edge (sorted node pair) with its multiplicity."""
         tri = self.triangles
-        pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        pairs.sort(axis=1)
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # One int64 key per pair sorts like the rows (lo, hi) lexicographically.
+        n = int(hi.max()) + 1 if hi.size else 1
+        keys, counts = np.unique(lo.astype(np.int64) * n + hi, return_counts=True)
+        uniq = np.stack([keys // n, keys % n], axis=1).astype(tri.dtype, copy=False)
         return uniq, counts
 
     def validate(self) -> "Mesh":
@@ -120,6 +125,8 @@ class ElementGeometry:
     area: np.ndarray                        # (E,)
     grad: np.ndarray                        # (E, 3, 2)
     c: np.ndarray                           # (E, 3, 2)
+    c_norm: np.ndarray                      # (E, 3)  |c_i^e|
+    c_hat: np.ndarray                       # (E, 3, 2)  c_i^e / |c_i^e|
     m_elem: np.ndarray                      # (E,)  = area / 3
     m_pair: np.ndarray                      # (E, 3, 3)
     centroid: np.ndarray                    # (E, 2)
@@ -140,11 +147,14 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
         grad[:, i, 1] = p[:, k, 0] - p[:, j, 0]
     grad /= (2.0 * area)[:, None, None]
     c = -area[:, None, None] * grad
+    c_norm = np.linalg.norm(c, axis=-1)
+    c_hat = c / np.maximum(c_norm, TINY)[..., None]
     m_elem = area / 3.0
     m_pair = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
     centroid = p.mean(axis=1)
-    return ElementGeometry(area=area, grad=grad, c=c, m_elem=m_elem,
-                           m_pair=m_pair, centroid=centroid)
+    return ElementGeometry(area=area, grad=grad, c=c, c_norm=c_norm,
+                           c_hat=c_hat, m_elem=m_elem, m_pair=m_pair,
+                           centroid=centroid)
 
 
 def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
@@ -161,7 +171,9 @@ def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    root = np.array([find(i) for i in range(mesh.n_nodes)])
+    root = parent                           # pointer jumping up to the roots
+    while not np.array_equal(root[root], root):
+        root = root[root]
     reps, dof_of_node = np.unique(root, return_inverse=True)
     return dof_of_node, len(reps)
 
@@ -170,7 +182,14 @@ def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
 class MeshSystem:
     """Everything the schemes need: mesh, geometry, DOFs and masses.
 
-    Immutable after construction; safe to share read-only.
+    Immutable after construction, apart from ``cache``, which holds derived
+    data that other modules build on first use; safe to share read-only.
+
+    ``scatter_add``, ``scatter_min`` and ``scatter_max`` reduce per-element
+    node values onto the DOFs. Sums add in the same order as ``np.add.at``
+    over ``elem_dofs``, so they are bit-identical; minima and maxima equal
+    those of ``np.minimum.at``/``np.maximum.at`` except that a tie between
+    -0.0 and +0.0 may keep either sign.
     """
 
     mesh: Mesh
@@ -183,10 +202,34 @@ class MeshSystem:
     boundary_normal: np.ndarray             # (n_dofs, 2)  n_i = -sum_e c_i^e
     boundary_dofs: np.ndarray               # indices with |n_i| > 0
     dof_tags: list                          # per dof: set of boundary tags
+    dof_order: np.ndarray                   # (3E,) elem_dofs.ravel() sorted by dof, stable
+    dof_starts: np.ndarray                  # (n_dofs,) first position of each dof in dof_order
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:
         return self.mesh.n_elements
+
+    def scatter_add(self, vals: np.ndarray) -> np.ndarray:
+        """Sum (E, 3) or (E, 3, m) values onto the DOFs, in element order
+        from 0.0."""
+        idx = self.elem_dofs.ravel()
+        flat = vals.reshape(idx.size, -1)
+        out = np.empty((self.n_dofs, flat.shape[1]))
+        for k in range(flat.shape[1]):
+            out[:, k] = np.bincount(idx, weights=flat[:, k], minlength=self.n_dofs)
+        return out.reshape((self.n_dofs,) + vals.shape[2:])
+
+    def _by_dof(self, vals: np.ndarray) -> np.ndarray:
+        return vals.reshape((self.dof_order.size,) + vals.shape[2:])[self.dof_order]
+
+    def scatter_min(self, vals: np.ndarray) -> np.ndarray:
+        """Smallest (E, 3) or (E, 3, m) value at each DOF."""
+        return np.minimum.reduceat(self._by_dof(vals), self.dof_starts, axis=0)
+
+    def scatter_max(self, vals: np.ndarray) -> np.ndarray:
+        """Largest (E, 3) or (E, 3, m) value at each DOF."""
+        return np.maximum.reduceat(self._by_dof(vals), self.dof_starts, axis=0)
 
 
 def build_system(mesh: Mesh) -> MeshSystem:
@@ -195,22 +238,20 @@ def build_system(mesh: Mesh) -> MeshSystem:
     dof_of_node, n_dofs = _dof_map(mesh)
     elem_dofs = dof_of_node[mesh.triangles]
 
-    lumped = np.zeros(n_dofs)
-    np.add.at(lumped, elem_dofs, geom.m_elem[:, None] * np.ones(3))
+    flat = elem_dofs.ravel()
+    lumped = np.bincount(flat, weights=np.repeat(geom.m_elem, 3), minlength=n_dofs)
     if lumped.size and lumped.min() <= 0:
         raise MeshError("nonpositive lumped mass (isolated node?)")
+    # Every DOF has a positive mass, so it owns a nonempty run of dof_order.
+    dof_order = np.argsort(flat, kind="stable")
+    dof_starts = np.searchsorted(flat[dof_order], np.arange(n_dofs))
 
-    dof_coords = np.zeros((n_dofs, 2))
     # Representative = lowest-index node of each identified group.
-    seen = np.full(n_dofs, False)
-    for i in range(mesh.n_nodes):
-        d = dof_of_node[i]
-        if not seen[d]:
-            dof_coords[d] = mesh.nodes[i]
-            seen[d] = True
+    _, first_node = np.unique(dof_of_node, return_index=True)
+    dof_coords = mesh.nodes[first_node]
 
-    normal = np.zeros((n_dofs, 2))
-    np.add.at(normal, elem_dofs, -geom.c)
+    normal = np.stack([np.bincount(flat, weights=-geom.c[..., k].ravel(),
+                                   minlength=n_dofs) for k in range(2)], axis=1)
     scale = np.sqrt(lumped.mean()) if n_dofs else 1.0
     nrm = np.linalg.norm(normal, axis=1)
     boundary_dofs = np.nonzero(nrm > 1e-12 * scale)[0]
@@ -227,6 +268,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
         boundary_normal=normal, boundary_dofs=boundary_dofs, dof_tags=dof_tags,
+        dof_order=dof_order, dof_starts=dof_starts,
     )
 
 
@@ -366,35 +408,29 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    row = nx + 1                            # node (ix, iy) is iy * row + ix
+    # Cells in row-major order, each split into (a, b, c) and (a, c, d).
+    a = (np.arange(ny)[:, None] * row + np.arange(nx)).ravel()
+    b, c, d = a + 1, a + row + 1, a + row
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            a, b = nid(ix, iy), nid(ix + 1, iy)
-            c, d = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.array(tris, dtype=np.int64)
-
-    tags = {}
-    for ix in range(nx):
-        tags[tuple(sorted((nid(ix, 0), nid(ix + 1, 0))))] = "bottom"
-        tags[tuple(sorted((nid(ix, ny), nid(ix + 1, ny))))] = "top"
-    for iy in range(ny):
-        tags[tuple(sorted((nid(0, iy), nid(0, iy + 1))))] = "left"
-        tags[tuple(sorted((nid(nx, iy), nid(nx, iy + 1))))] = "right"
+    ix, iy = np.arange(nx), np.arange(ny)
+    bottom = np.stack([ix, ix + 1], axis=1)
+    left = np.stack([iy * row, (iy + 1) * row], axis=1)
+    edges = np.concatenate([np.stack([bottom, bottom + ny * row], axis=1),
+                            np.stack([left, left + nx], axis=1)]).reshape(-1, 2)
+    names = ["bottom", "top"] * nx + ["left", "right"] * ny
+    tags = dict(zip(map(tuple, edges.tolist()), names))
 
     periodic_pairs: dict = {}
     if periodic:
         # Canonical mapping: wrap right->left and top->bottom; all four
         # corners share the representative (0, 0).
-        for iy in range(ny + 1):
-            for ix in range(nx + 1):
-                rx, ry = ix % nx, iy % ny
-                if (rx, ry) != (ix, iy):
-                    periodic_pairs[nid(ix, iy)] = nid(rx, ry)
+        gy, gx = np.meshgrid(np.arange(ny + 1), np.arange(nx + 1), indexing="ij")
+        node = (gy * row + gx).ravel()
+        rep = ((gy % ny) * row + gx % nx).ravel()
+        moved = node != rep
+        periodic_pairs = dict(zip(node[moved].tolist(), rep[moved].tolist()))
     mesh = Mesh(nodes=nodes, triangles=tris,
                 boundary_tags=tags, periodic_pairs=periodic_pairs)
     return mesh.validate()

@@ -39,7 +39,7 @@ class LinearAdvection:
     def __post_init__(self):
         if self.velocity is None:
             v = np.array([1.0, 0.0])
-            self.velocity = lambda x: np.broadcast_to(v, x.shape).copy()
+            self.velocity = lambda x: np.broadcast_to(v, x.shape)
 
     def flux(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """f(u) = v(x) u, returned as (..., m, 2)."""
@@ -48,7 +48,7 @@ class LinearAdvection:
 
     def max_wave_speed(self, ul, ur, n, x) -> np.ndarray:
         v = self.velocity(np.asarray(x, dtype=float))
-        lam = np.abs(np.sum(v * n, axis=-1))
+        lam = np.abs(v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1])
         return lam * np.ones(np.broadcast(ul[..., 0], lam).shape)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
@@ -56,7 +56,8 @@ class LinearAdvection:
         return np.stack([u[..., 0] - self.u_min, self.u_max - u[..., 0]], axis=-1)
 
     def admissible(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        return np.all(self.phi_values(u) >= -slack, axis=-1)
+        phi = self.phi_values(u)
+        return (phi[..., 0] >= -slack) & (phi[..., 1] >= -slack)
 
     def set_global_bounds(self, u0: np.ndarray) -> None:
         self.u_min = float(u0.min())
@@ -86,7 +87,8 @@ class Burgers2D:
         return np.stack([u[..., 0] - self.u_min, self.u_max - u[..., 0]], axis=-1)
 
     def admissible(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        return np.all(self.phi_values(u) >= -slack, axis=-1)
+        phi = self.phi_values(u)
+        return (phi[..., 0] >= -slack) & (phi[..., 1] >= -slack)
 
     def set_global_bounds(self, u0: np.ndarray) -> None:
         self.u_min = float(u0.min())
@@ -153,15 +155,16 @@ class Euler:
         # estimator is deliberately swappable behind this method.
         _, vl, _, cl = self.primitives(ul)
         _, vr, _, cr = self.primitives(ur)
-        sl = np.abs(np.sum(vl * n, axis=-1)) + cl
-        sr = np.abs(np.sum(vr * n, axis=-1)) + cr
+        sl = np.abs(vl[..., 0] * n[..., 0] + vl[..., 1] * n[..., 1]) + cl
+        sr = np.abs(vr[..., 0] * n[..., 0] + vr[..., 1] * n[..., 1]) + cr
         return np.maximum(sl, sr)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0], self.internal_energy_density(u)], axis=-1)
 
     def admissible(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        return np.all(self.phi_values(u) >= -slack, axis=-1)
+        phi = self.phi_values(u)
+        return (phi[..., 0] >= -slack) & (phi[..., 1] >= -slack)
 
     def set_global_bounds(self, u0: np.ndarray) -> None:
         # Systems are constrained through phi_values, not a global interval.
@@ -171,10 +174,11 @@ class Euler:
 # --- named velocity fields for advection benchmarks ----------------------
 
 def translation_velocity(vx: float = 1.0, vy: float = 1.0):
+    """Uniform velocity; the returned field is a read-only broadcast view."""
     v = np.array([vx, vy])
 
     def field_fn(x):
-        return np.broadcast_to(v, x.shape).copy()
+        return np.broadcast_to(v, x.shape)
 
     return field_fn
 

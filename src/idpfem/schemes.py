@@ -8,7 +8,9 @@ Four operators share one assembly pass:
 * ``fct.*``: two-stage predictor/corrector, applied per forward-Euler stage.
 
 Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
-``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step.
+``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step; the
+assembly it makes is reused by the next ``rhs``/``step`` call at the same
+``(u, t)``, so the first stage of an SSP step assembles nothing new.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ def parse_limiter_key(key: str):
 
 
 def _scatter(ms: MeshSystem, contrib, bwork, shape):
-    rhs = np.zeros(shape)
-    np.add.at(rhs, ms.elem_dofs, contrib)
+    rhs = ms.scatter_add(contrib).reshape(shape)
     if bwork is not None:
         rhs[bwork.dofs] += bwork.flux_term
     return rhs
@@ -72,6 +73,8 @@ class SpatialScheme:
     bc: object = None             # callable or None (periodic / closed)
     last_alpha: np.ndarray | None = None
     last_bounds: list | None = None
+    # (u copy, t, work, bwork) of the last dt_bound, for one use only
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.driver, kind = parse_limiter_key(self.limiter)
@@ -79,15 +82,30 @@ class SpatialScheme:
             self.lcfg.kind = kind
 
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
-        """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1."""
-        work, bwork = assemble(self.ms, self.model, u, t, self.bc,
-                               with_antidiffusion=False)
+        """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
+
+        The assembly is kept for the next ``rhs`` or ``step`` call only.
+        """
+        work, bwork = self._fresh_assembly(u, t)
+        self._memo = (u.copy(), t, work, bwork)
         return self._dt_from_work(work, bwork)
 
+    def _fresh_assembly(self, u, t):
+        return assemble(self.ms, self.model, u, t, self.bc,
+                        with_antidiffusion=self.driver != "low")
+
+    def _assemble(self, u, t):
+        """The assembly at ``(u, t)``: the one ``dt_bound`` left if it was made
+        at equal ``t`` and ``u``, else a fresh one. Either way the memo is
+        dropped."""
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[1] == t and np.array_equal(memo[0], u):
+            return memo[2], memo[3]
+        return self._fresh_assembly(u, t)
+
     def _dt_from_work(self, work, bwork) -> float:
-        denom = np.zeros(self.ms.n_dofs)
-        np.add.at(denom, self.ms.elem_dofs,
-                  np.broadcast_to(2.0 * work.d[:, None], self.ms.elem_dofs.shape))
+        denom = self.ms.scatter_add(
+            np.broadcast_to(2.0 * work.d[:, None], self.ms.elem_dofs.shape))
         if bwork is not None:
             denom[bwork.dofs] += bwork.visc
         if denom.max() <= 0.0:
@@ -117,11 +135,11 @@ class SpatialScheme:
         if self.driver not in ("low", "none", "mcl"):
             raise ValueError(f"{self.limiter!r} is not a semi-discrete scheme")
         ms = self.ms
-        work, bwork = assemble(ms, self.model, u, t, self.bc,
-                               with_antidiffusion=self.driver != "low")
-        contrib = work.r_rusanov
+        work, bwork = self._assemble(u, t)
+        if self.driver == "low":
+            return work.udot
         if self.driver == "none":
-            contrib = contrib + work.f_anti
+            contrib = work.r_rusanov + work.f_anti
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e.
             gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
@@ -130,7 +148,7 @@ class SpatialScheme:
                                        self.lcfg.bounds_mode("mcl"))
             f_star = self._limit(np.where(active, work.f_anti, 0.0),
                                  work.bar_states, gamma, bounds)
-            contrib = contrib + np.where(active, f_star, 0.0)
+            contrib = work.r_rusanov + np.where(active, f_star, 0.0)
         total = _scatter(ms, contrib, bwork, u.shape)
         return total / ms.lumped_mass[:, None]
 
@@ -141,12 +159,11 @@ class SpatialScheme:
         if self.driver != "fct":
             raise ValueError(f"{self.limiter!r} has no two-stage step map")
         ms = self.ms
-        work, bwork = assemble(ms, self.model, u, t, self.bc)
+        work, bwork = self._assemble(u, t)
         if dt > self._dt_from_work(work, bwork) * (1.0 + 1e-9):
             raise CFLError(f"dt = {dt:g} violates the low-order CFL condition")
 
-        low = _scatter(ms, work.r_rusanov, bwork, u.shape)
-        u_low = u + dt * low / ms.lumped_mass[:, None]
+        u_low = u + dt * work.residual / ms.lumped_mass[:, None]
 
         # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.broadcast_to((ms.geometry.m_elem / dt)[:, None], (ms.n_elements, 3))

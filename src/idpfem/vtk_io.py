@@ -12,8 +12,29 @@ from .mesh import MeshSystem
 SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _fmt(values) -> list:
+    """Shortest round-trip text of each value; Python floats format faster
+    than numpy scalars, so convert first."""
+    return [f"{v:.17g}" for v in values.tolist()]
+
+
+def _grid_text(ms: MeshSystem) -> str:
+    """The fixed POINTS, CELLS and CELL_TYPES block, rendered once per mesh
+    system."""
+    text = ms.cache.get("vtk_grid")
+    if text is None:
+        mesh = ms.mesh
+        lines = [f"POINTS {mesh.n_nodes} double"]
+        lines += [f"{x} {y} 0" for x, y in zip(_fmt(mesh.nodes[:, 0]),
+                                               _fmt(mesh.nodes[:, 1]))]
+        lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
+        # Row by row: a nested tolist() of all cells would leave the heap
+        # fragmented by its many small objects.
+        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
+        lines.append(f"CELL_TYPES {mesh.n_elements}")
+        lines += ["5"] * mesh.n_elements
+        text = ms.cache["vtk_grid"] = "\n".join(lines)
+    return text
 
 
 def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
@@ -22,7 +43,6 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
     Periodically identified DOFs are expanded back to mesh nodes. For Euler
     models the derived pressure and velocity fields are appended.
     """
-    mesh = ms.mesh
     nodal = u[ms.dof_of_node]                 # (N, m)
     m = nodal.shape[1]
     lines = [
@@ -30,14 +50,9 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
         "idpfem state",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
+        _grid_text(ms),
+        f"POINT_DATA {ms.mesh.n_nodes}",
     ]
-    lines += [f"{_fmt(x)} {_fmt(y)} 0" for x, y in mesh.nodes]
-    lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
-    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines += ["5"] * mesh.n_elements
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
 
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
     fields = {name: nodal[:, k] for k, name in enumerate(names)}
@@ -49,7 +64,7 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
     for name, vals in fields.items():
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines += [_fmt(v) for v in vals]
+        lines += _fmt(vals)
     return "\n".join(lines) + "\n"
 
 
