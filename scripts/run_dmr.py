@@ -13,7 +13,7 @@ from idpfem.config import RunConfig, eval_fraction
 from idpfem.runner import run
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h", type=eval_fraction, default=1 / 32)
     ap.add_argument("--t-end", type=float, default=0.2)
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--system-limiter", default="sequential",
                     choices=["sequential", "synchronized"])
     ap.add_argument("--out", default="out_dmr")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = RunConfig(benchmark="dmr", h=args.h, t_end=args.t_end,
                     cfl=args.cfl, limiter=args.limiter,

@@ -13,6 +13,10 @@ elementwise the two differ by boundary-flux terms that telescope.
 Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent
 advection fields.
+
+Every per-element array is stored with the element index fastest (see
+``MeshSystem``); numpy keeps that order through elementwise operations, so
+the code below reads as if it were C-ordered.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .models import TINY
 @dataclass
 class ElementWork:
     """Everything the limiters and schemes consume, for all elements at once.
+    Per-element arrays are stored with the element index fastest.
 
     ``f_anti`` and ``mass_term`` are None for a low-order assembly
     (``with_antidiffusion=False``). ``r_high``, ``r_low`` and
@@ -51,7 +56,7 @@ class ElementWork:
     @property
     def fluctuation(self) -> np.ndarray:
         """(E, m) element fluctuation sum_j f(u_j) . c_j."""
-        return self.flux_c.sum(axis=1)
+        return _node_sum(self.flux_c)
 
     @property
     def r_high(self) -> np.ndarray:
@@ -100,8 +105,16 @@ def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray) -> np.ndarray:
 
 
 def _dot(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """f . c over the space axis: f (..., m, 2), c (..., 2) -> (..., m)."""
-    return f[..., 0] * c[..., None, 0] + f[..., 1] * c[..., None, 1]
+    """f . c over the space axis: f (..., m, 2), c (..., 2) -> (..., m).
+
+    The result is allocated in Fortran order: where f is broadcast over the
+    nodes and c over the components, numpy would otherwise fall back to C
+    order for those two axes.
+    """
+    shape = np.broadcast_shapes(f.shape[:-1], c.shape[:-1] + (1,))
+    out = np.multiply(f[..., 0], c[..., None, 0], out=np.empty(shape, order="F"))
+    out += f[..., 1] * c[..., None, 1]
+    return out
 
 
 def bar_states(fbar_c, flux_c, u_loc, ubar, d) -> np.ndarray:
@@ -125,7 +138,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     so repeated calls are bit-identical.
     """
     geom = ms.geometry
-    u_loc = u[ms.elem_dofs]                       # (E, 3, m)
+    u_loc = ms.gather(u)                          # (E, 3, m)
     ubar = element_average(u_loc)
     lam = wave_speeds(model, ms, u_loc, ubar)
     d = rusanov_viscosity(lam, geom.c_norm)
@@ -156,7 +169,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     if not with_antidiffusion:
         return work, bwork
 
-    udot_loc = udot[ms.elem_dofs]                 # (E, 3, m)
+    udot_loc = ms.gather(udot)                    # (E, 3, m)
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j)
     work.mass_term = (geom.area[:, None, None] / 12.0) * (
         3.0 * udot_loc - _node_sum(udot_loc)[:, None, :])

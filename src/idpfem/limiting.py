@@ -2,8 +2,8 @@
 
 All limiters enforce the two-sided nodal constraints together with the
 per-element zero-sum condition. Array layouts: per-element-node values are
-(E, 3) for scalars and (E, 3, m) for systems; bounds live per DOF and are
-gathered through ``ms.elem_dofs``.
+(E, 3) for scalars and (E, 3, m) for systems, stored with the element index
+fastest; bounds live per DOF and are gathered with ``ms.gather``.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals: np.ndarray,
     if mode == "barstate":
         cand_lo = cand_hi = elem_vals
     elif mode == "stencil":
-        f_loc = field[ms.elem_dofs]
+        f_loc = ms.gather(field)
         cand_lo = np.broadcast_to(_min3(f_loc), f_loc.shape)
         cand_hi = np.broadcast_to(_max3(f_loc), f_loc.shape)
     else:
@@ -115,8 +115,8 @@ class LimitResult:
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
                                cfg: LimiterConfig) -> LimitResult:
     """Scalar-model limiting: f, base, gamma are (E, 3); lo, hi per DOF."""
-    lo_g = lo[ms.elem_dofs]
-    hi_g = hi[ms.elem_dofs]
+    lo_g = ms.gather(lo)
+    hi_g = ms.gather(hi)
     fmin = gamma * (lo_g - base)
     fmax = gamma * (hi_g - base)
     if cfg.kind == "scale":
@@ -135,13 +135,18 @@ def _repair_zero_sum(fk, safe, v_lo, v_hi, gamma, base_k):
     is at most the subtracted mean.
     """
     fk = fk - _sum3(fk) / 3.0
-    scale = _max3(np.abs(v_hi - v_lo)) + TINY
+    # Where the bounds collapse, tol is subnormal; adding it once here
+    # instead of in every pass keeps the slow subnormal arithmetic out of
+    # the loop.
+    tol = 1e-13 * (_max3(np.abs(v_hi - v_lo)) + TINY)
+    hi_t = v_hi + tol
+    lo_t = v_lo - tol
+    v0 = base_k + safe / gamma
     for _ in range(2):
         val = base_k + fk / gamma
-        bad = (val > v_hi + 1e-13 * scale) | (val < v_lo - 1e-13 * scale)
+        bad = (val > hi_t) | (val < lo_t)
         if not bad.any():
             break
-        v0 = base_k + safe / gamma
         diff = (fk - safe) / gamma
         dd = np.where(np.abs(diff) > TINY, diff, np.inf)
         theta_hi = np.where(diff > 0, (v_hi - v0) / dd, np.inf)
@@ -165,8 +170,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phibar = base_k / base_rho
     delta = phibar * f_rho_star
 
-    lo_g = lo_k[ms.elem_dofs]
-    hi_g = hi_k[ms.elem_dofs]
+    lo_g = ms.gather(lo_k)
+    hi_g = ms.gather(hi_k)
     bk_min = gamma * (lo_g - base_k)
     bk_max = gamma * (hi_g - base_k)
     if cfg.rs_operator == "clip":
@@ -180,8 +185,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     g = f_k - rs
     phi_eL = (base_k + rs / gamma) / rho_bar_star
 
-    phi_lo_g = ms.scatter_min(phi_eL)[ms.elem_dofs]
-    phi_hi_g = ms.scatter_max(phi_eL)[ms.elem_dofs]
+    phi_lo_g = ms.gather(ms.scatter_min(phi_eL))
+    phi_hi_g = ms.gather(ms.scatter_max(phi_eL))
 
     v_lo = rho_bar_star * phi_lo_g
     v_hi = rho_bar_star * phi_hi_g
@@ -246,8 +251,8 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
         alpha = np.ones(f.shape[0])
         for k in range(m):
             lo_k, hi_k = bounds_per_comp[k]
-            lo_g = lo_k[ms.elem_dofs]
-            hi_g = hi_k[ms.elem_dofs]
+            lo_g = ms.gather(lo_k)
+            hi_g = ms.gather(hi_k)
             fmin = gamma * (lo_g - base[..., k])
             fmax = gamma * (hi_g - base[..., k])
             _, a_k, _ = scaling_limiter(f[..., k], fmin, fmax)

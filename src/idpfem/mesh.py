@@ -120,6 +120,8 @@ class ElementGeometry:
 
     c[e, i] is the integral of -grad(phi_i) over element e; m_pair holds the
     3x3 element mass matrix (|K|/6 diagonal, |K|/12 off-diagonal).
+    ``grad``, ``c``, ``c_norm``, ``c_hat`` and ``centroid`` are stored with
+    the element index fastest, the order of the blocks that read them.
     """
 
     area: np.ndarray                        # (E,)
@@ -140,7 +142,7 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
     if area.size and area.min() <= 0:
         raise MeshError("element_geometry requires CCW-oriented, nondegenerate triangles")
     # grad(phi_i) = ((y_j - y_k), (x_k - x_j)) / (2 |K|), (i, j, k) cyclic
-    grad = np.empty((mesh.n_elements, 3, 2))
+    grad = np.empty((mesh.n_elements, 3, 2), order="F")
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         grad[:, i, 0] = p[:, j, 1] - p[:, k, 1]
@@ -151,7 +153,7 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
     c_hat = c / np.maximum(c_norm, TINY)[..., None]
     m_elem = area / 3.0
     m_pair = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    centroid = p.mean(axis=1)
+    centroid = np.asfortranarray(p.mean(axis=1))
     return ElementGeometry(area=area, grad=grad, c=c, c_norm=c_norm,
                            c_hat=c_hat, m_elem=m_elem, m_pair=m_pair,
                            centroid=centroid)
@@ -185,66 +187,88 @@ class MeshSystem:
     Immutable after construction, apart from ``cache``, which holds derived
     data that other modules build on first use; safe to share read-only.
 
-    ``scatter_add``, ``scatter_min`` and ``scatter_max`` reduce per-element
-    node values onto the DOFs. Sums add in the same order as ``np.add.at``
-    over ``elem_dofs``, so they are bit-identical; minima and maxima equal
-    those of ``np.minimum.at``/``np.maximum.at`` except that a tie between
-    -0.0 and +0.0 may keep either sign.
+    Per-element arrays keep their logical shapes, (E, 3) and (E, 3, ...),
+    but are stored with the element index fastest (Fortran order), so that
+    numpy runs its inner loops over the elements. ``gather`` reads per-DOF
+    values into that order; ``scatter_add``, ``scatter_min`` and
+    ``scatter_max`` reduce per-element node values of any order onto the
+    DOFs. Sums add in the same order as ``np.add.at`` over ``elem_dofs``,
+    so they are bit-identical; minima and maxima equal those of
+    ``np.minimum.at``/``np.maximum.at`` except that a tie between -0.0 and
+    +0.0 may keep either sign.
     """
 
     mesh: Mesh
     geometry: ElementGeometry
     dof_of_node: np.ndarray                 # (N,)
     n_dofs: int
-    elem_dofs: np.ndarray                   # (E, 3)
+    elem_dofs: np.ndarray                   # (E, 3), element index fastest
     lumped_mass: np.ndarray                 # (n_dofs,)
     dof_coords: np.ndarray                  # (n_dofs, 2) representative coordinates
     boundary_normal: np.ndarray             # (n_dofs, 2)  n_i = -sum_e c_i^e
     boundary_dofs: np.ndarray               # indices with |n_i| > 0
     dof_tags: list                          # per dof: set of boundary tags
-    dof_order: np.ndarray                   # (3E,) elem_dofs.ravel() sorted by dof, stable
-    dof_starts: np.ndarray                  # (n_dofs,) first position of each dof in dof_order
+    # Column d lists where dof d occurs in the element-fastest flattening of
+    # an (E, 3) block (node i of element e at i * E + e), in element order,
+    # which is the order of np.add.at; dof_mask marks the real entries of
+    # the columns, which are as long as the largest valence.
+    dof_table: np.ndarray                   # (V, n_dofs)
+    dof_mask: np.ndarray                    # (V, n_dofs) bool
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:
         return self.mesh.n_elements
 
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """Per-DOF values (n_dofs,) or (n_dofs, m) at the element nodes,
+        (E, 3) or (E, 3, m) with the element index fastest."""
+        return np.take(x.T, self.elem_dofs.T, axis=-1).T
+
+    def _reduce(self, ufunc, vals: np.ndarray, initial: float) -> np.ndarray:
+        """Reduce (E, 3) or (E, 3, m) values onto the DOFs with ``ufunc``,
+        element by element from ``initial``; the result is C-ordered."""
+        flat = vals.T.reshape(vals.shape[:1:-1] + (-1,))
+        rows = np.take(flat, self.dof_table, axis=-1)
+        out = np.empty((self.n_dofs,) + vals.shape[2:])
+        ufunc.reduce(rows, axis=-2, where=self.dof_mask, initial=initial,
+                     out=out.T)
+        return out
+
     def scatter_add(self, vals: np.ndarray) -> np.ndarray:
         """Sum (E, 3) or (E, 3, m) values onto the DOFs, in element order
         from 0.0."""
-        idx = self.elem_dofs.ravel()
-        flat = vals.reshape(idx.size, -1)
-        out = np.empty((self.n_dofs, flat.shape[1]))
-        for k in range(flat.shape[1]):
-            out[:, k] = np.bincount(idx, weights=flat[:, k], minlength=self.n_dofs)
-        return out.reshape((self.n_dofs,) + vals.shape[2:])
-
-    def _by_dof(self, vals: np.ndarray) -> np.ndarray:
-        return vals.reshape((self.dof_order.size,) + vals.shape[2:])[self.dof_order]
+        return self._reduce(np.add, vals, 0.0)
 
     def scatter_min(self, vals: np.ndarray) -> np.ndarray:
         """Smallest (E, 3) or (E, 3, m) value at each DOF."""
-        return np.minimum.reduceat(self._by_dof(vals), self.dof_starts, axis=0)
+        return self._reduce(np.minimum, vals, np.inf)
 
     def scatter_max(self, vals: np.ndarray) -> np.ndarray:
         """Largest (E, 3) or (E, 3, m) value at each DOF."""
-        return np.maximum.reduceat(self._by_dof(vals), self.dof_starts, axis=0)
+        return self._reduce(np.maximum, vals, -np.inf)
 
 
 def build_system(mesh: Mesh) -> MeshSystem:
     mesh.validate()
     geom = element_geometry(mesh)
     dof_of_node, n_dofs = _dof_map(mesh)
-    elem_dofs = dof_of_node[mesh.triangles]
+    elem_c = dof_of_node[mesh.triangles]
+    elem_dofs = np.asfortranarray(elem_c)
 
-    flat = elem_dofs.ravel()
+    flat = elem_c.ravel()                   # element by element
     lumped = np.bincount(flat, weights=np.repeat(geom.m_elem, 3), minlength=n_dofs)
     if lumped.size and lumped.min() <= 0:
         raise MeshError("nonpositive lumped mass (isolated node?)")
-    # Every DOF has a positive mass, so it owns a nonempty run of dof_order.
-    dof_order = np.argsort(flat, kind="stable")
-    dof_starts = np.searchsorted(flat[dof_order], np.arange(n_dofs))
+    # Each DOF's entries of flat, in element order, padded to the largest
+    # valence and mapped to the element-fastest flattening.
+    by_dof = np.argsort(flat, kind="stable")
+    valence = np.bincount(flat, minlength=n_dofs)
+    slot = np.arange(valence.max(initial=0))[:, None]
+    dof_mask = slot < valence
+    starts = np.cumsum(valence) - valence
+    e, i = np.divmod(by_dof[np.minimum(starts + slot, flat.size - 1)], 3)
+    dof_table = i * mesh.n_elements + e
 
     # Representative = lowest-index node of each identified group.
     _, first_node = np.unique(dof_of_node, return_index=True)
@@ -268,7 +292,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
         boundary_normal=normal, boundary_dofs=boundary_dofs, dof_tags=dof_tags,
-        dof_order=dof_order, dof_starts=dof_starts,
+        dof_table=dof_table, dof_mask=dof_mask,
     )
 
 

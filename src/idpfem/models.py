@@ -2,7 +2,10 @@
 
 Each model provides the flux tensor f(u), a guaranteed directional wave-speed
 bound for Riemann data, and admissibility checks against its convex invariant
-set. All functions are vectorized over leading axes and pure.
+set. All functions are vectorized over leading axes and pure. Results keep
+the memory order of the inputs; flux tensors (..., m, 2) are allocated in
+Fortran order, so that for element blocks stored with the element index
+fastest each (component, direction) column is contiguous.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ class LinearAdvection:
     def flux(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """f(u) = v(x) u, returned as (..., m, 2)."""
         v = self.velocity(np.asarray(x, dtype=float))
-        return u[..., :, None] * v[..., None, :]
+        f = np.empty(u.shape + (2,), order="F")
+        return np.multiply(u[..., :, None], v[..., None, :], out=f)
 
     def max_wave_speed(self, ul, ur, n, x) -> np.ndarray:
         v = self.velocity(np.asarray(x, dtype=float))
         lam = np.abs(v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1])
-        return lam * np.ones(np.broadcast(ul[..., 0], lam).shape)
+        return np.broadcast_to(lam, np.broadcast(ul[..., 0], lam).shape)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         """Quasi-concave constraint values; nonnegative iff admissible."""
@@ -74,8 +78,9 @@ class Burgers2D:
     kind: str = "burgers_2d"
 
     def flux(self, u: np.ndarray, x: np.ndarray = None) -> np.ndarray:
-        half = 0.5 * u[..., :] ** 2
-        return np.stack([half, half], axis=-1)
+        f = np.empty(u.shape + (2,), order="F")
+        f[..., 0] = f[..., 1] = 0.5 * u ** 2
+        return f
 
     def max_wave_speed(self, ul, ur, n, x=None) -> np.ndarray:
         # Directional speed is u (n1 + n2); for convex flux the maximum over
@@ -141,7 +146,7 @@ class Euler:
             raise AdmissibilityError("Euler flux evaluated at rho <= 0")
         v = u[..., 1:3] / rho[..., None]
         p = self.pressure(u)
-        f = np.empty(u.shape + (2,))
+        f = np.empty(u.shape + (2,), order="F")
         f[..., 0, :] = u[..., 1:3]
         f[..., 1, :] = u[..., 1, None] * v
         f[..., 1, 0] += p
@@ -163,8 +168,9 @@ class Euler:
         return np.stack([u[..., 0], self.internal_energy_density(u)], axis=-1)
 
     def admissible(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        phi = self.phi_values(u)
-        return (phi[..., 0] >= -slack) & (phi[..., 1] >= -slack)
+        # The same test as on phi_values, without stacking the two
+        # constraints into one (..., 2) array.
+        return (u[..., 0] >= -slack) & (self.internal_energy_density(u) >= -slack)
 
     def set_global_bounds(self, u0: np.ndarray) -> None:
         # Systems are constrained through phi_values, not a global interval.
@@ -187,7 +193,7 @@ def rotation_velocity(cx: float = 0.5, cy: float = 0.5, omega: float = 2.0 * np.
     """Rigid rotation about (cx, cy); one full turn takes 2*pi/omega."""
 
     def field_fn(x):
-        out = np.empty_like(x, dtype=float)
+        out = np.empty(x.shape, order="F")
         out[..., 0] = -omega * (x[..., 1] - cy)
         out[..., 1] = omega * (x[..., 0] - cx)
         return out

@@ -142,7 +142,8 @@ class SpatialScheme:
             contrib = work.r_rusanov + work.f_anti
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e.
-            gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
+            gamma = np.broadcast_to(2.0 * np.maximum(work.d, TINY)[:, None],
+                                    (ms.n_elements, 3))
             active = (work.d > 0)[:, None, None]
             bounds = _component_bounds(ms, u, work, bwork,
                                        self.lcfg.bounds_mode("mcl"))
@@ -173,7 +174,7 @@ class SpatialScheme:
             # Bar-state bounds must cover both u and u_low.
             bounds = [(np.minimum(lo, u[:, k]), np.maximum(hi, u[:, k]))
                       for k, (lo, hi) in enumerate(bounds)]
-        f_star = self._limit(work.f_anti, u_low[ms.elem_dofs], gamma, bounds)
+        f_star = self._limit(work.f_anti, ms.gather(u_low), gamma, bounds)
         corr = _scatter(ms, f_star, None, u.shape)
         return u_low + dt * corr / ms.lumped_mass[:, None]
 

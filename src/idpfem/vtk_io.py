@@ -13,8 +13,9 @@ SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 
 
 def _fmt(values) -> list:
-    """Shortest round-trip text of each value; Python floats format faster
-    than numpy scalars, so convert first."""
+    """Round-trip text of each value with 17 significant digits (not the
+    shortest such text); Python floats format faster than numpy scalars, so
+    convert first."""
     return [f"{v:.17g}" for v in values.tolist()]
 
 

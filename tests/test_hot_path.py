@@ -1,47 +1,63 @@
 """The hot path: numpy scatters equal the ``ufunc.at`` forms bit for bit,
-each SSP stage assembles once, and the assembly that ``dt_bound`` leaves
-behind is only reused for the same state."""
+each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
+is only reused for the same state, and element blocks stored with the
+element index fastest give the same bits as C-ordered ones."""
+
+import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
 
+import idpfem.assembly as assembly_mod
+import idpfem.limiting as limiting_mod
 import idpfem.schemes as schemes_mod
+from conftest import random_euler_states
+from idpfem.assembly import assemble
+from idpfem.config import RunConfig
 from idpfem.limiting import LimiterConfig
-from idpfem.mesh import Mesh, build_system, structured_rect
+from idpfem.mesh import Mesh, MeshSystem, build_system, structured_rect
 from idpfem.models import Burgers2D, make_model
-from idpfem.runner import integrate
+from idpfem.runner import integrate, setup
 from idpfem.schemes import SpatialScheme
 from idpfem.timestepping import TimeControls
 
 MESHES = {
     "periodic": lambda: build_system(structured_rect(6, 5, periodic=True)),
     "boundary": lambda: build_system(structured_rect(5, 7)),
+    # one periodic row: elements whose nodes share a DOF
+    "repeated": lambda: build_system(structured_rect(1, 3, periodic=True)),
 }
 
 
 @pytest.mark.parametrize("mesh", sorted(MESHES))
 @pytest.mark.parametrize("trailing", [(), (3,)])
 class TestScatter:
+    """Both storage orders of the element values give the same bits."""
+
     def _vals(self, ms, trailing, seed):
-        return np.random.default_rng(seed).normal(
+        vals = np.random.default_rng(seed).normal(
             size=(ms.n_elements, 3) + trailing)
+        return vals, np.asfortranarray(vals)
 
     def test_add_matches_add_at(self, mesh, trailing):
         ms = MESHES[mesh]()
-        vals = self._vals(ms, trailing, 1)
+        vals, vals_f = self._vals(ms, trailing, 1)
         ref = np.zeros((ms.n_dofs,) + trailing)
         np.add.at(ref, ms.elem_dofs, vals)
         assert ms.scatter_add(vals).tobytes() == ref.tobytes()
+        assert ms.scatter_add(vals_f).tobytes() == ref.tobytes()
 
     def test_min_max_match_ufunc_at(self, mesh, trailing):
         ms = MESHES[mesh]()
-        vals = self._vals(ms, trailing, 2)
+        vals, vals_f = self._vals(ms, trailing, 2)
         lo = np.full((ms.n_dofs,) + trailing, np.inf)
         hi = np.full((ms.n_dofs,) + trailing, -np.inf)
         np.minimum.at(lo, ms.elem_dofs, vals)
         np.maximum.at(hi, ms.elem_dofs, vals)
-        assert ms.scatter_min(vals).tobytes() == lo.tobytes()
-        assert ms.scatter_max(vals).tobytes() == hi.tobytes()
+        for v in (vals, vals_f):
+            assert ms.scatter_min(v).tobytes() == lo.tobytes()
+            assert ms.scatter_max(v).tobytes() == hi.tobytes()
 
 
 def _scheme(limiter, bc=None, periodic=True):
@@ -149,3 +165,173 @@ def test_edges_match_unique_rows(make):
     assert uniq.dtype == ref_uniq.dtype
     assert np.array_equal(uniq, ref_uniq)
     assert np.array_equal(counts, ref_counts)
+
+
+# --- storage order ---------------------------------------------------------
+
+def _element_fastest(a):
+    return a.strides[0] == a.itemsize
+
+
+def _problem(model_name, mesh_kind):
+    """(ms, model, bc, u) of a small problem with nontrivial gradients."""
+    rng = np.random.default_rng(7)
+    if model_name == "euler" and mesh_kind == "bounded":
+        _, ms, model, scheme, u0 = setup(RunConfig(benchmark="dmr", h=1 / 4))
+        # Scaling a state by a positive factor keeps it admissible.
+        u = u0 * rng.uniform(0.9, 1.1, (ms.n_dofs, 1))
+        return ms, model, scheme.bc, u
+    ms = build_system(structured_rect(6, 5, periodic=mesh_kind == "periodic"))
+    bc = None if mesh_kind == "periodic" else _time_bc
+    if model_name == "euler":
+        model = make_model("euler")
+        return ms, model, bc, random_euler_states(rng, model, (ms.n_dofs,))
+    if model_name == "burgers":
+        model = Burgers2D()
+    else:
+        model = make_model("advection", velocity=model_name,
+                           **({"vx": 1.0, "vy": 0.5}
+                              if model_name == "translation" else {}))
+    u = rng.uniform(0.1, 1.0, (ms.n_dofs, 1))
+    model.set_global_bounds(u)
+    return ms, model, bc, u
+
+
+class _COrderModel:
+    """A model whose fluxes and wave speeds come back C-ordered."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def flux(self, u, x=None):
+        return np.ascontiguousarray(self._model.flux(u, x))
+
+    def max_wave_speed(self, ul, ur, n, x=None):
+        return np.ascontiguousarray(self._model.max_wave_speed(ul, ur, n, x))
+
+
+def _plain_dot(f, c):
+    return f[..., 0] * c[..., None, 0] + f[..., 1] * c[..., None, 1]
+
+
+@contextlib.contextmanager
+def _c_order(monkeypatch, ms, model):
+    """The same mesh system and model with every per-element array
+    C-ordered, a fancy-indexing gather and the plain f . c: the reference
+    layout."""
+    geom = dataclasses.replace(ms.geometry, **{
+        k: np.ascontiguousarray(v) for k, v in vars(ms.geometry).items()})
+    twin = dataclasses.replace(ms, geometry=geom,
+                               elem_dofs=np.ascontiguousarray(ms.elem_dofs))
+    twin.gather = lambda x: x[twin.elem_dofs]
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly_mod, "_dot", _plain_dot)
+        yield twin, _COrderModel(model)
+
+
+def _arrays(*parts):
+    """Every array field of the given work records, by name."""
+    out = {}
+    for part in parts:
+        if part is None:
+            continue
+        for k, v in vars(part).items():
+            if isinstance(v, np.ndarray):
+                out[f"{type(part).__name__}.{k}"] = v
+    return out
+
+
+MODELS = ["translation", "rotation", "burgers", "euler"]
+MESH_KINDS = ["periodic", "bounded"]
+
+
+@pytest.mark.parametrize("mesh_kind", MESH_KINDS)
+@pytest.mark.parametrize("model_name", MODELS)
+def test_assembly_is_element_fastest_and_bit_equal_to_c_order(
+        monkeypatch, model_name, mesh_kind):
+    ms, model, bc, u = _problem(model_name, mesh_kind)
+    geom = ms.geometry
+    for a in (ms.elem_dofs, geom.c, geom.c_hat, geom.c_norm, geom.centroid):
+        assert _element_fastest(a)
+    work, bwork = assemble(ms, model, u, 0.1, bc)
+    x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
+    assert model.flux(work.u_loc, x).flags.f_contiguous
+    with _c_order(monkeypatch, ms, model) as (twin, cmodel):
+        ref_work, ref_bwork = assemble(twin, cmodel, u, 0.1, bc)
+
+    got, ref = _arrays(work, bwork), _arrays(ref_work, ref_bwork)
+    assert got.keys() == ref.keys()
+    for name, a in got.items():
+        if name.startswith("ElementWork.") and a.shape[0] == ms.n_elements:
+            assert _element_fastest(a), name
+            assert ref[name].flags.c_contiguous, name
+        assert a.tobytes() == ref[name].tobytes(), name
+    for prop in ("fluctuation", "r_high", "r_low"):
+        assert (getattr(work, prop).tobytes()
+                == getattr(ref_work, prop).tobytes()), prop
+
+
+@pytest.mark.parametrize("limiter", ["low", "mcl.cs", "fct.cs", "mcl.scale"])
+@pytest.mark.parametrize("mesh_kind", MESH_KINDS)
+@pytest.mark.parametrize("model_name", MODELS)
+def test_stage_bit_equal_to_c_order(monkeypatch, model_name, mesh_kind,
+                                    limiter):
+    ms, model, bc, u = _problem(model_name, mesh_kind)
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    dt = scheme.dt_bound(u, 0.1)
+    got = (scheme.step(u, 0.1, 0.5 * dt) if scheme.driver == "fct"
+           else scheme.rhs(u, 0.1))
+    with _c_order(monkeypatch, ms, model) as (twin, cmodel):
+        ref = SpatialScheme(ms=twin, model=cmodel, limiter=limiter, bc=bc)
+        assert ref.dt_bound(u, 0.1) == dt
+        want = (ref.step(u, 0.1, 0.5 * dt) if ref.driver == "fct"
+                else ref.rhs(u, 0.1))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("limiter", ["mcl.cs", "fct.cs", "mcl.scale"])
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
+    """Every block ``MeshSystem.gather`` hands the limiters (the gathered
+    bounds and bound candidates) is stored with the element index fastest."""
+    inside = {"limit_scalar_contributions", "product_rule_cs"}
+    seen = []
+    stack = []
+    original_gather = MeshSystem.gather
+
+    def gather(self, x):
+        out = original_gather(self, x)
+        if stack:
+            seen.append((stack[-1], out))
+        return out
+
+    monkeypatch.setattr(MeshSystem, "gather", gather)
+    for name in inside:
+        fn = getattr(limiting_mod, name)
+
+        def entered(*args, _fn=fn, _name=name, **kwargs):
+            stack.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(limiting_mod, name, entered)
+        if hasattr(schemes_mod, name):
+            monkeypatch.setattr(schemes_mod, name, entered)
+
+    ms, model, bc, u = _problem(model_name, "bounded")
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    dt = scheme.dt_bound(u, 0.0)
+    if scheme.driver == "fct":
+        scheme.step(u, 0.0, 0.5 * dt)
+    else:
+        scheme.rhs(u, 0.0)
+    expected = inside if model.m > 1 else {"limit_scalar_contributions"}
+    assert {name for name, _ in seen} == expected
+    for name, a in seen:
+        assert a.shape[:2] == (ms.n_elements, 3)
+        assert _element_fastest(a), name

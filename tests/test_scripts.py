@@ -5,6 +5,7 @@ import math
 import pathlib
 
 from idpfem.schemes import SCHEME_KEYS
+from idpfem.vtk_io import read_vtk_point_data
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,3 +38,15 @@ def test_scheme_comparison(capsys):
     assert [row.split()[0] for row in rows] == list(SCHEME_KEYS)
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.split()[1:])
+
+
+def test_run_dmr(tmp_path, capsys):
+    main = load_script("run_dmr").main
+    out = tmp_path / "dmr"
+    assert main(["--h", "1/4", "--t-end", "0.003", "--out", str(out)]) == 0
+    assert "finished at t = 0.0030" in capsys.readouterr().out
+    snapshots = sorted(out.glob("state_*.vtk"))
+    assert len(snapshots) >= 2
+    _, fields = read_vtk_point_data(snapshots[-1])
+    assert fields["rho"].min() > 0.0
+    assert fields["pressure"].min() > 0.0
