@@ -21,12 +21,12 @@ the code below reads as if it were C-ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import MeshSystem
+from .mesh import MeshSystem, scratch
 from .models import TINY
 
 
@@ -52,6 +52,9 @@ class ElementWork:
     flux_c: np.ndarray        # (E, 3, m) f(u_i) . c_i
     f_anti: Optional[np.ndarray] = None     # (E, 3, m) antidiffusive contributions
     mass_term: Optional[np.ndarray] = None  # (E, 3, m) sum_j m_ij (udot_i - udot_j)
+    # The workspace that holds the element blocks, or None if they are
+    # fresh; the later phases of the same stage take their scratch from it.
+    ws: Optional[dict] = field(default=None, repr=False)
 
     @property
     def fluctuation(self) -> np.ndarray:
@@ -80,104 +83,141 @@ class BoundaryWork:
     bar_states: np.ndarray    # (B, m) boundary bar states (IDP audit / bounds)
 
 
-def _node_sum(a: np.ndarray) -> np.ndarray:
+def _node_sum(a: np.ndarray, out=None) -> np.ndarray:
     """Sum over the three element nodes (axis 1 of (E, 3, ...)). Written out,
     because numpy's reduce over a length-3 axis costs several times more."""
-    return a[:, 0] + a[:, 1] + a[:, 2]
+    s = np.add(a[:, 0], a[:, 1], out=out)
+    s += a[:, 2]
+    return s
 
 
-def element_average(u_loc: np.ndarray) -> np.ndarray:
+def element_average(u_loc: np.ndarray, out=None) -> np.ndarray:
     """Arithmetic mean of the three nodal states."""
-    return _node_sum(u_loc) / 3.0
+    s = _node_sum(u_loc, out)
+    s /= 3.0
+    return s
 
 
-def wave_speeds(model, ms: MeshSystem, u_loc, ubar) -> np.ndarray:
+def wave_speeds(model, ms: MeshSystem, u_loc, ubar, out=None) -> np.ndarray:
     """Directional wave-speed bound between ubar and each node, (E, 3)."""
     geom = ms.geometry
     x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
-    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat, x)
+    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat, x,
+                                out=out)
 
 
-def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray) -> np.ndarray:
+def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray, out=None,
+                      tmp=None) -> np.ndarray:
     """d^e = max_i lambda_i |c_i|."""
-    a = lam * c_norm
-    return np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2])
+    a = np.multiply(lam, c_norm, out=tmp)
+    d = np.maximum(a[:, 0], a[:, 1], out=out)
+    return np.maximum(d, a[:, 2], out=d)
 
 
-def _dot(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """f . c over the space axis: f (..., m, 2), c (..., 2) -> (..., m).
 
-    The result is allocated in Fortran order: where f is broadcast over the
-    nodes and c over the components, numpy would otherwise fall back to C
-    order for those two axes.
+    The result is allocated in Fortran order unless ``out`` is given: where
+    f is broadcast over the nodes and c over the components, numpy would
+    otherwise fall back to C order for those two axes. ``tmp`` (the shape
+    of the result) holds the second product when given.
     """
-    shape = np.broadcast_shapes(f.shape[:-1], c.shape[:-1] + (1,))
-    out = np.multiply(f[..., 0], c[..., None, 0], out=np.empty(shape, order="F"))
-    out += f[..., 1] * c[..., None, 1]
+    if out is None:
+        shape = np.broadcast_shapes(f.shape[:-1], c.shape[:-1] + (1,))
+        out = np.empty(shape, order="F")
+    np.multiply(f[..., 0], c[..., None, 0], out=out)
+    out += np.multiply(f[..., 1], c[..., None, 1], out=tmp)
     return out
 
 
-def bar_states(fbar_c, flux_c, u_loc, ubar, d) -> np.ndarray:
+def bar_states(fbar_c, flux_c, u_loc, ubar, d, out=None,
+               tmp=None) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
-    f(u_i) . c_i; arithmetic mean where d = 0."""
-    df = fbar_c - flux_c
-    mean = 0.5 * (ubar[:, None, :] + u_loc)
-    bars = mean - df / (2.0 * np.maximum(d, TINY))[:, None, None]
-    zero = d <= 0
-    if zero.any():
-        bars[zero] = mean[zero]
-    return bars
+    f(u_i) . c_i; arithmetic mean where d = 0. ``out`` takes the result and
+    ``tmp`` (same shape) an intermediate when given."""
+    df = np.subtract(fbar_c, flux_c, out=tmp)
+    df /= (2.0 * np.maximum(d, TINY))[:, None, None]
+    mean = np.add(ubar[:, None, :], u_loc, out=out)
+    mean *= 0.5
+    # where d = 0 the mean is kept
+    return np.subtract(mean, df, out=mean, where=~(d <= 0)[:, None, None])
 
 
 def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
-             with_antidiffusion: bool = True) -> tuple:
+             with_antidiffusion: bool = True, ws: Optional[dict] = None) -> tuple:
     """Compute all element quantities for the global state u (n_dofs, m).
 
     Returns (ElementWork, BoundaryWork or None). Gather/scatter order is fixed,
     so repeated calls are bit-identical.
+
+    With a workspace dict ``ws`` every element block is written into a
+    buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
+    ElementWork are overwritten by the next call with the same ``ws``.
+    Without one, every array is fresh. Per-DOF arrays are fresh either way.
     """
     geom = ms.geometry
-    u_loc = ms.gather(u)                          # (E, 3, m)
-    ubar = element_average(u_loc)
-    lam = wave_speeds(model, ms, u_loc, ubar)
-    d = rusanov_viscosity(lam, geom.c_norm)
+    blk = ms.elem_dofs.shape + u.shape[1:]        # (E, 3, m)
+    n_e, m = blk[0], blk[2]
+
+    def buf(name, shape=blk):
+        return scratch(ws, "asm." + name, shape)
+
+    tmp = buf("tmp")
+    u_loc = ms.gather(u, out=buf("u_loc"))
+    ubar = element_average(u_loc, out=buf("ubar", (n_e, m)))
+    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("lam", blk[:2]))
+    d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
+                          tmp=buf("tmp", blk[:2]))
 
     x_bar = geom.centroid
     x_loc = np.broadcast_to(x_bar[:, None, :], geom.c.shape)
-    flux_bar = model.flux(ubar, x_bar)            # (E, m, 2)
-    flux_loc = model.flux(u_loc, x_loc)           # (E, 3, m, 2)
-    fbar_c = _dot(flux_bar[:, None], geom.c)     # f(ubar) . c_i
-    flux_c = _dot(flux_loc, geom.c)              # f(u_i) . c_i
+    flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)))
+    flux_loc = model.flux(u_loc, x_loc, out=buf("flux_loc", blk + (2,)))
+    # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
+    fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
+    flux_c = _dot(flux_loc, geom.c, out=buf("flux_c"), tmp=tmp)
 
-    bars = bar_states(fbar_c, flux_c, u_loc, ubar, d)
+    bars = bar_states(fbar_c, flux_c, u_loc, ubar, d, out=buf("bars"),
+                      tmp=tmp)
+
+    if with_antidiffusion:
+        # fbar_c - sum_j f(u_j) . c_i / 3, completed to f_anti below
+        sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
+        f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"), tmp=tmp)
+        np.negative(f_anti, out=f_anti)
+        f_anti /= 3.0
+        f_anti += fbar_c
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
-    visc = d[:, None, None] * (ubar[:, None, :] - u_loc)
-    r_rus = visc - fbar_c
+    visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
+    visc *= d[:, None, None]
+    r_rus = np.subtract(visc, fbar_c, out=fbar_c)
 
     bwork = boundary_terms(ms, model, u, t, bc) if bc is not None else None
 
-    residual = ms.scatter_add(r_rus)
+    residual = ms.scatter_add(r_rus, ws)
     if bwork is not None:
         residual[bwork.dofs] += bwork.flux_term
     udot = residual / ms.lumped_mass[:, None]
 
     work = ElementWork(u_loc=u_loc, ubar=ubar, lam=lam, d=d, bar_states=bars,
                        r_rusanov=r_rus, residual=residual, udot=udot,
-                       flux_c=flux_c)
+                       flux_c=flux_c, ws=ws)
     if not with_antidiffusion:
         return work, bwork
 
-    udot_loc = ms.gather(udot)                    # (E, 3, m)
-    # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j)
-    work.mass_term = (geom.area[:, None, None] / 12.0) * (
-        3.0 * udot_loc - _node_sum(udot_loc)[:, None, :])
+    # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
+    # in the buffers of the used-up fluxes
+    udot_loc = ms.gather(udot, out=buf("flux_loc"))
+    mass = np.multiply(3.0, udot_loc, out=buf("mass_term"))
+    mass -= _node_sum(udot_loc, out=buf("flux_bar", (n_e, m)))[:, None, :]
+    mass *= (geom.area / 12.0)[:, None, None]
 
-    # direct antidiffusion formula
-    sum_flux = _node_sum(flux_loc)                # (E, m, 2)
-    flux_part = -_dot(sum_flux[:, None], geom.c) / 3.0 + fbar_c
-    work.f_anti = work.mass_term + flux_part - visc
+    # direct antidiffusion formula: f_anti = mass + flux part - visc
+    f_anti = np.add(mass, f_anti, out=f_anti)
+    f_anti -= visc
+    work.mass_term, work.f_anti = mass, f_anti
     return work, bwork
 
 

@@ -7,11 +7,31 @@ identification used for periodic boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import TINY
+
+
+def scratch(ws, name: str, shape: tuple):
+    """Float array ``name`` of ``shape`` from the workspace dict ``ws``, stored
+    with the first index fastest (Fortran order) and made on first use.
+
+    Later calls with the same name reuse the memory (a name whose shape
+    grows gets a larger block once), so the contents are whatever the last
+    user left. Without a workspace it returns None, which as a numpy
+    ``out=`` argument asks for a fresh result: code written with
+    ``out=scratch(ws, ...)`` runs unchanged either way.
+    """
+    if ws is None:
+        return None
+    size = math.prod(shape)
+    flat = ws.get(name)
+    if flat is None or flat.size < size:
+        flat = ws[name] = np.empty(size)
+    return flat[:size].reshape(shape, order="F")
 
 
 class MeshError(Exception):
@@ -220,33 +240,46 @@ class MeshSystem:
     def n_elements(self) -> int:
         return self.mesh.n_elements
 
-    def gather(self, x: np.ndarray) -> np.ndarray:
+    def gather(self, x: np.ndarray, out=None) -> np.ndarray:
         """Per-DOF values (n_dofs,) or (n_dofs, m) at the element nodes,
-        (E, 3) or (E, 3, m) with the element index fastest."""
-        return np.take(x.T, self.elem_dofs.T, axis=-1).T
+        (E, 3) or (E, 3, m) with the element index fastest; written into
+        ``out`` (that shape, Fortran order) when given."""
+        # elem_dofs is in range by construction; mode="clip" skips the
+        # bounds check, and with it the copy numpy makes of ``out``.
+        return np.take(x.T, self.elem_dofs.T, axis=-1, mode="clip",
+                       out=None if out is None else out.T).T
 
-    def _reduce(self, ufunc, vals: np.ndarray, initial: float) -> np.ndarray:
+    def _reduce(self, ufunc, vals: np.ndarray, initial: float,
+                ws=None) -> np.ndarray:
         """Reduce (E, 3) or (E, 3, m) values onto the DOFs with ``ufunc``,
-        element by element from ``initial``; the result is C-ordered."""
+        element by element from ``initial``; the result is a fresh C-ordered
+        array. The ``(m, V, n_dofs)`` row block and the ``(m, n_dofs)``
+        reduction are taken from the workspace ``ws`` when given."""
         flat = vals.T.reshape(vals.shape[:1:-1] + (-1,))
-        rows = np.take(flat, self.dof_table, axis=-1)
-        out = np.empty((self.n_dofs,) + vals.shape[2:])
-        ufunc.reduce(rows, axis=-2, where=self.dof_mask, initial=initial,
-                     out=out.T)
-        return out
+        shape = flat.shape[:-1] + self.dof_table.shape
+        rows = scratch(ws, "mesh.rows", shape[::-1])
+        rows = np.take(flat, self.dof_table, axis=-1, mode="clip",
+                       out=None if rows is None else rows.T)
+        # Reduced into contiguous (m, n_dofs) rows and then transposed:
+        # reducing straight into the strided columns of the C-ordered
+        # (n_dofs, m) result is slower than the two steps together.
+        red = scratch(ws, "mesh.reduced", (self.n_dofs,) + vals.shape[2:])
+        red = ufunc.reduce(rows, axis=-2, where=self.dof_mask,
+                           initial=initial, out=None if red is None else red.T)
+        return red.T.copy()
 
-    def scatter_add(self, vals: np.ndarray) -> np.ndarray:
+    def scatter_add(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Sum (E, 3) or (E, 3, m) values onto the DOFs, in element order
         from 0.0."""
-        return self._reduce(np.add, vals, 0.0)
+        return self._reduce(np.add, vals, 0.0, ws)
 
-    def scatter_min(self, vals: np.ndarray) -> np.ndarray:
+    def scatter_min(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Smallest (E, 3) or (E, 3, m) value at each DOF."""
-        return self._reduce(np.minimum, vals, np.inf)
+        return self._reduce(np.minimum, vals, np.inf, ws)
 
-    def scatter_max(self, vals: np.ndarray) -> np.ndarray:
+    def scatter_max(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Largest (E, 3) or (E, 3, m) value at each DOF."""
-        return self._reduce(np.maximum, vals, -np.inf)
+        return self._reduce(np.maximum, vals, -np.inf, ws)
 
 
 def build_system(mesh: Mesh) -> MeshSystem:

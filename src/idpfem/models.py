@@ -5,7 +5,9 @@ bound for Riemann data, and admissibility checks against its convex invariant
 set. All functions are vectorized over leading axes and pure. Results keep
 the memory order of the inputs; flux tensors (..., m, 2) are allocated in
 Fortran order, so that for element blocks stored with the element index
-fastest each (component, direction) column is contiguous.
+fastest each (component, direction) column is contiguous. ``flux`` and
+``max_wave_speed`` write into ``out`` when it is given (numpy's ``out=``
+idiom) and return a fresh array otherwise.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ class LinearAdvection:
             v = np.array([1.0, 0.0])
             self.velocity = lambda x: np.broadcast_to(v, x.shape)
 
-    def flux(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def flux(self, u: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """f(u) = v(x) u, returned as (..., m, 2)."""
         v = self.velocity(np.asarray(x, dtype=float))
-        f = np.empty(u.shape + (2,), order="F")
+        f = np.empty(u.shape + (2,), order="F") if out is None else out
         return np.multiply(u[..., :, None], v[..., None, :], out=f)
 
-    def max_wave_speed(self, ul, ur, n, x) -> np.ndarray:
+    def max_wave_speed(self, ul, ur, n, x, out=None) -> np.ndarray:
         v = self.velocity(np.asarray(x, dtype=float))
-        lam = np.abs(v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1])
+        lam = np.multiply(v[..., 0], n[..., 0], out=out)
+        lam += v[..., 1] * n[..., 1]
+        np.abs(lam, out=lam)
         return np.broadcast_to(lam, np.broadcast(ul[..., 0], lam).shape)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
@@ -77,16 +81,19 @@ class Burgers2D:
     m: int = 1
     kind: str = "burgers_2d"
 
-    def flux(self, u: np.ndarray, x: np.ndarray = None) -> np.ndarray:
-        f = np.empty(u.shape + (2,), order="F")
-        f[..., 0] = f[..., 1] = 0.5 * u ** 2
+    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None) -> np.ndarray:
+        f = np.empty(u.shape + (2,), order="F") if out is None else out
+        f0 = np.square(u, out=f[..., 0])
+        f0 *= 0.5
+        f[..., 1] = f0
         return f
 
-    def max_wave_speed(self, ul, ur, n, x=None) -> np.ndarray:
+    def max_wave_speed(self, ul, ur, n, x=None, out=None) -> np.ndarray:
         # Directional speed is u (n1 + n2); for convex flux the maximum over
         # the Riemann fan is attained at an endpoint of [min, max](ul, ur).
         s = np.abs(n[..., 0] + n[..., 1])
-        return s * np.maximum(np.abs(ul[..., 0]), np.abs(ur[..., 0]))
+        return np.multiply(s, np.maximum(np.abs(ul[..., 0]), np.abs(ur[..., 0])),
+                           out=out)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0] - self.u_min, self.u_max - u[..., 0]], axis=-1)
@@ -124,14 +131,22 @@ class Euler:
         c = np.sqrt(self.gamma * p / rho)
         return rho, v, p, c
 
-    def pressure(self, u: np.ndarray) -> np.ndarray:
-        rho = u[..., 0]
-        kinetic = 0.5 * (u[..., 1] ** 2 + u[..., 2] ** 2) / rho
-        return (self.gamma - 1.0) * (u[..., 3] - kinetic)
+    def pressure(self, u: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """(gamma - 1) rho e; ``out`` and ``tmp`` (the shape of ``u[..., 0]``)
+        take the result and an intermediate when given."""
+        p = self.internal_energy_density(u, out, tmp)
+        p *= self.gamma - 1.0
+        return p
 
-    def internal_energy_density(self, u: np.ndarray) -> np.ndarray:
-        rho = u[..., 0]
-        return u[..., 3] - 0.5 * (u[..., 1] ** 2 + u[..., 2] ** 2) / rho
+    def internal_energy_density(self, u: np.ndarray, out=None,
+                                tmp=None) -> np.ndarray:
+        """rho e = E - |m|^2 / (2 rho), in ``out`` with ``tmp`` as scratch
+        when given."""
+        kinetic = np.square(u[..., 1], out=tmp)
+        kinetic += np.square(u[..., 2], out=out)
+        kinetic *= 0.5
+        kinetic /= u[..., 0]
+        return np.subtract(u[..., 3], kinetic, out=out)
 
     def conserved(self, rho, v, p) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -140,29 +155,42 @@ class Euler:
         E = p / (self.gamma - 1.0) + 0.5 * rho * np.sum(v ** 2, axis=-1)
         return np.stack([rho, rho * v[..., 0], rho * v[..., 1], E], axis=-1)
 
-    def flux(self, u: np.ndarray, x: np.ndarray = None) -> np.ndarray:
+    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None) -> np.ndarray:
         rho = u[..., 0]
         if np.any(rho <= 0):
             raise AdmissibilityError("Euler flux evaluated at rho <= 0")
-        v = u[..., 1:3] / rho[..., None]
-        p = self.pressure(u)
-        f = np.empty(u.shape + (2,), order="F")
-        f[..., 0, :] = u[..., 1:3]
-        f[..., 1, :] = u[..., 1, None] * v
+        f = np.empty(u.shape + (2,), order="F") if out is None else out
+        # The velocity goes into the energy row and the pressure into the
+        # mass row (its intermediate beside it) until they are needed, so
+        # no temporary is allocated.
+        v = np.divide(u[..., 1:3], rho[..., None], out=f[..., 3, :])
+        p = self.pressure(u, f[..., 0, 0], f[..., 0, 1])
+        np.multiply(u[..., 1, None], v, out=f[..., 1, :])
         f[..., 1, 0] += p
-        f[..., 2, :] = u[..., 2, None] * v
+        np.multiply(u[..., 2, None], v, out=f[..., 2, :])
         f[..., 2, 1] += p
-        f[..., 3, :] = (u[..., 3, None] + p[..., None]) * v
+        p += u[..., 3]
+        v *= p[..., None]
+        f[..., 0, :] = u[..., 1:3]
         return f
 
-    def max_wave_speed(self, ul, ur, n, x=None) -> np.ndarray:
+    def _speed(self, u, n, out=None):
+        """|v . n| + c at the states u."""
+        rho = u[..., 0]
+        s = np.multiply(u[..., 1] / rho, n[..., 0], out=out)
+        s += (u[..., 2] / rho) * n[..., 1]
+        np.abs(s, out=s)
+        c = self.pressure(u)
+        c *= self.gamma
+        c /= rho
+        s += np.sqrt(c, out=c)
+        return s
+
+    def max_wave_speed(self, ul, ur, n, x=None, out=None) -> np.ndarray:
         # Simple Rusanov-type bound max(|v.n| + c) over the two states; the
         # estimator is deliberately swappable behind this method.
-        _, vl, _, cl = self.primitives(ul)
-        _, vr, _, cr = self.primitives(ur)
-        sl = np.abs(vl[..., 0] * n[..., 0] + vl[..., 1] * n[..., 1]) + cl
-        sr = np.abs(vr[..., 0] * n[..., 0] + vr[..., 1] * n[..., 1]) + cr
-        return np.maximum(sl, sr)
+        sr = self._speed(ur, n, out)
+        return np.maximum(self._speed(ul, n), sr, out=sr)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0], self.internal_energy_density(u)], axis=-1)

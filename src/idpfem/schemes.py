@@ -11,6 +11,13 @@ Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 ``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step; the
 assembly it makes is reused by the next ``rhs``/``step`` call at the same
 ``(u, t)``, so the first stage of an SSP step assembles nothing new.
+
+Each scheme owns a workspace dict ``ws`` of element-sized buffers, made on
+first use and reused by every later stage (see ``mesh.scratch``): the
+assembly, the bounds and the limiters write their element blocks there, so
+the time loop allocates only per-DOF arrays. ``rhs`` and ``step`` return
+fresh arrays; ``last_alpha`` and ``last_bounds`` hold until the scheme's
+next stage.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .assembly import assemble
 from .limiting import (LimiterConfig, limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
-from .mesh import MeshSystem
+from .mesh import MeshSystem, scratch
 from .models import TINY
 
 
@@ -43,23 +50,28 @@ def parse_limiter_key(key: str):
     return driver, kind
 
 
-def _scatter(ms: MeshSystem, contrib, bwork, shape):
-    rhs = ms.scatter_add(contrib).reshape(shape)
+def _scatter(ms: MeshSystem, contrib, bwork, shape, ws=None):
+    rhs = ms.scatter_add(contrib, ws).reshape(shape)
     if bwork is not None:
         rhs[bwork.dofs] += bwork.flux_term
     return rhs
 
 
 def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode):
-    """Per-DOF (lo, hi) for every conserved component."""
-    m = field_dof.shape[-1]
-    out = []
-    for k in range(m):
-        extra_dofs = bwork.dofs if bwork is not None else None
-        extra_vals = bwork.bar_states[:, k] if bwork is not None else None
-        out.append(local_bounds(ms, field_dof[:, k], work.bar_states[..., k],
-                                mode, extra_dofs, extra_vals))
-    return out
+    """Per-DOF (lo, hi) for every conserved component: one ``local_bounds``
+    pass over all components, returned as per-component column views."""
+    extra_dofs = bwork.dofs if bwork is not None else None
+    extra_vals = bwork.bar_states if bwork is not None else None
+    lo, hi = local_bounds(ms, field_dof, work.bar_states, mode, extra_dofs,
+                          extra_vals, work.ws)
+    return [(lo[:, k], hi[:, k]) for k in range(field_dof.shape[-1])]
+
+
+def _masked(a, keep, out=None):
+    """``np.where(keep, a, 0.0)``, written into ``out`` when given."""
+    res = np.positive(a, out=out)
+    np.copyto(res, 0.0, where=~keep)
+    return res
 
 
 @dataclass
@@ -75,6 +87,9 @@ class SpatialScheme:
     last_bounds: list | None = None
     # (u copy, t, work, bwork) of the last dt_bound, for one use only
     _memo: tuple | None = field(default=None, init=False, repr=False)
+    # element-sized buffers, reused by every stage (see mesh.scratch)
+    ws: dict = field(default_factory=dict, init=False, repr=False,
+                     compare=False)
 
     def __post_init__(self):
         self.driver, kind = parse_limiter_key(self.limiter)
@@ -92,7 +107,7 @@ class SpatialScheme:
 
     def _fresh_assembly(self, u, t):
         return assemble(self.ms, self.model, u, t, self.bc,
-                        with_antidiffusion=self.driver != "low")
+                        with_antidiffusion=self.driver != "low", ws=self.ws)
 
     def _assemble(self, u, t):
         """The assembly at ``(u, t)``: the one ``dt_bound`` left if it was made
@@ -104,8 +119,9 @@ class SpatialScheme:
         return self._fresh_assembly(u, t)
 
     def _dt_from_work(self, work, bwork) -> float:
-        denom = self.ms.scatter_add(
-            np.broadcast_to(2.0 * work.d[:, None], self.ms.elem_dofs.shape))
+        d2 = np.multiply(2.0, work.d[:, None], out=scratch(
+            self.ws, "scheme.d2", self.ms.elem_dofs.shape))
+        denom = self.ms.scatter_add(d2, self.ws)
         if bwork is not None:
             denom[bwork.dofs] += bwork.visc
         if denom.max() <= 0.0:
@@ -120,11 +136,11 @@ class SpatialScheme:
         if self.model.m == 1:
             lo, hi = bounds[0]
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
-                                             gamma, lo, hi, self.lcfg)
+                                             gamma, lo, hi, self.lcfg, self.ws)
             f_star = res.f_star[..., None]
         else:
             res = limit_system_contributions(self.ms, self.model, f, base,
-                                             gamma, bounds, self.lcfg)
+                                             gamma, bounds, self.lcfg, self.ws)
             f_star = res.f_star
         self.last_alpha = res.alpha
         return f_star
@@ -138,8 +154,10 @@ class SpatialScheme:
         work, bwork = self._assemble(u, t)
         if self.driver == "low":
             return work.udot
+        # The stage is the only reader of its assembly (``_assemble`` drops
+        # the memo), so f_anti's buffer takes the contributions.
         if self.driver == "none":
-            contrib = work.r_rusanov + work.f_anti
+            contrib = np.add(work.r_rusanov, work.f_anti, out=work.f_anti)
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e.
             gamma = np.broadcast_to(2.0 * np.maximum(work.d, TINY)[:, None],
@@ -147,10 +165,11 @@ class SpatialScheme:
             active = (work.d > 0)[:, None, None]
             bounds = _component_bounds(ms, u, work, bwork,
                                        self.lcfg.bounds_mode("mcl"))
-            f_star = self._limit(np.where(active, work.f_anti, 0.0),
-                                 work.bar_states, gamma, bounds)
-            contrib = work.r_rusanov + np.where(active, f_star, 0.0)
-        total = _scatter(ms, contrib, bwork, u.shape)
+            f = _masked(work.f_anti, active, out=work.f_anti)
+            f_star = self._limit(f, work.bar_states, gamma, bounds)
+            contrib = _masked(f_star, active, out=f)
+            contrib = np.add(work.r_rusanov, contrib, out=contrib)
+        total = _scatter(ms, contrib, bwork, u.shape, self.ws)
         return total / ms.lumped_mass[:, None]
 
     # --- FCT stage map ----------------------------------------------------
@@ -174,8 +193,10 @@ class SpatialScheme:
             # Bar-state bounds must cover both u and u_low.
             bounds = [(np.minimum(lo, u[:, k]), np.maximum(hi, u[:, k]))
                       for k, (lo, hi) in enumerate(bounds)]
-        f_star = self._limit(work.f_anti, ms.gather(u_low), gamma, bounds)
-        corr = _scatter(ms, f_star, None, u.shape)
+        # u_loc is not read again in this stage
+        base = ms.gather(u_low, out=work.u_loc)
+        f_star = self._limit(work.f_anti, base, gamma, bounds)
+        corr = _scatter(ms, f_star, None, u.shape, self.ws)
         return u_low + dt * corr / ms.lumped_mass[:, None]
 
     def stage_map(self):

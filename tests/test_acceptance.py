@@ -259,7 +259,7 @@ def test_criterion_06_scheme_recovery(monkeypatch):
     ref_low = trajectory(SpatialScheme(ms=ms, model=model, limiter="low"))
     with monkeypatch.context() as mp:
         mp.setattr(schemes_mod, "limit_scalar_contributions",
-                   lambda ms_, f, base, gamma, lo, hi, cfg: LimitResult(
+                   lambda ms_, f, base, gamma, lo, hi, cfg, ws=None: LimitResult(
                        f_star=np.zeros_like(f), alpha=None))
         got_fct = trajectory(SpatialScheme(ms=ms, model=model,
                                            limiter="fct.cs"))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import idpfem.runner as runner_mod
 from idpfem.cli import main
 from idpfem.config import RunConfig
+from idpfem.diagnostics import AuditError
 from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import Euler
 from idpfem.runner import run
@@ -81,6 +83,47 @@ class TestRunner:
                             out=str(tmp_path / lim))
             norms[lim] = run(cfg).norms["l1"][0]
         assert norms["mcl.cs"] < norms["low"]
+
+    @pytest.mark.parametrize("audit_every", [1, 5])
+    def test_inadmissible_state_checked_once_per_step(self, tmp_path,
+                                                      monkeypatch,
+                                                      audit_every):
+        """A state made inadmissible after step 2 stops the run, on an
+        audited step (audit_every = 1) and on an unaudited one; every step
+        makes one admissibility pass."""
+        calls, per_step = [], []
+        original = runner_mod.integrate
+
+        def integrate(scheme, u, controls, t=0.0, on_step=None):
+            model = scheme.model
+            check = model.admissible
+
+            def counted(v, slack=0.0):
+                calls.append(v.shape)
+                return check(v, slack)
+
+            model.admissible = counted
+
+            def inject(v, t, dt, step):
+                if step == 2:
+                    v = v.copy()
+                    v[0, 0] = model.u_max + 1.0
+                before = len(calls)
+                try:
+                    on_step(v, t, dt, step)
+                finally:
+                    per_step.append(len(calls) - before)
+
+            return original(scheme, u, controls, t, inject)
+
+        monkeypatch.setattr(runner_mod, "integrate", integrate)
+        cfg = RunConfig(benchmark="constant", h=1 / 8, t_end=0.2,
+                        audit_every=audit_every, out=str(tmp_path / "out"))
+        with pytest.raises(AuditError) as err:
+            run(cfg)
+        assert per_step == [1, 1]
+        if audit_every != 1:
+            assert "inadmissible state after step 2" in str(err.value)
 
     def test_output_cadence(self, tmp_path):
         cfg = RunConfig(benchmark="constant", h=1 / 8, t_end=0.2,

@@ -1,10 +1,12 @@
 """The hot path: numpy scatters equal the ``ufunc.at`` forms bit for bit,
 each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
-is only reused for the same state, and element blocks stored with the
-element index fastest give the same bits as C-ordered ones."""
+is only reused for the same state, element blocks stored with the element
+index fastest give the same bits as C-ordered ones, and a step reuses the
+scheme's buffers instead of allocating element-sized temporaries."""
 
 import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,12 @@ import idpfem.schemes as schemes_mod
 from conftest import random_euler_states
 from idpfem.assembly import assemble
 from idpfem.config import RunConfig
-from idpfem.limiting import LimiterConfig
+from idpfem.limiting import LimiterConfig, local_bounds
 from idpfem.mesh import Mesh, MeshSystem, build_system, structured_rect
 from idpfem.models import Burgers2D, make_model
 from idpfem.runner import integrate, setup
 from idpfem.schemes import SpatialScheme
-from idpfem.timestepping import TimeControls
+from idpfem.timestepping import TimeControls, compute_dt, ssp_rk_step
 
 MESHES = {
     "periodic": lambda: build_system(structured_rect(6, 5, periodic=True)),
@@ -197,6 +199,14 @@ def _problem(model_name, mesh_kind):
     return ms, model, bc, u
 
 
+def _into(out, result):
+    """``result``, copied into ``out`` when one is given (numpy's ``out=``)."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
 class _COrderModel:
     """A model whose fluxes and wave speeds come back C-ordered."""
 
@@ -206,15 +216,16 @@ class _COrderModel:
     def __getattr__(self, name):
         return getattr(self._model, name)
 
-    def flux(self, u, x=None):
-        return np.ascontiguousarray(self._model.flux(u, x))
+    def flux(self, u, x=None, out=None):
+        return _into(out, np.ascontiguousarray(self._model.flux(u, x)))
 
-    def max_wave_speed(self, ul, ur, n, x=None):
-        return np.ascontiguousarray(self._model.max_wave_speed(ul, ur, n, x))
+    def max_wave_speed(self, ul, ur, n, x=None, out=None):
+        return _into(out, np.ascontiguousarray(
+            self._model.max_wave_speed(ul, ur, n, x)))
 
 
-def _plain_dot(f, c):
-    return f[..., 0] * c[..., None, 0] + f[..., 1] * c[..., None, 1]
+def _plain_dot(f, c, out=None, tmp=None):
+    return _into(out, f[..., 0] * c[..., None, 0] + f[..., 1] * c[..., None, 1])
 
 
 @contextlib.contextmanager
@@ -226,7 +237,7 @@ def _c_order(monkeypatch, ms, model):
         k: np.ascontiguousarray(v) for k, v in vars(ms.geometry).items()})
     twin = dataclasses.replace(ms, geometry=geom,
                                elem_dofs=np.ascontiguousarray(ms.elem_dofs))
-    twin.gather = lambda x: x[twin.elem_dofs]
+    twin.gather = lambda x, out=None: _into(out, x[twin.elem_dofs])
     with monkeypatch.context() as patch:
         patch.setattr(assembly_mod, "_dot", _plain_dot)
         yield twin, _COrderModel(model)
@@ -302,8 +313,8 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
     stack = []
     original_gather = MeshSystem.gather
 
-    def gather(self, x):
-        out = original_gather(self, x)
+    def gather(self, x, out=None):
+        out = original_gather(self, x, out)
         if stack:
             seen.append((stack[-1], out))
         return out
@@ -335,3 +346,149 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
     for name, a in seen:
         assert a.shape[:2] == (ms.n_elements, 3)
         assert _element_fastest(a), name
+
+
+# --- bounds of all components in one pass ------------------------------------
+
+def _bounds_per_component(ms, field, work, bwork, mode):
+    """The reference: one ``local_bounds`` call per component."""
+    out = []
+    for k in range(field.shape[1]):
+        extra_dofs = bwork.dofs if bwork is not None else None
+        extra_vals = bwork.bar_states[:, k] if bwork is not None else None
+        out.append(local_bounds(ms, field[:, k], work.bar_states[..., k], mode,
+                                extra_dofs, extra_vals))
+    return out
+
+
+@pytest.mark.parametrize("ws", [None, {}], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("mode", ["barstate", "stencil"])
+@pytest.mark.parametrize("mesh_kind", MESH_KINDS)
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_component_bounds_bit_equal_to_per_component_loop(
+        model_name, mesh_kind, mode, ws):
+    ms, model, bc, u = _problem(model_name, mesh_kind)
+    work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
+    assert (bwork is not None) == (mesh_kind == "bounded")
+    got = schemes_mod._component_bounds(ms, u, work, bwork, mode)
+    ref = _bounds_per_component(ms, u, work, bwork, mode)
+    assert len(got) == len(ref) == model.m
+    for (lo, hi), (lo_ref, hi_ref) in zip(got, ref):
+        assert lo.tobytes() == lo_ref.tobytes()
+        assert hi.tobytes() == hi_ref.tobytes()
+
+
+# --- buffers: allocation and aliasing ----------------------------------------
+
+# The benchmark workloads: 8192 elements, ssp2, cfl 0.5.
+WORKLOAD_CONFIGS = {
+    "advect-mcl": dict(benchmark="advected_gaussian", h=1 / 64,
+                       limiter="mcl.cs", velocity="translation", vx=1.0,
+                       vy=1.0, t_end=0.1, audit_every=1),
+    "advect-fct": dict(benchmark="advected_gaussian", h=1 / 64,
+                       limiter="fct.cs", velocity="translation", vx=1.0,
+                       vy=1.0, t_end=0.1, audit_every=1),
+    "dmr-mcl": dict(benchmark="dmr", h=1 / 32, limiter="mcl.cs",
+                    system_limiter="sequential", t_end=0.002,
+                    audit_every=50, output_every_t=0.0002),
+}
+# Largest traced growth of memory during one warm SSP2 step, in bytes. The
+# element-sized temporaries each step used to allocate peaked at 3.9 MB
+# (advection) and 13.8 MB (DMR).
+STEP_ALLOCATION_LIMIT = {"advect-mcl": 1.0e6, "advect-fct": 1.0e6,
+                         "dmr-mcl": 3.5e6}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_warm_step_allocates_no_element_blocks(name):
+    cfg = RunConfig(rk="ssp2", cfl=0.5, **WORKLOAD_CONFIGS[name])
+    _, ms, _, scheme, u = setup(cfg)
+    assert ms.n_elements == 8192
+    stage = scheme.stage_map()
+
+    def step(u, t):
+        dt = compute_dt(scheme.dt_bound(u, t), cfg.cfl, t, cfg.t_end)
+        return ssp_rk_step("ssp2", stage, u, t, dt), t + dt
+
+    u, t = step(u, 0.0)                       # fills the buffers
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step(u, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= STEP_ALLOCATION_LIMIT[name]
+
+
+def _stage(scheme, u, t, dt):
+    if scheme.driver == "fct":
+        return scheme.step(u, t, dt)
+    return scheme.rhs(u, t)
+
+
+@pytest.mark.parametrize("limiter", ["mcl.cs", "fct.cs", "low", "none"])
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_consecutive_results_share_no_memory(model_name, limiter):
+    ms, model, bc, u = _problem(model_name, "bounded")
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    dt = 0.5 * scheme.dt_bound(u, 0.1)
+    first = _stage(scheme, u, 0.1, dt)
+    kept = first.copy()
+    second = _stage(scheme, u, 0.1, dt)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_fresh_assembly_is_not_overwritten(model_name):
+    ms, model, bc, u = _problem(model_name, "bounded")
+    work, bwork = assemble(ms, model, u, 0.1, bc)
+    first = {k: a.copy() for k, a in _arrays(work, bwork).items()}
+    other, _ = assemble(ms, model, u[::-1].copy(), 0.3, bc)
+    for name, a in _arrays(work, bwork).items():
+        assert a.tobytes() == first[name].tobytes(), name
+    for name, a in _arrays(work).items():
+        for b in _arrays(other).values():
+            assert not np.shares_memory(a, b), name
+    # a workspace gives the same bits
+    ws_work, ws_bwork = assemble(ms, model, u, 0.1, bc, ws={})
+    for name, a in _arrays(ws_work, ws_bwork).items():
+        assert a.tobytes() == first[name].tobytes(), name
+
+
+@pytest.mark.parametrize("limiters", [("mcl.cs", "mcl.cs"), ("mcl.cs", "fct.cs"),
+                                      ("fct.cs", "low")])
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_interleaved_schemes_on_one_mesh_system(model_name, limiters):
+    """Two schemes on one MeshSystem, stepped stage by stage in turn (each
+    one's dt_bound assembly waits while the other assembles), give the
+    bits each gives when stepped alone."""
+    ms, model, bc, u0 = _problem(model_name, "bounded")
+
+    def schemes():
+        return [SpatialScheme(ms=ms, model=model, limiter=lim, bc=bc)
+                for lim in limiters]
+
+    def dt_of(scheme, u, t):
+        return compute_dt(scheme.dt_bound(u, t), 0.5, t, 1.0)
+
+    alone = []
+    for scheme in schemes():
+        u, t = u0, 0.1
+        for _ in range(3):
+            dt = dt_of(scheme, u, t)
+            u, t = ssp_rk_step("ssp2", scheme.stage_map(), u, t, dt), t + dt
+        alone.append(u)
+
+    pair = schemes()
+    maps = [scheme.stage_map() for scheme in pair]
+    us, t = [u0, u0], [0.1, 0.1]
+    for _ in range(3):
+        dts = [dt_of(s, u, tt) for s, u, tt in zip(pair, us, t)]
+        u1 = [f(u, tt, dt) for f, u, tt, dt in zip(maps, us, t, dts)]
+        u2 = [f(v, tt + dt, dt) for f, v, tt, dt in zip(maps, u1, t, dts)]
+        us = [0.5 * u + 0.5 * w for u, w in zip(us, u2)]
+        t = [tt + dt for tt, dt in zip(t, dts)]
+    for u, ref in zip(us, alone):
+        assert u.tobytes() == ref.tobytes()

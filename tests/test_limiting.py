@@ -215,15 +215,6 @@ class TestProductRule:
                               0.5 * base_rho, gamma, lo, hi, LimiterConfig())
         assert np.all(out == 0)
 
-    def test_nonpositive_density_rejected(self, periodic8):
-        ms = periodic8
-        shape = (ms.n_elements, 3)
-        with pytest.raises(AdmissibilityError):
-            product_rule_cs(ms, np.zeros(shape), -np.ones(shape),
-                            np.zeros(shape), np.ones(shape), np.ones(shape),
-                            np.ones(shape), np.full(ms.n_dofs, -1e30),
-                            np.full(ms.n_dofs, 1e30), LimiterConfig())
-
     def test_random_zero_sum_and_bounds(self, rng, periodic8):
         ms = periodic8
         model, work, f, gamma, bounds = _euler_element_data(rng, ms)
@@ -294,6 +285,23 @@ class TestSystemLimiting:
         assert np.abs(res.f_star.sum(axis=1)).max() < 1e-11 * scale
         cand = work.bar_states + res.f_star / gamma[..., None]
         assert np.all(model.phi_values(cand) >= -1e-12)
+
+    def test_nonpositive_limited_density_rejected(self, periodic8):
+        """Infinite bounds let through a density contribution that takes
+        base + f / gamma below zero at one node: the product rule is not
+        entered."""
+        ms = periodic8
+        model = Euler()
+        base = np.broadcast_to(model.conserved(1.0, [0.0, 0.0], 1.0),
+                               (ms.n_elements, 3, 4)).copy()
+        f = np.zeros_like(base)
+        f[0, :, 0] = [-2.0, 1.0, 1.0]
+        gamma = np.ones((ms.n_elements, 3))
+        wide = [(np.full(ms.n_dofs, -np.inf), np.full(ms.n_dofs, np.inf))] * 4
+        with pytest.raises(AdmissibilityError,
+                           match="nonpositive intermediate density"):
+            limit_system_contributions(ms, model, f, base, gamma, wide,
+                                       LimiterConfig())
 
     def test_unknown_system_rejected(self, rng, periodic8):
         model, work, f, gamma, bounds = _euler_element_data(rng, periodic8)

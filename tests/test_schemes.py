@@ -113,7 +113,7 @@ class TestFct:
         ms, model, scheme, u = _scalar_setup("fct.cs")
         low = make_scheme(ms, model, "low")
 
-        def zero_limit(ms_, f, base, gamma, lo, hi, cfg):
+        def zero_limit(ms_, f, base, gamma, lo, hi, cfg, ws=None):
             from idpfem.limiting import LimitResult
             return LimitResult(f_star=np.zeros_like(f), alpha=None)
 
