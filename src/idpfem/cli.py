@@ -11,7 +11,7 @@ import numpy as np
 from .config import ConfigError, parse_config
 from .diagnostics import AuditError, error_norms, rd_weights
 from .mesh import MeshError, build_system, structured_rect, write_mesh
-from .models import Euler, make_model
+from .models import TINY, Euler, make_model
 from .schemes import CFLError
 from .timestepping import TimeSteppingError
 
@@ -186,6 +186,41 @@ def _check_limiters(rng, trials, report):
         report(f"{name} keeps the element zero sum", zero_sum)
 
 
+def _check_product_rule(rng, trials, report):
+    """The product rule on random Euler element data: zero element sums, and
+    candidate states within [rho_bar_star phi_lo, rho_bar_star phi_hi]."""
+    from .assembly import assemble
+    from .limiting import (LimiterConfig, limit_scalar_contributions,
+                           local_bounds, product_rule_cs)
+
+    ms = build_system(structured_rect(8, 8, periodic=True))
+    model = Euler()
+    worst_sum = worst_bound = 0.0
+    for trial in range(max(1, trials // 10)):
+        cfg = LimiterConfig(kind=("cs", "scale")[trial % 2])
+        u = _random_states(rng, model, (ms.n_dofs,))
+        work, _ = assemble(ms, model, u)
+        f, base = work.f_anti, work.bar_states
+        gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones(3)
+        lo, hi = local_bounds(ms, u, base, "barstate")
+        f_rho = limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
+                                           lo[:, 0], hi[:, 0], cfg).f_star
+        rho = base[..., 0] + f_rho / gamma
+        f_k, phi_lo, phi_hi = product_rule_cs(
+            ms, f_rho, rho, f[..., 1:], base[..., 0], base[..., 1:], gamma,
+            lo[:, 1:], hi[:, 1:], cfg)
+        worst_sum = max(worst_sum, np.abs(f_k.sum(axis=1)).max()
+                        / max(np.abs(f).max(), 1.0))
+        state = base[..., 1:] + f_k / gamma[..., None]
+        rho = rho[..., None]
+        excess = np.maximum(rho * ms.gather(phi_lo) - state,
+                            state - rho * ms.gather(phi_hi))
+        worst_bound = max(worst_bound,
+                          excess.max() / np.abs(base[..., 1:]).max())
+    report("product rule keeps the element zero sum", worst_sum < 1e-12)
+    report("product rule respects its bounds", worst_bound < 1e-12)
+
+
 def _check_idp_fix(rng, trials, report):
     from .limiting import idp_fix
 
@@ -222,6 +257,7 @@ def _cmd_check(args) -> int:
 
     _check_assembly_identities(rng, args.trials, report)
     _check_limiters(rng, args.trials, report)
+    _check_product_rule(rng, args.trials, report)
     _check_idp_fix(rng, args.trials, report)
     _check_rd_weights(rng, args.trials, report)
 

@@ -18,7 +18,6 @@ _ENUMS = {
     "limiter": SCHEME_KEYS,
     "system_limiter": ("sequential", "synchronized"),
     "bounds": ("auto", "barstate", "stencil"),
-    "rs_operator": ("clip", "scale"),
     "rk": ("euler", "ssp2", "ssp3"),
     "benchmark": ("constant", "advected_gaussian", "solid_body_rotation",
                   "burgers_riemann", "dmr"),
@@ -40,7 +39,6 @@ class RunConfig:
     limiter: str = "mcl.cs"
     system_limiter: str = "sequential"
     bounds: str = "auto"
-    rs_operator: str = "clip"
     cfl: float = 0.5
     t_end: Optional[float] = None        # None -> benchmark default
     rk: str = "ssp2"

@@ -21,7 +21,6 @@ class LimiterConfig:
     kind: str = "cs"              # "scale" | "cs": per-element scalar limiter
     system: str = "sequential"    # "sequential" | "synchronized"
     bounds: str = "auto"          # "auto" | "barstate" | "stencil"
-    rs_operator: str = "clip"     # "clip" | "scale": R_S in the product rule
 
     def bounds_mode(self, driver: str) -> str:
         if self.bounds != "auto":
@@ -29,19 +28,16 @@ class LimiterConfig:
         return "barstate" if driver == "mcl" else "stencil"
 
 
-# Reductions over the three nodes of an element (the last axis) are written
-# out: numpy's reduce over a length-3 axis costs several times more.
+# Reductions over the three nodes of an element (axis 1 of an (E, 3) or
+# (E, 3, k) block) are written out: numpy's reduce over a length-3 axis costs
+# several times more.
 
 def _sum3(a):
-    return (a[..., 0] + a[..., 1] + a[..., 2])[..., None]
+    return (a[:, 0] + a[:, 1] + a[:, 2])[:, None]
 
 
 def _min3(a):
-    return np.minimum(np.minimum(a[..., 0], a[..., 1]), a[..., 2])[..., None]
-
-
-def _max3(a):
-    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])[..., None]
+    return np.minimum(np.minimum(a[:, 0], a[:, 1]), a[:, 2])[:, None]
 
 
 # Every function below that takes ``ws`` writes its element-sized
@@ -59,29 +55,41 @@ def _guarded(x, out=None):
     return den
 
 
-def scaling_limiter(f, fmin, fmax, ws=None):
-    """Single per-element factor alpha = min_i alpha_i applied to all f_i.
-
-    Returns (f_star, alpha_elem, alpha_nodes). Shapes: f, fmin, fmax (..., 3).
-    """
-    denom = _guarded(f, scratch(ws, "scale.denom", f.shape))
-    # fmax / f where f exceeds fmax, else fmin / f where it falls below fmin
-    alpha_i = scratch(ws, "scale.alpha_i", f.shape)
-    alpha_i = np.empty(f.shape, order="F") if alpha_i is None else alpha_i
+def _node_factors(f, fmin, fmax, denom=None, out=None):
+    """Per-node factors alpha_i in [0, 1]: fmax / f where f exceeds fmax,
+    fmin / f where it falls below fmin, 1 elsewhere. ``denom`` takes the
+    guarded f and ``out`` the factors when given."""
+    denom = _guarded(f, denom)
+    alpha_i = np.empty(f.shape, order="F") if out is None else out
     alpha_i.fill(1.0)
     np.divide(fmin, denom, out=alpha_i, where=f < fmin)
     np.divide(fmax, denom, out=alpha_i, where=f > fmax)
-    np.clip(alpha_i, 0.0, 1.0, out=alpha_i)
-    alpha = _min3(alpha_i)[..., 0]
-    f_star = np.multiply(alpha[..., None], f,
-                         out=scratch(ws, "scale.f_star", f.shape))
+    return np.clip(alpha_i, 0.0, 1.0, out=alpha_i)
+
+
+def scaling_limiter(f, fmin, fmax, ws=None, out=None):
+    """Single per-element factor alpha = min_i alpha_i applied to all f_i.
+
+    Returns (f_star, alpha_elem, alpha_nodes). Shapes: f, fmin, fmax (E, 3)
+    or (E, 3, k), one factor per element and component. f_star goes into
+    ``out`` (which may be ``f``) when given.
+    """
+    alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.denom", f.shape),
+                            scratch(ws, "scale.alpha_i", f.shape))
+    alpha = _min3(alpha_i)[:, 0]
+    if out is None:
+        out = scratch(ws, "scale.f_star", f.shape)
+    f_star = np.multiply(alpha[:, None], f, out=out)
     return f_star, alpha, alpha_i
 
 
-def clip_and_scale(f, fmin, fmax, ws=None):
+def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     """Clip each f_i into its bounds, then rescale the positive or negative
-    part to restore the zero sum. Returns f_star of the same shape."""
-    ft = np.clip(f, fmin, fmax, out=scratch(ws, "cs.f_star", f.shape))
+    part to restore the zero sum. Returns f_star of the same shape, in
+    ``out`` (which may be ``f``) when given."""
+    if out is None:
+        out = scratch(ws, "cs.f_star", f.shape)
+    ft = np.clip(f, fmin, fmax, out=out)
     part = np.maximum(ft, 0.0, out=scratch(ws, "cs.part", f.shape))
     pos = _sum3(part)
     neg = _sum3(np.minimum(ft, 0.0, out=part))
@@ -95,11 +103,11 @@ def clip_and_scale(f, fmin, fmax, ws=None):
     return ft
 
 
-def limit_scalar(kind: str, f, fmin, fmax, ws=None):
+def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
     if kind == "scale":
-        return scaling_limiter(f, fmin, fmax, ws)[0]
+        return scaling_limiter(f, fmin, fmax, ws, out)[0]
     if kind == "cs":
-        return clip_and_scale(f, fmin, fmax, ws)
+        return clip_and_scale(f, fmin, fmax, ws, out)
     raise ValueError(f"unknown scalar limiter {kind!r}")
 
 
@@ -149,7 +157,8 @@ class LimitResult:
 
 def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
     """gamma (lo - base) and gamma (hi - base) at the element nodes, for
-    per-DOF lo, hi and (E, 3) base, gamma."""
+    per-DOF lo, hi (n_dofs,) or (n_dofs, k) and base (E, 3) or (E, 3, k);
+    gamma broadcasts against base."""
     gaps = []
     for bound, name in ((lo, "gaps.fmin"), (hi, "gaps.fmax")):
         g = ms.gather(bound, out=scratch(ws, name, base.shape))
@@ -160,112 +169,70 @@ def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
 
 
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
-                               cfg: LimiterConfig, ws=None) -> LimitResult:
-    """Scalar-model limiting: f, base, gamma are (E, 3); lo, hi per DOF."""
+                               cfg: LimiterConfig, ws=None,
+                               out=None) -> LimitResult:
+    """Scalar-model limiting: f, base, gamma are (E, 3); lo, hi per DOF.
+    f_star goes into ``out`` when given."""
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma, ws)
     if cfg.kind == "scale":
-        f_star, alpha, _ = scaling_limiter(f, fmin, fmax, ws)
+        f_star, alpha, _ = scaling_limiter(f, fmin, fmax, ws, out)
         return LimitResult(f_star=f_star, alpha=alpha)
-    return LimitResult(f_star=clip_and_scale(f, fmin, fmax, ws), alpha=None)
-
-
-def _repair_zero_sum(fk, safe, v_lo, v_hi, gamma, base_k, ws=None, out=None):
-    """Restore the per-element zero sum after the product-rule step.
-
-    ``safe`` is a bounds-satisfying (not zero-sum) fallback vector; ``v_lo``
-    and ``v_hi`` bound the candidate states base_k + fk / gamma. Mean
-    subtraction enforces the zero sum exactly; if that pushes a node out of
-    bounds, shrink toward ``safe`` and re-center. Any residual bound defect
-    is at most the subtracted mean. The result goes into ``out`` (which may
-    be ``fk``) when given.
-    """
-    def buf(name):
-        return scratch(ws, "repair." + name, fk.shape)
-
-    fk = np.subtract(fk, _sum3(fk) / 3.0, out=out)
-    # Where the bounds collapse, tol is subnormal; adding it once here
-    # instead of in every pass keeps the slow subnormal arithmetic out of
-    # the loop.
-    width = np.subtract(v_hi, v_lo, out=buf("hi_t"))
-    tol = 1e-13 * (_max3(np.abs(width, out=width)) + TINY)
-    hi_t = np.add(v_hi, tol, out=width)
-    lo_t = np.subtract(v_lo, tol, out=buf("lo_t"))
-    v0 = np.divide(safe, gamma, out=buf("v0"))
-    v0 = np.add(base_k, v0, out=v0)           # base_k + safe / gamma
-    val = buf("val")
-    for _ in range(2):
-        val = np.divide(fk, gamma, out=val)
-        val = np.add(base_k, val, out=val)    # base_k + fk / gamma
-        bad = (val > hi_t) | (val < lo_t)
-        if not bad.any():
-            break
-        diff = np.subtract(fk, safe, out=buf("diff"))
-        diff /= gamma
-        dd = _guarded(diff, out=val)
-        # theta_hi where diff > 0 and theta_lo where diff < 0, inf elsewhere
-        theta_hi = np.subtract(v_hi, v0, out=buf("theta_hi"))
-        theta_hi /= dd
-        np.copyto(theta_hi, np.inf, where=~(diff > 0))
-        theta_lo = np.subtract(v_lo, v0, out=buf("theta_lo"))
-        theta_lo /= dd
-        np.copyto(theta_lo, np.inf, where=~(diff < 0))
-        theta = np.clip(_min3(np.minimum(theta_hi, theta_lo, out=theta_hi)),
-                        0.0, 1.0)
-        step = np.subtract(fk, safe, out=theta_lo)
-        step *= theta
-        fk = np.add(safe, step, out=fk)       # safe + theta (fk - safe)
-        fk -= _sum3(fk) / 3.0
-    return fk
+    return LimitResult(f_star=clip_and_scale(f, fmin, fmax, ws, out),
+                       alpha=None)
 
 
 def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
-                    base_k, gamma, lo_k, hi_k, cfg: LimiterConfig, ws=None):
-    """Limit one product component rho*phi given the limited density.
+                    base_k, gamma, lo_k, hi_k, cfg: LimiterConfig, ws=None,
+                    out=None):
+    """Sequential limiting of all product components rho*phi at once, given
+    the limited density contributions ``f_rho_star``.
 
-    Returns the final contributions f_k_star (E, 3) with zero element sums.
-    ``lo_k``/``hi_k`` are per-DOF bounds on the conserved component, used by
-    the clipping form of the scaling operator R_S. The intermediate density
-    ``rho_bar_star`` must be positive (``limit_system_contributions`` checks
-    it once for all components).
+    One specific value per element and component, ``phibar = sum_i base_k_i
+    / sum_i base_rho_i``, predicts ``phibar f_rho_star``, which sums to zero
+    because ``f_rho_star`` does. R_S scales it (scaling keeps the zero sum)
+    so that ``base_k + rs / gamma`` stays within ``lo_k``/``hi_k``. The
+    remainder ``g = f_k - rs`` is limited by ``cfg.kind`` against the
+    per-DOF range [phi_lo, phi_hi] of ``phi_eL = (base_k + rs / gamma) /
+    rho_bar_star``; these bounds straddle zero, so ``f_k_star = rs +
+    g_star`` sums to zero and keeps ``base_k + f_k_star / gamma`` within
+    [rho_bar_star phi_lo, rho_bar_star phi_hi], with no repair step.
+
+    f_k, base_k: (E, 3, m - 1); f_rho_star, rho_bar_star, base_rho, gamma:
+    (E, 3); lo_k, hi_k: (n_dofs, m - 1). ``rho_bar_star`` must be positive
+    (``limit_system_contributions`` checks it). Returns (f_k_star, phi_lo,
+    phi_hi): f_k_star in ``out`` when given, and the per-DOF bounds
+    (n_dofs, m - 1) on the specific values.
     """
     def buf(name):
         return scratch(ws, "product." + name, f_k.shape)
 
-    delta = np.divide(base_k, base_rho, out=buf("rs"))
-    delta *= f_rho_star                       # phibar * f_rho_star
+    gam, rho = gamma[..., None], rho_bar_star[..., None]
+    phibar = _sum3(base_k) / _sum3(base_rho)[..., None]
+    rs = np.multiply(phibar, f_rho_star[..., None], out=buf("rs"))
+    bmin, bmax = _bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
+    np.minimum(bmin, 0.0, out=bmin)
+    np.maximum(bmax, 0.0, out=bmax)
+    # R_S; the buffers of g and phi_eL are free until they are written below
+    phi = buf("phi_eL")
+    rs *= _min3(_node_factors(rs, bmin, bmax, out, phi))
 
-    bk_min, bk_max = _bound_gaps(ms, lo_k, hi_k, base_k, gamma, ws)
-    np.minimum(bk_min, 0.0, out=bk_min)
-    np.maximum(bk_max, 0.0, out=bk_max)
-    if cfg.rs_operator == "clip":
-        rs = np.clip(delta, bk_min, bk_max, out=delta)
-    elif cfg.rs_operator == "scale":
-        rs = delta
-        np.copyto(rs, scaling_limiter(delta, bk_min, bk_max, ws)[0])
-    else:
-        raise ValueError(f"unknown rs_operator {cfg.rs_operator!r}")
-
-    g = np.subtract(f_k, rs, out=buf("g"))
-    phi_eL = np.divide(rs, gamma, out=buf("phi_eL"))
-    phi_eL = np.add(base_k, phi_eL, out=phi_eL)
-    phi_eL /= rho_bar_star                    # (base_k + rs / gamma) / rho_bar_star
-
-    # into the buffers of bk_min and bk_max, which are used up
-    phi_lo_g = ms.gather(ms.scatter_min(phi_eL, ws), out=bk_min)
-    phi_hi_g = ms.gather(ms.scatter_max(phi_eL, ws), out=bk_max)
-
-    v_lo = np.multiply(rho_bar_star, phi_lo_g, out=buf("v_lo"))
-    v_hi = np.multiply(rho_bar_star, phi_hi_g, out=buf("v_hi"))
-    # g_min = gamma rho_bar_star (phi_lo_g - phi_eL), g_max likewise
-    g_min = np.subtract(phi_lo_g, phi_eL, out=phi_lo_g)
-    g_max = np.subtract(phi_hi_g, phi_eL, out=phi_hi_g)
-    g_rho = np.multiply(gamma, rho_bar_star, out=phi_eL)
-    g_min *= g_rho
-    g_max *= g_rho
-    g_star = limit_scalar(cfg.kind, g, g_min, g_max, ws)
-
-    fk = np.add(rs, g_star, out=g)
-    return _repair_zero_sum(fk, rs, v_lo, v_hi, gamma, base_k, ws, out=fk)
+    g = np.subtract(f_k, rs, out=out)
+    phi = np.divide(rs, gam, out=phi)
+    phi += base_k
+    phi /= rho                                # phi_eL
+    phi_lo = ms.scatter_min(phi, ws)
+    phi_hi = ms.scatter_max(phi, ws)
+    # g_min = gamma rho_bar_star (phi_lo - phi_eL) <= 0 and g_max >= 0, in the
+    # gap buffers (used up)
+    g_rho = np.multiply(gamma, rho_bar_star, out=scratch(
+        ws, "product.g_rho", gamma.shape))[..., None]
+    for bound, gap in ((phi_lo, bmin), (phi_hi, bmax)):
+        ms.gather(bound, out=gap)
+        gap -= phi
+        gap *= g_rho
+    g_star = limit_scalar(cfg.kind, g, bmin, bmax, ws, out=g)
+    g_star += rs
+    return g_star, phi_lo, phi_hi
 
 
 def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
@@ -301,40 +268,37 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
 
 
 def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
-                               bounds_per_comp, cfg: LimiterConfig,
+                               bounds, cfg: LimiterConfig,
                                ws=None) -> LimitResult:
     """System limiting (sequential or synchronized) plus the IDP correction.
 
-    f, base: (E, 3, m); gamma: (E, 3); bounds_per_comp: list of per-DOF
-    (lo, hi) for each conserved component.
+    f, base: (E, 3, m); gamma: (E, 3); bounds: per-DOF (lo, hi), each
+    (n_dofs, m).
     """
-    m = f.shape[-1]
+    lo, hi = bounds
     f_star = scratch(ws, "system.f_star", f.shape)
     if f_star is None:
         f_star = np.empty_like(f)
     if cfg.system == "sequential":
-        lo0, hi0 = bounds_per_comp[0]
-        res0 = limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
-                                          lo0, hi0, cfg, ws)
-        f_star[..., 0] = res0.f_star
-        rho_bar_star = np.divide(f_star[..., 0], gamma, out=scratch(
+        f_rho_star = f_star[..., 0]
+        limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
+                                   lo[:, 0], hi[:, 0], cfg, ws,
+                                   out=f_rho_star)
+        rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
             ws, "system.rho_bar_star", gamma.shape))
         rho_bar_star = np.add(base[..., 0], rho_bar_star, out=rho_bar_star)
         if np.any(rho_bar_star <= 0):
             raise AdmissibilityError(
                 "nonpositive intermediate density in product rule")
-        for k in range(1, m):
-            lo_k, hi_k = bounds_per_comp[k]
-            f_star[..., k] = product_rule_cs(
-                ms, f_star[..., 0], rho_bar_star, f[..., k],
-                base[..., 0], base[..., k], gamma, lo_k, hi_k, cfg, ws)
+        product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
+                        base[..., 0], base[..., 1:], gamma, lo[:, 1:],
+                        hi[:, 1:], cfg, ws, out=f_star[..., 1:])
     elif cfg.system == "synchronized":
-        alpha = np.ones(f.shape[0])
-        for k in range(m):
-            lo_k, hi_k = bounds_per_comp[k]
-            fmin, fmax = _bound_gaps(ms, lo_k, hi_k, base[..., k], gamma, ws)
-            _, a_k, _ = scaling_limiter(f[..., k], fmin, fmax, ws)
-            alpha = np.minimum(alpha, a_k)
+        # the smallest scaling factor of all components; f_star's buffer
+        # takes the guarded f
+        fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
+        alpha = _min3(_node_factors(f, fmin, fmax, f_star, scratch(
+            ws, "scale.alpha_i", f.shape)))[:, 0].min(axis=-1)
         f_star = np.multiply(alpha[:, None, None], f, out=f_star)
     else:
         raise ValueError(f"unknown system limiter {cfg.system!r}")

@@ -41,8 +41,7 @@ def setup(cfg: RunConfig):
     model = bench.model
     u0 = np.asarray(bench.u0(ms.dof_coords), dtype=float)
     model.set_global_bounds(u0)
-    lcfg = LimiterConfig(system=cfg.system_limiter, bounds=cfg.bounds,
-                         rs_operator=cfg.rs_operator)
+    lcfg = LimiterConfig(system=cfg.system_limiter, bounds=cfg.bounds)
     scheme = SpatialScheme(ms=ms, model=model, limiter=cfg.limiter,
                            lcfg=lcfg, bc=bench.bc)
     return bench, ms, model, scheme, u0

@@ -58,13 +58,12 @@ def _scatter(ms: MeshSystem, contrib, bwork, shape, ws=None):
 
 
 def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode):
-    """Per-DOF (lo, hi) for every conserved component: one ``local_bounds``
-    pass over all components, returned as per-component column views."""
+    """Per-DOF (lo, hi) of every conserved component, each (n_dofs, m), from
+    one ``local_bounds`` pass over all components."""
     extra_dofs = bwork.dofs if bwork is not None else None
     extra_vals = bwork.bar_states if bwork is not None else None
-    lo, hi = local_bounds(ms, field_dof, work.bar_states, mode, extra_dofs,
-                          extra_vals, work.ws)
-    return [(lo[:, k], hi[:, k]) for k in range(field_dof.shape[-1])]
+    return local_bounds(ms, field_dof, work.bar_states, mode, extra_dofs,
+                        extra_vals, work.ws)
 
 
 def _masked(a, keep, out=None):
@@ -84,7 +83,7 @@ class SpatialScheme:
     lcfg: LimiterConfig = field(default_factory=LimiterConfig)
     bc: object = None             # callable or None (periodic / closed)
     last_alpha: np.ndarray | None = None
-    last_bounds: list | None = None
+    last_bounds: tuple | None = None  # per-DOF (lo, hi), each (n_dofs, m)
     # (u copy, t, work, bwork) of the last dt_bound, for one use only
     _memo: tuple | None = field(default=None, init=False, repr=False)
     # element-sized buffers, reused by every stage (see mesh.scratch)
@@ -131,12 +130,13 @@ class SpatialScheme:
 
     def _limit(self, f, base, gamma, bounds):
         """Limit the antidiffusive contributions ``f`` (E, 3, m) so that every
-        ``base + f / gamma`` stays within the per-DOF ``bounds``."""
-        self.last_bounds = bounds
+        ``base + f / gamma`` stays within the per-DOF ``bounds`` (lo, hi),
+        each (n_dofs, m)."""
+        lo, hi = self.last_bounds = bounds
         if self.model.m == 1:
-            lo, hi = bounds[0]
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
-                                             gamma, lo, hi, self.lcfg, self.ws)
+                                             gamma, lo[:, 0], hi[:, 0],
+                                             self.lcfg, self.ws)
             f_star = res.f_star[..., None]
         else:
             res = limit_system_contributions(self.ms, self.model, f, base,
@@ -191,8 +191,8 @@ class SpatialScheme:
         bounds = _component_bounds(ms, u_low, work, bwork, mode)
         if mode == "barstate":
             # Bar-state bounds must cover both u and u_low.
-            bounds = [(np.minimum(lo, u[:, k]), np.maximum(hi, u[:, k]))
-                      for k, (lo, hi) in enumerate(bounds)]
+            lo, hi = bounds
+            bounds = np.minimum(lo, u, out=lo), np.maximum(hi, u, out=hi)
         # u_loc is not read again in this stage
         base = ms.gather(u_low, out=work.u_loc)
         f_star = self._limit(work.f_anti, base, gamma, bounds)

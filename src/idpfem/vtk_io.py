@@ -12,11 +12,11 @@ from .mesh import MeshSystem
 SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 
 
-def _fmt(values) -> list:
-    """Round-trip text of each value with 17 significant digits (not the
-    shortest such text); Python floats format faster than numpy scalars, so
-    convert first."""
-    return [f"{v:.17g}" for v in values.tolist()]
+def _lines(template: str, values) -> str:
+    """``template`` filled once per row of ``values`` with its numbers, each
+    the round-trip text with 17 significant digits (not the shortest such
+    text). One %-format over Python floats is the fastest way to make it."""
+    return (template * len(values)) % tuple(np.ravel(values).tolist())
 
 
 def _grid_text(ms: MeshSystem) -> str:
@@ -25,16 +25,17 @@ def _grid_text(ms: MeshSystem) -> str:
     text = ms.cache.get("vtk_grid")
     if text is None:
         mesh = ms.mesh
-        lines = [f"POINTS {mesh.n_nodes} double"]
-        lines += [f"{x} {y} 0" for x, y in zip(_fmt(mesh.nodes[:, 0]),
-                                               _fmt(mesh.nodes[:, 1]))]
-        lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
-        # Row by row: a nested tolist() of all cells would leave the heap
+        n_el = mesh.n_elements
+        # Cells row by row: a tolist() of all cells would leave the heap
         # fragmented by its many small objects.
-        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
-        lines.append(f"CELL_TYPES {mesh.n_elements}")
-        lines += ["5"] * mesh.n_elements
-        text = ms.cache["vtk_grid"] = "\n".join(lines)
+        text = ms.cache["vtk_grid"] = "".join([
+            f"POINTS {mesh.n_nodes} double\n",
+            _lines("%.17g %.17g 0\n", mesh.nodes),
+            f"CELLS {n_el} {4 * n_el}\n",
+            *(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles),
+            f"CELL_TYPES {n_el}\n",
+            "5\n" * n_el,
+        ])
     return text
 
 
@@ -46,13 +47,11 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
     """
     nodal = u[ms.dof_of_node]                 # (N, m)
     m = nodal.shape[1]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "idpfem state",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
+    parts = [
+        "# vtk DataFile Version 3.0\nidpfem state\nASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n",
         _grid_text(ms),
-        f"POINT_DATA {ms.mesh.n_nodes}",
+        f"POINT_DATA {ms.mesh.n_nodes}\n",
     ]
 
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
@@ -63,10 +62,9 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
         fields["vel_x"] = v[:, 0]
         fields["vel_y"] = v[:, 1]
     for name, vals in fields.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines += _fmt(vals)
-    return "\n".join(lines) + "\n"
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(_lines("%.17g\n", vals))
+    return "".join(parts)
 
 
 def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None) -> None:

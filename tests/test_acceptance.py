@@ -247,10 +247,8 @@ def test_criterion_06_scheme_recovery(monkeypatch):
                                             limiter="none"))
     with monkeypatch.context() as mp:
         mp.setattr(schemes_mod, "_component_bounds",
-                   lambda ms_, f, w, bw, mode: [
-                       (np.full(ms_.n_dofs, -np.inf),
-                        np.full(ms_.n_dofs, np.inf))
-                       for _ in range(f.shape[-1])])
+                   lambda ms_, f, w, bw, mode: (np.full(f.shape, -np.inf),
+                                                np.full(f.shape, np.inf)))
         got_mcl = trajectory(SpatialScheme(ms=ms, model=model,
                                            limiter="mcl.cs"))
     err_mcl = np.abs(got_mcl - ref_galerkin).max()

@@ -166,6 +166,8 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+        assert "PASS  product rule keeps the element zero sum" in out
+        assert "PASS  product rule respects its bounds" in out
 
     def test_norms_subcommand(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.txt"

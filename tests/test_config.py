@@ -29,6 +29,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
             parse_config("cfl = 0.5\nbananas = 3\n")
 
+    def test_removed_rs_operator_is_unknown(self):
+        # the product rule has one R_S (scaling); the key selected between two
+        with pytest.raises(ConfigError, match="line 1.*unknown key"):
+            parse_config("rs_operator = clip\n")
+
     def test_invalid_enum_lists_valid_values(self):
         with pytest.raises(ConfigError, match="mcl.cs"):
             parse_config("limiter = banana\n")

@@ -370,12 +370,13 @@ def test_component_bounds_bit_equal_to_per_component_loop(
     ms, model, bc, u = _problem(model_name, mesh_kind)
     work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
     assert (bwork is not None) == (mesh_kind == "bounded")
-    got = schemes_mod._component_bounds(ms, u, work, bwork, mode)
+    lo, hi = schemes_mod._component_bounds(ms, u, work, bwork, mode)
     ref = _bounds_per_component(ms, u, work, bwork, mode)
-    assert len(got) == len(ref) == model.m
-    for (lo, hi), (lo_ref, hi_ref) in zip(got, ref):
-        assert lo.tobytes() == lo_ref.tobytes()
-        assert hi.tobytes() == hi_ref.tobytes()
+    assert lo.shape == hi.shape == (ms.n_dofs, model.m)
+    assert len(ref) == model.m
+    for k, (lo_ref, hi_ref) in enumerate(ref):
+        assert lo[:, k].tobytes() == lo_ref.tobytes()
+        assert hi[:, k].tobytes() == hi_ref.tobytes()
 
 
 # --- buffers: allocation and aliasing ----------------------------------------

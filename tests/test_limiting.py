@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idpfem.limiting as limiting_mod
 from idpfem.assembly import assemble
+from idpfem.config import RunConfig
 from idpfem.limiting import (LimiterConfig, clip_and_scale, idp_fix,
                              limit_scalar_contributions,
                              limit_system_contributions, local_bounds,
                              product_rule_cs, scaling_limiter)
 from idpfem.models import TINY, AdmissibilityError, Euler
+from idpfem.runner import integrate, setup
+from idpfem.timestepping import TimeControls
 
 from conftest import random_euler_states
 
@@ -177,10 +181,7 @@ def _euler_element_data(rng, ms):
     work, _ = assemble(ms, model, u)
     gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
     f = np.where((work.d > 0)[:, None, None], work.f_anti, 0.0)
-    bounds = []
-    for k in range(4):
-        bounds.append(local_bounds(ms, u[:, k], work.bar_states[..., k],
-                                   "barstate"))
+    bounds = local_bounds(ms, u, work.bar_states, "barstate")
     return model, work, f, gamma, bounds
 
 
@@ -189,19 +190,19 @@ class TestProductRule:
         ms = periodic8
         phi0 = 0.7
         base_rho = rng.uniform(0.5, 2.0, (ms.n_elements, 3))
-        base_k = phi0 * base_rho
+        base_k = phi0 * np.repeat(base_rho[..., None], 3, axis=-1)
         gamma = np.full((ms.n_elements, 3), 2.0)
         f_rho = rng.normal(size=(ms.n_elements, 3))
         f_rho -= f_rho.mean(axis=1, keepdims=True)
         # keep intermediate densities positive
         f_rho *= 0.1
         rho_bar_star = base_rho + f_rho / gamma
-        f_k = phi0 * f_rho
-        lo = np.full(ms.n_dofs, -np.inf)
-        hi = np.full(ms.n_dofs, np.inf)
-        out = product_rule_cs(ms, f_rho, rho_bar_star, f_k, base_rho, base_k,
-                              gamma, lo, hi, LimiterConfig())
-        phi_final = (base_k + out / gamma) / rho_bar_star
+        f_k = phi0 * np.repeat(f_rho[..., None], 3, axis=-1)
+        lo = np.full((ms.n_dofs, 3), -np.inf)
+        hi = np.full((ms.n_dofs, 3), np.inf)
+        out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f_k, base_rho,
+                                    base_k, gamma, lo, hi, LimiterConfig())
+        phi_final = (base_k + out / gamma[..., None]) / rho_bar_star[..., None]
         assert np.allclose(phi_final, phi0, atol=1e-12)
 
     def test_zero_inputs_stay_zero(self, periodic8):
@@ -209,29 +210,89 @@ class TestProductRule:
         base_rho = np.ones((ms.n_elements, 3))
         zeros = np.zeros((ms.n_elements, 3))
         gamma = np.ones((ms.n_elements, 3))
-        lo = np.full(ms.n_dofs, -np.inf)
-        hi = np.full(ms.n_dofs, np.inf)
-        out = product_rule_cs(ms, zeros, base_rho, zeros, base_rho,
-                              0.5 * base_rho, gamma, lo, hi, LimiterConfig())
+        lo = np.full((ms.n_dofs, 3), -np.inf)
+        hi = np.full((ms.n_dofs, 3), np.inf)
+        out, _, _ = product_rule_cs(
+            ms, zeros, base_rho, np.zeros((ms.n_elements, 3, 3)), base_rho,
+            np.full((ms.n_elements, 3, 3), 0.5), gamma, lo, hi,
+            LimiterConfig())
         assert np.all(out == 0)
 
     def test_random_zero_sum_and_bounds(self, rng, periodic8):
         ms = periodic8
         model, work, f, gamma, bounds = _euler_element_data(rng, ms)
         cfg = LimiterConfig()
-        lo0, hi0 = bounds[0]
-        res0 = limit_scalar_contributions(ms, f[..., 0],
-                                          work.bar_states[..., 0], gamma,
-                                          lo0, hi0, cfg)
-        rho_bar_star = work.bar_states[..., 0] + res0.f_star / gamma
+        base = work.bar_states
+        lo, hi = bounds
+        f_rho = limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
+                                           lo[:, 0], hi[:, 0], cfg).f_star
+        rho_bar_star = base[..., 0] + f_rho / gamma
         scale = max(np.abs(f).max(), 1.0)
-        for k in range(1, 4):
-            lo_k, hi_k = bounds[k]
-            out = product_rule_cs(ms, res0.f_star, rho_bar_star, f[..., k],
-                                  work.bar_states[..., 0],
-                                  work.bar_states[..., k], gamma, lo_k, hi_k,
-                                  cfg)
-            assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
+        out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f[..., 1:],
+                                    base[..., 0], base[..., 1:], gamma,
+                                    lo[:, 1:], hi[:, 1:], cfg)
+        assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
+
+
+def _product_rule_defects(args, result):
+    """(zero-sum defect, bound defect) of one product-rule call, each
+    relative: the largest element sum of f_k_star over max(|f_k|, 1), and
+    the largest distance of ``base_k + f_k_star / gamma`` outside
+    ``[rho_bar_star phi_lo, rho_bar_star phi_hi]`` over the largest
+    ``|base_k|`` of its component."""
+    ms, _, rho_bar_star, f_k, _, base_k, gamma = args[:7]
+    f_k_star, phi_lo, phi_hi = result
+    zero_sum = np.abs(f_k_star.sum(axis=1)).max() / max(np.abs(f_k).max(), 1.0)
+    state = base_k + f_k_star / gamma[..., None]
+    lo = rho_bar_star[..., None] * ms.gather(phi_lo)
+    hi = rho_bar_star[..., None] * ms.gather(phi_hi)
+    outside = np.maximum(np.maximum(lo - state, state - hi), 0.0)
+    scale = np.maximum(np.abs(base_k).max(axis=(0, 1)), TINY)
+    return zero_sum, (outside / scale).max()
+
+
+@pytest.fixture
+def product_rule_defects(monkeypatch):
+    """Defects of every product-rule call the system limiter makes, taken
+    at once (its result lives in buffers that later stages overwrite)."""
+    defects = []
+    original = limiting_mod.product_rule_cs
+
+    def checked(*args, **kwargs):
+        result = original(*args, **kwargs)
+        defects.append(_product_rule_defects(args, result))
+        return result
+
+    monkeypatch.setattr(limiting_mod, "product_rule_cs", checked)
+    return defects
+
+
+@pytest.mark.parametrize("kind", ["cs", "scale"])
+class TestSequentialLimiterBounds:
+    """The sequential system limiter's product components sum to zero per
+    element and keep every candidate state inside the product-rule bounds,
+    with no repair step."""
+
+    def _check(self, defects):
+        assert defects
+        assert max(z for z, _ in defects) < 1e-12
+        assert max(b for _, b in defects) < 1e-12
+
+    def test_random_euler_data(self, rng, periodic8, kind,
+                               product_rule_defects):
+        for _ in range(5):
+            model, work, f, gamma, bounds = _euler_element_data(rng, periodic8)
+            limit_system_contributions(periodic8, model, f, work.bar_states,
+                                       gamma, bounds, LimiterConfig(kind=kind))
+        self._check(product_rule_defects)
+
+    def test_dmr_stages(self, kind, product_rule_defects):
+        cfg = RunConfig(benchmark="dmr", h=1 / 16, limiter=f"mcl.{kind}")
+        _, _, _, scheme, u = setup(cfg)
+        _, _, steps = integrate(scheme, u, TimeControls(cfl=0.5, t_end=0.002,
+                                                        scheme="ssp2"))
+        assert len(product_rule_defects) == 2 * steps
+        self._check(product_rule_defects)
 
 
 class TestIdpFix:
@@ -297,7 +358,7 @@ class TestSystemLimiting:
         f = np.zeros_like(base)
         f[0, :, 0] = [-2.0, 1.0, 1.0]
         gamma = np.ones((ms.n_elements, 3))
-        wide = [(np.full(ms.n_dofs, -np.inf), np.full(ms.n_dofs, np.inf))] * 4
+        wide = (np.full((ms.n_dofs, 4), -np.inf), np.full((ms.n_dofs, 4), np.inf))
         with pytest.raises(AdmissibilityError,
                            match="nonpositive intermediate density"):
             limit_system_contributions(ms, model, f, base, gamma, wide,

@@ -166,9 +166,13 @@ class TestFctBarstateBounds:
             nonlocal stages
             out = scheme.step(v, t, dt)
             ref = _two_pass_barstate_bounds(scheme, v, t, dt)
-            for (lo, hi), (lo_ref, hi_ref) in zip(scheme.last_bounds, ref):
-                np.testing.assert_allclose(lo, lo_ref, rtol=1e-14, atol=1e-14)
-                np.testing.assert_allclose(hi, hi_ref, rtol=1e-14, atol=1e-14)
+            lo, hi = scheme.last_bounds
+            assert lo.shape == hi.shape == v.shape
+            for k, (lo_ref, hi_ref) in enumerate(ref):
+                np.testing.assert_allclose(lo[:, k], lo_ref, rtol=1e-14,
+                                           atol=1e-14)
+                np.testing.assert_allclose(hi[:, k], hi_ref, rtol=1e-14,
+                                           atol=1e-14)
             total_in = (ms.lumped_mass[:, None] * v).sum(axis=0)
             total_out = (ms.lumped_mass[:, None] * out).sum(axis=0)
             np.testing.assert_allclose(total_out, total_in, rtol=0,
@@ -200,9 +204,8 @@ class TestMcl:
         galerkin = make_scheme(ms, model, "none")
 
         def wide_bounds(ms_, field_dof, work, bwork, mode):
-            m = field_dof.shape[-1]
-            return [(np.full(ms_.n_dofs, -np.inf),
-                     np.full(ms_.n_dofs, np.inf)) for _ in range(m)]
+            return (np.full(field_dof.shape, -np.inf),
+                    np.full(field_dof.shape, np.inf))
 
         monkeypatch.setattr(schemes_mod, "_component_bounds", wide_bounds)
         a = scheme.rhs(u, 0.0)
