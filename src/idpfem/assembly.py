@@ -1,14 +1,9 @@
 """Per-element assembly: Rusanov viscosity, bar states, residuals and
 antidiffusive contributions.
 
-Element quantities follow the residual-distribution split: the high-order
-contribution uses the lumped derivative approximation, the antidiffusive
-vector comes from its direct formula, and the low-order contribution is
-defined residually so that r_low + f = r_high and both residual sums equal
-the element fluctuation exactly (up to roundoff). The closed-form Rusanov
-residual d(ubar - u_i) - f(ubar).c_i (used by the actual schemes) agrees
-with the assembled r_low at interior nodes after gathering over elements;
-elementwise the two differ by boundary-flux terms that telescope.
+The antidiffusive contributions come from their direct formula. No scheme
+reads the residual-distribution split they belong to, so it is left to the
+checks: ``diagnostics.residual_split`` recomputes it.
 
 Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent
@@ -21,7 +16,7 @@ the code below reads as if it were C-ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,42 +29,17 @@ from .models import TINY
 class ElementWork:
     """Everything the limiters and schemes consume, for all elements at once.
     Per-element arrays are stored with the element index fastest.
-
-    ``f_anti`` and ``mass_term`` are None for a low-order assembly
-    (``with_antidiffusion=False``). ``r_high``, ``r_low`` and
-    ``fluctuation`` only verify the residual split; they are computed when
-    read.
+    ``f_anti`` is None for a low-order assembly (``with_antidiffusion=False``).
     """
 
     u_loc: np.ndarray         # (E, 3, m) gathered nodal states
     ubar: np.ndarray          # (E, m) element averages
-    lam: np.ndarray           # (E, 3) directional wave-speed bounds
     d: np.ndarray             # (E,) Rusanov viscosity
     bar_states: np.ndarray    # (E, 3, m)
     r_rusanov: np.ndarray     # (E, 3, m) closed-form low-order residual
     residual: np.ndarray      # (n_dofs, m) assembled r_rusanov + boundary terms
     udot: np.ndarray          # (n_dofs, m) lumped time-derivative approximation
-    flux_c: np.ndarray        # (E, 3, m) f(u_i) . c_i
     f_anti: Optional[np.ndarray] = None     # (E, 3, m) antidiffusive contributions
-    mass_term: Optional[np.ndarray] = None  # (E, 3, m) sum_j m_ij (udot_i - udot_j)
-    # The workspace that holds the element blocks, or None if they are
-    # fresh; the later phases of the same stage take their scratch from it.
-    ws: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def fluctuation(self) -> np.ndarray:
-        """(E, m) element fluctuation sum_j f(u_j) . c_j."""
-        return _node_sum(self.flux_c)
-
-    @property
-    def r_high(self) -> np.ndarray:
-        """(E, 3, m) high-order residual."""
-        return self.mass_term + self.fluctuation[:, None, :] / 3.0
-
-    @property
-    def r_low(self) -> np.ndarray:
-        """(E, 3, m) low-order residual, r_high - f_anti."""
-        return self.r_high - self.f_anti
 
 
 @dataclass
@@ -77,7 +47,6 @@ class BoundaryWork:
     """Rusanov boundary-face terms for weakly imposed boundary conditions."""
 
     dofs: np.ndarray          # (B,) boundary dof indices
-    u_ext: np.ndarray         # (B, m) exterior states
     flux_term: np.ndarray     # (B, m) contribution to m_i du_i/dt
     visc: np.ndarray          # (B,) lambda * |n_i|, enters the CFL condition
     bar_states: np.ndarray    # (B, m) boundary bar states (IDP audit / bounds)
@@ -130,12 +99,12 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def bar_states(fbar_c, flux_c, u_loc, ubar, d, out=None,
+def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
                tmp=None) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
     f(u_i) . c_i; arithmetic mean where d = 0. ``out`` takes the result and
     ``tmp`` (same shape) an intermediate when given."""
-    df = np.subtract(fbar_c, flux_c, out=tmp)
+    df = np.subtract(fbar_c, fi_c, out=tmp)
     df /= (2.0 * np.maximum(d, TINY))[:, None, None]
     mean = np.add(ubar[:, None, :], u_loc, out=out)
     mean *= 0.5
@@ -166,7 +135,8 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     tmp = buf("tmp")
     u_loc = ms.gather(u, out=buf("u_loc"))
     ubar = element_average(u_loc, out=buf("ubar", (n_e, m)))
-    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("lam", blk[:2]))
+    # the wave speeds go where the bar states go later
+    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]))
     d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
                           tmp=buf("tmp", blk[:2]))
 
@@ -176,9 +146,10 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     flux_loc = model.flux(u_loc, x_loc, out=buf("flux_loc", blk + (2,)))
     # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
     fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
-    flux_c = _dot(flux_loc, geom.c, out=buf("flux_c"), tmp=tmp)
+    # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
+    fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
 
-    bars = bar_states(fbar_c, flux_c, u_loc, ubar, d, out=buf("bars"),
+    bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
                       tmp=tmp)
 
     if with_antidiffusion:
@@ -201,23 +172,23 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         residual[bwork.dofs] += bwork.flux_term
     udot = residual / ms.lumped_mass[:, None]
 
-    work = ElementWork(u_loc=u_loc, ubar=ubar, lam=lam, d=d, bar_states=bars,
-                       r_rusanov=r_rus, residual=residual, udot=udot,
-                       flux_c=flux_c, ws=ws)
+    work = ElementWork(u_loc=u_loc, ubar=ubar, d=d, bar_states=bars,
+                       r_rusanov=r_rus, residual=residual, udot=udot)
     if not with_antidiffusion:
         return work, bwork
 
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
-    # in the buffers of the used-up fluxes
-    udot_loc = ms.gather(udot, out=buf("flux_loc"))
-    mass = np.multiply(3.0, udot_loc, out=buf("mass_term"))
-    mass -= _node_sum(udot_loc, out=buf("flux_bar", (n_e, m)))[:, None, :]
+    # formed in the gathered udot, in the buffers of the used-up fluxes
+    mass = ms.gather(udot, out=buf("flux_loc"))
+    udot_sum = _node_sum(mass, out=buf("flux_bar", (n_e, m)))
+    mass *= 3.0
+    mass -= udot_sum[:, None, :]
     mass *= (geom.area / 12.0)[:, None, None]
 
     # direct antidiffusion formula: f_anti = mass + flux part - visc
-    f_anti = np.add(mass, f_anti, out=f_anti)
+    f_anti += mass
     f_anti -= visc
-    work.mass_term, work.f_anti = mass, f_anti
+    work.f_anti = f_anti
     return work, bwork
 
 
@@ -254,5 +225,5 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     if zero.any():
         bars[zero] = 0.5 * (u_in[zero] + u_ext[zero])
 
-    return BoundaryWork(dofs=dofs, u_ext=u_ext, flux_term=flux_term,
-                        visc=visc, bar_states=bars)
+    return BoundaryWork(dofs=dofs, flux_term=flux_term, visc=visc,
+                        bar_states=bars)

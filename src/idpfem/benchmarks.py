@@ -53,6 +53,15 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
+def _rotated_back(x: np.ndarray, t: float) -> np.ndarray:
+    """The points that the rotation by 2 pi t about (0.5, 0.5) takes to x."""
+    ang = -2.0 * np.pi * t
+    c, s = np.cos(ang), np.sin(ang)
+    dx = x - 0.5
+    return np.stack([c * dx[..., 0] - s * dx[..., 1],
+                     s * dx[..., 0] + c * dx[..., 1]], axis=-1) + 0.5
+
+
 def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
     """Instantiate a registered benchmark, honoring config overrides for the
     model, velocity field and resolution."""
@@ -114,12 +123,7 @@ def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
             return u0(_wrap_unit(x - v * t))
     elif vel == "rotation":
         def exact(x, t):
-            ang = -2.0 * np.pi * t
-            c, s = np.cos(ang), np.sin(ang)
-            dx = x - 0.5
-            back = np.stack([c * dx[..., 0] - s * dx[..., 1],
-                             s * dx[..., 0] + c * dx[..., 1]], axis=-1) + 0.5
-            return u0(back)
+            return u0(_rotated_back(x, t))
 
     return Benchmark(id="advected_gaussian", model=model, mesh=mesh, u0=u0,
                      exact=exact, t_end=cfg.t_end or 1.0, periodic=True)
@@ -146,12 +150,7 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
             return (inside & ~slot).astype(float)[..., None]
 
     def exact(x, t):
-        ang = -2.0 * np.pi * t
-        c, s = np.cos(ang), np.sin(ang)
-        dx = x - 0.5
-        back = np.stack([c * dx[..., 0] - s * dx[..., 1],
-                         s * dx[..., 0] + c * dx[..., 1]], axis=-1) + 0.5
-        return u0(back)
+        return u0(_rotated_back(x, t))
 
     velocity = model.velocity
 

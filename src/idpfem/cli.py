@@ -134,7 +134,7 @@ def _random_states(rng, model, shape):
 
 
 def _check_assembly_identities(rng, trials, report):
-    from .assembly import assemble
+    from .diagnostics import residual_split
 
     n = 8
     ms = build_system(structured_rect(n, n, periodic=True))
@@ -145,16 +145,17 @@ def _check_assembly_identities(rng, trials, report):
         bars_ok = True
         for _ in range(max(1, trials // 10)):
             u = _random_states(rng, model, (ms.n_dofs,))
-            work, _ = assemble(ms, model, u)
-            scale = max(np.abs(work.f_anti).max(), np.abs(work.r_high).max(), 1.0)
+            split = residual_split(ms, model, u)
+            work = split.work
+            scale = max(np.abs(work.f_anti).max(), np.abs(split.r_high).max(), 1.0)
             worst_sum = max(worst_sum,
                             np.abs(work.f_anti.sum(axis=1)).max() / scale)
             worst_split = max(worst_split,
-                              np.abs(work.r_high - work.r_low
+                              np.abs(split.r_high - split.r_low
                                      - work.f_anti).max() / scale)
             worst_fluct = max(
                 worst_fluct,
-                np.abs(work.r_high.sum(axis=1) - work.fluctuation).max() / scale)
+                np.abs(split.r_high.sum(axis=1) - split.fluctuation).max() / scale)
             if model.m == 1:
                 lo = np.minimum(work.u_loc[..., 0].min(axis=1), work.ubar[..., 0])
                 hi = np.maximum(work.u_loc[..., 0].max(axis=1), work.ubar[..., 0])

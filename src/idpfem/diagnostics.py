@@ -1,5 +1,5 @@
-"""Auditing and diagnostics: invariant checks per step, residual-distribution
-weights, error norms and the CSV trace.
+"""Auditing and diagnostics: invariant checks per step, the residual split
+and residual-distribution weights, error norms and the CSV trace.
 
 Audits recompute everything from the state; they never read scheme internals,
 so running them cannot perturb the solver trajectory.
@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .assembly import ElementWork, assemble
 from .mesh import MeshSystem
 
 
@@ -49,6 +50,44 @@ def rd_weights(residuals: np.ndarray) -> RdWeights:
                               neg / r_minus[..., None, :], 0.0)
     return RdWeights(r_plus=r_plus, r_minus=r_minus,
                      beta_plus=beta_plus, beta_minus=beta_minus)
+
+
+@dataclass
+class ResidualSplit:
+    work: ElementWork             # the fresh assembly the split is taken from
+    flux_c: np.ndarray            # (E, 3, m) f(u_i) . c_i
+    mass_term: np.ndarray         # (E, 3, m) sum_j m_ij (udot_i - udot_j)
+    fluctuation: np.ndarray       # (E, m) sum_j f(u_j) . c_j
+    r_high: np.ndarray            # (E, 3, m) high-order residual
+    r_low: np.ndarray             # (E, 3, m) low-order residual
+
+
+def residual_split(ms: MeshSystem, model, u: np.ndarray) -> ResidualSplit:
+    """The residual-distribution split of the element assembly of u (n_dofs, m).
+
+    The high-order residual uses the lumped derivative approximation, the
+    antidiffusive vector comes from its direct formula, and the low-order
+    residual is defined residually, so that r_low + f_anti = r_high and both
+    residual sums equal the element fluctuation exactly (up to roundoff). The
+    closed-form Rusanov residual d(ubar - u_i) - f(ubar).c_i (used by the
+    actual schemes) agrees with the assembled r_low at interior nodes after
+    gathering over elements; elementwise the two differ by boundary-flux
+    terms that telescope.
+
+    No scheme reads the split, so all but f_anti is recomputed here; f_anti
+    is that of a fresh ``assemble``, the contributions the limiters see.
+    """
+    work, _ = assemble(ms, model, u)
+    geom = ms.geometry
+    x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
+    flux_c = (model.flux(work.u_loc, x) * geom.c[:, :, None, :]).sum(axis=-1)
+    udot_loc = ms.gather(work.udot) * (geom.area / 12.0)[:, None, None]
+    mass = 3.0 * udot_loc - udot_loc.sum(axis=1, keepdims=True)
+    fluctuation = flux_c.sum(axis=1)
+    r_high = mass + fluctuation[:, None, :] / 3.0
+    return ResidualSplit(work=work, flux_c=flux_c, mass_term=mass,
+                         fluctuation=fluctuation, r_high=r_high,
+                         r_low=r_high - work.f_anti)
 
 
 @dataclass

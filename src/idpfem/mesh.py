@@ -181,22 +181,10 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
 
 def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
     """Collapse periodically paired nodes onto shared degrees of freedom."""
-    parent = np.arange(mesh.n_nodes)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in mesh.periodic_pairs.items():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    root = parent                           # pointer jumping up to the roots
-    while not np.array_equal(root[root], root):
-        root = root[root]
-    reps, dof_of_node = np.unique(root, return_inverse=True)
+    rep = np.arange(mesh.n_nodes)           # smallest node of each group
+    pairs = canonical_pairs(mesh.periodic_pairs.items())
+    rep[list(pairs)] = list(pairs.values())
+    reps, dof_of_node = np.unique(rep, return_inverse=True)
     return dof_of_node, len(reps)
 
 

@@ -57,13 +57,14 @@ def _scatter(ms: MeshSystem, contrib, bwork, shape, ws=None):
     return rhs
 
 
-def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode):
+def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode, ws):
     """Per-DOF (lo, hi) of every conserved component, each (n_dofs, m), from
-    one ``local_bounds`` pass over all components."""
+    one ``local_bounds`` pass over all components; element blocks go to the
+    workspace ``ws``."""
     extra_dofs = bwork.dofs if bwork is not None else None
     extra_vals = bwork.bar_states if bwork is not None else None
     return local_bounds(ms, field_dof, work.bar_states, mode, extra_dofs,
-                        extra_vals, work.ws)
+                        extra_vals, ws)
 
 
 def _masked(a, keep, out=None):
@@ -164,7 +165,7 @@ class SpatialScheme:
                                     (ms.n_elements, 3))
             active = (work.d > 0)[:, None, None]
             bounds = _component_bounds(ms, u, work, bwork,
-                                       self.lcfg.bounds_mode("mcl"))
+                                       self.lcfg.bounds_mode("mcl"), self.ws)
             f = _masked(work.f_anti, active, out=work.f_anti)
             f_star = self._limit(f, work.bar_states, gamma, bounds)
             contrib = _masked(f_star, active, out=f)
@@ -188,7 +189,7 @@ class SpatialScheme:
         # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.broadcast_to((ms.geometry.m_elem / dt)[:, None], (ms.n_elements, 3))
         mode = self.lcfg.bounds_mode("fct")
-        bounds = _component_bounds(ms, u_low, work, bwork, mode)
+        bounds = _component_bounds(ms, u_low, work, bwork, mode, self.ws)
         if mode == "barstate":
             # Bar-state bounds must cover both u and u_low.
             lo, hi = bounds

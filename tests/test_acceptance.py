@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import idpfem.schemes as schemes_mod
-from idpfem.assembly import assemble
 from idpfem.config import RunConfig
-from idpfem.diagnostics import audit_step, csv_header, error_norms
+from idpfem.diagnostics import (audit_step, csv_header, error_norms,
+                                residual_split)
 from idpfem.limiting import LimitResult, clip_and_scale, scaling_limiter
 from idpfem.mesh import Mesh, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, make_model
@@ -87,13 +87,14 @@ def test_criterion_02_zero_sum_and_fluctuation(rng):
     }
     ok = True
     for name, (model, u) in cases.items():
-        work, _ = assemble(ms, model, u)
-        scale = (np.abs(work.f_anti).max(axis=(1, 2))
-                 + np.abs(work.fluctuation).max(axis=1) + 1.0)[:, None]
-        ok &= bool(np.all(np.abs(work.f_anti.sum(axis=1)) <= 1e-12 * scale))
-        ok &= bool(np.all(np.abs(work.r_low.sum(axis=1) - work.fluctuation)
+        split = residual_split(ms, model, u)
+        f_anti, fluctuation = split.work.f_anti, split.fluctuation
+        scale = (np.abs(f_anti).max(axis=(1, 2))
+                 + np.abs(fluctuation).max(axis=1) + 1.0)[:, None]
+        ok &= bool(np.all(np.abs(f_anti.sum(axis=1)) <= 1e-12 * scale))
+        ok &= bool(np.all(np.abs(split.r_low.sum(axis=1) - fluctuation)
                           <= 1e-12 * scale))
-        ok &= bool(np.all(np.abs(work.r_high.sum(axis=1) - work.fluctuation)
+        ok &= bool(np.all(np.abs(split.r_high.sum(axis=1) - fluctuation)
                           <= 1e-12 * scale))
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
@@ -247,8 +248,8 @@ def test_criterion_06_scheme_recovery(monkeypatch):
                                             limiter="none"))
     with monkeypatch.context() as mp:
         mp.setattr(schemes_mod, "_component_bounds",
-                   lambda ms_, f, w, bw, mode: (np.full(f.shape, -np.inf),
-                                                np.full(f.shape, np.inf)))
+                   lambda ms_, f, w, bw, mode, ws: (
+                       np.full(f.shape, -np.inf), np.full(f.shape, np.inf)))
         got_mcl = trajectory(SpatialScheme(ms=ms, model=model,
                                            limiter="mcl.cs"))
     err_mcl = np.abs(got_mcl - ref_galerkin).max()

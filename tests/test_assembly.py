@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from idpfem.assembly import assemble, boundary_terms, element_average
+from idpfem.diagnostics import residual_split
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model, \
     translation_velocity
@@ -39,7 +40,8 @@ class TestWorkedExample:
         assert self.work.r_rusanov[0, 1, 0] == pytest.approx(-1.0 / 6.0)
 
     def test_fluctuation(self):
-        assert self.work.fluctuation[0, 0] == pytest.approx(-0.5)
+        split = residual_split(self.ms, self.model, self.u)
+        assert split.fluctuation[0, 0] == pytest.approx(-0.5)
 
     def test_low_order_residuals_sum_to_zero_single_element(self):
         # the closed form telescopes: d sum(ubar - u_i) = 0 and sum c_i = 0
@@ -50,19 +52,27 @@ class TestElementIdentities:
     def test_zero_sum_and_fluctuation_preservation(self, rng, periodic8):
         ms = periodic8
         for model, u in models_with_states(rng, ms):
-            work, _ = assemble(ms, model, u)
-            scale = max(np.abs(work.f_anti).max(),
-                        np.abs(work.r_high).max(), 1.0)
-            assert np.abs(work.f_anti.sum(axis=1)).max() < 1e-12 * scale
-            assert np.abs(work.r_high.sum(axis=1)
-                          - work.fluctuation).max() < 1e-12 * scale
-            assert np.abs(work.r_low.sum(axis=1)
-                          - work.fluctuation).max() < 1e-12 * scale
+            split = residual_split(ms, model, u)
+            f_anti = split.work.f_anti
+            scale = max(np.abs(f_anti).max(),
+                        np.abs(split.r_high).max(), 1.0)
+            assert np.abs(f_anti.sum(axis=1)).max() < 1e-12 * scale
+            assert np.abs(split.r_high.sum(axis=1)
+                          - split.fluctuation).max() < 1e-12 * scale
+            assert np.abs(split.r_low.sum(axis=1)
+                          - split.fluctuation).max() < 1e-12 * scale
 
     def test_galerkin_recovery_split(self, rng, periodic8):
         for model, u in models_with_states(rng, periodic8):
-            work, _ = assemble(periodic8, model, u)
-            assert np.array_equal(work.r_high - work.f_anti, work.r_low)
+            split = residual_split(periodic8, model, u)
+            assert np.array_equal(split.r_high - split.work.f_anti,
+                                  split.r_low)
+
+    def test_split_uses_the_assembled_antidiffusion(self, rng, periodic8):
+        for model, u in models_with_states(rng, periodic8):
+            work, _ = assemble(periodic8, model, u, ws={})
+            split = residual_split(periodic8, model, u)
+            assert split.work.f_anti.tobytes() == work.f_anti.tobytes()
 
     def test_closed_form_matches_split_after_assembly(self, rng, periodic8):
         # Elementwise the closed-form Rusanov residual and the split r_low
@@ -70,29 +80,29 @@ class TestElementIdentities:
         # and on a torus every node is interior.
         ms = periodic8
         for model, u in models_with_states(rng, ms):
-            work, _ = assemble(ms, model, u)
+            split = residual_split(ms, model, u)
             a = np.zeros_like(u)
             b = np.zeros_like(u)
-            np.add.at(a, ms.elem_dofs, work.r_rusanov)
-            np.add.at(b, ms.elem_dofs, work.r_low)
+            np.add.at(a, ms.elem_dofs, split.work.r_rusanov)
+            np.add.at(b, ms.elem_dofs, split.r_low)
             scale = max(np.abs(a).max(), 1.0)
             assert np.abs(a - b).max() < 1e-12 * scale
 
     def test_constant_state_kills_everything(self, periodic8):
         model = make_model("advection", velocity="translation", vx=1.0, vy=2.0)
         u = np.full((periodic8.n_dofs, 1), 0.7)
-        work, _ = assemble(periodic8, model, u)
+        split = residual_split(periodic8, model, u)
         # per element only the flux through the boundary remains; it cancels
         # under assembly, and the antidiffusive part vanishes identically
-        assert np.abs(work.f_anti).max() < 1e-14
-        assert np.abs(work.udot).max() < 1e-14
-        assert np.abs(work.fluctuation).max() < 1e-14
+        assert np.abs(split.work.f_anti).max() < 1e-14
+        assert np.abs(split.work.udot).max() < 1e-14
+        assert np.abs(split.fluctuation).max() < 1e-14
 
     def test_fluctuations_telescope_on_periodic_mesh(self, rng, periodic8):
         for model, u in models_with_states(rng, periodic8):
-            work, _ = assemble(periodic8, model, u)
-            scale = max(np.abs(work.fluctuation).max(), 1.0)
-            assert abs(work.fluctuation.sum(axis=0)).max() < 1e-12 * scale
+            fluctuation = residual_split(periodic8, model, u).fluctuation
+            scale = max(np.abs(fluctuation).max(), 1.0)
+            assert abs(fluctuation.sum(axis=0)).max() < 1e-12 * scale
 
 
 class TestBarStates:

@@ -182,6 +182,8 @@ class TestPeriodicPairs:
         mesh.periodic_pairs = {0: 2, 2: 0, 3: 5, 5: 3}
         ms = build_system(mesh)
         assert ms.n_dofs == mesh.n_nodes - 2
+        # each group is numbered by its smallest node
+        assert ms.dof_of_node.tolist() == [0, 1, 0, 2, 3, 2]
 
 
 @settings(max_examples=50, deadline=None)
