@@ -103,7 +103,11 @@ def _cmd_norms(args) -> int:
         print(f"error: benchmark {bench.id!r} has no exact solution",
               file=sys.stderr)
         return 1
-    points, fields = read_vtk_point_data(args.snapshot)
+    try:
+        points, fields = read_vtk_point_data(args.snapshot)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if points.shape[0] != ms.mesh.n_nodes or \
             not np.allclose(points, ms.mesh.nodes):
         print("error: snapshot nodes do not match the configured mesh",

@@ -192,8 +192,7 @@ def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
 class MeshSystem:
     """Everything the schemes need: mesh, geometry, DOFs and masses.
 
-    Immutable after construction, apart from ``cache``, which holds derived
-    data that other modules build on first use; safe to share read-only.
+    Immutable after construction; safe to share read-only.
 
     Per-element arrays keep their logical shapes, (E, 3) and (E, 3, ...),
     but are stored with the element index fastest (Fortran order), so that
@@ -222,7 +221,6 @@ class MeshSystem:
     # the columns, which are as long as the largest valence.
     dof_table: np.ndarray                   # (V, n_dofs)
     dof_mask: np.ndarray                    # (V, n_dofs) bool
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:

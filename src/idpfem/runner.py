@@ -108,12 +108,12 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
             check_admissibility=idp_claim)
         reports.append(report)
 
-    snap = 0
+    snap, snap_t = 0, None
 
-    def snapshot(u):
-        nonlocal snap
+    def snapshot(u, t):
+        nonlocal snap, snap_t
         write_vtk(out / f"state_{snap:06d}.vtk", ms, u, model)
-        snap += 1
+        snap, snap_t = snap + 1, t
 
     next_out = cfg.output_every_t if cfg.output_every_t else None
 
@@ -124,18 +124,19 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
         elif idp_claim and not np.all(model.admissible(u, cfg.audit_bound_tol)):
             raise AuditError(f"inadmissible state after step {step}, t = {t:g}")
         if next_out is not None and t >= next_out - 1e-14:
-            snapshot(u)
+            snapshot(u, t)
             next_out += cfg.output_every_t
         if not quiet and step % 50 == 0:
             print(f"step {step:6d}  t = {t:.6f}  dt = {dt:.3e}")
 
     t0_wall = time.perf_counter()
     audit(u, 0.0, 0.0)
-    snapshot(u)
+    snapshot(u, 0.0)
     u, t, step = integrate(scheme, u, controls, on_step=on_step)
     wall = time.perf_counter() - t0_wall
 
-    snapshot(u)
+    if snap_t != t:               # the final state, unless a cadence wrote it
+        snapshot(u, t)
     # Rows are formatted here in one go, which is cheaper than one per audit.
     csv_lines = [csv_header(model.m)] + [r.csv_row() for r in reports]
     (out / "diagnostics.csv").write_text("\n".join(csv_lines) + "\n")

@@ -1,59 +1,46 @@
-"""Legacy ASCII VTK output (and a reader for our own files).
+"""Legacy VTK 3.0 BINARY output, and its reader (used by ``idpfem norms``).
 
-Output is byte-stable: identical states produce identical files.
+Data blocks are big-endian, as the legacy format requires: ``float64`` for
+points and fields, ``int32`` for cells and cell types. Each block ends with a
+newline. Output is byte-stable: identical states produce identical files,
+and every float64 round-trips bit for bit.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import numpy as np
 
 from .mesh import MeshSystem
 
 SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
+HEADER = b"# vtk DataFile Version 3.0\nidpfem state\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
 
 
-def _lines(template: str, values) -> str:
-    """``template`` filled once per row of ``values`` with its numbers, each
-    the round-trip text with 17 significant digits (not the shortest such
-    text). One %-format over Python floats is the fastest way to make it."""
-    return (template * len(values)) % tuple(np.ravel(values).tolist())
-
-
-def _grid_text(ms: MeshSystem) -> str:
-    """The fixed POINTS, CELLS and CELL_TYPES block, rendered once per mesh
-    system."""
-    text = ms.cache.get("vtk_grid")
-    if text is None:
-        mesh = ms.mesh
-        n_el = mesh.n_elements
-        # Cells row by row: a tolist() of all cells would leave the heap
-        # fragmented by its many small objects.
-        text = ms.cache["vtk_grid"] = "".join([
-            f"POINTS {mesh.n_nodes} double\n",
-            _lines("%.17g %.17g 0\n", mesh.nodes),
-            f"CELLS {n_el} {4 * n_el}\n",
-            *(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles),
-            f"CELL_TYPES {n_el}\n",
-            "5\n" * n_el,
-        ])
-    return text
-
-
-def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
+def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None) -> bytes:
     """Render the state as a legacy VTK unstructured grid (triangles, type 5).
 
     Periodically identified DOFs are expanded back to mesh nodes. For Euler
     models the derived pressure and velocity fields are appended.
     """
-    nodal = u[ms.dof_of_node]                 # (N, m)
-    m = nodal.shape[1]
+    mesh = ms.mesh
+    n, n_el = mesh.n_nodes, mesh.n_elements
+    points = np.zeros((n, 3), ">f8")
+    points[:, :2] = mesh.nodes
+    cells = np.empty((n_el, 4), ">i4")
+    cells[:, 0] = 3
+    cells[:, 1:] = mesh.triangles
     parts = [
-        "# vtk DataFile Version 3.0\nidpfem state\nASCII\n"
-        "DATASET UNSTRUCTURED_GRID\n",
-        _grid_text(ms),
-        f"POINT_DATA {ms.mesh.n_nodes}\n",
+        HEADER,
+        b"POINTS %d double\n" % n, points.tobytes(), b"\n",
+        b"CELLS %d %d\n" % (n_el, 4 * n_el), cells.tobytes(), b"\n",
+        b"CELL_TYPES %d\n" % n_el, np.full(n_el, 5, ">i4").tobytes(), b"\n",
+        b"POINT_DATA %d\n" % n,
     ]
 
+    nodal = u[ms.dof_of_node]                 # (N, m)
+    m = nodal.shape[1]
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
     fields = {name: nodal[:, k] for k, name in enumerate(names)}
     if model is not None and getattr(model, "kind", "") == "euler":
@@ -62,39 +49,42 @@ def vtk_text(ms: MeshSystem, u: np.ndarray, model=None) -> str:
         fields["vel_x"] = v[:, 0]
         fields["vel_y"] = v[:, 1]
     for name, vals in fields.items():
-        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        parts.append(_lines("%.17g\n", vals))
-    return "".join(parts)
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode(),
+                  np.asarray(vals, ">f8").tobytes(), b"\n"]
+    return b"".join(parts)
 
 
 def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None) -> None:
-    with open(path, "w") as fh:
-        fh.write(vtk_text(ms, u, model))
+    pathlib.Path(path).write_bytes(vtk_bytes(ms, u, model))
 
 
 def read_vtk_point_data(path):
     """Read back node coordinates and POINT_DATA scalars of a file written
-    by write_vtk. Returns (points (N, 2), fields dict)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    fields = {}
-    points = None
-    n_points = None
-    i = 0
-    while i < len(lines):
-        toks = lines[i].split()
-        if toks[:1] == ["POINTS"]:
-            n_points = int(toks[1])
-            points = np.array([[float(c) for c in lines[i + 1 + k].split()[:2]]
-                               for k in range(n_points)])
-            i += n_points + 1
-            continue
-        if toks[:1] == ["SCALARS"]:
-            name = toks[1]
-            i += 2                            # skip LOOKUP_TABLE line
-            vals = [float(lines[i + k]) for k in range(n_points)]
-            fields[name] = np.array(vals)
-            i += n_points
-            continue
-        i += 1
-    return points, fields
+    by write_vtk. Returns (points (N, 2), fields dict).
+
+    Raises ValueError for any other format, such as an ASCII legacy file.
+    """
+    data = pathlib.Path(path).read_bytes()
+    head = data.split(b"\n", 3)
+    fmt = head[2].strip().decode(errors="replace") if len(head) > 3 else "?"
+    if fmt != "BINARY":
+        raise ValueError(f"{path}: legacy VTK format {fmt!r}, only BINARY "
+                         "snapshots can be read")
+    points, fields, pos = None, {}, 0
+    while pos < len(data):
+        end = data.index(b"\n", pos)
+        key, *args = data[pos:end].split() or [b""]
+        pos = end + 1
+        # Each data block is followed by a newline.
+        if key == b"POINTS":
+            n = int(args[0])
+            points = np.frombuffer(data, ">f8", 3 * n, pos).reshape(n, 3)[:, :2]
+            pos += 24 * n + 1
+        elif key in (b"CELLS", b"CELL_TYPES"):
+            pos += 4 * int(args[-1]) + 1      # int32 values, skipped
+        elif key == b"SCALARS":
+            name = args[0].decode()
+        elif key == b"LOOKUP_TABLE":
+            fields[name] = np.frombuffer(data, ">f8", n, pos).astype(float)
+            pos += 8 * n + 1
+    return points.astype(float), fields

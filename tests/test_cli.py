@@ -8,7 +8,7 @@ from idpfem.diagnostics import AuditError
 from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import Euler
 from idpfem.runner import run
-from idpfem.vtk_io import read_vtk_point_data, vtk_text
+from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, write_vtk
 
 from conftest import single_triangle_system
 
@@ -21,41 +21,112 @@ t_end = 0.2
 """
 
 
+# A snapshot in the ASCII layout that earlier versions wrote.
+ASCII_SNAPSHOT = """\
+# vtk DataFile Version 3.0
+idpfem state
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 3 double
+0 0 0
+1 0 0
+0 1 0
+CELLS 1 4
+3 0 1 2
+CELL_TYPES 1
+5
+POINT_DATA 3
+SCALARS u double 1
+LOOKUP_TABLE default
+0.1
+0.2
+0.3
+"""
+
+EULER_NAMES = ["rho", "mom_x", "mom_y", "E", "pressure", "vel_x", "vel_y"]
+
+
+def binary_block(data, header, dtype, count):
+    """The ``count`` values of ``dtype`` that follow the line ``header``;
+    the block must end with a newline."""
+    start = data.index(header + b"\n") + len(header) + 1
+    values = np.frombuffer(data, dtype, count, start)
+    assert data[start + values.nbytes:start + values.nbytes + 1] == b"\n"
+    return values
+
+
 class TestVtk:
     def test_single_triangle_format(self):
         ms = single_triangle_system([[0, 0], [1, 0], [0, 1]])
-        text = vtk_text(ms, np.array([[0.1], [0.2], [0.3]]))
-        lines = text.splitlines()
-        assert lines[0].startswith("# vtk DataFile")
-        assert "POINTS 3 double" in text
-        assert "CELLS 1 4" in text
-        assert "CELL_TYPES 1" in text
-        assert lines[lines.index("CELL_TYPES 1") + 1] == "5"
-        assert "SCALARS u double 1" in text
+        data = vtk_bytes(ms, np.array([[0.1], [0.2], [0.3]]))
+        assert data.startswith(b"# vtk DataFile Version 3.0\nidpfem state\n"
+                               b"BINARY\nDATASET UNSTRUCTURED_GRID\n"
+                               b"POINTS 3 double\n")
+        assert b"\nCELLS 1 4\n" in data
+        assert b"\nCELL_TYPES 1\n" in data
+        assert b"\nPOINT_DATA 3\nSCALARS u double 1\nLOOKUP_TABLE default\n" \
+            in data
+        u = binary_block(data, b"LOOKUP_TABLE default", ">f8", 3)
+        assert np.array_equal(u, [0.1, 0.2, 0.3])
+        assert data.endswith(u.tobytes() + b"\n")
 
-    def test_euler_fields_present(self):
-        ms = single_triangle_system([[0, 0], [1, 0], [0, 1]])
+    def test_grid_blocks_decode(self):
+        ms = build_system(structured_rect(3, 3))
+        mesh = ms.mesh
+        data = vtk_bytes(ms, np.zeros((ms.n_dofs, 1)))
+        n, n_el = mesh.n_nodes, mesh.n_elements
+        cells = binary_block(data, b"CELLS %d %d" % (n_el, 4 * n_el), ">i4",
+                             4 * n_el).reshape(n_el, 4)
+        assert np.array_equal(cells[:, 0], np.full(n_el, 3))
+        assert np.array_equal(cells[:, 1:], mesh.triangles)
+        types = binary_block(data, b"CELL_TYPES %d" % n_el, ">i4", n_el)
+        assert np.array_equal(types, np.full(n_el, 5))
+        points = binary_block(data, b"POINTS %d double" % n, ">f8",
+                              3 * n).reshape(n, 3)
+        assert np.array_equal(points[:, :2], mesh.nodes)
+        assert np.array_equal(points[:, 2], np.zeros(n))
+
+    def test_euler_fields_present(self, tmp_path, rng):
+        """All seven Euler fields, in order, round-trip bit for bit."""
+        ms = build_system(structured_rect(3, 3))
         model = Euler()
-        u = np.broadcast_to(model.conserved(1.0, [0.1, 0.2], 1.0),
-                            (3, 4)).copy()
-        text = vtk_text(ms, u, model)
-        for name in ("rho", "mom_x", "mom_y", "E", "pressure", "vel_x",
-                     "vel_y"):
-            assert f"SCALARS {name} double 1" in text
+        u = model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
+                            rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
+                            rng.uniform(0.5, 2.0, ms.n_dofs))
+        path = tmp_path / "s.vtk"
+        write_vtk(path, ms, u, model)
+        data = path.read_bytes()
+        offsets = [data.index(f"SCALARS {name} double 1\n".encode())
+                   for name in EULER_NAMES]
+        assert offsets == sorted(offsets)
+        points, fields = read_vtk_point_data(path)
+        assert list(fields) == EULER_NAMES
+        nodal = u[ms.dof_of_node]
+        _, v, p, _ = model.primitives(nodal)
+        expected = [*nodal.T, p, v[:, 0], v[:, 1]]
+        for name, want in zip(EULER_NAMES, expected):
+            assert np.array_equal(fields[name], want), name
+        assert np.array_equal(points, ms.mesh.nodes)
 
     def test_byte_stable(self, rng):
         ms = build_system(structured_rect(3, 3))
         u = rng.uniform(size=(ms.n_dofs, 1))
-        assert vtk_text(ms, u) == vtk_text(ms, u.copy())
+        assert vtk_bytes(ms, u) == vtk_bytes(ms, u.copy())
 
     def test_roundtrip_through_reader(self, tmp_path, rng):
         ms = build_system(structured_rect(3, 3))
         u = rng.uniform(size=(ms.n_dofs, 1))
         path = tmp_path / "s.vtk"
-        path.write_text(vtk_text(ms, u))
+        write_vtk(path, ms, u)
         points, fields = read_vtk_point_data(path)
-        assert np.allclose(points, ms.mesh.nodes)
+        assert np.array_equal(points, ms.mesh.nodes)
         assert np.array_equal(fields["u"], u[ms.dof_of_node, 0])
+
+    def test_reader_rejects_ascii(self, tmp_path):
+        path = tmp_path / "old.vtk"
+        path.write_text(ASCII_SNAPSHOT)
+        with pytest.raises(ValueError, match="ASCII"):
+            read_vtk_point_data(path)
 
 
 class TestRunner:
@@ -128,10 +199,24 @@ class TestRunner:
     def test_output_cadence(self, tmp_path):
         cfg = RunConfig(benchmark="constant", h=1 / 8, t_end=0.2,
                         output_every_t=0.05, out=str(tmp_path / "out"))
-        run(cfg)
+        result = run(cfg)
         snaps = sorted((tmp_path / "out").glob("state_*.vtk"))
-        # initial + 4 cadence snapshots + final
-        assert len(snaps) >= 5
+        # initial + 4 cadence snapshots; the last one, at t_end, is not
+        # written a second time as the final snapshot
+        assert len(snaps) == 5
+        _, fields = read_vtk_point_data(snaps[-1])
+        assert np.array_equal(fields["u"], result.u[result.ms.dof_of_node, 0])
+
+    def test_final_snapshot_off_cadence(self, tmp_path):
+        cfg = RunConfig(benchmark="advected_gaussian", h=1 / 8, t_end=0.2,
+                        output_every_t=0.08, out=str(tmp_path / "out"))
+        result = run(cfg)
+        snaps = sorted((tmp_path / "out").glob("state_*.vtk"))
+        # initial + cadence snapshots at 0.08 and 0.16 + final at 0.2
+        assert len(snaps) == 4
+        _, fields = read_vtk_point_data(snaps[-1])
+        assert np.array_equal(fields["u"], result.u[result.ms.dof_of_node, 0])
+        assert snaps[-1].read_bytes() != snaps[-2].read_bytes()
 
 
 class TestCliCommands:
@@ -178,6 +263,15 @@ class TestCliCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "l1 = 0.000000e+00" in out
+
+    def test_norms_rejects_ascii_snapshot(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG)
+        snap = tmp_path / "old.vtk"
+        snap.write_text(ASCII_SNAPSHOT)
+        assert main(["norms", str(cfgfile), str(snap), "--t", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "BINARY" in err
 
     def test_audit_every_override(self, tmp_path):
         cfgfile = tmp_path / "c.txt"
