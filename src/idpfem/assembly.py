@@ -106,10 +106,14 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
     ``tmp`` (same shape) an intermediate when given."""
     df = np.subtract(fbar_c, fi_c, out=tmp)
     df /= (2.0 * np.maximum(d, TINY))[:, None, None]
+    # where d = 0 the mean is kept: df (maybe inf or nan there) is zeroed,
+    # which is rarely needed, so that the subtraction runs unmasked
+    still = d <= 0
+    if still.any():
+        np.copyto(df, 0.0, where=still[:, None, None])
     mean = np.add(ubar[:, None, :], u_loc, out=out)
     mean *= 0.5
-    # where d = 0 the mean is kept
-    return np.subtract(mean, df, out=mean, where=~(d <= 0)[:, None, None])
+    return np.subtract(mean, df, out=mean)
 
 
 def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
@@ -196,7 +200,7 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
                    bc: Callable) -> Optional[BoundaryWork]:
     """Weak Rusanov flux through the boundary, one face term per boundary dof.
 
-    ``bc(x, t, u_in, n_hat, tags)`` returns the exterior states. The term
+    ``bc(x, t, u_in, n_hat)`` returns the exterior states. The term
     pairs with the closed-form interior assembly: for a free-stream state it
     cancels the deficit f(u_i) . n_i exactly, and its bar-state form keeps
     the forward-Euler update a convex combination of admissible states.
@@ -205,12 +209,9 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     if dofs.size == 0:
         return None
     n = ms.boundary_normal[dofs]
-    nlen = np.linalg.norm(n, axis=-1)
-    nhat = n / np.maximum(nlen, TINY)[:, None]
-    x = ms.dof_coords[dofs]
+    nlen, nhat, x = ms.boundary_nlen, ms.boundary_nhat, ms.boundary_x
     u_in = u[dofs]
-    tags = [ms.dof_tags[d] for d in dofs]
-    u_ext = bc(x, t, u_in, nhat, tags)
+    u_ext = bc(x, t, u_in, nhat)
 
     lam = model.max_wave_speed(u_in, u_ext, nhat, x)
     visc = lam * nlen

@@ -154,7 +154,7 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
 
     velocity = model.velocity
 
-    def bc(x, t, u_in, nhat, tags):
+    def bc(x, t, u_in, nhat):
         # zero inflow, copy at outflow
         inflow = np.sum(velocity(x) * nhat, axis=-1) < 0.0
         return np.where(inflow[:, None], 0.0, u_in)
@@ -214,7 +214,7 @@ def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
         ahead = dmr_shock_indicator(x, 0.0)
         return np.where(ahead[..., None], pre, post)
 
-    def bc(x, t, u_in, nhat, tags):
+    def bc(x, t, u_in, nhat):
         u_ext = u_in.copy()
         left = x[:, 0] <= 0.0 + 1e-12
         bottom = x[:, 1] <= 0.0 + 1e-12

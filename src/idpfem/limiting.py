@@ -86,21 +86,29 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
 def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     """Clip each f_i into its bounds, then rescale the positive or negative
     part to restore the zero sum. Returns f_star of the same shape, in
-    ``out`` (which may be ``f``) when given."""
+    ``out`` (which may be ``f``) when given.
+
+    The rescaling runs unmasked over the element block: each part is
+    multiplied by a per-element factor that is 1 where it is kept, because
+    ufuncs masked with a dense, scattered ``where=`` run several times
+    slower than plain ones."""
     if out is None:
         out = scratch(ws, "cs.f_star", f.shape)
-    ft = np.clip(f, fmin, fmax, out=out)
+    # np.clip in two passes, which together cost about half of one np.clip
+    ft = np.maximum(f, fmin, out=out)
+    np.minimum(ft, fmax, out=ft)
     part = np.maximum(ft, 0.0, out=scratch(ws, "cs.part", f.shape))
+    neg_part = np.minimum(ft, 0.0, out=ft)
     pos = _sum3(part)
-    neg = _sum3(np.minimum(ft, 0.0, out=part))
+    neg = _sum3(neg_part)
     s = pos + neg
-    pos_scale = -neg / np.maximum(pos, TINY)
-    neg_scale = pos / np.maximum(-neg, TINY)
-    up = (s > 0) & (ft > 0)
-    down = (s < 0) & (ft < 0)
-    np.multiply(pos_scale, ft, out=ft, where=up)
-    np.multiply(neg_scale, ft, out=ft, where=down)
-    return ft
+    # a surplus (s > 0) scales the positive part down, a deficit the negative
+    pos_scale = np.where(s > 0, -neg / np.maximum(pos, TINY), 1.0)
+    neg_scale = np.where(s < 0, pos / np.maximum(-neg, TINY), 1.0)
+    part *= pos_scale
+    neg_part *= neg_scale
+    neg_part += part
+    return neg_part
 
 
 def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):

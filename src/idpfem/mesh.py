@@ -213,8 +213,11 @@ class MeshSystem:
     lumped_mass: np.ndarray                 # (n_dofs,)
     dof_coords: np.ndarray                  # (n_dofs, 2) representative coordinates
     boundary_normal: np.ndarray             # (n_dofs, 2)  n_i = -sum_e c_i^e
-    boundary_dofs: np.ndarray               # indices with |n_i| > 0
-    dof_tags: list                          # per dof: set of boundary tags
+    boundary_dofs: np.ndarray               # (B,) indices with |n_i| > 0
+    # The fixed data of the boundary terms, at boundary_dofs:
+    boundary_nlen: np.ndarray               # (B,)  |n_i|
+    boundary_nhat: np.ndarray               # (B, 2)  n_i / |n_i|
+    boundary_x: np.ndarray                  # (B, 2)  dof coordinates
     # Column d lists where dof d occurs in the element-fastest flattening of
     # an (E, 3) block (node i of element e at i * E + e), in element order,
     # which is the order of np.add.at; dof_mask marks the real entries of
@@ -301,16 +304,17 @@ def build_system(mesh: Mesh) -> MeshSystem:
     interior = nrm <= 1e-12 * scale
     normal[interior] = 0.0
 
-    dof_tags = [set() for _ in range(n_dofs)]
-    for (i, j), tag in mesh.boundary_tags.items():
-        dof_tags[dof_of_node[i]].add(tag)
-        dof_tags[dof_of_node[j]].add(tag)
+    b_n = normal[boundary_dofs]
+    b_nlen = np.linalg.norm(b_n, axis=-1)
+    b_nhat = b_n / np.maximum(b_nlen, TINY)[:, None]
 
     return MeshSystem(
         mesh=mesh, geometry=geom,
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
-        boundary_normal=normal, boundary_dofs=boundary_dofs, dof_tags=dof_tags,
+        boundary_normal=normal, boundary_dofs=boundary_dofs,
+        boundary_nlen=b_nlen, boundary_nhat=b_nhat,
+        boundary_x=dof_coords[boundary_dofs],
         dof_table=dof_table, dof_mask=dof_mask,
     )
 

@@ -68,9 +68,12 @@ def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode, ws):
 
 
 def _masked(a, keep, out=None):
-    """``np.where(keep, a, 0.0)``, written into ``out`` when given."""
-    res = np.positive(a, out=out)
-    np.copyto(res, 0.0, where=~keep)
+    """``np.where(keep, a, 0.0)``, written into ``out`` when given (which
+    may be ``a``). ``keep`` is rarely false anywhere, and a copy under an
+    empty mask still costs a pass, so it runs only when needed."""
+    res = a if out is a else np.positive(a, out=out)
+    if not keep.all():
+        np.copyto(res, 0.0, where=~keep)
     return res
 
 

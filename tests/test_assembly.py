@@ -211,7 +211,7 @@ class TestBoundaryTerms:
         state = model.conserved(1.0, [0.4, -0.2], 2.0)
         u = np.broadcast_to(state, (ms.n_dofs, 4)).copy()
 
-        def bc(x, t, u_in, nhat, tags):
+        def bc(x, t, u_in, nhat):
             return u_in
 
         work, bwork = assemble(ms, model, u, 0.0, bc)
@@ -225,6 +225,6 @@ class TestBoundaryTerms:
         model = Burgers2D()
         u = rng.uniform(-1.0, 1.0, (ms.n_dofs, 1))
         bwork = boundary_terms(ms, model, u, 0.0,
-                               lambda x, t, ui, n, tags: np.zeros_like(ui))
+                               lambda x, t, ui, n: np.zeros_like(ui))
         assert np.all(bwork.visc >= 0)
         assert bwork.dofs.shape[0] == ms.boundary_dofs.shape[0]

@@ -88,7 +88,7 @@ class TestDmr:
         nhat = np.array([[0.0, -1.0]])
         u_in = model.conserved(np.array([2.0]), np.array([[1.0, -3.0]]),
                                np.array([5.0]))
-        u_ext = bench.bc(x, 0.1, u_in, nhat, [{"bottom"}])
+        u_ext = bench.bc(x, 0.1, u_in, nhat)
         assert u_ext[0, 1] == pytest.approx(u_in[0, 1])     # tangential kept
         assert u_ext[0, 2] == pytest.approx(-u_in[0, 2])    # normal flipped
         assert u_ext[0, 0] == u_in[0, 0]
@@ -168,7 +168,7 @@ class TestExactSolutions:
         x = np.array([[0.75, 0.0]])
         nhat = np.array([[0.0, -1.0]])
         u_in = np.array([[0.7]])
-        out = bench.bc(x, 0.0, u_in, nhat, [{"bottom"}])
+        out = bench.bc(x, 0.0, u_in, nhat)
         # velocity at (0.75, 0) is (pi, ...) with v_y = 2 pi (0.25) > 0,
         # so flow enters through the bottom -> prescribed zero
         assert out[0, 0] == 0.0

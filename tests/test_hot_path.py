@@ -74,7 +74,7 @@ def _scheme(limiter, bc=None, periodic=True):
                          lcfg=LimiterConfig(), bc=bc), u
 
 
-def _time_bc(x, t, u_in, nhat, tags):
+def _time_bc(x, t, u_in, nhat):
     """An inflow state that moves with t, so the assembly depends on t."""
     return np.full_like(u_in, 0.5 + t)
 

@@ -119,6 +119,106 @@ class TestLimiterProperties:
             assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
 
 
+def _masked_clip_and_scale(f, fmin, fmax):
+    """Clip-and-scale written with masked multiplies: the reference whose
+    values ``clip_and_scale`` must reproduce exactly (zero signs aside)."""
+    ft = np.clip(f, fmin, fmax)
+    part = np.maximum(ft, 0.0)
+    pos = (part[:, 0] + part[:, 1] + part[:, 2])[:, None]
+    part = np.minimum(ft, 0.0)
+    neg = (part[:, 0] + part[:, 1] + part[:, 2])[:, None]
+    s = pos + neg
+    pos_scale = -neg / np.maximum(pos, TINY)
+    neg_scale = pos / np.maximum(-neg, TINY)
+    np.multiply(pos_scale, ft, out=ft, where=(s > 0) & (ft > 0))
+    np.multiply(neg_scale, ft, out=ft, where=(s < 0) & (ft < 0))
+    return ft
+
+
+def _assert_matches_reference(f, fmin, fmax, in_place=False):
+    expected = _masked_clip_and_scale(f, fmin, fmax)
+    if in_place:
+        f = f.copy()
+        got = clip_and_scale(f, fmin, fmax, out=f)
+        assert got is f
+    else:
+        got = clip_and_scale(f, fmin, fmax)
+    assert np.array_equal(got, expected)
+
+
+_CS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, TINY / 8, -TINY / 4,
+                     5e-324, -5e-324]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _cs_problems(draw):
+    """(f, fmin, fmax) of shape (E, 3) or (E, 3, k), with bounds that
+    straddle zero, may be signed zeros and may broadcast as (1, 3, ...)."""
+    n_e = draw(st.integers(1, 5))
+    shape = (n_e, 3) + draw(st.sampled_from([(), (1,), (3,)]))
+    bound_shape = (1,) + shape[1:] if draw(st.booleans()) else shape
+
+    def block(shape):
+        n = int(np.prod(shape))
+        vals = draw(st.lists(_CS_VALUES, min_size=n, max_size=n))
+        return np.array(vals).reshape(shape, order="F")
+
+    return block(shape), -np.abs(block(bound_shape)), np.abs(block(bound_shape))
+
+
+class TestClipAndScaleOracle:
+    """``clip_and_scale`` rescales with unmasked per-element factors; its
+    values equal those of the masked formulation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cs_problems(), st.booleans())
+    def test_matches_masked_reference(self, problem, in_place):
+        _assert_matches_reference(*problem, in_place=in_place)
+
+    @pytest.mark.parametrize("row", [
+        [1.0, -1.0, 0.0],                     # s == 0 exactly
+        [0.0, -0.0, 0.0],
+        [-0.0, -0.0, -0.0],
+        [TINY / 4, -TINY / 8, 0.0],           # surplus, sums below TINY
+        [TINY / 8, -TINY / 4, -0.0],          # deficit, sums below TINY
+        [5e-324, -5e-324, 5e-324],
+        [3.0, -1.0, -2.0],
+    ])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_edge_cases(self, row, in_place):
+        f = np.array([row])
+        _assert_matches_reference(f, -np.ones((1, 3)), np.ones((1, 3)),
+                                  in_place)
+        _assert_matches_reference(f, np.array([[-0.0, -1.0, 0.0]]),
+                                  np.array([[0.0, 1.0, 2.0]]), in_place)
+
+    @pytest.mark.parametrize("cfg, blocks", [
+        (RunConfig(benchmark="advected_gaussian", h=1 / 16, t_end=0.01,
+                   limiter="mcl.cs"), {2}),
+        (RunConfig(benchmark="dmr", h=1 / 16, t_end=0.002, limiter="mcl.cs"),
+         {2, 3}),
+    ])
+    def test_every_call_of_a_run(self, monkeypatch, cfg, blocks):
+        original = limiting_mod.clip_and_scale
+        ndims = []
+
+        def checked(f, fmin, fmax, ws=None, out=None):
+            expected = _masked_clip_and_scale(f, fmin, fmax)
+            got = original(f, fmin, fmax, ws, out)
+            assert np.array_equal(got, expected)
+            ndims.append(got.ndim)
+            return got
+
+        monkeypatch.setattr(limiting_mod, "clip_and_scale", checked)
+        _, _, _, scheme, u = setup(cfg)
+        integrate(scheme, u, TimeControls(cfl=0.5, t_end=cfg.t_end,
+                                          scheme="ssp2"))
+        # density and product-rule blocks on DMR, the scalar block otherwise
+        assert set(ndims) == blocks
+
+
 class TestLocalBounds:
     def test_constant_field_gives_degenerate_interval(self, periodic8):
         ms = periodic8
