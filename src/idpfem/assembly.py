@@ -67,12 +67,17 @@ def element_average(u_loc: np.ndarray, out=None) -> np.ndarray:
     return s
 
 
-def wave_speeds(model, ms: MeshSystem, u_loc, ubar, out=None) -> np.ndarray:
-    """Directional wave-speed bound between ubar and each node, (E, 3)."""
+def wave_speeds(model, ms: MeshSystem, u_loc, ubar, out=None, aux_loc=None,
+                aux_bar=None) -> np.ndarray:
+    """Directional wave-speed bound between ubar and each node, (E, 3).
+    ``aux_loc`` and ``aux_bar`` are ``model.aux`` of u_loc and ubar when
+    the caller has them."""
     geom = ms.geometry
-    x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
-    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat, x,
-                                out=out)
+    if aux_bar is not None:
+        aux_bar = aux_bar[:, None]
+    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat,
+                                geom.centroid[:, None, :], out=out,
+                                aux_l=aux_bar, aux_r=aux_loc)
 
 
 def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray, out=None,
@@ -139,15 +144,23 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     tmp = buf("tmp")
     u_loc = ms.gather(u, out=buf("u_loc"))
     ubar = element_average(u_loc, out=buf("ubar", (n_e, m)))
+    # What the fluxes and the wave speeds share (the Euler pressure), in
+    # the buffers of f_anti and r_rusanov until those are formed
+    aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
+                        tmp=buf("tmp", blk[:2]))
+    aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
+                        tmp=buf("tmp", (n_e,)))
     # the wave speeds go where the bar states go later
-    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]))
+    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
+                      aux_loc=aux_loc, aux_bar=aux_bar)
     d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
                           tmp=buf("tmp", blk[:2]))
 
     x_bar = geom.centroid
-    x_loc = np.broadcast_to(x_bar[:, None, :], geom.c.shape)
-    flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)))
-    flux_loc = model.flux(u_loc, x_loc, out=buf("flux_loc", blk + (2,)))
+    flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
+                          aux=aux_bar)
+    flux_loc = model.flux(u_loc, x_bar[:, None, :],
+                          out=buf("flux_loc", blk + (2,)), aux=aux_loc)
     # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
     fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
     # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
@@ -212,11 +225,13 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     nlen, nhat, x = ms.boundary_nlen, ms.boundary_nhat, ms.boundary_x
     u_in = u[dofs]
     u_ext = bc(x, t, u_in, nhat)
+    aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)
 
-    lam = model.max_wave_speed(u_in, u_ext, nhat, x)
+    lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
+                               aux_r=aux_ext)
     visc = lam * nlen
-    f_in = _dot(model.flux(u_in, x), n)
-    f_ext = _dot(model.flux(u_ext, x), n)
+    f_in = _dot(model.flux(u_in, x, aux=aux_in), n)
+    f_ext = _dot(model.flux(u_ext, x, aux=aux_ext), n)
     flux_term = -0.5 * (f_in + f_ext) + 0.5 * visc[:, None] * (u_ext - u_in)
 
     # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_hat / (2 lambda)

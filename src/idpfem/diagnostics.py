@@ -79,8 +79,8 @@ def residual_split(ms: MeshSystem, model, u: np.ndarray) -> ResidualSplit:
     """
     work, _ = assemble(ms, model, u)
     geom = ms.geometry
-    x = np.broadcast_to(geom.centroid[:, None, :], geom.c.shape)
-    flux_c = (model.flux(work.u_loc, x) * geom.c[:, :, None, :]).sum(axis=-1)
+    flux_loc = model.flux(work.u_loc, geom.centroid[:, None, :])
+    flux_c = (flux_loc * geom.c[:, :, None, :]).sum(axis=-1)
     udot_loc = ms.gather(work.udot) * (geom.area / 12.0)[:, None, None]
     mass = 3.0 * udot_loc - udot_loc.sum(axis=1, keepdims=True)
     fluctuation = flux_c.sum(axis=1)
@@ -122,6 +122,12 @@ def csv_header(m: int) -> str:
     return ",".join(cols)
 
 
+def lumped_totals(ms: MeshSystem, u: np.ndarray) -> np.ndarray:
+    """sum_i m_i u_i per component, summed row by row (the order numpy takes
+    for a C-ordered u) whatever the memory order of u."""
+    return (ms.lumped_mass[:, None] * np.ascontiguousarray(u)).sum(axis=0)
+
+
 def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
                bounds: Optional[list] = None,
                f_star: Optional[np.ndarray] = None,
@@ -136,10 +142,13 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
     ``bounds`` is a per-component list of per-DOF (lo, hi) to check the state
     against; ``f_star`` (E, 3, m) is checked for the per-element zero sum;
     ``conservation_ref`` triggers a relative drift check of the totals.
+    The report is the same for a C- and a Fortran-ordered ``u``: every
+    reduction runs over its C-ordered form.
     """
+    u = np.ascontiguousarray(u)
     if not np.all(np.isfinite(u)):
         raise AuditError(f"non-finite state at t = {t:g}")
-    totals = (ms.lumped_mass[:, None] * u).sum(axis=0)
+    totals = lumped_totals(ms, u)
 
     worst_violation = 0.0
     worst_node = -1

@@ -129,25 +129,24 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals: np.ndarray,
     holds per-element-node candidates (bar states for mode "barstate";
     ignored for "stencil", which uses the nodal stencil of ``field``).
     ``extra_*`` injects boundary bar states, (B,) or (B, m). Returns fresh
-    (lo, hi) shaped like ``field``.
+    (lo, hi) shaped like ``field``, stored with the DOF index fastest.
     """
     if mode == "barstate":
-        cand_lo = cand_hi = elem_vals
+        lo, hi = ms.scatter_min_max(elem_vals, ws)
     elif mode == "stencil":
         f_loc = ms.gather(field, out=scratch(
             ws, "bounds.f_loc", ms.elem_dofs.shape + field.shape[1:]))
-        # the element's min and max at each of its nodes
+        # the element's min and max, written at each of its nodes
         first, second, third = f_loc[:, :1], f_loc[:, 1:2], f_loc[:, 2:]
-        cand_lo = np.broadcast_to(np.minimum(
-            np.minimum(first, second), third,
-            out=scratch(ws, "bounds.lo", f_loc.shape)), f_loc.shape)
-        cand_hi = np.broadcast_to(np.maximum(
-            np.maximum(first, second), third,
-            out=scratch(ws, "bounds.hi", f_loc.shape)), f_loc.shape)
+        cand = scratch(ws, "bounds.cand", f_loc.shape)
+        if cand is None:
+            cand = np.empty(f_loc.shape, order="F")
+        np.minimum(first, second, out=cand)
+        lo = ms.scatter_min(np.minimum(cand, third, out=cand), ws)
+        np.maximum(first, second, out=cand)
+        hi = ms.scatter_max(np.maximum(cand, third, out=cand), ws)
     else:
         raise ValueError(f"unknown bounds mode {mode!r}")
-    lo = ms.scatter_min(cand_lo, ws)
-    hi = ms.scatter_max(cand_hi, ws)
     np.minimum(field, lo, out=lo)
     np.maximum(field, hi, out=hi)
     if extra_dofs is not None and len(extra_dofs):
@@ -179,8 +178,8 @@ def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
                                cfg: LimiterConfig, ws=None,
                                out=None) -> LimitResult:
-    """Scalar-model limiting: f, base, gamma are (E, 3); lo, hi per DOF.
-    f_star goes into ``out`` when given."""
+    """Scalar-model limiting: f, base are (E, 3), gamma (E, 3) or (E, 1);
+    lo, hi per DOF. f_star goes into ``out`` when given."""
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma, ws)
     if cfg.kind == "scale":
         f_star, alpha, _ = scaling_limiter(f, fmin, fmax, ws, out)
@@ -205,11 +204,12 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     g_star`` sums to zero and keeps ``base_k + f_k_star / gamma`` within
     [rho_bar_star phi_lo, rho_bar_star phi_hi], with no repair step.
 
-    f_k, base_k: (E, 3, m - 1); f_rho_star, rho_bar_star, base_rho, gamma:
-    (E, 3); lo_k, hi_k: (n_dofs, m - 1). ``rho_bar_star`` must be positive
-    (``limit_system_contributions`` checks it). Returns (f_k_star, phi_lo,
-    phi_hi): f_k_star in ``out`` when given, and the per-DOF bounds
-    (n_dofs, m - 1) on the specific values.
+    f_k, base_k: (E, 3, m - 1); f_rho_star, rho_bar_star, base_rho: (E, 3);
+    gamma: (E, 3) or (E, 1); lo_k, hi_k: (n_dofs, m - 1). ``rho_bar_star``
+    must be positive (``limit_system_contributions`` checks it). Returns
+    (f_k_star, phi_lo, phi_hi): f_k_star in ``out`` when given, and the
+    per-DOF bounds (n_dofs, m - 1) on the specific values, stored with the
+    DOF index fastest.
     """
     def buf(name):
         return scratch(ws, "product." + name, f_k.shape)
@@ -228,12 +228,11 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phi = np.divide(rs, gam, out=phi)
     phi += base_k
     phi /= rho                                # phi_eL
-    phi_lo = ms.scatter_min(phi, ws)
-    phi_hi = ms.scatter_max(phi, ws)
+    phi_lo, phi_hi = ms.scatter_min_max(phi, ws)
     # g_min = gamma rho_bar_star (phi_lo - phi_eL) <= 0 and g_max >= 0, in the
     # gap buffers (used up)
     g_rho = np.multiply(gamma, rho_bar_star, out=scratch(
-        ws, "product.g_rho", gamma.shape))[..., None]
+        ws, "product.g_rho", rho_bar_star.shape))[..., None]
     for bound, gap in ((phi_lo, bmin), (phi_hi, bmax)):
         ms.gather(bound, out=gap)
         gap -= phi
@@ -280,8 +279,8 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                                ws=None) -> LimitResult:
     """System limiting (sequential or synchronized) plus the IDP correction.
 
-    f, base: (E, 3, m); gamma: (E, 3); bounds: per-DOF (lo, hi), each
-    (n_dofs, m).
+    f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
+    each (n_dofs, m).
     """
     lo, hi = bounds
     f_star = scratch(ws, "system.f_star", f.shape)
@@ -293,7 +292,7 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                                    lo[:, 0], hi[:, 0], cfg, ws,
                                    out=f_rho_star)
         rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
-            ws, "system.rho_bar_star", gamma.shape))
+            ws, "system.rho_bar_star", f_rho_star.shape))
         rho_bar_star = np.add(base[..., 0], rho_bar_star, out=rho_bar_star)
         if np.any(rho_bar_star <= 0):
             raise AdmissibilityError(

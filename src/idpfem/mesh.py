@@ -15,23 +15,49 @@ import numpy as np
 from .models import TINY
 
 
+class Workspace(dict):
+    """Named float buffers (the values of the dict) and the views of them
+    that ``scratch`` hands out, each made once per ``(name, shape)``.
+
+    The views live in the workspace, so they go with it: a scheme that owns
+    one frees its buffers and their views together.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.views = {}
+
+
 def scratch(ws, name: str, shape: tuple):
-    """Float array ``name`` of ``shape`` from the workspace dict ``ws``, stored
+    """Float array ``name`` of ``shape`` from the workspace ``ws``, stored
     with the first index fastest (Fortran order) and made on first use.
 
     Later calls with the same name reuse the memory (a name whose shape
     grows gets a larger block once), so the contents are whatever the last
-    user left. Without a workspace it returns None, which as a numpy
-    ``out=`` argument asks for a fresh result: code written with
-    ``out=scratch(ws, ...)`` runs unchanged either way.
+    user left. A :class:`Workspace` returns the same view for the same
+    ``(name, shape)`` every time; a plain dict makes a new view per call.
+    Without a workspace it returns None, which as a numpy ``out=`` argument
+    asks for a fresh result: code written with ``out=scratch(ws, ...)``
+    runs unchanged either way.
     """
     if ws is None:
         return None
+    views = getattr(ws, "views", None)
+    if views is not None:
+        view = views.get((name, shape))
+        if view is not None:
+            return view
     size = math.prod(shape)
     flat = ws.get(name)
     if flat is None or flat.size < size:
         flat = ws[name] = np.empty(size)
-    return flat[:size].reshape(shape, order="F")
+        if views is not None:         # views of the old block are stale
+            for key in [k for k in views if k[0] == name]:
+                del views[key]
+    view = flat[:size].reshape(shape, order="F")
+    if views is not None:
+        views[(name, shape)] = view
+    return view
 
 
 class MeshError(Exception):
@@ -197,12 +223,13 @@ class MeshSystem:
     Per-element arrays keep their logical shapes, (E, 3) and (E, 3, ...),
     but are stored with the element index fastest (Fortran order), so that
     numpy runs its inner loops over the elements. ``gather`` reads per-DOF
-    values into that order; ``scatter_add``, ``scatter_min`` and
-    ``scatter_max`` reduce per-element node values of any order onto the
-    DOFs. Sums add in the same order as ``np.add.at`` over ``elem_dofs``,
-    so they are bit-identical; minima and maxima equal those of
-    ``np.minimum.at``/``np.maximum.at`` except that a tie between -0.0 and
-    +0.0 may keep either sign.
+    values into that order; ``scatter_add``, ``scatter_min``,
+    ``scatter_max`` and ``scatter_min_max`` reduce per-element node values
+    of any order onto the DOFs and return fresh per-DOF arrays stored with
+    the DOF index fastest. Sums add in the same order as ``np.add.at`` over
+    ``elem_dofs``, so they are bit-identical; minima and maxima equal those
+    of ``np.minimum.at``/``np.maximum.at`` except that a tie between -0.0
+    and +0.0 may keep either sign.
     """
 
     mesh: Mesh
@@ -220,10 +247,12 @@ class MeshSystem:
     boundary_x: np.ndarray                  # (B, 2)  dof coordinates
     # Column d lists where dof d occurs in the element-fastest flattening of
     # an (E, 3) block (node i of element e at i * E + e), in element order,
-    # which is the order of np.add.at; dof_mask marks the real entries of
-    # the columns, which are as long as the largest valence.
+    # which is the order of np.add.at. The columns are as long as the
+    # largest valence; a shorter one is padded with its own last entry,
+    # which leaves minima and maxima unchanged. dof_pad lists the padding
+    # slots of the flattened table, which sums set to zero.
     dof_table: np.ndarray                   # (V, n_dofs)
-    dof_mask: np.ndarray                    # (V, n_dofs) bool
+    dof_pad: np.ndarray                     # (P,)
 
     @property
     def n_elements(self) -> int:
@@ -235,40 +264,46 @@ class MeshSystem:
         ``out`` (that shape, Fortran order) when given."""
         # elem_dofs is in range by construction; mode="clip" skips the
         # bounds check, and with it the copy numpy makes of ``out``.
-        return np.take(x.T, self.elem_dofs.T, axis=-1, mode="clip",
-                       out=None if out is None else out.T).T
+        return x.T.take(self.elem_dofs.T, axis=-1, mode="clip",
+                        out=None if out is None else out.T).T
 
-    def _reduce(self, ufunc, vals: np.ndarray, initial: float,
-                ws=None) -> np.ndarray:
-        """Reduce (E, 3) or (E, 3, m) values onto the DOFs with ``ufunc``,
-        element by element from ``initial``; the result is a fresh C-ordered
-        array. The ``(m, V, n_dofs)`` row block and the ``(m, n_dofs)``
-        reduction are taken from the workspace ``ws`` when given."""
+    def _rows(self, vals: np.ndarray, ws=None) -> np.ndarray:
+        """The C-ordered (m, V, n_dofs) block, or (V, n_dofs), whose column
+        d holds the (E, 3) or (E, 3, m) ``vals`` at DOF d, padding included:
+        one ``np.take``, into the workspace ``ws`` when given."""
         flat = vals.T.reshape(vals.shape[:1:-1] + (-1,))
-        shape = flat.shape[:-1] + self.dof_table.shape
-        rows = scratch(ws, "mesh.rows", shape[::-1])
-        rows = np.take(flat, self.dof_table, axis=-1, mode="clip",
-                       out=None if rows is None else rows.T)
-        # Reduced into contiguous (m, n_dofs) rows and then transposed:
-        # reducing straight into the strided columns of the C-ordered
-        # (n_dofs, m) result is slower than the two steps together.
-        red = scratch(ws, "mesh.reduced", (self.n_dofs,) + vals.shape[2:])
-        red = ufunc.reduce(rows, axis=-2, where=self.dof_mask,
-                           initial=initial, out=None if red is None else red.T)
-        return red.T.copy()
+        rows = scratch(ws, "mesh.rows",
+                       self.dof_table.shape[::-1] + vals.shape[2:])
+        return flat.take(self.dof_table, axis=-1, mode="clip",
+                         out=None if rows is None else rows.T)
+
+    # Every reduction runs unmasked over the whole row block (a where= mask
+    # over it costs several times more) into fresh contiguous (m, n_dofs)
+    # rows, which are returned transposed: DOF-fastest, with no copy.
 
     def scatter_add(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Sum (E, 3) or (E, 3, m) values onto the DOFs, in element order
         from 0.0."""
-        return self._reduce(np.add, vals, 0.0, ws)
+        rows = self._rows(vals, ws)
+        if self.dof_pad.size:
+            # A sum from +0.0 is never -0.0, so adding +0.0 for each padding
+            # slot after the real entries changes no bit.
+            rows.reshape(rows.shape[:-2] + (-1,))[..., self.dof_pad] = 0.0
+        return np.add.reduce(rows, axis=-2, initial=0.0).T
 
     def scatter_min(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Smallest (E, 3) or (E, 3, m) value at each DOF."""
-        return self._reduce(np.minimum, vals, np.inf, ws)
+        return np.minimum.reduce(self._rows(vals, ws), axis=-2).T
 
     def scatter_max(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Largest (E, 3) or (E, 3, m) value at each DOF."""
-        return self._reduce(np.maximum, vals, -np.inf, ws)
+        return np.maximum.reduce(self._rows(vals, ws), axis=-2).T
+
+    def scatter_min_max(self, vals: np.ndarray, ws=None) -> tuple:
+        """``(scatter_min(vals), scatter_max(vals))`` from one row block."""
+        rows = self._rows(vals, ws)
+        return (np.minimum.reduce(rows, axis=-2).T,
+                np.maximum.reduce(rows, axis=-2).T)
 
 
 def build_system(mesh: Mesh) -> MeshSystem:
@@ -283,14 +318,15 @@ def build_system(mesh: Mesh) -> MeshSystem:
     if lumped.size and lumped.min() <= 0:
         raise MeshError("nonpositive lumped mass (isolated node?)")
     # Each DOF's entries of flat, in element order, padded to the largest
-    # valence and mapped to the element-fastest flattening.
+    # valence with its last entry and mapped to the element-fastest
+    # flattening.
     by_dof = np.argsort(flat, kind="stable")
     valence = np.bincount(flat, minlength=n_dofs)
     slot = np.arange(valence.max(initial=0))[:, None]
-    dof_mask = slot < valence
     starts = np.cumsum(valence) - valence
-    e, i = np.divmod(by_dof[np.minimum(starts + slot, flat.size - 1)], 3)
+    e, i = np.divmod(by_dof[starts + np.minimum(slot, valence - 1)], 3)
     dof_table = i * mesh.n_elements + e
+    dof_pad = np.flatnonzero(slot >= valence)
 
     # Representative = lowest-index node of each identified group.
     _, first_node = np.unique(dof_of_node, return_index=True)
@@ -315,7 +351,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         boundary_normal=normal, boundary_dofs=boundary_dofs,
         boundary_nlen=b_nlen, boundary_nhat=b_nhat,
         boundary_x=dof_coords[boundary_dofs],
-        dof_table=dof_table, dof_mask=dof_mask,
+        dof_table=dof_table, dof_pad=dof_pad,
     )
 
 

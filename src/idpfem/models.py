@@ -8,6 +8,11 @@ Fortran order, so that for element blocks stored with the element index
 fastest each (component, direction) column is contiguous. ``flux`` and
 ``max_wave_speed`` write into ``out`` when it is given (numpy's ``out=``
 idiom) and return a fresh array otherwise.
+
+``aux(u)`` is the per-state quantity that ``flux`` and ``max_wave_speed``
+both need (the Euler pressure; None for the scalar models). A caller that
+evaluates both at the same states computes it once and passes it as
+``aux`` (``aux_l``/``aux_r``); without it each method computes its own.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ TINY = 1e-300
 class LinearAdvection:
     """Scalar transport with a (possibly position-dependent) velocity field.
 
-    ``velocity(x)`` maps (..., 2) positions to (..., 2) velocities; the
-    default is uniform translation. The invariant set is the global interval
-    [u_min, u_max], normally set from the initial condition.
+    ``velocity(x)`` maps (..., 2) positions to velocities broadcastable to
+    ``x.shape``; the default is uniform translation. The invariant set is
+    the global interval [u_min, u_max], normally set from the initial
+    condition.
     """
 
     velocity: Callable[[np.ndarray], np.ndarray] = None
@@ -43,21 +49,27 @@ class LinearAdvection:
 
     def __post_init__(self):
         if self.velocity is None:
-            v = np.array([1.0, 0.0])
-            self.velocity = lambda x: np.broadcast_to(v, x.shape)
+            self.velocity = translation_velocity(1.0, 0.0)
 
-    def flux(self, u: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    def aux(self, u: np.ndarray, out=None, tmp=None):
+        return None
+
+    def flux(self, u: np.ndarray, x: np.ndarray, out=None,
+             aux=None) -> np.ndarray:
         """f(u) = v(x) u, returned as (..., m, 2)."""
         v = self.velocity(np.asarray(x, dtype=float))
         f = np.empty(u.shape + (2,), order="F") if out is None else out
         return np.multiply(u[..., :, None], v[..., None, :], out=f)
 
-    def max_wave_speed(self, ul, ur, n, x, out=None) -> np.ndarray:
+    def max_wave_speed(self, ul, ur, n, x, out=None, aux_l=None,
+                       aux_r=None) -> np.ndarray:
         v = self.velocity(np.asarray(x, dtype=float))
+        if out is None:
+            out = np.empty(np.broadcast(ul[..., 0], ur[..., 0], n[..., 0],
+                                        v[..., 0]).shape)
         lam = np.multiply(v[..., 0], n[..., 0], out=out)
         lam += v[..., 1] * n[..., 1]
-        np.abs(lam, out=lam)
-        return np.broadcast_to(lam, np.broadcast(ul[..., 0], lam).shape)
+        return np.abs(lam, out=lam)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         """Quasi-concave constraint values; nonnegative iff admissible."""
@@ -81,14 +93,19 @@ class Burgers2D:
     m: int = 1
     kind: str = "burgers_2d"
 
-    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None) -> np.ndarray:
+    def aux(self, u: np.ndarray, out=None, tmp=None):
+        return None
+
+    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None,
+             aux=None) -> np.ndarray:
         f = np.empty(u.shape + (2,), order="F") if out is None else out
         f0 = np.square(u, out=f[..., 0])
         f0 *= 0.5
         f[..., 1] = f0
         return f
 
-    def max_wave_speed(self, ul, ur, n, x=None, out=None) -> np.ndarray:
+    def max_wave_speed(self, ul, ur, n, x=None, out=None, aux_l=None,
+                       aux_r=None) -> np.ndarray:
         # Directional speed is u (n1 + n2); for convex flux the maximum over
         # the Riemann fan is attained at an endpoint of [min, max](ul, ur).
         s = np.abs(n[..., 0] + n[..., 1])
@@ -155,42 +172,48 @@ class Euler:
         E = p / (self.gamma - 1.0) + 0.5 * rho * np.sum(v ** 2, axis=-1)
         return np.stack([rho, rho * v[..., 0], rho * v[..., 1], E], axis=-1)
 
-    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None) -> np.ndarray:
+    def aux(self, u: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """The pressure, shared by ``flux`` and ``max_wave_speed``."""
+        return self.pressure(u, out, tmp)
+
+    def flux(self, u: np.ndarray, x: np.ndarray = None, out=None,
+             aux=None) -> np.ndarray:
         rho = u[..., 0]
         if np.any(rho <= 0):
             raise AdmissibilityError("Euler flux evaluated at rho <= 0")
         f = np.empty(u.shape + (2,), order="F") if out is None else out
-        # The velocity goes into the energy row and the pressure into the
-        # mass row (its intermediate beside it) until they are needed, so
-        # no temporary is allocated.
+        # The velocity goes into the energy row and the pressure (unless
+        # given) and then p + E into the mass row (an intermediate beside
+        # it) until they are needed, so no temporary is allocated.
         v = np.divide(u[..., 1:3], rho[..., None], out=f[..., 3, :])
-        p = self.pressure(u, f[..., 0, 0], f[..., 0, 1])
+        p = aux if aux is not None else self.pressure(u, f[..., 0, 0],
+                                                       f[..., 0, 1])
         np.multiply(u[..., 1, None], v, out=f[..., 1, :])
         f[..., 1, 0] += p
         np.multiply(u[..., 2, None], v, out=f[..., 2, :])
         f[..., 2, 1] += p
-        p += u[..., 3]
-        v *= p[..., None]
+        v *= np.add(p, u[..., 3], out=f[..., 0, 0])[..., None]
         f[..., 0, :] = u[..., 1:3]
         return f
 
-    def _speed(self, u, n, out=None):
-        """|v . n| + c at the states u."""
+    def _speed(self, u, n, out=None, p=None):
+        """|v . n| + c at the states u, whose pressure ``p`` is computed
+        unless given."""
         rho = u[..., 0]
         s = np.multiply(u[..., 1] / rho, n[..., 0], out=out)
         s += (u[..., 2] / rho) * n[..., 1]
         np.abs(s, out=s)
-        c = self.pressure(u)
-        c *= self.gamma
+        c = self.gamma * (self.pressure(u) if p is None else p)
         c /= rho
         s += np.sqrt(c, out=c)
         return s
 
-    def max_wave_speed(self, ul, ur, n, x=None, out=None) -> np.ndarray:
+    def max_wave_speed(self, ul, ur, n, x=None, out=None, aux_l=None,
+                       aux_r=None) -> np.ndarray:
         # Simple Rusanov-type bound max(|v.n| + c) over the two states; the
         # estimator is deliberately swappable behind this method.
-        sr = self._speed(ur, n, out)
-        return np.maximum(self._speed(ul, n), sr, out=sr)
+        sr = self._speed(ur, n, out, aux_r)
+        return np.maximum(self._speed(ul, n, p=aux_l), sr, out=sr)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0], self.internal_energy_density(u)], axis=-1)
@@ -208,11 +231,13 @@ class Euler:
 # --- named velocity fields for advection benchmarks ----------------------
 
 def translation_velocity(vx: float = 1.0, vy: float = 1.0):
-    """Uniform velocity; the returned field is a read-only broadcast view."""
+    """Uniform velocity; the field returns one read-only (2,) vector for any
+    positions, which broadcasts against them."""
     v = np.array([vx, vy])
+    v.flags.writeable = False
 
     def field_fn(x):
-        return np.broadcast_to(v, x.shape)
+        return v
 
     return field_fn
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .benchmarks import Benchmark, make_benchmark
 from .config import RunConfig
-from .diagnostics import AuditError, StepReport, audit_step, csv_header, error_norms
+from .diagnostics import (AuditError, StepReport, audit_step, csv_header,
+                          error_norms, lumped_totals)
 from .limiting import LimiterConfig
 from .mesh import MeshSystem, build_system, read_mesh
 from .schemes import SpatialScheme
@@ -90,7 +91,7 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     controls = TimeControls(cfl=cfg.cfl, t_end=t_end, scheme=cfg.rk,
                             dt_max=cfg.dt_max)
 
-    totals0 = (ms.lumped_mass[:, None] * u).sum(axis=0)
+    totals0 = lumped_totals(ms, u)
     # The unlimited Galerkin scheme makes no invariant-domain claim, so it
     # is not audited against bounds and its inadmissible states are not fatal.
     idp_claim = cfg.limiter != "none"

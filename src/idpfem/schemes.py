@@ -12,12 +12,12 @@ Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 assembly it makes is reused by the next ``rhs``/``step`` call at the same
 ``(u, t)``, so the first stage of an SSP step assembles nothing new.
 
-Each scheme owns a workspace dict ``ws`` of element-sized buffers, made on
-first use and reused by every later stage (see ``mesh.scratch``): the
-assembly, the bounds and the limiters write their element blocks there, so
-the time loop allocates only per-DOF arrays. ``rhs`` and ``step`` return
-fresh arrays; ``last_alpha`` and ``last_bounds`` hold until the scheme's
-next stage.
+Each scheme owns a ``Workspace`` ``ws`` of element-sized buffers and their
+views, made on first use and reused by every later stage (see
+``mesh.scratch``): the assembly, the bounds and the limiters write their
+element blocks there, so the time loop allocates only per-DOF arrays.
+``rhs`` and ``step`` return fresh arrays; ``last_alpha`` and
+``last_bounds`` hold until the scheme's next stage.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .assembly import assemble
 from .limiting import (LimiterConfig, limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
-from .mesh import MeshSystem, scratch
+from .mesh import MeshSystem, Workspace, scratch
 from .models import TINY
 
 
@@ -90,9 +90,10 @@ class SpatialScheme:
     last_bounds: tuple | None = None  # per-DOF (lo, hi), each (n_dofs, m)
     # (u copy, t, work, bwork) of the last dt_bound, for one use only
     _memo: tuple | None = field(default=None, init=False, repr=False)
-    # element-sized buffers, reused by every stage (see mesh.scratch)
-    ws: dict = field(default_factory=dict, init=False, repr=False,
-                     compare=False)
+    # element-sized buffers and their views, reused by every stage (see
+    # mesh.scratch)
+    ws: Workspace = field(default_factory=Workspace, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.driver, kind = parse_limiter_key(self.limiter)
@@ -164,8 +165,7 @@ class SpatialScheme:
             contrib = np.add(work.r_rusanov, work.f_anti, out=work.f_anti)
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e.
-            gamma = np.broadcast_to(2.0 * np.maximum(work.d, TINY)[:, None],
-                                    (ms.n_elements, 3))
+            gamma = 2.0 * np.maximum(work.d, TINY)[:, None]      # (E, 1)
             active = (work.d > 0)[:, None, None]
             bounds = _component_bounds(ms, u, work, bwork,
                                        self.lcfg.bounds_mode("mcl"), self.ws)
@@ -190,7 +190,7 @@ class SpatialScheme:
         u_low = u + dt * work.residual / ms.lumped_mass[:, None]
 
         # FCT: the low-order predictor as base, gamma = m^e / dt.
-        gamma = np.broadcast_to((ms.geometry.m_elem / dt)[:, None], (ms.n_elements, 3))
+        gamma = (ms.geometry.m_elem / dt)[:, None]              # (E, 1)
         mode = self.lcfg.bounds_mode("fct")
         bounds = _component_bounds(ms, u_low, work, bwork, mode, self.ws)
         if mode == "barstate":

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_euler_states
+from idpfem import runner
+from idpfem.config import RunConfig
 from idpfem.diagnostics import (AuditError, audit_step, csv_header,
-                                error_norms, rd_weights)
+                                error_norms, lumped_totals, rd_weights)
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler, make_model
 from idpfem.schemes import SpatialScheme
@@ -133,6 +136,60 @@ class TestAuditStep:
         rep = audit_step(ms, model, u, 0.0, 0.1)
         assert len(rep.csv_row().split(",")) == len(csv_header(1).split(","))
         assert len(csv_header(4).split(",")) == 2 + 3 * 4 + 3
+
+
+class TestAuditLayout:
+    """The audit report does not depend on the memory order of ``u``, and
+    is the one a C-ordered ``u`` gives."""
+
+    def _euler_state(self, rng):
+        ms = build_system(structured_rect(16, 12, periodic=True))
+        model = Euler()
+        u = random_euler_states(rng, model, (ms.n_dofs,))
+        # zeros of both signs, where min and max could keep either
+        u[::7, 1] = 0.0
+        u[3::7, 1] = -0.0
+        return ms, model, u
+
+    def test_c_and_fortran_order_give_equal_rows(self, rng):
+        ms, model, u = self._euler_state(rng)
+        c_row = audit_step(ms, model, u, 0.5, 0.1).csv_row()
+        f_row = audit_step(ms, model, np.asfortranarray(u), 0.5, 0.1).csv_row()
+        assert f_row == c_row
+        assert lumped_totals(ms, np.asfortranarray(u)).tobytes() == \
+            lumped_totals(ms, u).tobytes()
+
+    def test_totals_keep_the_row_by_row_sum(self, rng):
+        ms, _, u = self._euler_state(rng)
+        want = np.zeros(u.shape[1])
+        for i in range(u.shape[0]):
+            want = want + ms.lumped_mass[i] * u[i]
+        assert lumped_totals(ms, np.asfortranarray(u)).tobytes() == \
+            want.tobytes()
+
+    def test_fortran_ordered_run_writes_the_same_report(self, tmp_path,
+                                                         monkeypatch):
+        """A DMR run started from a Fortran-ordered state keeps that order
+        and writes the bytes of a C-ordered run."""
+        cfg = RunConfig(benchmark="dmr", h=1 / 8, t_end=0.004, audit_every=1)
+        c_run = runner.run(cfg, out_dir=tmp_path / "c")
+        original = runner.setup
+
+        def fortran_setup(cfg):
+            *rest, u0 = original(cfg)
+            return (*rest, np.asfortranarray(u0))
+
+        monkeypatch.setattr(runner, "setup", fortran_setup)
+        f_run = runner.run(cfg, out_dir=tmp_path / "f")
+        assert f_run.u.flags.f_contiguous and c_run.u.flags.c_contiguous
+        assert c_run.steps > 2
+        assert f_run.u.tobytes() == c_run.u.tobytes()
+        for name in ("diagnostics.csv", "summary.txt"):
+            got, want = [[line for line in (tmp_path / side / name)
+                          .read_text().splitlines()
+                          if not line.startswith("wall_time_s")]
+                         for side in ("f", "c")]
+            assert got == want, name
 
 
 class TestErrorNorms:

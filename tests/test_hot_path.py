@@ -6,7 +6,9 @@ scheme's buffers instead of allocating element-sized temporaries."""
 
 import contextlib
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,48 +20,97 @@ from conftest import random_euler_states
 from idpfem.assembly import assemble
 from idpfem.config import RunConfig
 from idpfem.limiting import LimiterConfig, local_bounds
-from idpfem.mesh import Mesh, MeshSystem, build_system, structured_rect
-from idpfem.models import Burgers2D, make_model
+from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
+                         scratch, structured_rect)
+from idpfem.models import Burgers2D, Euler, make_model
 from idpfem.runner import integrate, setup
 from idpfem.schemes import SpatialScheme
 from idpfem.timestepping import TimeControls, compute_dt, ssp_rk_step
 
+def _dmr_system():
+    _, ms, _, _, _ = setup(RunConfig(benchmark="dmr", h=1 / 8))
+    return ms
+
+
 MESHES = {
     "periodic": lambda: build_system(structured_rect(6, 5, periodic=True)),
+    # bounded: corner and edge DOFs have padded table columns
     "boundary": lambda: build_system(structured_rect(5, 7)),
     # one periodic row: elements whose nodes share a DOF
     "repeated": lambda: build_system(structured_rect(1, 3, periodic=True)),
+    "dmr": _dmr_system,
 }
+
+
+def _dof_fastest(a):
+    """Stored with the DOF index fastest: a.T is C-contiguous."""
+    return a.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("mesh", sorted(MESHES))
 @pytest.mark.parametrize("trailing", [(), (3,)])
 class TestScatter:
-    """Both storage orders of the element values give the same bits."""
+    """Every scatter equals its ``ufunc.at`` form bit for bit, for both
+    storage orders of the element values, and returns its per-DOF result
+    with the DOF index fastest."""
 
     def _vals(self, ms, trailing, seed):
         vals = np.random.default_rng(seed).normal(
             size=(ms.n_elements, 3) + trailing)
         return vals, np.asfortranarray(vals)
 
+    def _min_max_ref(self, ms, vals):
+        lo = np.full((ms.n_dofs,) + vals.shape[2:], np.inf)
+        hi = np.full((ms.n_dofs,) + vals.shape[2:], -np.inf)
+        np.minimum.at(lo, ms.elem_dofs, vals)
+        np.maximum.at(hi, ms.elem_dofs, vals)
+        return lo, hi
+
+    def test_padding_only_off_periodic_meshes(self, mesh, trailing):
+        ms = MESHES[mesh]()
+        assert (ms.dof_pad.size > 0) == (mesh in ("boundary", "dmr"))
+
     def test_add_matches_add_at(self, mesh, trailing):
         ms = MESHES[mesh]()
         vals, vals_f = self._vals(ms, trailing, 1)
         ref = np.zeros((ms.n_dofs,) + trailing)
         np.add.at(ref, ms.elem_dofs, vals)
-        assert ms.scatter_add(vals).tobytes() == ref.tobytes()
-        assert ms.scatter_add(vals_f).tobytes() == ref.tobytes()
+        for v, ws in ((vals, None), (vals_f, None), (vals_f, Workspace())):
+            got = ms.scatter_add(v, ws)
+            assert got.tobytes() == ref.tobytes()
+            assert _dof_fastest(got)
+
+    def test_add_keeps_signed_zeros(self, mesh, trailing):
+        """Zeros of either sign, the case where an added +0.0 for a
+        padding slot could flip a bit."""
+        ms = MESHES[mesh]()
+        vals, _ = self._vals(ms, trailing, 3)
+        vals = np.where(vals > 0, -0.0, np.where(vals > -0.5, 0.0, vals))
+        ref = np.zeros((ms.n_dofs,) + trailing)
+        np.add.at(ref, ms.elem_dofs, vals)
+        assert ms.scatter_add(np.asfortranarray(vals)).tobytes() == \
+            ref.tobytes()
 
     def test_min_max_match_ufunc_at(self, mesh, trailing):
         ms = MESHES[mesh]()
         vals, vals_f = self._vals(ms, trailing, 2)
-        lo = np.full((ms.n_dofs,) + trailing, np.inf)
-        hi = np.full((ms.n_dofs,) + trailing, -np.inf)
-        np.minimum.at(lo, ms.elem_dofs, vals)
-        np.maximum.at(hi, ms.elem_dofs, vals)
+        lo, hi = self._min_max_ref(ms, vals)
         for v in (vals, vals_f):
-            assert ms.scatter_min(v).tobytes() == lo.tobytes()
-            assert ms.scatter_max(v).tobytes() == hi.tobytes()
+            got_lo, got_hi = ms.scatter_min(v), ms.scatter_max(v)
+            assert got_lo.tobytes() == lo.tobytes()
+            assert got_hi.tobytes() == hi.tobytes()
+            assert _dof_fastest(got_lo) and _dof_fastest(got_hi)
+
+    def test_fused_min_max_matches_ufunc_at(self, mesh, trailing):
+        ms = MESHES[mesh]()
+        vals, vals_f = self._vals(ms, trailing, 4)
+        lo, hi = self._min_max_ref(ms, vals)
+        for v, ws in ((vals, None), (vals_f, None), (vals_f, Workspace())):
+            got_lo, got_hi = ms.scatter_min_max(v, ws)
+            assert got_lo.tobytes() == lo.tobytes()
+            assert got_hi.tobytes() == hi.tobytes()
+            assert _dof_fastest(got_lo) and _dof_fastest(got_hi)
+            assert not np.shares_memory(got_lo, got_hi)
 
 
 def _scheme(limiter, bc=None, periodic=True):
@@ -216,12 +267,12 @@ class _COrderModel:
     def __getattr__(self, name):
         return getattr(self._model, name)
 
-    def flux(self, u, x=None, out=None):
-        return _into(out, np.ascontiguousarray(self._model.flux(u, x)))
+    def flux(self, u, x=None, out=None, **aux):
+        return _into(out, np.ascontiguousarray(self._model.flux(u, x, **aux)))
 
-    def max_wave_speed(self, ul, ur, n, x=None, out=None):
+    def max_wave_speed(self, ul, ur, n, x=None, out=None, **aux):
         return _into(out, np.ascontiguousarray(
-            self._model.max_wave_speed(ul, ur, n, x)))
+            self._model.max_wave_speed(ul, ur, n, x, **aux)))
 
 
 def _plain_dot(f, c, out=None, tmp=None):
@@ -345,6 +396,32 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
         assert _element_fastest(a), name
 
 
+def test_assembly_computes_each_euler_pressure_once(monkeypatch):
+    """One DMR assembly computes the pressure once per state set (ubar,
+    u_loc and the two boundary states) and shares it between the fluxes
+    and the wave speeds, with the bits of each computing its own."""
+    ms, model, bc, u = _problem("euler", "bounded")
+    counts = {"pressure": 0, "internal_energy_density": 0}
+    for name in counts:
+        def counting(self, *args, _name=name, _fn=getattr(Euler, name),
+                     **kwargs):
+            counts[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(Euler, name, counting)
+
+    work, bwork = assemble(ms, model, u, 0.1, bc, ws=Workspace())
+    assert bwork is not None
+    assert counts == {"pressure": 4, "internal_energy_density": 4}
+
+    monkeypatch.setattr(Euler, "aux", lambda self, u, out=None, tmp=None: None)
+    ref_work, ref_bwork = assemble(ms, model, u, 0.1, bc)
+    assert counts == {"pressure": 12, "internal_energy_density": 12}
+    got, ref = _arrays(work, bwork), _arrays(ref_work, ref_bwork)
+    assert got.keys() == ref.keys()
+    for name, a in got.items():
+        assert a.tobytes() == ref[name].tobytes(), name
+
+
 # --- bounds of all components in one pass ------------------------------------
 
 def _bounds_per_component(ms, field, work, bwork, mode):
@@ -423,6 +500,65 @@ def test_warm_step_allocates_no_element_blocks(name):
         tracemalloc.stop()
     assert peak - start <= STEP_ALLOCATION_LIMIT[name]
     assert sum(a.nbytes for a in scheme.ws.values()) <= WORKSPACE_LIMIT[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_warm_step_makes_no_views_and_no_broadcasts(monkeypatch, name):
+    """A warm step takes every buffer view from the scheme's workspace,
+    where it was made once, and broadcasts nothing through
+    ``np.broadcast_to``."""
+    cfg = RunConfig(rk="ssp2", cfl=0.5, **WORKLOAD_CONFIGS[name])
+    _, ms, _, scheme, u = setup(cfg)
+    stage = scheme.stage_map()
+
+    def step(u, t):
+        dt = compute_dt(scheme.dt_bound(u, t), cfg.cfl, t, cfg.t_end)
+        return ssp_rk_step("ssp2", stage, u, t, dt), t + dt
+
+    u, t = step(*step(u, 0.0))                # fills the buffers and views
+    views = dict(scheme.ws.views)
+    assert views
+    calls = []
+    original = np.broadcast_to
+    monkeypatch.setattr(np, "broadcast_to",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    step(u, t)
+    assert calls == []
+    assert scheme.ws.views.keys() == views.keys()
+    assert all(scheme.ws.views[k] is v for k, v in views.items())
+
+
+def test_workspace_dies_with_its_scheme():
+    """The cached views live in the scheme's own workspace: nothing else
+    keeps it alive once the scheme is dropped, even while its mesh system
+    and model live on."""
+    scheme, u = _scheme("mcl.cs")
+    ms, model = scheme.ms, scheme.model
+    scheme.rhs(u, 0.0)
+    ws = weakref.ref(scheme.ws)
+    assert ws().views
+    del scheme
+    gc.collect()
+    assert ws() is None
+    assert ms is not None and model is not None
+
+
+def test_plain_dict_workspace_gives_fresh_views():
+    ws = {}
+    a = scratch(ws, "x", (4, 3))
+    b = scratch(ws, "x", (4, 3))
+    assert a is not b and np.shares_memory(a, b)
+    assert scratch(None, "x", (4, 3)) is None
+
+
+def test_workspace_view_follows_a_grown_buffer():
+    ws = Workspace()
+    small = scratch(ws, "x", (2, 3))
+    assert scratch(ws, "x", (2, 3)) is small
+    big = scratch(ws, "x", (4, 3))               # the buffer is replaced
+    again = scratch(ws, "x", (2, 3))
+    assert again is not small and np.shares_memory(again, big)
+    assert again.flags.f_contiguous and again.shape == (2, 3)
 
 
 def _stage(scheme, u, t, dt):
