@@ -3,7 +3,7 @@ antidiffusive contributions.
 
 The antidiffusive contributions come from their direct formula. No scheme
 reads the residual-distribution split they belong to, so it is left to the
-checks: ``diagnostics.residual_split`` recomputes it.
+tests: ``diagnostics.residual_split`` recomputes it.
 
 Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent

@@ -263,7 +263,13 @@ class MeshSystem:
         (E, 3) or (E, 3, m) with the element index fastest; written into
         ``out`` (that shape, Fortran order) when given."""
         # elem_dofs is in range by construction; mode="clip" skips the
-        # bounds check, and with it the copy numpy makes of ``out``.
+        # bounds check, and with it the copy numpy makes of ``out``. It
+        # would also read a short x, or fill a short out, without an error.
+        shape = self.elem_dofs.shape + x.shape[1:]
+        if x.shape[0] != self.n_dofs or out is not None and out.shape != shape:
+            raise ValueError(f"gather takes {self.n_dofs} DOF values into "
+                             f"{shape}, not {x.shape[0]} into "
+                             f"{shape if out is None else out.shape}")
         return x.T.take(self.elem_dofs.T, axis=-1, mode="clip",
                         out=None if out is None else out.T).T
 
@@ -271,6 +277,9 @@ class MeshSystem:
         """The C-ordered (m, V, n_dofs) block, or (V, n_dofs), whose column
         d holds the (E, 3) or (E, 3, m) ``vals`` at DOF d, padding included:
         one ``np.take``, into the workspace ``ws`` when given."""
+        if vals.shape[:2] != self.elem_dofs.shape:
+            raise ValueError(f"scatter takes an {self.elem_dofs.shape} element "
+                             f"block, not {vals.shape[:2]}")
         flat = vals.T.reshape(vals.shape[:1:-1] + (-1,))
         rows = scratch(ws, "mesh.rows",
                        self.dof_table.shape[::-1] + vals.shape[2:])

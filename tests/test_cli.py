@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import idpfem.limiting as limiting_mod
 import idpfem.runner as runner_mod
-from idpfem.cli import main
+from idpfem.cli import CHECK_CASES, main
 from idpfem.config import RunConfig
 from idpfem.diagnostics import AuditError
 from idpfem.mesh import build_system, read_mesh, structured_rect
-from idpfem.models import Euler
+from idpfem.models import AdmissibilityError, Euler
 from idpfem.runner import run
 from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, write_vtk
 
@@ -251,8 +252,44 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
-        assert "PASS  product rule keeps the element zero sum" in out
-        assert "PASS  product rule respects its bounds" in out
+        assert "PASS  dmr mcl.cs sequential" in out
+        assert "PASS  dmr mcl.scale sequential" in out
+
+    def test_check_reports_every_failing_case(self, monkeypatch, capsys):
+        """An unclipped clip-and-scale limiter fails the audited runs that
+        use it, and the cases after a failure still run."""
+
+        def unclipped(f, fmin, fmax, ws=None, out=None):
+            if out is None:
+                return f.copy()
+            np.copyto(out, f)
+            return out
+
+        monkeypatch.setattr(limiting_mod, "clip_and_scale", unclipped)
+        assert main(["check"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == len(CHECK_CASES)
+        assert "FAIL  advected_gaussian mcl.cs: bound violation" in captured.out
+        assert "FAIL  dmr mcl.cs sequential: " in captured.out
+        assert [ln for ln in lines if ln.endswith(" low")] == [
+            "PASS  advected_gaussian low",
+            "PASS  solid_body_rotation slotted low",
+            "PASS  burgers_riemann low", "PASS  dmr low"]
+        failed = sum(ln.startswith("FAIL") for ln in lines)
+        assert captured.err == f"{failed} check(s) failed\n"
+
+    def test_solve_admissibility_error_exit_one(self, tmp_path, monkeypatch,
+                                                capsys):
+        def inadmissible(*args, **kwargs):
+            raise AdmissibilityError("nonpositive intermediate density")
+
+        monkeypatch.setattr(runner_mod, "run", inadmissible)
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG)
+        assert main(["solve", str(cfgfile), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            "error: nonpositive intermediate density\n"
 
     def test_norms_subcommand(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.txt"

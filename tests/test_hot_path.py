@@ -113,6 +113,39 @@ class TestScatter:
             assert not np.shares_memory(got_lo, got_hi)
 
 
+class TestShapeContracts:
+    """``gather`` and the scatters take with mode="clip", which would read a
+    block of the wrong shape through wrong positions; they raise instead."""
+
+    def test_gather_rejects_short_values(self):
+        ms = MESHES["boundary"]()
+        u = np.ones((ms.n_dofs, 1))
+        assert ms.gather(u).shape == (ms.n_elements, 3, 1)
+        with pytest.raises(ValueError, match="gather"):
+            ms.gather(u[:5])
+
+    @pytest.mark.parametrize("rows, shape", [(0, (3, 2)), (0, (1, 1)),
+                                             (0, (3,)), (-1, (3, 1))])
+    def test_gather_rejects_misshapen_out(self, rows, shape):
+        ms = MESHES["boundary"]()
+        u = np.ones((ms.n_dofs, 1))
+        ms.gather(u, out=np.empty((ms.n_elements, 3, 1), order="F"))
+        out = np.empty((ms.n_elements + rows,) + shape, order="F")
+        with pytest.raises(ValueError, match="gather"):
+            ms.gather(u, out=out)
+
+    @pytest.mark.parametrize("scatter", ["scatter_add", "scatter_min",
+                                         "scatter_max", "scatter_min_max"])
+    @pytest.mark.parametrize("shape", ["E11", "E-1,3", "3E"])
+    def test_scatters_reject_misshapen_blocks(self, scatter, shape):
+        ms = MESHES["boundary"]()
+        n_el = ms.n_elements
+        vals = np.ones({"E11": (n_el, 1, 1), "E-1,3": (n_el - 1, 3),
+                        "3E": (3 * n_el,)}[shape])
+        with pytest.raises(ValueError, match="element block"):
+            getattr(ms, scatter)(vals)
+
+
 def _scheme(limiter, bc=None, periodic=True):
     ms = build_system(structured_rect(6, 6, periodic=periodic))
     if bc is None:

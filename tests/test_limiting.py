@@ -417,6 +417,7 @@ class TestIdpFix:
         f -= f.mean(axis=1, keepdims=True)
         gamma = np.ones((200, 3))
         alpha = idp_fix(model, base, f, gamma)
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
         corr = f / gamma[..., None]
         ok_here = model.phi_values(base + alpha[:, None, None] * corr)
         assert np.all(ok_here >= 0.0)

@@ -3,11 +3,14 @@ import pytest
 
 import idpfem.schemes as schemes_mod
 from idpfem.assembly import assemble
+from idpfem.config import RunConfig
 from idpfem.limiting import LimiterConfig, local_bounds
-from idpfem.mesh import build_system, structured_rect
+from idpfem.mesh import build_system, structured_rect, write_mesh
 from idpfem.models import Euler, make_model
-from idpfem.schemes import CFLError, SpatialScheme, parse_limiter_key
-from idpfem.timestepping import ssp_rk_step
+from idpfem.runner import integrate, setup
+from idpfem.schemes import (SCHEME_KEYS, CFLError, SpatialScheme,
+                            parse_limiter_key)
+from idpfem.timestepping import TimeControls, ssp_rk_step
 
 from conftest import single_triangle_system
 
@@ -242,3 +245,42 @@ class TestMcl:
         scheme.rhs(u, 0.0)
         assert scheme.last_alpha is not None
         assert np.all((scheme.last_alpha >= 0) & (scheme.last_alpha <= 1))
+
+
+class TestDegenerateCases:
+    @pytest.mark.parametrize("limiter", SCHEME_KEYS)
+    def test_vanishing_wave_speed_keeps_the_state(self, limiter):
+        """At zero velocity every element has d = 0: the bar states take
+        their fix-up path and gamma its TINY guard, and the state must come
+        back bit for bit."""
+        cfg = RunConfig(benchmark="advected_gaussian", h=1 / 8, vx=0.0,
+                        vy=0.0, limiter=limiter)
+        _, _, _, scheme, u0 = setup(cfg)
+        u, _, steps = integrate(scheme, u0, TimeControls(
+            cfl=0.5, t_end=0.05, scheme="ssp2", dt_max=0.01))
+        assert steps == 5
+        assert u.tobytes() == u0.tobytes()
+
+    @pytest.mark.parametrize("limiter", ["mcl.cs", "fct.cs", "mcl.scale"])
+    def test_sliver_mesh_keeps_global_bounds(self, tmp_path, limiter):
+        """Every 4th column of nodes moved to 1e-8 h of the column before
+        it leaves sliver elements; the limited schemes still keep the
+        advected Gaussian inside its initial range."""
+        n = 32
+        mesh = structured_rect(n, n, periodic=True)
+        col = np.rint(mesh.nodes[:, 0] * n).astype(int)
+        sliver = col % 4 == 1
+        mesh.nodes[sliver, 0] = (col[sliver] - 1 + 1e-8) / n
+        path = tmp_path / "sliver.mesh"
+        path.write_text(write_mesh(mesh))
+        cfg = RunConfig(benchmark="advected_gaussian", mesh=str(path),
+                        vx=1.0, vy=0.5, limiter=limiter)
+        _, ms, _, scheme, u = setup(cfg)
+        assert ms.geometry.area.min() < 1e-7 * ms.geometry.area.max()
+        lo, hi = u.min(), u.max()
+        stage, t = scheme.stage_map(), 0.0
+        for _ in range(30):
+            dt = 0.5 * scheme.dt_bound(u, t)
+            u = ssp_rk_step("ssp2", stage, u, t, dt)
+            t += dt
+        assert lo <= u.min() and u.max() <= hi
