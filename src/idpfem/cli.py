@@ -10,14 +10,13 @@ import tempfile
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .diagnostics import AuditError, error_norms
+from .diagnostics import AuditError, error_norms, product_rule_defects
 from .mesh import MeshError, structured_rect, write_mesh
 from .models import AdmissibilityError
 from .schemes import SCHEME_KEYS, CFLError
 from .timestepping import TimeSteppingError
 
-# Errors that end a command with "error: ..." and exit 1, or fail one case
-# of `check`.
+# Errors that end a command with "error: ..." and exit 1.
 SOLVER_ERRORS = (ConfigError, MeshError, AuditError, AdmissibilityError,
                  CFLError, TimeSteppingError)
 
@@ -59,13 +58,21 @@ def main(argv=None) -> int:
                          help="time the snapshot corresponds to")
 
     args = parser.parse_args(argv)
-    commands = {"solve": _cmd_solve, "mesh-gen": _cmd_mesh_gen,
-                "check": _cmd_check, "norms": _cmd_norms}
+    if args.command == "check" and args.trials < 1:
+        parser.error("--trials must be at least 1")
     try:
-        return commands[args.command](args)
+        if args.command == "solve":
+            return _cmd_solve(args)
+        if args.command == "mesh-gen":
+            return _cmd_mesh_gen(args)
+        if args.command == "check":
+            return _cmd_check(args)
+        if args.command == "norms":
+            return _cmd_norms(args)
     except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2
 
 
 def _cmd_solve(args) -> int:
@@ -95,7 +102,7 @@ def _cmd_mesh_gen(args) -> int:
 
 def _cmd_norms(args) -> int:
     from .runner import setup
-    from .vtk_io import SCALAR_NAMES, read_vtk_point_data
+    from .vtk_io import read_vtk_point_data
 
     cfg = parse_config(pathlib.Path(args.config).read_text())
     bench, ms, model, _, _ = setup(cfg)
@@ -113,6 +120,7 @@ def _cmd_norms(args) -> int:
         print("error: snapshot nodes do not match the configured mesh",
               file=sys.stderr)
         return 1
+    from .vtk_io import SCALAR_NAMES
     names = SCALAR_NAMES.get(model.m, [f"u{k}" for k in range(model.m)])
     nodal = np.column_stack([fields[n] for n in names])
     u = np.zeros((ms.n_dofs, model.m))
@@ -143,29 +151,56 @@ CHECK_CASES = (
 
 def _cmd_check(args) -> int:
     """Trial k runs case k mod the number of cases, audited at every step;
-    the advected Gaussian moves in a direction drawn from ``args.seed``."""
+    the advected Gaussian moves in a direction drawn from ``args.seed``.
+    Every product-rule call the runs make is checked as well: both of its
+    ``diagnostics.product_rule_defects`` must stay below 1e-12."""
+    from . import limiting
     from .runner import run
 
+    failures = []
+
+    def report(name, error=None):
+        print(f"PASS  {name}" if error is None else f"FAIL  {name}: {error}")
+        if error is not None:
+            failures.append(name)
+
+    product_rule, defects = limiting.product_rule_cs, []
+
+    def checked(*args, **kwargs):
+        result = product_rule(*args, **kwargs)
+        defects.append(product_rule_defects(args, result))
+        return result
+
     rng = np.random.default_rng(args.seed)
-    failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for trial in range(args.trials):
-            case = CHECK_CASES[trial % len(CHECK_CASES)]
-            name = " ".join(str(v) for key, v in case.items()
-                            if key not in ("h", "t_end"))
-            cfg = RunConfig(**case, audit_every=1)
-            if cfg.benchmark == "advected_gaussian":
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                cfg.vx, cfg.vy = np.cos(angle), np.sin(angle)
-            try:
-                run(cfg, out_dir=pathlib.Path(tmp) / str(trial))
-            except SOLVER_ERRORS as exc:
-                print(f"FAIL  {name}: {exc}")
-                failed += 1
-            else:
-                print(f"PASS  {name}")
-    if failed:
-        print(f"{failed} check(s) failed", file=sys.stderr)
+    # limit_system_contributions finds product_rule_cs in its module, so
+    # the runs call the checked one until it is put back
+    limiting.product_rule_cs = checked
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for trial in range(args.trials):
+                case = CHECK_CASES[trial % len(CHECK_CASES)]
+                name = " ".join(str(v) for key, v in case.items()
+                                if key not in ("h", "t_end"))
+                cfg = RunConfig(**case, audit_every=1)
+                if cfg.benchmark == "advected_gaussian":
+                    angle = rng.uniform(0.0, 2.0 * np.pi)
+                    cfg.vx, cfg.vy = np.cos(angle), np.sin(angle)
+                try:
+                    run(cfg, out_dir=pathlib.Path(tmp) / str(trial))
+                except Exception as exc:      # report it, run the next case
+                    report(name, f"{type(exc).__name__}: {exc}")
+                else:
+                    report(name)
+    finally:
+        limiting.product_rule_cs = product_rule
+    for k, what in enumerate(("keeps the element zero sum",
+                              "respects its bounds")):
+        if defects:
+            worst = np.max([d[k] for d in defects])    # NaN fails
+            report(f"product rule {what}",
+                   None if worst < 1e-12 else f"relative defect {worst:.2e}")
+    if failures:
+        print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return 1
     print("all checks passed")
     return 0

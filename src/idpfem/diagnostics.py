@@ -1,5 +1,6 @@
 """Auditing and diagnostics: invariant checks per step, the residual split
-and residual-distribution weights, error norms and the CSV trace.
+and residual-distribution weights, product-rule defects, error norms and
+the CSV trace.
 
 Audits recompute everything from the state; they never read scheme internals,
 so running them cannot perturb the solver trajectory.
@@ -14,6 +15,7 @@ import numpy as np
 
 from .assembly import ElementWork, assemble
 from .mesh import MeshSystem
+from .models import TINY
 
 
 class AuditError(Exception):
@@ -192,6 +194,24 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
         if check_admissibility and not admissible:
             raise AuditError(f"inadmissible state at t = {t:g}")
     return report
+
+
+def product_rule_defects(args, result):
+    """(zero-sum defect, bound defect) of one ``limiting.product_rule_cs``
+    call, from its positional arguments and its result, each relative: the
+    largest element sum of f_k_star over max(|f_k|, 1), and the largest
+    distance of ``base_k + f_k_star / gamma`` outside ``[rho_bar_star
+    phi_lo, rho_bar_star phi_hi]`` over the largest ``|base_k|`` of its
+    component. Both are 0 up to rounding."""
+    ms, _, rho_bar_star, f_k, _, base_k, gamma = args[:7]
+    f_k_star, phi_lo, phi_hi = result
+    zero_sum = np.abs(f_k_star.sum(axis=1)).max() / max(np.abs(f_k).max(), 1.0)
+    state = base_k + f_k_star / gamma[..., None]
+    lo = rho_bar_star[..., None] * ms.gather(phi_lo)
+    hi = rho_bar_star[..., None] * ms.gather(phi_hi)
+    outside = np.maximum(np.maximum(lo - state, state - hi), 0.0)
+    scale = np.maximum(np.abs(base_k).max(axis=(0, 1)), TINY)
+    return zero_sum, (outside / scale).max()
 
 
 def error_norms(ms: MeshSystem, u: np.ndarray,

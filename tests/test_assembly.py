@@ -107,13 +107,16 @@ class TestElementIdentities:
 
 class TestBarStates:
     def test_scalar_bar_states_stay_in_local_hull(self, rng, periodic8):
-        model = Burgers2D()
-        u = rng.uniform(-1.0, 1.0, (periodic8.n_dofs, 1))
-        work, _ = assemble(periodic8, model, u)
-        lo = np.minimum(work.u_loc[..., 0].min(axis=1), work.ubar[..., 0])
-        hi = np.maximum(work.u_loc[..., 0].max(axis=1), work.ubar[..., 0])
-        assert np.all(work.bar_states[..., 0] >= lo[:, None] - 1e-12)
-        assert np.all(work.bar_states[..., 0] <= hi[:, None] + 1e-12)
+        scalar = [(model, u) for model, u in models_with_states(rng, periodic8)
+                  if model.m == 1]
+        kinds = [model.kind for model, _ in scalar]
+        assert kinds == ["linear_advection", "burgers_2d"]
+        for model, u in scalar:
+            work, _ = assemble(periodic8, model, u)
+            lo = np.minimum(work.u_loc[..., 0].min(axis=1), work.ubar[..., 0])
+            hi = np.maximum(work.u_loc[..., 0].max(axis=1), work.ubar[..., 0])
+            assert np.all(work.bar_states[..., 0] >= lo[:, None] - 1e-12)
+            assert np.all(work.bar_states[..., 0] <= hi[:, None] + 1e-12)
 
     def test_euler_bar_states_admissible(self, rng, periodic8):
         model = Euler()

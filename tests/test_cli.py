@@ -252,12 +252,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
-        assert "PASS  dmr mcl.cs sequential" in out
-        assert "PASS  dmr mcl.scale sequential" in out
+        assert "PASS  product rule keeps the element zero sum" in out
+        assert "PASS  product rule respects its bounds" in out
 
     def test_check_reports_every_failing_case(self, monkeypatch, capsys):
         """An unclipped clip-and-scale limiter fails the audited runs that
-        use it, and the cases after a failure still run."""
+        use it and the product-rule bounds, and the cases after a failure
+        still run."""
 
         def unclipped(f, fmin, fmax, ws=None, out=None):
             if out is None:
@@ -266,18 +267,46 @@ class TestCliCommands:
             return out
 
         monkeypatch.setattr(limiting_mod, "clip_and_scale", unclipped)
+        product_rule = limiting_mod.product_rule_cs
         assert main(["check"]) == 1
+        assert limiting_mod.product_rule_cs is product_rule
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        assert len(lines) == len(CHECK_CASES)
-        assert "FAIL  advected_gaussian mcl.cs: bound violation" in captured.out
-        assert "FAIL  dmr mcl.cs sequential: " in captured.out
+        assert len(lines) == len(CHECK_CASES) + 2
+        assert "FAIL  advected_gaussian mcl.cs: AuditError: bound violation" \
+            in captured.out
+        assert "FAIL  dmr mcl.cs sequential: AdmissibilityError: " \
+            in captured.out
+        assert "FAIL  product rule respects its bounds: " in captured.out
+        assert "PASS  product rule keeps the element zero sum" in lines
         assert [ln for ln in lines if ln.endswith(" low")] == [
             "PASS  advected_gaussian low",
             "PASS  solid_body_rotation slotted low",
             "PASS  burgers_riemann low", "PASS  dmr low"]
         failed = sum(ln.startswith("FAIL") for ln in lines)
         assert captured.err == f"{failed} check(s) failed\n"
+
+    def test_check_reports_any_exception_and_goes_on(self, monkeypatch,
+                                                     capsys):
+        def run(cfg, out_dir=None, quiet=True):
+            if cfg.limiter == "low":
+                raise ValueError("broken scheme")
+
+        monkeypatch.setattr(runner_mod, "run", run)
+        assert main(["check", "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "PASS  advected_gaussian none",
+            "FAIL  advected_gaussian low: ValueError: broken scheme",
+            "PASS  advected_gaussian fct.scale"]
+        assert captured.err == "1 check(s) failed\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_check_rejects_fewer_than_one_trial(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
 
     def test_solve_admissibility_error_exit_one(self, tmp_path, monkeypatch,
                                                 capsys):

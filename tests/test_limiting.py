@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import idpfem.limiting as limiting_mod
 from idpfem.assembly import assemble
 from idpfem.config import RunConfig
+from idpfem import diagnostics
 from idpfem.limiting import (LimiterConfig, clip_and_scale, idp_fix,
                              limit_scalar_contributions,
                              limit_system_contributions, local_bounds,
@@ -334,23 +335,6 @@ class TestProductRule:
         assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
 
 
-def _product_rule_defects(args, result):
-    """(zero-sum defect, bound defect) of one product-rule call, each
-    relative: the largest element sum of f_k_star over max(|f_k|, 1), and
-    the largest distance of ``base_k + f_k_star / gamma`` outside
-    ``[rho_bar_star phi_lo, rho_bar_star phi_hi]`` over the largest
-    ``|base_k|`` of its component."""
-    ms, _, rho_bar_star, f_k, _, base_k, gamma = args[:7]
-    f_k_star, phi_lo, phi_hi = result
-    zero_sum = np.abs(f_k_star.sum(axis=1)).max() / max(np.abs(f_k).max(), 1.0)
-    state = base_k + f_k_star / gamma[..., None]
-    lo = rho_bar_star[..., None] * ms.gather(phi_lo)
-    hi = rho_bar_star[..., None] * ms.gather(phi_hi)
-    outside = np.maximum(np.maximum(lo - state, state - hi), 0.0)
-    scale = np.maximum(np.abs(base_k).max(axis=(0, 1)), TINY)
-    return zero_sum, (outside / scale).max()
-
-
 @pytest.fixture
 def product_rule_defects(monkeypatch):
     """Defects of every product-rule call the system limiter makes, taken
@@ -360,7 +344,7 @@ def product_rule_defects(monkeypatch):
 
     def checked(*args, **kwargs):
         result = original(*args, **kwargs)
-        defects.append(_product_rule_defects(args, result))
+        defects.append(diagnostics.product_rule_defects(args, result))
         return result
 
     monkeypatch.setattr(limiting_mod, "product_rule_cs", checked)
