@@ -68,16 +68,17 @@ def element_average(u_loc: np.ndarray, out=None) -> np.ndarray:
 
 
 def wave_speeds(model, ms: MeshSystem, u_loc, ubar, out=None, aux_loc=None,
-                aux_bar=None) -> np.ndarray:
+                aux_bar=None, tmp=None) -> np.ndarray:
     """Directional wave-speed bound between ubar and each node, (E, 3).
     ``aux_loc`` and ``aux_bar`` are ``model.aux`` of u_loc and ubar when
-    the caller has them."""
+    the caller has them; ``tmp`` (E, 3, 2) takes the intermediates when
+    given."""
     geom = ms.geometry
     if aux_bar is not None:
         aux_bar = aux_bar[:, None]
     return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat,
                                 geom.centroid[:, None, :], out=out,
-                                aux_l=aux_bar, aux_r=aux_loc)
+                                aux_l=aux_bar, aux_r=aux_loc, tmp=tmp)
 
 
 def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray, out=None,
@@ -108,14 +109,17 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
                tmp=None) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
     f(u_i) . c_i; arithmetic mean where d = 0. ``out`` takes the result and
-    ``tmp`` (same shape) an intermediate when given."""
+    ``tmp`` (same shape) an intermediate when given; neither may be an
+    input."""
     df = np.subtract(fbar_c, fi_c, out=tmp)
-    df /= (2.0 * np.maximum(d, TINY))[:, None, None]
+    # 2 max(d, TINY) in the first column of out, until the mean goes there
+    den = np.maximum(d, TINY, out=None if out is None else out[:, 0, 0])
+    den *= 2.0
+    df /= den[:, None, None]
     # where d = 0 the mean is kept: df (maybe inf or nan there) is zeroed,
     # which is rarely needed, so that the subtraction runs unmasked
-    still = d <= 0
-    if still.any():
-        np.copyto(df, 0.0, where=still[:, None, None])
+    if not d.min() > 0:
+        np.copyto(df, 0.0, where=(d <= 0)[:, None, None])
     mean = np.add(ubar[:, None, :], u_loc, out=out)
     mean *= 0.5
     return np.subtract(mean, df, out=mean)
@@ -150,9 +154,11 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                         tmp=buf("tmp", blk[:2]))
     aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
                         tmp=buf("tmp", (n_e,)))
-    # the wave speeds go where the bar states go later
+    # the wave speeds go where the bar states go later, their intermediates
+    # where f(u_i) goes
     lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
-                      aux_loc=aux_loc, aux_bar=aux_bar)
+                      aux_loc=aux_loc, aux_bar=aux_bar,
+                      tmp=buf("flux_loc", blk[:2] + (2,)))
     d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
                           tmp=buf("tmp", blk[:2]))
 
@@ -173,9 +179,8 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         # fbar_c - sum_j f(u_j) . c_i / 3, completed to f_anti below
         sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
         f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"), tmp=tmp)
-        np.negative(f_anti, out=f_anti)
         f_anti /= 3.0
-        f_anti += fbar_c
+        f_anti = np.subtract(fbar_c, f_anti, out=f_anti)
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
     visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
@@ -200,7 +205,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     udot_sum = _node_sum(mass, out=buf("flux_bar", (n_e, m)))
     mass *= 3.0
     mass -= udot_sum[:, None, :]
-    mass *= (geom.area / 12.0)[:, None, None]
+    mass *= geom.m_off[:, None, None]
 
     # direct antidiffusion formula: f_anti = mass + flux part - visc
     f_anti += mass

@@ -83,7 +83,7 @@ def residual_split(ms: MeshSystem, model, u: np.ndarray) -> ResidualSplit:
     geom = ms.geometry
     flux_loc = model.flux(work.u_loc, geom.centroid[:, None, :])
     flux_c = (flux_loc * geom.c[:, :, None, :]).sum(axis=-1)
-    udot_loc = ms.gather(work.udot) * (geom.area / 12.0)[:, None, None]
+    udot_loc = ms.gather(work.udot) * geom.m_off[:, None, None]
     mass = 3.0 * udot_loc - udot_loc.sum(axis=1, keepdims=True)
     fluctuation = flux_c.sum(axis=1)
     r_high = mass + fluctuation[:, None, :] / 3.0

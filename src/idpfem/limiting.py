@@ -30,14 +30,22 @@ class LimiterConfig:
 
 # Reductions over the three nodes of an element (axis 1 of an (E, 3) or
 # (E, 3, k) block) are written out: numpy's reduce over a length-3 axis costs
-# several times more.
+# several times more. Both keep the node axis, with length 1.
 
-def _sum3(a):
-    return (a[:, 0] + a[:, 1] + a[:, 2])[:, None]
+def _sum3(a, out=None):
+    s = np.add(a[:, :1], a[:, 1:2], out=out)
+    s += a[:, 2:]
+    return s
 
 
-def _min3(a):
-    return np.minimum(np.minimum(a[:, 0], a[:, 1]), a[:, 2])[:, None]
+def _min3(a, out=None):
+    m = np.minimum(a[:, :1], a[:, 1:2], out=out)
+    return np.minimum(m, a[:, 2:], out=m)
+
+
+def _one_per_element(shape):
+    """The shape of one value per element and component: (E, 1, ...)."""
+    return shape[:1] + (1,) + shape[2:]
 
 
 # Every function below that takes ``ws`` writes its element-sized
@@ -46,25 +54,23 @@ def _min3(a):
 # never written. A result that lives in ``ws`` is valid until the next
 # limiting call with the same ``ws``.
 
-def _guarded(x, out=None):
-    """x where |x| > TINY, inf elsewhere, so that dividing by it gives 0."""
-    den = np.abs(x, out=out)
-    keep = den > TINY
-    den.fill(np.inf)
-    np.copyto(den, x, where=keep)
-    return den
-
-
-def _node_factors(f, fmin, fmax, denom=None, out=None):
+def _node_factors(f, fmin, fmax, tmp=None, out=None):
     """Per-node factors alpha_i in [0, 1]: fmax / f where f exceeds fmax,
-    fmin / f where it falls below fmin, 1 elsewhere. ``denom`` takes the
-    guarded f and ``out`` the factors when given."""
-    denom = _guarded(f, denom)
-    alpha_i = np.empty(f.shape, order="F") if out is None else out
-    alpha_i.fill(1.0)
-    np.divide(fmin, denom, out=alpha_i, where=f < fmin)
-    np.divide(fmax, denom, out=alpha_i, where=f > fmax)
-    return np.clip(alpha_i, 0.0, 1.0, out=alpha_i)
+    fmin / f where it falls below fmin, 1 elsewhere, for fmin <= fmax.
+    ``tmp`` (the shape of f) takes an intermediate and ``out`` the factors
+    when given.
+
+    Both ratios are formed everywhere, so no masked ufunc runs. Where f
+    lies within its bounds one of them is at least 1 or one is NaN (a zero
+    bound over f = 0); where f leaves them the larger one is the factor.
+    The NaN-propagating maximum keeps the NaN, which ``fmin`` turns into 1.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha_i = np.divide(fmax, f, out=out)
+        below = np.divide(fmin, f, out=tmp)
+    np.maximum(alpha_i, below, out=alpha_i)
+    np.fmin(alpha_i, 1.0, out=alpha_i)
+    return np.maximum(alpha_i, 0.0, out=alpha_i)
 
 
 def scaling_limiter(f, fmin, fmax, ws=None, out=None):
@@ -74,24 +80,29 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
     or (E, 3, k), one factor per element and component. f_star goes into
     ``out`` (which may be ``f``) when given.
     """
-    alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.denom", f.shape),
+    alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.tmp", f.shape),
                             scratch(ws, "scale.alpha_i", f.shape))
-    alpha = _min3(alpha_i)[:, 0]
+    alpha = _min3(alpha_i, scratch(ws, "scale.alpha",
+                                   _one_per_element(f.shape)))
     if out is None:
         out = scratch(ws, "scale.f_star", f.shape)
-    f_star = np.multiply(alpha[:, None], f, out=out)
-    return f_star, alpha, alpha_i
+    f_star = np.multiply(alpha, f, out=out)
+    return f_star, alpha[:, 0], alpha_i
 
 
 def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     """Clip each f_i into its bounds, then rescale the positive or negative
     part to restore the zero sum. Returns f_star of the same shape, in
-    ``out`` (which may be ``f``) when given.
+    ``out`` (which may be ``f``, ``fmin`` or ``fmax``) when given.
 
     The rescaling runs unmasked over the element block: each part is
-    multiplied by a per-element factor that is 1 where it is kept, because
-    ufuncs masked with a dense, scattered ``where=`` run several times
-    slower than plain ones."""
+    multiplied by a per-element factor, because ufuncs masked with a dense,
+    scattered ``where=`` run several times slower than plain ones. With
+    ``this`` and ``other`` the sizes of the two parts, a part's factor is
+    ``min(other / max(this, TINY), 1)`` where it outweighs the other part
+    and 1 elsewhere. That selection is a maximum with ``this <= other``
+    taken as 0.0 or 1.0: the ratio alone is below 1 also where
+    ``0 < this <= other < TINY``."""
     if out is None:
         out = scratch(ws, "cs.f_star", f.shape)
     # np.clip in two passes, which together cost about half of one np.clip
@@ -99,14 +110,20 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     np.minimum(ft, fmax, out=ft)
     part = np.maximum(ft, 0.0, out=scratch(ws, "cs.part", f.shape))
     neg_part = np.minimum(ft, 0.0, out=ft)
-    pos = _sum3(part)
-    neg = _sum3(neg_part)
-    s = pos + neg
-    # a surplus (s > 0) scales the positive part down, a deficit the negative
-    pos_scale = np.where(s > 0, -neg / np.maximum(pos, TINY), 1.0)
-    neg_scale = np.where(s < 0, pos / np.maximum(-neg, TINY), 1.0)
-    part *= pos_scale
-    neg_part *= neg_scale
+
+    def buf(name):
+        return scratch(ws, "cs." + name, _one_per_element(f.shape))
+
+    pos = _sum3(part, buf("pos"))
+    neg = _sum3(neg_part, buf("neg"))
+    np.negative(neg, out=neg)                 # the size of the negative part
+    q, kept = buf("q"), buf("kept")
+    for side, this, other in ((part, pos, neg), (neg_part, neg, pos)):
+        q = np.maximum(this, TINY, out=q)
+        np.divide(other, q, out=q)
+        np.minimum(q, 1.0, out=q)
+        kept = np.less_equal(this, other, out=kept)
+        side *= np.maximum(q, kept, out=q)
     neg_part += part
     return neg_part
 
@@ -179,8 +196,11 @@ def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
                                cfg: LimiterConfig, ws=None,
                                out=None) -> LimitResult:
     """Scalar-model limiting: f, base are (E, 3), gamma (E, 3) or (E, 1);
-    lo, hi per DOF. f_star goes into ``out`` when given."""
+    lo, hi per DOF. f_star goes into ``out`` when given, else into the
+    buffer of the lower bound gap, which the limiter has used up."""
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma, ws)
+    if out is None:
+        out = fmin
     if cfg.kind == "scale":
         f_star, alpha, _ = scaling_limiter(f, fmin, fmax, ws, out)
         return LimitResult(f_star=f_star, alpha=alpha)
@@ -211,18 +231,22 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     per-DOF bounds (n_dofs, m - 1) on the specific values, stored with the
     DOF index fastest.
     """
-    def buf(name):
-        return scratch(ws, "product." + name, f_k.shape)
+    def buf(name, shape=f_k.shape):
+        return scratch(ws, "product." + name, shape)
 
     gam, rho = gamma[..., None], rho_bar_star[..., None]
-    phibar = _sum3(base_k) / _sum3(base_rho)[..., None]
+    # phibar (E, 1, m - 1); the density sums go where rs goes next
+    per_element = _one_per_element(f_k.shape)
+    phibar = _sum3(base_k, buf("phibar", per_element))
+    phibar /= _sum3(base_rho, buf("rs", per_element[:2]))[..., None]
     rs = np.multiply(phibar, f_rho_star[..., None], out=buf("rs"))
     bmin, bmax = _bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
     np.minimum(bmin, 0.0, out=bmin)
     np.maximum(bmax, 0.0, out=bmax)
-    # R_S; the buffers of g and phi_eL are free until they are written below
+    # R_S: its per-element factor goes into the buffer of phibar (used up);
+    # the buffers of g and phi_eL are free until they are written below
     phi = buf("phi_eL")
-    rs *= _min3(_node_factors(rs, bmin, bmax, out, phi))
+    rs *= _min3(_node_factors(rs, bmin, bmax, out, phi), phibar)
 
     g = np.subtract(f_k, rs, out=out)
     phi = np.divide(rs, gam, out=phi)
@@ -230,9 +254,10 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phi /= rho                                # phi_eL
     phi_lo, phi_hi = ms.scatter_min_max(phi, ws)
     # g_min = gamma rho_bar_star (phi_lo - phi_eL) <= 0 and g_max >= 0, in the
-    # gap buffers (used up)
-    g_rho = np.multiply(gamma, rho_bar_star, out=scratch(
-        ws, "product.g_rho", rho_bar_star.shape))[..., None]
+    # gap buffers (used up); gamma rho_bar_star goes into the buffer of
+    # phibar (used up)
+    g_rho = np.multiply(gamma, rho_bar_star, out=buf(
+        "phibar", rho_bar_star.shape))[..., None]
     for bound, gap in ((phi_lo, bmin), (phi_hi, bmax)):
         ms.gather(bound, out=gap)
         gap -= phi
@@ -244,23 +269,32 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
 
 def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
     """Largest per-element alpha in a bisection family keeping all candidate
-    states base + alpha f_star / gamma admissible. base: (E, 3, m)."""
-    if not np.all(model.admissible(base, 0.0)):
+    states base + alpha f_star / gamma admissible. base: (E, 3, m). The
+    factors (E,) go into ``ws`` when given."""
+    # the admissibility test's intermediates go into the buffer of the lower
+    # bound gap, which the limiters before the fix have used up
+    tmp = scratch(ws, "gaps.fmin", base.shape[:2] + (2,))
+    if not np.all(model.admissible(base, 0.0, tmp)):
         raise AdmissibilityError("idp_fix called with inadmissible base states")
-    corr = np.divide(f_star, gamma[..., None],
-                     out=scratch(ws, "idp.corr", f_star.shape))
     cand = scratch(ws, "idp.cand", base.shape)
+    gam = gamma[..., None]
 
-    def ok(alpha):
-        c = np.multiply(alpha[:, None, None], corr, out=cand)
-        c = np.add(base, c, out=c)            # base + alpha corr
-        adm = model.admissible(c, 0.0)
+    def ok(alpha=None):
+        # base + alpha f_star / gamma, with f_star / gamma formed anew in
+        # every pass instead of kept in a buffer of its own
+        c = np.divide(f_star, gam, out=cand)
+        if alpha is not None:
+            c *= alpha[:, None, None]
+        c += base
+        adm = model.admissible(c, 0.0, tmp)
         return adm[:, 0] & adm[:, 1] & adm[:, 2]
 
     n_e = base.shape[0]
-    alpha = np.ones(n_e)
-    good = ok(alpha)
-    search = ~good
+    alpha = scratch(ws, "idp.alpha", (n_e,))
+    if alpha is None:
+        alpha = np.empty(n_e)
+    alpha.fill(1.0)
+    search = ~ok()
     if not search.any():
         return alpha
     lo = np.zeros(n_e)
@@ -294,7 +328,7 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
         rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
             ws, "system.rho_bar_star", f_rho_star.shape))
         rho_bar_star = np.add(base[..., 0], rho_bar_star, out=rho_bar_star)
-        if np.any(rho_bar_star <= 0):
+        if np.fmin.reduce(rho_bar_star, axis=None) <= 0:  # skips NaN
             raise AdmissibilityError(
                 "nonpositive intermediate density in product rule")
         product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
@@ -302,14 +336,18 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                         hi[:, 1:], cfg, ws, out=f_star[..., 1:])
     elif cfg.system == "synchronized":
         # the smallest scaling factor of all components; f_star's buffer
-        # takes the guarded f
+        # takes an intermediate
         fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
         alpha = _min3(_node_factors(f, fmin, fmax, f_star, scratch(
-            ws, "scale.alpha_i", f.shape)))[:, 0].min(axis=-1)
-        f_star = np.multiply(alpha[:, None, None], f, out=f_star)
+            ws, "scale.alpha_i", f.shape)), scratch(
+                ws, "scale.alpha", _one_per_element(f.shape)))
+        alpha = np.min(alpha, axis=2, keepdims=True, out=scratch(
+            ws, "system.alpha", alpha.shape[:2] + (1,)))
+        f_star = np.multiply(alpha, f, out=f_star)
     else:
         raise ValueError(f"unknown system limiter {cfg.system!r}")
 
     alpha_phi = idp_fix(model, base, f_star, gamma, ws=ws)
-    f_star *= alpha_phi[:, None, None]
+    if alpha_phi.min() < 1.0:                 # some element was limited
+        f_star *= alpha_phi[:, None, None]
     return LimitResult(f_star=f_star, alpha=alpha_phi)

@@ -164,8 +164,9 @@ class Mesh:
 class ElementGeometry:
     """Exact P1 geometric quantities for every element (closed form, no quadrature).
 
-    c[e, i] is the integral of -grad(phi_i) over element e; m_pair holds the
-    3x3 element mass matrix (|K|/6 diagonal, |K|/12 off-diagonal).
+    c[e, i] is the integral of -grad(phi_i) over element e. The element
+    mass matrix has |K|/6 on its diagonal and ``m_off`` = |K|/12 off it, so
+    its rows sum to ``m_elem`` = |K|/3.
     ``grad``, ``c``, ``c_norm``, ``c_hat`` and ``centroid`` are stored with
     the element index fastest, the order of the blocks that read them.
     """
@@ -176,7 +177,7 @@ class ElementGeometry:
     c_norm: np.ndarray                      # (E, 3)  |c_i^e|
     c_hat: np.ndarray                       # (E, 3, 2)  c_i^e / |c_i^e|
     m_elem: np.ndarray                      # (E,)  = area / 3
-    m_pair: np.ndarray                      # (E, 3, 3)
+    m_off: np.ndarray                       # (E,)  = area / 12
     centroid: np.ndarray                    # (E, 2)
 
 
@@ -198,10 +199,10 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
     c_norm = np.linalg.norm(c, axis=-1)
     c_hat = c / np.maximum(c_norm, TINY)[..., None]
     m_elem = area / 3.0
-    m_pair = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    m_off = area / 12.0
     centroid = np.asfortranarray(p.mean(axis=1))
     return ElementGeometry(area=area, grad=grad, c=c, c_norm=c_norm,
-                           c_hat=c_hat, m_elem=m_elem, m_pair=m_pair,
+                           c_hat=c_hat, m_elem=m_elem, m_off=m_off,
                            centroid=centroid)
 
 

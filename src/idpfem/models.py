@@ -13,6 +13,9 @@ idiom) and return a fresh array otherwise.
 both need (the Euler pressure; None for the scalar models). A caller that
 evaluates both at the same states computes it once and passes it as
 ``aux`` (``aux_l``/``aux_r``); without it each method computes its own.
+``max_wave_speed`` (and ``Euler.admissible``) also take ``tmp``, the
+shape of their result with a trailing axis of length 2, for their
+intermediates.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ class AdmissibilityError(Exception):
 
 # Division guard: magnitudes below this are treated as exactly zero.
 TINY = 1e-300
+
+
+def _halves(tmp):
+    """The two intermediates of a ``tmp`` buffer (..., 2), or two Nones."""
+    return (None, None) if tmp is None else (tmp[..., 0], tmp[..., 1])
 
 
 @dataclass
@@ -62,13 +70,13 @@ class LinearAdvection:
         return np.multiply(u[..., :, None], v[..., None, :], out=f)
 
     def max_wave_speed(self, ul, ur, n, x, out=None, aux_l=None,
-                       aux_r=None) -> np.ndarray:
+                       aux_r=None, tmp=None) -> np.ndarray:
         v = self.velocity(np.asarray(x, dtype=float))
         if out is None:
             out = np.empty(np.broadcast(ul[..., 0], ur[..., 0], n[..., 0],
                                         v[..., 0]).shape)
         lam = np.multiply(v[..., 0], n[..., 0], out=out)
-        lam += v[..., 1] * n[..., 1]
+        lam += np.multiply(v[..., 1], n[..., 1], out=_halves(tmp)[0])
         return np.abs(lam, out=lam)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
@@ -105,12 +113,14 @@ class Burgers2D:
         return f
 
     def max_wave_speed(self, ul, ur, n, x=None, out=None, aux_l=None,
-                       aux_r=None) -> np.ndarray:
+                       aux_r=None, tmp=None) -> np.ndarray:
         # Directional speed is u (n1 + n2); for convex flux the maximum over
         # the Riemann fan is attained at an endpoint of [min, max](ul, ur).
-        s = np.abs(n[..., 0] + n[..., 1])
-        return np.multiply(s, np.maximum(np.abs(ul[..., 0]), np.abs(ur[..., 0])),
-                           out=out)
+        t, sl = _halves(tmp)
+        s = np.abs(np.add(n[..., 0], n[..., 1], out=t), out=t)
+        speed = np.maximum(np.abs(ul[..., 0], out=sl),
+                           np.abs(ur[..., 0], out=out), out=out)
+        return np.multiply(s, speed, out=out)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0] - self.u_min, self.u_max - u[..., 0]], axis=-1)
@@ -179,7 +189,7 @@ class Euler:
     def flux(self, u: np.ndarray, x: np.ndarray = None, out=None,
              aux=None) -> np.ndarray:
         rho = u[..., 0]
-        if np.any(rho <= 0):
+        if np.fmin.reduce(rho, axis=None, initial=np.inf) <= 0:  # skips NaN
             raise AdmissibilityError("Euler flux evaluated at rho <= 0")
         f = np.empty(u.shape + (2,), order="F") if out is None else out
         # The velocity goes into the energy row and the pressure (unless
@@ -196,32 +206,40 @@ class Euler:
         f[..., 0, :] = u[..., 1:3]
         return f
 
-    def _speed(self, u, n, out=None, p=None):
+    def _speed(self, u, n, out=None, p=None, tmp=None, w=None):
         """|v . n| + c at the states u, whose pressure ``p`` is computed
-        unless given."""
+        unless given. When given, ``tmp`` (the shape of the result) and
+        ``w`` (that of the states; may be ``tmp``) take the intermediates."""
         rho = u[..., 0]
-        s = np.multiply(u[..., 1] / rho, n[..., 0], out=out)
-        s += (u[..., 2] / rho) * n[..., 1]
+        s = np.multiply(np.divide(u[..., 1], rho, out=w), n[..., 0], out=out)
+        s += np.multiply(np.divide(u[..., 2], rho, out=w), n[..., 1], out=tmp)
         np.abs(s, out=s)
-        c = self.gamma * (self.pressure(u) if p is None else p)
+        c = np.multiply(self.gamma, self.pressure(u) if p is None else p,
+                        out=w)
         c /= rho
         s += np.sqrt(c, out=c)
         return s
 
     def max_wave_speed(self, ul, ur, n, x=None, out=None, aux_l=None,
-                       aux_r=None) -> np.ndarray:
+                       aux_r=None, tmp=None) -> np.ndarray:
         # Simple Rusanov-type bound max(|v.n| + c) over the two states; the
         # estimator is deliberately swappable behind this method.
-        sr = self._speed(ur, n, out, aux_r)
-        return np.maximum(self._speed(ul, n, p=aux_l), sr, out=sr)
+        t, t2 = _halves(tmp)
+        # ul's intermediates take the leading part of t, one value per state
+        w = None if t is None else t[tuple(map(slice, ul.shape[:-1]))]
+        sl = self._speed(ul, n, out, aux_l, t2, w)
+        sr = self._speed(ur, n, t2, aux_r, t, t)
+        return np.maximum(sl, sr, out=out)
 
     def phi_values(self, u: np.ndarray) -> np.ndarray:
         return np.stack([u[..., 0], self.internal_energy_density(u)], axis=-1)
 
-    def admissible(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def admissible(self, u: np.ndarray, slack: float = 0.0,
+                   tmp=None) -> np.ndarray:
         # The same test as on phi_values, without stacking the two
         # constraints into one (..., 2) array.
-        return (u[..., 0] >= -slack) & (self.internal_energy_density(u) >= -slack)
+        rho_e = self.internal_energy_density(u, *_halves(tmp))
+        return (u[..., 0] >= -slack) & (rho_e >= -slack)
 
     def set_global_bounds(self, u0: np.ndarray) -> None:
         # Systems are constrained through phi_values, not a global interval.

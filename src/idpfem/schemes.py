@@ -15,7 +15,8 @@ assembly it makes is reused by the next ``rhs``/``step`` call at the same
 Each scheme owns a ``Workspace`` ``ws`` of element-sized buffers and their
 views, made on first use and reused by every later stage (see
 ``mesh.scratch``): the assembly, the bounds and the limiters write their
-element blocks there, so the time loop allocates only per-DOF arrays.
+element blocks there, so the time loop allocates only per-DOF arrays
+and the IDP fix's boolean admissibility masks (see README, Performance).
 ``rhs`` and ``step`` return fresh arrays; ``last_alpha`` and
 ``last_bounds`` hold until the scheme's next stage.
 """
@@ -67,14 +68,13 @@ def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode, ws):
                         extra_vals, ws)
 
 
-def _masked(a, keep, out=None):
-    """``np.where(keep, a, 0.0)``, written into ``out`` when given (which
-    may be ``a``). ``keep`` is rarely false anywhere, and a copy under an
-    empty mask still costs a pass, so it runs only when needed."""
-    res = a if out is a else np.positive(a, out=out)
-    if not keep.all():
-        np.copyto(res, 0.0, where=~keep)
-    return res
+def _zero_inactive(a, d):
+    """Zero the block ``a`` (E, 3, m) in place where the viscosity ``d``
+    (E,) is not positive. ``d`` is rarely zero anywhere, so the mask is
+    made only when needed."""
+    if not d.min() > 0:
+        np.copyto(a, 0.0, where=~(d > 0)[:, None, None])
+    return a
 
 
 @dataclass
@@ -122,6 +122,10 @@ class SpatialScheme:
             return memo[2], memo[3]
         return self._fresh_assembly(u, t)
 
+    def _gamma_buffer(self):
+        """The (E, 1) buffer of gamma: that of dt's 2 d^e, used up by then."""
+        return scratch(self.ws, "scheme.d2", (self.ms.n_elements, 1))
+
     def _dt_from_work(self, work, bwork) -> float:
         d2 = np.multiply(2.0, work.d[:, None], out=scratch(
             self.ws, "scheme.d2", self.ms.elem_dofs.shape))
@@ -165,14 +169,15 @@ class SpatialScheme:
             contrib = np.add(work.r_rusanov, work.f_anti, out=work.f_anti)
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e.
-            gamma = 2.0 * np.maximum(work.d, TINY)[:, None]      # (E, 1)
-            active = (work.d > 0)[:, None, None]
+            gamma = np.maximum(work.d[:, None], TINY,
+                               out=self._gamma_buffer())
+            gamma *= 2.0                                          # (E, 1)
             bounds = _component_bounds(ms, u, work, bwork,
                                        self.lcfg.bounds_mode("mcl"), self.ws)
-            f = _masked(work.f_anti, active, out=work.f_anti)
+            f = _zero_inactive(work.f_anti, work.d)
             f_star = self._limit(f, work.bar_states, gamma, bounds)
-            contrib = _masked(f_star, active, out=f)
-            contrib = np.add(work.r_rusanov, contrib, out=contrib)
+            contrib = np.add(work.r_rusanov, _zero_inactive(f_star, work.d),
+                             out=f)
         total = _scatter(ms, contrib, bwork, u.shape, self.ws)
         return total / ms.lumped_mass[:, None]
 
@@ -190,7 +195,8 @@ class SpatialScheme:
         u_low = u + dt * work.residual / ms.lumped_mass[:, None]
 
         # FCT: the low-order predictor as base, gamma = m^e / dt.
-        gamma = (ms.geometry.m_elem / dt)[:, None]              # (E, 1)
+        gamma = np.divide(ms.geometry.m_elem[:, None], dt,
+                          out=self._gamma_buffer())             # (E, 1)
         mode = self.lcfg.bounds_mode("fct")
         bounds = _component_bounds(ms, u_low, work, bwork, mode, self.ws)
         if mode == "barstate":

@@ -22,6 +22,17 @@ def random_triangle(rng, min_area=1e-3):
             return p
 
 
+def p1_mass_matrix(p):
+    """Oracle: the 3x3 P1 mass matrix of the triangle with nodes p (3, 2),
+    by the edge-midpoint rule, which is exact for the quadratic products
+    phi_i phi_j: at the midpoint of the edge opposite node q, phi_q is 0
+    and the other two basis functions are 1/2."""
+    a, b = p[1] - p[0], p[2] - p[0]
+    area = 0.5 * abs(a[0] * b[1] - a[1] * b[0])
+    phi = 0.5 * (1.0 - np.eye(3))           # phi[q, i]: phi_i at midpoint q
+    return area / 3.0 * phi.T @ phi
+
+
 def single_triangle_system(p):
     mesh = Mesh(nodes=np.asarray(p, dtype=float),
                 triangles=np.array([[0, 1, 2]]))

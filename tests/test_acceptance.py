@@ -19,6 +19,8 @@ from idpfem.runner import integrate, run, setup
 from idpfem.schemes import SpatialScheme
 from idpfem.timestepping import TimeControls, ssp_rk_step
 
+from conftest import p1_mass_matrix
+
 
 def verdict(num, ok, text):
     print(f"\ncriterion {num:2d} {'PASS' if ok else 'FAIL'}: {text}",
@@ -61,10 +63,10 @@ def test_criterion_01_element_geometry_oracle(rng):
         ok &= np.allclose(g.c[e], c_ref, rtol=1e-13, atol=1e-13 * np.abs(c_ref).max())
         scale = np.abs(g.c[e]).max()
         ok &= np.abs(g.c[e].sum(axis=0)).max() <= 1e-14 * scale
-        mp = g.m_pair[e]
-        ok &= np.allclose(np.diag(mp), g.area[e] / 6.0, rtol=1e-14)
-        ok &= np.allclose(mp[~np.eye(3, dtype=bool)], g.area[e] / 12.0,
-                          rtol=1e-14)
+        mp = p1_mass_matrix(p)                             # quadrature oracle
+        ok &= np.allclose(np.diag(mp), 2.0 * g.m_off[e], rtol=1e-14)
+        ok &= np.allclose(mp[~np.eye(3, dtype=bool)], g.m_off[e], rtol=1e-14)
+        ok &= np.allclose(mp.sum(axis=1), g.m_elem[e], rtol=1e-14)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     verdict(1, ok, f"geometry matches barycentric-gradient oracle on 100 "

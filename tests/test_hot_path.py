@@ -500,11 +500,13 @@ WORKLOAD_CONFIGS = {
                     system_limiter="sequential", t_end=0.002,
                     audit_every=50, output_every_t=0.0002),
 }
-# Largest traced growth of memory during one warm SSP2 step, in bytes. The
-# element-sized temporaries each step used to allocate peaked at 3.9 MB
-# (advection) and 13.8 MB (DMR).
-STEP_ALLOCATION_LIMIT = {"advect-mcl": 1.0e6, "advect-fct": 1.0e6,
-                         "dmr-mcl": 3.5e6}
+# Largest traced growth of memory during one warm SSP2 step, in bytes: the
+# per-DOF arrays and masks a step allocates (measured 0.24, 0.30 and 1.11
+# MB), with a margin. The element-sized temporaries each step used to
+# allocate peaked at 3.9 MB (advection) and 13.8 MB (DMR), and those of the
+# limiters alone at 0.64, 0.67 and 2.46 MB.
+STEP_ALLOCATION_LIMIT = {"advect-mcl": 0.35e6, "advect-fct": 0.45e6,
+                         "dmr-mcl": 1.5e6}
 # Largest size of the scheme's workspace after a warm step, in bytes. It was
 # 3.44, 4.03 and 14.98 MB while the assembly kept f(u_i) . c_i, the mass
 # term and the wave speeds in buffers of their own.

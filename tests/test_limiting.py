@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,102 @@ class TestClipAndScaleOracle:
                                           scheme="ssp2"))
         # density and product-rule blocks on DMR, the scalar block otherwise
         assert set(ndims) == blocks
+
+
+def _masked_node_factors(f, fmin, fmax):
+    """The per-node factors written with masked divides: the reference that
+    ``_node_factors`` must reproduce bit for bit, for fmin <= fmax."""
+    alpha = np.ones(np.broadcast_shapes(f.shape, fmin.shape, fmax.shape))
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(fmin, f, out=alpha, where=f < fmin)
+        np.divide(fmax, f, out=alpha, where=f > fmax)
+    return np.maximum(np.minimum(alpha, 1.0), 0.0)
+
+
+def _assert_node_factors_match(f, fmin, fmax):
+    expected = _masked_node_factors(f, fmin, fmax)
+    got = limiting_mod._node_factors(f, fmin, fmax)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+_NF_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, TINY, -TINY, TINY / 8,
+                     -TINY / 4, 1e-310, -1e-310, 5e-324, -5e-324]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _nf_problems(draw):
+    """(f, fmin, fmax) of shape (E, 3) or (E, 3, k) with fmin <= fmax; the
+    bounds may both lie on one side of zero, be signed zeros or be
+    subnormal."""
+    n_e = draw(st.integers(1, 5))
+    shape = (n_e, 3) + draw(st.sampled_from([(), (1,), (3,)]))
+
+    def block():
+        n = int(np.prod(shape))
+        vals = draw(st.lists(_NF_VALUES, min_size=n, max_size=n))
+        return np.array(vals).reshape(shape, order="F")
+
+    a, b = block(), block()
+    return block(), np.minimum(a, b), np.maximum(a, b)
+
+
+class TestNodeFactorsOracle:
+    """``_node_factors`` forms both ratios unmasked; its factors equal those
+    of the masked formulation bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_nf_problems())
+    def test_matches_masked_reference(self, problem):
+        _assert_node_factors_match(*problem)
+
+    @pytest.mark.parametrize("f", [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                                   1e-310, -TINY / 4])
+    @pytest.mark.parametrize("fmin, fmax", [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),   # zero bounds
+        (-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, 1.0),   # one of them
+        (0.5, 2.0), (5e-324, 1e-310),         # both above zero
+        (-2.0, -0.5), (-1e-310, -5e-324),     # both below zero
+        (-1.0, 1.0), (-5e-324, 5e-324),
+    ])
+    def test_edge_cases(self, f, fmin, fmax):
+        _assert_node_factors_match(np.full((1, 3), f), np.full((1, 3), fmin),
+                                   np.full((1, 3), fmax))
+
+    @pytest.mark.parametrize("cfg, callers", [
+        (RunConfig(benchmark="dmr", h=1 / 16, t_end=0.002, limiter="mcl.cs"),
+         {"product_rule_cs"}),
+        (RunConfig(benchmark="dmr", h=1 / 16, t_end=0.002,
+                   limiter="mcl.scale"),
+         {"product_rule_cs", "scaling_limiter"}),
+        (RunConfig(benchmark="dmr", h=1 / 16, t_end=0.002, limiter="mcl.cs",
+                   system_limiter="synchronized"),
+         {"limit_system_contributions"}),
+        (RunConfig(benchmark="advected_gaussian", h=1 / 16, t_end=0.01,
+                   limiter="fct.scale"), {"scaling_limiter"}),
+    ])
+    def test_every_call_of_a_run(self, monkeypatch, cfg, callers):
+        """Each caller (R_S, the scaling limiter, the synchronized system
+        limiter) hands it bounds with fmin <= fmax and gets the reference's
+        bits."""
+        original = limiting_mod._node_factors
+        seen = set()
+
+        def checked(f, fmin, fmax, tmp=None, out=None):
+            assert np.all(fmin <= fmax)
+            expected = _masked_node_factors(f, fmin, fmax)
+            got = original(f, fmin, fmax, tmp, out)
+            assert got.tobytes() == expected.tobytes()
+            seen.add(sys._getframe(1).f_code.co_name)
+            return got
+
+        monkeypatch.setattr(limiting_mod, "_node_factors", checked)
+        _, _, _, scheme, u = setup(cfg)
+        integrate(scheme, u, TimeControls(cfl=0.5, t_end=cfg.t_end,
+                                          scheme="ssp2"))
+        assert seen == callers
 
 
 class TestLocalBounds:

@@ -7,7 +7,7 @@ from idpfem.mesh import (Mesh, MeshError, build_system, canonical_pairs,
                          element_geometry, read_mesh, structured_rect,
                          write_mesh)
 
-from conftest import random_triangle, single_triangle_system
+from conftest import p1_mass_matrix, random_triangle, single_triangle_system
 
 
 def barycentric_gradients(p):
@@ -50,14 +50,14 @@ class TestElementGeometry:
             assert np.abs(ms.geometry.c[0].sum(axis=0)).max() < 1e-14 * scale
 
     def test_mass_matrix_exact_entries(self, rng):
-        ms = single_triangle_system(random_triangle(rng))
-        area = ms.geometry.area[0]
-        mp = ms.geometry.m_pair[0]
-        assert np.allclose(np.diag(mp), area / 6.0)
-        off = mp[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, area / 12.0)
+        p = random_triangle(rng)
+        g = single_triangle_system(p).geometry
+        mp = p1_mass_matrix(p)
+        assert np.allclose(np.diag(mp), 2.0 * g.m_off[0])
+        assert np.allclose(mp[~np.eye(3, dtype=bool)], g.m_off[0])
+        assert g.m_off[0] == g.area[0] / 12.0
         # row sums give the lumped element mass
-        assert np.allclose(mp.sum(axis=1), area / 3.0)
+        assert np.allclose(mp.sum(axis=1), g.m_elem[0])
 
     def test_gradient_interpolation_is_exact_for_affine_fields(self, rng):
         # grad(sum u_i phi_i) must equal the gradient of any affine field
@@ -197,4 +197,5 @@ def test_geometry_identities_hold_for_random_triangles(seed):
     assert np.abs(g.c[0].sum(axis=0)).max() < 1e-13 * scale
     assert np.allclose(g.grad[0], barycentric_gradients(p), rtol=1e-11,
                        atol=1e-11)
-    assert g.m_pair[0].sum() == pytest.approx(g.area[0], rel=1e-13)
+    # the mass matrix (2 m_off on the diagonal, m_off off it) sums to |K|
+    assert 12.0 * g.m_off[0] == pytest.approx(g.area[0], rel=1e-13)
