@@ -29,13 +29,14 @@ from .models import TINY
 class ElementWork:
     """Everything the limiters and schemes consume, for all elements at once.
     Per-element arrays are stored with the element index fastest.
-    ``f_anti`` is None for a low-order assembly (``with_antidiffusion=False``).
+    ``f_anti`` is None for a low-order assembly (``with_antidiffusion=False``)
+    and ``bar_states`` for one without them (``with_bar_states=False``).
     """
 
     u_loc: np.ndarray         # (E, 3, m) gathered nodal states
     ubar: np.ndarray          # (E, m) element averages
     d: np.ndarray             # (E,) Rusanov viscosity
-    bar_states: np.ndarray    # (E, 3, m)
+    bar_states: Optional[np.ndarray]        # (E, 3, m)
     r_rusanov: np.ndarray     # (E, 3, m) closed-form low-order residual
     residual: np.ndarray      # (n_dofs, m) assembled r_rusanov + boundary terms
     udot: np.ndarray          # (n_dofs, m) lumped time-derivative approximation
@@ -127,11 +128,15 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
 
 def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
-             with_antidiffusion: bool = True, ws: Optional[dict] = None) -> tuple:
-    """Compute all element quantities for the global state u (n_dofs, m).
+             with_antidiffusion: bool = True, ws: Optional[dict] = None,
+             with_bar_states: bool = True) -> tuple:
+    """Compute the element quantities for the global state u (n_dofs, m).
 
     Returns (ElementWork, BoundaryWork or None). Gather/scatter order is fixed,
-    so repeated calls are bit-identical.
+    so repeated calls are bit-identical. ``with_antidiffusion=False`` skips
+    the antidiffusive contributions and ``with_bar_states=False`` the
+    element bar states (and f(u_i) . c_i, which only they read); the other
+    blocks keep their bits either way. Boundary bar states are always formed.
 
     With a workspace dict ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
@@ -154,8 +159,8 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                         tmp=buf("tmp", blk[:2]))
     aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
                         tmp=buf("tmp", (n_e,)))
-    # the wave speeds go where the bar states go later, their intermediates
-    # where f(u_i) goes
+    # the wave speeds go where the bar states (if formed) go later, their
+    # intermediates where f(u_i) goes
     lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
                       aux_loc=aux_loc, aux_bar=aux_bar,
                       tmp=buf("flux_loc", blk[:2] + (2,)))
@@ -169,11 +174,12 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                           out=buf("flux_loc", blk + (2,)), aux=aux_loc)
     # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
     fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
-    # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
-    fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
-
-    bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
-                      tmp=tmp)
+    bars = None
+    if with_bar_states:
+        # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
+        fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
+        bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
+                          tmp=tmp)
 
     if with_antidiffusion:
         # fbar_c - sum_j f(u_j) . c_i / 3, completed to f_anti below
@@ -226,8 +232,8 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     dofs = ms.boundary_dofs
     if dofs.size == 0:
         return None
-    n = ms.boundary_normal[dofs]
-    nlen, nhat, x = ms.boundary_nlen, ms.boundary_nhat, ms.boundary_x
+    n, nlen, nhat = ms.boundary_n, ms.boundary_nlen, ms.boundary_nhat
+    x = ms.boundary_x
     u_in = u[dofs]
     u_ext = bc(x, t, u_in, nhat)
     aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)

@@ -214,18 +214,32 @@ def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
         ahead = dmr_shock_indicator(x, 0.0)
         return np.where(ahead[..., None], pre, post)
 
+    # The boundary masks depend on the positions alone, which the assembly
+    # passes as the same array (ms.boundary_x) every time: they are made
+    # once per array, as index arrays, and only the top row's pre-/post-
+    # shock split is formed per call.
+    sides = {}
+
+    def side_indices(x):
+        if sides.get("x") is not x:
+            left = x[:, 0] <= 0.0 + 1e-12
+            bottom = x[:, 1] <= 0.0 + 1e-12
+            top = np.flatnonzero(x[:, 1] >= 1.0 - 1e-12)
+            inflow_bottom = bottom & (x[:, 0] < _DMR_X0)
+            sides.update(x=x, post=np.flatnonzero(left | inflow_bottom),
+                         top=top, x_top=x[top],
+                         wall=np.flatnonzero(bottom & ~inflow_bottom))
+        return sides
+
     def bc(x, t, u_in, nhat):
         u_ext = u_in.copy()
-        left = x[:, 0] <= 0.0 + 1e-12
-        bottom = x[:, 1] <= 0.0 + 1e-12
-        top = x[:, 1] >= 1.0 - 1e-12
-        inflow_bottom = bottom & (x[:, 0] < _DMR_X0)
-        wall = bottom & ~inflow_bottom
-        u_ext[left | inflow_bottom] = post
-        if top.any():
-            ahead = dmr_shock_indicator(x[top], t)
+        side = side_indices(x)
+        u_ext[side["post"]] = post
+        top, wall = side["top"], side["wall"]
+        if top.size:
+            ahead = dmr_shock_indicator(side["x_top"], t)
             u_ext[top] = np.where(ahead[:, None], pre, post)
-        if wall.any():
+        if wall.size:
             # mirror the momentum about the wall normal
             mom = u_in[wall, 1:3]
             n = nhat[wall]

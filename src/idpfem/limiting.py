@@ -136,36 +136,32 @@ def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
     raise ValueError(f"unknown scalar limiter {kind!r}")
 
 
-def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals: np.ndarray,
-                 mode: str, extra_dofs=None, extra_vals=None, ws=None):
+def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
+                 extra_dofs=None, extra_vals=None, ws=None):
     """Per-DOF admissible range of one scalar quantity, or of every
     component at once.
 
     ``field`` (n_dofs,) or (n_dofs, m) is the per-DOF reference (u for MCL,
-    the low-order predictor for FCT); ``elem_vals`` (E, 3) or (E, 3, m)
-    holds per-element-node candidates (bar states for mode "barstate";
-    ignored for "stencil", which uses the nodal stencil of ``field``).
-    ``extra_*`` injects boundary bar states, (B,) or (B, m). Returns fresh
-    (lo, hi) shaped like ``field``, stored with the DOF index fastest.
+    the low-order predictor for FCT). Mode "barstate" takes the range of
+    ``field`` and of the per-element-node candidates ``elem_vals`` (E, 3)
+    or (E, 3, m), the bar states, at each DOF. Mode "stencil" takes the
+    range of ``field`` over each DOF's nodal stencil, the DOFs it shares an
+    element with, in one take through ``ms.stencil_table``
+    (``MeshSystem.stencil_min_max``); it reads no ``elem_vals``, which may
+    be None. ``extra_*`` injects boundary bar states, (B,) or (B, m).
+    Returns fresh (lo, hi) shaped like ``field``, stored with the DOF index
+    fastest. As with the scatters, a tie between -0.0 and +0.0 may keep
+    either sign.
     """
     if mode == "barstate":
         lo, hi = ms.scatter_min_max(elem_vals, ws)
+        np.minimum(field, lo, out=lo)
+        np.maximum(field, hi, out=hi)
     elif mode == "stencil":
-        f_loc = ms.gather(field, out=scratch(
-            ws, "bounds.f_loc", ms.elem_dofs.shape + field.shape[1:]))
-        # the element's min and max, written at each of its nodes
-        first, second, third = f_loc[:, :1], f_loc[:, 1:2], f_loc[:, 2:]
-        cand = scratch(ws, "bounds.cand", f_loc.shape)
-        if cand is None:
-            cand = np.empty(f_loc.shape, order="F")
-        np.minimum(first, second, out=cand)
-        lo = ms.scatter_min(np.minimum(cand, third, out=cand), ws)
-        np.maximum(first, second, out=cand)
-        hi = ms.scatter_max(np.maximum(cand, third, out=cand), ws)
+        # each DOF is in its own stencil, so the range holds field already
+        lo, hi = ms.stencil_min_max(field, ws)
     else:
         raise ValueError(f"unknown bounds mode {mode!r}")
-    np.minimum(field, lo, out=lo)
-    np.maximum(field, hi, out=hi)
     if extra_dofs is not None and len(extra_dofs):
         # boundary dofs are unique, so plain fancy indexing suffices
         lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)

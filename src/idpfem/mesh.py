@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -243,6 +244,7 @@ class MeshSystem:
     boundary_normal: np.ndarray             # (n_dofs, 2)  n_i = -sum_e c_i^e
     boundary_dofs: np.ndarray               # (B,) indices with |n_i| > 0
     # The fixed data of the boundary terms, at boundary_dofs:
+    boundary_n: np.ndarray                  # (B, 2)  n_i
     boundary_nlen: np.ndarray               # (B,)  |n_i|
     boundary_nhat: np.ndarray               # (B, 2)  n_i / |n_i|
     boundary_x: np.ndarray                  # (B, 2)  dof coordinates
@@ -315,6 +317,40 @@ class MeshSystem:
         return (np.minimum.reduce(rows, axis=-2).T,
                 np.maximum.reduce(rows, axis=-2).T)
 
+    @cached_property
+    def stencil_table(self) -> np.ndarray:
+        """(W, n_dofs) table whose column d lists, once each and in
+        ascending order, the DOFs that share an element with d, d included;
+        a shorter column is padded with its own last entry. Built on first
+        use: only the stencil bounds read it."""
+        n, dofs = self.n_dofs, self.elem_dofs
+        # every (d, neighbour) pair of every element, as one sortable key,
+        # each once
+        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        d = keys // n
+        count = np.bincount(d, minlength=n)
+        slot = np.arange(count.max(initial=0))[:, None]
+        starts = np.cumsum(count) - count
+        return keys[starts + np.minimum(slot, count - 1)] % n
+
+    def stencil_min_max(self, x: np.ndarray, ws=None) -> tuple:
+        """Smallest and largest per-DOF value ``x`` (n_dofs,) or (n_dofs,
+        m) over each DOF's stencil (the DOFs it shares an element with,
+        itself included): one ``np.take`` through ``stencil_table`` into
+        the row block of the scatters, then one reduction each. Fresh
+        results shaped like ``x``, stored with the DOF index fastest."""
+        if x.shape[0] != self.n_dofs:
+            raise ValueError(f"stencil_min_max takes {self.n_dofs} DOF "
+                             f"values, not {x.shape[0]}")
+        table = self.stencil_table
+        rows = scratch(ws, "mesh.rows", table.shape[::-1] + x.shape[1:])
+        rows = x.T.take(table, axis=-1, mode="clip",
+                        out=None if rows is None else rows.T)
+        return (np.minimum.reduce(rows, axis=-2).T,
+                np.maximum.reduce(rows, axis=-2).T)
+
 
 def build_system(mesh: Mesh) -> MeshSystem:
     mesh.validate()
@@ -359,7 +395,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
         boundary_normal=normal, boundary_dofs=boundary_dofs,
-        boundary_nlen=b_nlen, boundary_nhat=b_nhat,
+        boundary_n=b_n, boundary_nlen=b_nlen, boundary_nhat=b_nhat,
         boundary_x=dof_coords[boundary_dofs],
         dof_table=dof_table, dof_pad=dof_pad,
     )

@@ -9,8 +9,11 @@ Four operators share one assembly pass:
 
 Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 ``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step; the
-assembly it makes is reused by the next ``rhs``/``step`` call at the same
-``(u, t)``, so the first stage of an SSP step assembles nothing new.
+assembly it makes, and the bound itself, are reused by the next
+``rhs``/``step`` call at the same ``(u, t)``, so the first stage of an SSP
+step assembles nothing new and FCT's CFL check recomputes nothing. An
+assembly forms the element bar states only for the schemes that read them:
+``mcl.*``, and ``fct.*`` with bar-state bounds.
 
 Each scheme owns a ``Workspace`` ``ws`` of element-sized buffers and their
 views, made on first use and reused by every later stage (see
@@ -88,7 +91,8 @@ class SpatialScheme:
     bc: object = None             # callable or None (periodic / closed)
     last_alpha: np.ndarray | None = None
     last_bounds: tuple | None = None  # per-DOF (lo, hi), each (n_dofs, m)
-    # (u copy, t, work, bwork) of the last dt_bound, for one use only
+    # (u copy, t, work, bwork, dt bound) of the last dt_bound, for one use
+    # only
     _memo: tuple | None = field(default=None, init=False, repr=False)
     # element-sized buffers and their views, reused by every stage (see
     # mesh.scratch)
@@ -103,24 +107,29 @@ class SpatialScheme:
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
 
-        The assembly is kept for the next ``rhs`` or ``step`` call only.
+        The assembly and the bound are kept for the next ``rhs`` or ``step``
+        call only.
         """
         work, bwork = self._fresh_assembly(u, t)
-        self._memo = (u.copy(), t, work, bwork)
-        return self._dt_from_work(work, bwork)
+        dt = self._dt_from_work(work, bwork)
+        self._memo = (u.copy(), t, work, bwork, dt)
+        return dt
 
     def _fresh_assembly(self, u, t):
+        bars = self.driver == "mcl" or (
+            self.driver == "fct" and self.lcfg.bounds_mode("fct") == "barstate")
         return assemble(self.ms, self.model, u, t, self.bc,
-                        with_antidiffusion=self.driver != "low", ws=self.ws)
+                        with_antidiffusion=self.driver != "low", ws=self.ws,
+                        with_bar_states=bars)
 
     def _assemble(self, u, t):
-        """The assembly at ``(u, t)``: the one ``dt_bound`` left if it was made
-        at equal ``t`` and ``u``, else a fresh one. Either way the memo is
-        dropped."""
+        """``(work, bwork, dt bound)`` at ``(u, t)``: what ``dt_bound`` left
+        if it was made at equal ``t`` and ``u``, else a fresh assembly and
+        None for the bound. Either way the memo is dropped."""
         memo, self._memo = self._memo, None
         if memo is not None and memo[1] == t and np.array_equal(memo[0], u):
-            return memo[2], memo[3]
-        return self._fresh_assembly(u, t)
+            return memo[2:]
+        return self._fresh_assembly(u, t) + (None,)
 
     def _gamma_buffer(self):
         """The (E, 1) buffer of gamma: that of dt's 2 d^e, used up by then."""
@@ -160,7 +169,7 @@ class SpatialScheme:
         if self.driver not in ("low", "none", "mcl"):
             raise ValueError(f"{self.limiter!r} is not a semi-discrete scheme")
         ms = self.ms
-        work, bwork = self._assemble(u, t)
+        work, bwork, _ = self._assemble(u, t)
         if self.driver == "low":
             return work.udot
         # The stage is the only reader of its assembly (``_assemble`` drops
@@ -188,8 +197,10 @@ class SpatialScheme:
         if self.driver != "fct":
             raise ValueError(f"{self.limiter!r} has no two-stage step map")
         ms = self.ms
-        work, bwork = self._assemble(u, t)
-        if dt > self._dt_from_work(work, bwork) * (1.0 + 1e-9):
+        work, bwork, dt_max = self._assemble(u, t)
+        if dt_max is None:
+            dt_max = self._dt_from_work(work, bwork)
+        if dt > dt_max * (1.0 + 1e-9):
             raise CFLError(f"dt = {dt:g} violates the low-order CFL condition")
 
         u_low = u + dt * work.residual / ms.lumped_mass[:, None]

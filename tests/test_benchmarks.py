@@ -7,6 +7,8 @@ from idpfem.config import ConfigError, RunConfig
 from idpfem.mesh import build_system
 from idpfem.models import Euler
 
+from conftest import random_euler_states
+
 
 def rankine_hugoniot_residuals(model, pre, post, mach, direction):
     """Oracle: jump-condition residuals in the shock-stationary frame.
@@ -93,6 +95,40 @@ class TestDmr:
         assert u_ext[0, 2] == pytest.approx(-u_in[0, 2])    # normal flipped
         assert u_ext[0, 0] == u_in[0, 0]
         assert u_ext[0, 3] == u_in[0, 3]
+
+    def test_bc_follows_its_position_array(self):
+        """The DMR boundary masks are made once per position array: a call
+        with other positions, or back with the first ones, gives the
+        exterior states of the masks formed on every call."""
+        cfg = RunConfig(benchmark="dmr", h=1 / 8)
+        bench = make_benchmark(cfg)
+        ms = build_system(bench.mesh)
+        pre, post = dmr_states(bench.model)
+
+        def reference(x, t, u_in, nhat):
+            u_ext = u_in.copy()
+            left = x[:, 0] <= 1e-12
+            bottom = x[:, 1] <= 1e-12
+            top = x[:, 1] >= 1.0 - 1e-12
+            inflow_bottom = bottom & (x[:, 0] < 1.0 / 6.0)
+            wall = bottom & ~inflow_bottom
+            u_ext[left | inflow_bottom] = post
+            ahead = dmr_shock_indicator(x[top], t)
+            u_ext[top] = np.where(ahead[:, None], pre, post)
+            mom, n = u_in[wall, 1:3], nhat[wall]
+            u_ext[wall, 1:3] = mom - 2.0 * np.sum(mom * n, axis=-1,
+                                                  keepdims=True) * n
+            return u_ext
+
+        rng = np.random.default_rng(2)
+        x, nhat = ms.boundary_x, ms.boundary_nhat
+        flipped = (x[::-1].copy(), nhat[::-1].copy())
+        for t, (xx, nn) in zip([0.0, 0.01, 0.02, 0.03, 0.04],
+                               [(x, nhat), (x, nhat), flipped, (x, nhat),
+                                flipped]):
+            u_in = random_euler_states(rng, bench.model, (len(xx),))
+            got = bench.bc(xx, t, u_in, nn)
+            assert got.tobytes() == reference(xx, t, u_in, nn).tobytes()
 
     def test_initial_state_matches_indicator(self):
         cfg = RunConfig(benchmark="dmr", h=1 / 8)

@@ -21,10 +21,10 @@ from idpfem.assembly import assemble
 from idpfem.config import RunConfig
 from idpfem.limiting import LimiterConfig, local_bounds
 from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
-                         scratch, structured_rect)
+                         read_mesh, scratch, structured_rect, write_mesh)
 from idpfem.models import Burgers2D, Euler, make_model
 from idpfem.runner import integrate, setup
-from idpfem.schemes import SpatialScheme
+from idpfem.schemes import CFLError, SpatialScheme
 from idpfem.timestepping import TimeControls, compute_dt, ssp_rk_step
 
 def _dmr_system():
@@ -509,8 +509,10 @@ STEP_ALLOCATION_LIMIT = {"advect-mcl": 0.35e6, "advect-fct": 0.45e6,
                          "dmr-mcl": 1.5e6}
 # Largest size of the scheme's workspace after a warm step, in bytes. It was
 # 3.44, 4.03 and 14.98 MB while the assembly kept f(u_i) . c_i, the mass
-# term and the wave speeds in buffers of their own.
-WORKSPACE_LIMIT = {"advect-mcl": 2.9e6, "advect-fct": 3.5e6,
+# term and the wave speeds in buffers of their own, and 3.28 MB on
+# advect-fct (now 2.92) while the stencil bounds kept a gathered field and
+# element candidates in two (E, 3) buffers.
+WORKSPACE_LIMIT = {"advect-mcl": 2.9e6, "advect-fct": 3.0e6,
                    "dmr-mcl": 13.3e6}
 
 
@@ -667,3 +669,197 @@ def test_interleaved_schemes_on_one_mesh_system(model_name, limiters):
         t = [tt + dt for tt, dt in zip(t, dts)]
     for u, ref in zip(us, alone):
         assert u.tobytes() == ref.tobytes()
+
+
+# --- stencil bounds in one take ----------------------------------------------
+
+def _unstructured_system():
+    """A mesh read from the text format whose valences vary from node to
+    node: a 4 x 3 grid of jittered cells, each split along a random
+    diagonal or into four triangles around a node at its centre."""
+    rng = np.random.default_rng(3)
+    nx, ny = 4, 3
+    nodes, index = [], {}
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            jitter = rng.uniform(-0.2, 0.2, 2) * [0 < i < nx, 0 < j < ny]
+            index[i, j] = len(nodes)
+            nodes.append(np.array([i, j]) + jitter)
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b, c, d = (index[i, j], index[i + 1, j], index[i + 1, j + 1],
+                          index[i, j + 1])
+            split = rng.integers(3)
+            if split == 0:
+                tris += [(a, b, c), (a, c, d)]
+            elif split == 1:
+                tris += [(a, b, d), (b, c, d)]
+            else:
+                m = len(nodes)
+                nodes.append(np.mean([nodes[k] for k in (a, b, c, d)], axis=0))
+                tris += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+    mesh = Mesh(nodes=np.array(nodes), triangles=np.array(tris))
+    return build_system(read_mesh(write_mesh(mesh)))
+
+
+STENCIL_MESHES = dict(MESHES, unstructured=_unstructured_system)
+
+
+def _stencil_bounds_reference(ms, field, extra_dofs, extra_vals):
+    """The reference stencil bounds: the gathered field's element minimum
+    and maximum, written at each node of the element and scattered to the
+    DOFs, then widened to the field and to the extra values."""
+    f_loc = ms.gather(field)
+    first, second, third = f_loc[:, :1], f_loc[:, 1:2], f_loc[:, 2:]
+    e_min = np.minimum(np.minimum(first, second), third)
+    e_max = np.maximum(np.maximum(first, second), third)
+    lo = ms.scatter_min(np.repeat(e_min, 3, axis=1))
+    hi = ms.scatter_max(np.repeat(e_max, 3, axis=1))
+    lo, hi = np.minimum(field, lo), np.maximum(field, hi)
+    if extra_dofs is not None:
+        lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)
+        hi[extra_dofs] = np.maximum(hi[extra_dofs], extra_vals)
+    return lo, hi
+
+
+def _neighbours(ms):
+    """Per DOF, the set of DOFs it shares an element with, itself included."""
+    sets = [set() for _ in range(ms.n_dofs)]
+    for row in ms.elem_dofs.tolist():
+        for d in row:
+            sets[d].update(row)
+    return sets
+
+
+@pytest.mark.parametrize("mesh", sorted(STENCIL_MESHES))
+def test_stencil_table_lists_each_neighbour_once(mesh):
+    ms = STENCIL_MESHES[mesh]()
+    assert "stencil_table" not in vars(ms)        # built on first use only
+    table = ms.stencil_table
+    assert ms.stencil_table is table
+    sets = _neighbours(ms)
+    assert table.shape == (max(map(len, sets)), ms.n_dofs)
+    for d, want in enumerate(sets):
+        col = table[:, d].tolist()
+        k = len(want)
+        assert d in col
+        assert len(set(col[:k])) == k and set(col[:k]) == want
+        assert col[k:] == [col[k - 1]] * (len(col) - k)
+
+
+@pytest.mark.parametrize("ws", [None, "workspace"])
+@pytest.mark.parametrize("extras", [False, True])
+@pytest.mark.parametrize("trailing", [(), (4,)])
+@pytest.mark.parametrize("mesh", sorted(STENCIL_MESHES))
+def test_stencil_bounds_bit_equal_to_element_scatter(mesh, trailing, extras,
+                                                     ws):
+    ms = STENCIL_MESHES[mesh]()
+    rng = np.random.default_rng(11)
+    shape = (ms.n_dofs,) + trailing
+    # continuous values, and a coarse grid of them, which makes many ties
+    fields = [rng.normal(size=shape), rng.integers(-3, 4, shape) / 2.0]
+    extra_dofs = extra_vals = None
+    if extras:
+        extra_dofs = rng.choice(ms.n_dofs, ms.n_dofs // 3, replace=False)
+        extra_vals = rng.normal(size=(extra_dofs.size,) + trailing)
+    space = Workspace() if ws else None
+    for field in fields + [np.asfortranarray(fields[0])]:
+        for _ in range(2):                     # a warm workspace as well
+            lo, hi = local_bounds(ms, field, None, "stencil", extra_dofs,
+                                  extra_vals, space)
+            ref_lo, ref_hi = _stencil_bounds_reference(ms, field, extra_dofs,
+                                                       extra_vals)
+            assert lo.shape == hi.shape == field.shape
+            assert lo.tobytes() == ref_lo.tobytes()
+            assert hi.tobytes() == ref_hi.tobytes()
+            assert _dof_fastest(lo) and _dof_fastest(hi)
+            assert not np.shares_memory(lo, hi)
+
+
+# --- bar states only where a scheme reads them -------------------------------
+
+@pytest.mark.parametrize("ws", [None, "workspace"])
+@pytest.mark.parametrize("anti", [True, False])
+@pytest.mark.parametrize("mesh_kind", MESH_KINDS)
+@pytest.mark.parametrize("model_name", MODELS)
+def test_assembly_without_bar_states_keeps_every_other_bit(
+        model_name, mesh_kind, anti, ws):
+    ms, model, bc, u = _problem(model_name, mesh_kind)
+    full, full_b = assemble(ms, model, u, 0.1, bc, with_antidiffusion=anti)
+    assert full.bar_states is not None
+    work, bwork = assemble(ms, model, u, 0.1, bc, with_antidiffusion=anti,
+                           ws=Workspace() if ws else None,
+                           with_bar_states=False)
+    assert work.bar_states is None
+    assert (work.f_anti is None) == (not anti)
+    got, ref = _arrays(work, bwork), _arrays(full, full_b)
+    assert got.keys() == ref.keys() - {"ElementWork.bar_states"}
+    for name, a in got.items():
+        assert a.tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("limiter, bounds, reads", [
+    ("fct.cs", "auto", False), ("fct.scale", "stencil", False),
+    ("low", "auto", False), ("none", "auto", False),
+    ("low", "barstate", False), ("none", "barstate", False),
+    ("mcl.cs", "auto", True), ("mcl.scale", "stencil", True),
+    ("fct.cs", "barstate", True)])
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+def test_bar_states_assembled_only_for_their_readers(
+        monkeypatch, model_name, limiter, bounds, reads):
+    calls = []
+    original = assembly_mod.bar_states
+    monkeypatch.setattr(assembly_mod, "bar_states",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    ms, model, bc, u = _problem(model_name, "bounded")
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter,
+                           lcfg=LimiterConfig(bounds=bounds), bc=bc)
+    dt = 0.5 * scheme.dt_bound(u, 0.1)
+    _stage(scheme, u, 0.1, dt)                 # the assembly of dt_bound
+    _stage(scheme, u, 0.1, dt)                 # a fresh one
+    assert len(calls) == (2 if reads else 0)
+
+
+# --- the CFL bound of dt_bound, reused by the FCT stage ------------------------
+
+@pytest.mark.parametrize("model_name", ["translation", "euler"])
+class TestCflBoundReuse:
+    def _scheme(self, model_name):
+        ms, model, bc, u = _problem(model_name, "bounded")
+        return SpatialScheme(ms=ms, model=model, limiter="fct.cs", bc=bc), u
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, 2.0])
+    def test_step_after_dt_bound_rejects_like_a_fresh_step(
+            self, model_name, factor):
+        scheme, u = self._scheme(model_name)
+        dt = factor * scheme.dt_bound(u, 0.1)
+        with pytest.raises(CFLError):
+            scheme.step(u, 0.1, dt)            # reuses the bound
+        fresh, _ = self._scheme(model_name)
+        with pytest.raises(CFLError):
+            fresh.step(u, 0.1, dt)             # computes it
+        with pytest.raises(CFLError):
+            scheme.step(u, 0.1, dt)            # the memo is used up
+
+    def test_step_at_the_bound_passes_like_a_fresh_step(self, model_name):
+        scheme, u = self._scheme(model_name)
+        dt = scheme.dt_bound(u, 0.1)
+        fresh, _ = self._scheme(model_name)
+        assert scheme.step(u, 0.1, dt).tobytes() == \
+            fresh.step(u, 0.1, dt).tobytes()
+
+    def test_memo_hit_does_not_recompute_the_bound(self, model_name,
+                                                   monkeypatch):
+        calls = []
+        original = SpatialScheme._dt_from_work
+        monkeypatch.setattr(
+            SpatialScheme, "_dt_from_work",
+            lambda self, *a: calls.append(1) or original(self, *a))
+        scheme, u = self._scheme(model_name)
+        dt = 0.5 * scheme.dt_bound(u, 0.1)
+        assert len(calls) == 1
+        scheme.step(u, 0.1, dt)                # the memo of dt_bound
+        assert len(calls) == 1
+        scheme.step(u, 0.1, dt)                # a fresh assembly is checked
+        assert len(calls) == 2

@@ -199,3 +199,17 @@ def test_geometry_identities_hold_for_random_triangles(seed):
                        atol=1e-11)
     # the mass matrix (2 m_off on the diagonal, m_off off it) sums to |K|
     assert 12.0 * g.m_off[0] == pytest.approx(g.area[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_boundary_data_is_the_normal_at_the_boundary_dofs(periodic):
+    """The boundary terms read the fixed boundary data stored by
+    ``build_system``; each equals its expression in the per-DOF normal."""
+    ms = build_system(structured_rect(5, 4, periodic=periodic))
+    dofs = ms.boundary_dofs
+    assert (dofs.size == 0) == periodic
+    n = ms.boundary_normal[dofs]
+    nlen = np.linalg.norm(n, axis=-1)
+    assert ms.boundary_n.tobytes() == n.tobytes()
+    assert ms.boundary_nlen.tobytes() == nlen.tobytes()
+    assert ms.boundary_x.tobytes() == ms.dof_coords[dofs].tobytes()
