@@ -11,6 +11,7 @@ import argparse
 
 from idpfem.config import RunConfig, eval_fraction
 from idpfem.runner import run
+from idpfem.schemes import SCHEME_KEYS, SYSTEM_MODES
 
 
 def main(argv=None):
@@ -18,9 +19,9 @@ def main(argv=None):
     ap.add_argument("--h", type=eval_fraction, default=1 / 32)
     ap.add_argument("--t-end", type=float, default=0.2)
     ap.add_argument("--cfl", type=float, default=0.5)
-    ap.add_argument("--limiter", default="mcl.cs")
+    ap.add_argument("--limiter", default="mcl.cs", choices=SCHEME_KEYS)
     ap.add_argument("--system-limiter", default="sequential",
-                    choices=["sequential", "synchronized"])
+                    choices=SYSTEM_MODES)
     ap.add_argument("--out", default="out_dmr")
     args = ap.parse_args(argv)
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import MeshSystem, scratch
+from .mesh import MeshSystem, Workspace, scratch
 from .models import TINY
 
 
@@ -128,7 +128,7 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
 
 def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
-             with_antidiffusion: bool = True, ws: Optional[dict] = None,
+             with_antidiffusion: bool = True, ws: Optional[Workspace] = None,
              with_bar_states: bool = True) -> tuple:
     """Compute the element quantities for the global state u (n_dofs, m).
 
@@ -138,7 +138,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     element bar states (and f(u_i) . c_i, which only they read); the other
     blocks keep their bits either way. Boundary bar states are always formed.
 
-    With a workspace dict ``ws`` every element block is written into a
+    With a ``Workspace`` ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
     ElementWork are overwritten by the next call with the same ``ws``.
     Without one, every array is fresh. Per-DOF arrays are fresh either way.

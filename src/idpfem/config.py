@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .schemes import SCHEME_KEYS
+from .schemes import SCHEME_KEYS, SYSTEM_MODES
 
 
 class ConfigError(Exception):
@@ -16,8 +17,7 @@ _ENUMS = {
     "model": ("advection", "burgers", "euler"),
     "velocity": ("translation", "rotation"),
     "limiter": SCHEME_KEYS,
-    "system_limiter": ("sequential", "synchronized"),
-    "bounds": ("auto", "barstate", "stencil"),
+    "system_limiter": SYSTEM_MODES,
     "rk": ("euler", "ssp2", "ssp3"),
     "benchmark": ("constant", "advected_gaussian", "solid_body_rotation",
                   "burgers_riemann", "dmr"),
@@ -38,7 +38,6 @@ class RunConfig:
     body: str = "smooth"
     limiter: str = "mcl.cs"
     system_limiter: str = "sequential"
-    bounds: str = "auto"
     cfl: float = 0.5
     t_end: Optional[float] = None        # None -> benchmark default
     rk: str = "ssp2"
@@ -95,7 +94,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = val
         elif key in _FLOAT_KEYS:
             try:
-                values[key] = float(eval_fraction(val))
+                values[key] = eval_fraction(val)
             except ValueError:
                 raise ConfigError(f"line {ln}: bad number {val!r} for {key}") from None
         elif key in _INT_KEYS:
@@ -117,12 +116,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("h must be positive")
     if cfg.audit_every < 0:
         raise ConfigError("audit_every must be >= 0")
+    if cfg.output_every_t is not None and cfg.output_every_t < 0:
+        raise ConfigError("output_every_t must be >= 0 (0 is off)")
     return cfg
 
 
 def eval_fraction(val: str) -> float:
-    """Accept plain floats and simple fractions like ``1/32``."""
-    if "/" in val:
-        num, _, den = val.partition("/")
-        return float(num) / float(den)
-    return float(val)
+    """Accept finite plain floats and simple fractions like ``1/32``;
+    anything else raises ValueError."""
+    num, slash, den = val.partition("/")
+    try:
+        x = float(num) / float(den) if slash else float(val)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {val!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{val!r} is not finite")
+    return x

@@ -16,18 +16,6 @@ from .mesh import MeshSystem, scratch
 from .models import TINY, AdmissibilityError
 
 
-@dataclass
-class LimiterConfig:
-    kind: str = "cs"              # "scale" | "cs": per-element scalar limiter
-    system: str = "sequential"    # "sequential" | "synchronized"
-    bounds: str = "auto"          # "auto" | "barstate" | "stencil"
-
-    def bounds_mode(self, driver: str) -> str:
-        if self.bounds != "auto":
-            return self.bounds
-        return "barstate" if driver == "mcl" else "stencil"
-
-
 # Reductions over the three nodes of an element (axis 1 of an (E, 3) or
 # (E, 3, k) block) are written out: numpy's reduce over a length-3 axis costs
 # several times more. Both keep the node axis, with length 1.
@@ -49,10 +37,10 @@ def _one_per_element(shape):
 
 
 # Every function below that takes ``ws`` writes its element-sized
-# temporaries and its element-sized result into buffers of that workspace
-# dict (``mesh.scratch``); without one they are fresh arrays. Inputs are
-# never written. A result that lives in ``ws`` is valid until the next
-# limiting call with the same ``ws``.
+# temporaries and its element-sized result into buffers of that
+# ``Workspace`` (``mesh.scratch``); without one they are fresh arrays.
+# Inputs are never written. A result that lives in ``ws`` is valid until
+# the next limiting call with the same ``ws``.
 
 def _node_factors(f, fmin, fmax, tmp=None, out=None):
     """Per-node factors alpha_i in [0, 1]: fmax / f where f exceeds fmax,
@@ -129,10 +117,12 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
 
 
 def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
+    """The scalar limiter ``kind`` ("scale" or "cs"): (f_star, the
+    per-element factors (E,) or (E, k), or None for "cs")."""
     if kind == "scale":
-        return scaling_limiter(f, fmin, fmax, ws, out)[0]
+        return scaling_limiter(f, fmin, fmax, ws, out)[:2]
     if kind == "cs":
-        return clip_and_scale(f, fmin, fmax, ws, out)
+        return clip_and_scale(f, fmin, fmax, ws, out), None
     raise ValueError(f"unknown scalar limiter {kind!r}")
 
 
@@ -189,23 +179,20 @@ def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
 
 
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
-                               cfg: LimiterConfig, ws=None,
+                               kind: str, ws=None,
                                out=None) -> LimitResult:
-    """Scalar-model limiting: f, base are (E, 3), gamma (E, 3) or (E, 1);
-    lo, hi per DOF. f_star goes into ``out`` when given, else into the
-    buffer of the lower bound gap, which the limiter has used up."""
+    """Scalar-model limiting by the scalar limiter ``kind``: f, base are
+    (E, 3), gamma (E, 3) or (E, 1); lo, hi per DOF. f_star goes into
+    ``out`` when given, else into the buffer of the lower bound gap, which
+    the limiter has used up."""
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma, ws)
-    if out is None:
-        out = fmin
-    if cfg.kind == "scale":
-        f_star, alpha, _ = scaling_limiter(f, fmin, fmax, ws, out)
-        return LimitResult(f_star=f_star, alpha=alpha)
-    return LimitResult(f_star=clip_and_scale(f, fmin, fmax, ws, out),
-                       alpha=None)
+    f_star, alpha = limit_scalar(kind, f, fmin, fmax, ws,
+                                 fmin if out is None else out)
+    return LimitResult(f_star=f_star, alpha=alpha)
 
 
 def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
-                    base_k, gamma, lo_k, hi_k, cfg: LimiterConfig, ws=None,
+                    base_k, gamma, lo_k, hi_k, kind: str, ws=None,
                     out=None):
     """Sequential limiting of all product components rho*phi at once, given
     the limited density contributions ``f_rho_star``.
@@ -214,7 +201,7 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     / sum_i base_rho_i``, predicts ``phibar f_rho_star``, which sums to zero
     because ``f_rho_star`` does. R_S scales it (scaling keeps the zero sum)
     so that ``base_k + rs / gamma`` stays within ``lo_k``/``hi_k``. The
-    remainder ``g = f_k - rs`` is limited by ``cfg.kind`` against the
+    remainder ``g = f_k - rs`` is limited by ``kind`` against the
     per-DOF range [phi_lo, phi_hi] of ``phi_eL = (base_k + rs / gamma) /
     rho_bar_star``; these bounds straddle zero, so ``f_k_star = rs +
     g_star`` sums to zero and keeps ``base_k + f_k_star / gamma`` within
@@ -258,7 +245,7 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
         ms.gather(bound, out=gap)
         gap -= phi
         gap *= g_rho
-    g_star = limit_scalar(cfg.kind, g, bmin, bmax, ws, out=g)
+    g_star = limit_scalar(kind, g, bmin, bmax, ws, out=g)[0]
     g_star += rs
     return g_star, phi_lo, phi_hi
 
@@ -305,9 +292,10 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
 
 
 def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
-                               bounds, cfg: LimiterConfig,
+                               bounds, kind: str, system: str,
                                ws=None) -> LimitResult:
-    """System limiting (sequential or synchronized) plus the IDP correction.
+    """System limiting (``system`` "sequential", by the scalar limiter
+    ``kind``, or "synchronized") plus the IDP correction.
 
     f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
     each (n_dofs, m).
@@ -316,10 +304,10 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     f_star = scratch(ws, "system.f_star", f.shape)
     if f_star is None:
         f_star = np.empty_like(f)
-    if cfg.system == "sequential":
+    if system == "sequential":
         f_rho_star = f_star[..., 0]
         limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
-                                   lo[:, 0], hi[:, 0], cfg, ws,
+                                   lo[:, 0], hi[:, 0], kind, ws,
                                    out=f_rho_star)
         rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
             ws, "system.rho_bar_star", f_rho_star.shape))
@@ -329,8 +317,8 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                 "nonpositive intermediate density in product rule")
         product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
                         base[..., 0], base[..., 1:], gamma, lo[:, 1:],
-                        hi[:, 1:], cfg, ws, out=f_star[..., 1:])
-    elif cfg.system == "synchronized":
+                        hi[:, 1:], kind, ws, out=f_star[..., 1:])
+    elif system == "synchronized":
         # the smallest scaling factor of all components; f_star's buffer
         # takes an intermediate
         fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
@@ -341,7 +329,7 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
             ws, "system.alpha", alpha.shape[:2] + (1,)))
         f_star = np.multiply(alpha, f, out=f_star)
     else:
-        raise ValueError(f"unknown system limiter {cfg.system!r}")
+        raise ValueError(f"unknown system limiter {system!r}")
 
     alpha_phi = idp_fix(model, base, f_star, gamma, ws=ws)
     if alpha_phi.min() < 1.0:                 # some element was limited

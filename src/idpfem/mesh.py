@@ -29,35 +29,29 @@ class Workspace(dict):
         self.views = {}
 
 
-def scratch(ws, name: str, shape: tuple):
+def scratch(ws: Workspace | None, name: str, shape: tuple):
     """Float array ``name`` of ``shape`` from the workspace ``ws``, stored
     with the first index fastest (Fortran order) and made on first use.
 
     Later calls with the same name reuse the memory (a name whose shape
     grows gets a larger block once), so the contents are whatever the last
-    user left. A :class:`Workspace` returns the same view for the same
-    ``(name, shape)`` every time; a plain dict makes a new view per call.
+    user left, and return the same view for the same ``(name, shape)``.
     Without a workspace it returns None, which as a numpy ``out=`` argument
     asks for a fresh result: code written with ``out=scratch(ws, ...)``
     runs unchanged either way.
     """
     if ws is None:
         return None
-    views = getattr(ws, "views", None)
-    if views is not None:
-        view = views.get((name, shape))
-        if view is not None:
-            return view
+    view = ws.views.get((name, shape))
+    if view is not None:
+        return view
     size = math.prod(shape)
     flat = ws.get(name)
     if flat is None or flat.size < size:
         flat = ws[name] = np.empty(size)
-        if views is not None:         # views of the old block are stale
-            for key in [k for k in views if k[0] == name]:
-                del views[key]
-    view = flat[:size].reshape(shape, order="F")
-    if views is not None:
-        views[(name, shape)] = view
+        for key in [k for k in ws.views if k[0] == name]:
+            del ws.views[key]         # views of the old block are stale
+    view = ws.views[(name, shape)] = flat[:size].reshape(shape, order="F")
     return view
 
 
@@ -225,13 +219,12 @@ class MeshSystem:
     Per-element arrays keep their logical shapes, (E, 3) and (E, 3, ...),
     but are stored with the element index fastest (Fortran order), so that
     numpy runs its inner loops over the elements. ``gather`` reads per-DOF
-    values into that order; ``scatter_add``, ``scatter_min``,
-    ``scatter_max`` and ``scatter_min_max`` reduce per-element node values
-    of any order onto the DOFs and return fresh per-DOF arrays stored with
-    the DOF index fastest. Sums add in the same order as ``np.add.at`` over
-    ``elem_dofs``, so they are bit-identical; minima and maxima equal those
-    of ``np.minimum.at``/``np.maximum.at`` except that a tie between -0.0
-    and +0.0 may keep either sign.
+    values into that order; ``scatter_add`` and ``scatter_min_max`` reduce
+    per-element node values of any order onto the DOFs and return fresh
+    per-DOF arrays stored with the DOF index fastest. Sums add in the same
+    order as ``np.add.at`` over ``elem_dofs``, so they are bit-identical;
+    minima and maxima equal those of ``np.minimum.at``/``np.maximum.at``
+    except that a tie between -0.0 and +0.0 may keep either sign.
     """
 
     mesh: Mesh
@@ -303,16 +296,9 @@ class MeshSystem:
             rows.reshape(rows.shape[:-2] + (-1,))[..., self.dof_pad] = 0.0
         return np.add.reduce(rows, axis=-2, initial=0.0).T
 
-    def scatter_min(self, vals: np.ndarray, ws=None) -> np.ndarray:
-        """Smallest (E, 3) or (E, 3, m) value at each DOF."""
-        return np.minimum.reduce(self._rows(vals, ws), axis=-2).T
-
-    def scatter_max(self, vals: np.ndarray, ws=None) -> np.ndarray:
-        """Largest (E, 3) or (E, 3, m) value at each DOF."""
-        return np.maximum.reduce(self._rows(vals, ws), axis=-2).T
-
     def scatter_min_max(self, vals: np.ndarray, ws=None) -> tuple:
-        """``(scatter_min(vals), scatter_max(vals))`` from one row block."""
+        """The smallest and the largest (E, 3) or (E, 3, m) value at each
+        DOF, from one row block."""
         rows = self._rows(vals, ws)
         return (np.minimum.reduce(rows, axis=-2).T,
                 np.maximum.reduce(rows, axis=-2).T)

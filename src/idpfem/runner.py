@@ -13,7 +13,6 @@ from .benchmarks import Benchmark, make_benchmark
 from .config import RunConfig
 from .diagnostics import (AuditError, StepReport, audit_step, csv_header,
                           error_norms, lumped_totals)
-from .limiting import LimiterConfig
 from .mesh import MeshSystem, build_system, read_mesh
 from .schemes import SpatialScheme
 from .timestepping import TimeControls, compute_dt, ssp_rk_step
@@ -42,9 +41,8 @@ def setup(cfg: RunConfig):
     model = bench.model
     u0 = np.asarray(bench.u0(ms.dof_coords), dtype=float)
     model.set_global_bounds(u0)
-    lcfg = LimiterConfig(system=cfg.system_limiter, bounds=cfg.bounds)
     scheme = SpatialScheme(ms=ms, model=model, limiter=cfg.limiter,
-                           lcfg=lcfg, bc=bench.bc)
+                           system=cfg.system_limiter, bc=bench.bc)
     return bench, ms, model, scheme, u0
 
 

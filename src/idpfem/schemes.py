@@ -11,9 +11,10 @@ Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 ``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step; the
 assembly it makes, and the bound itself, are reused by the next
 ``rhs``/``step`` call at the same ``(u, t)``, so the first stage of an SSP
-step assembles nothing new and FCT's CFL check recomputes nothing. An
-assembly forms the element bar states only for the schemes that read them:
-``mcl.*``, and ``fct.*`` with bar-state bounds.
+step assembles nothing new and FCT's CFL check recomputes nothing. The
+driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
+states, which only its assemblies form, and ``fct.*`` from the low-order
+predictor over each DOF's nodal stencil.
 
 Each scheme owns a ``Workspace`` ``ws`` of element-sized buffers and their
 views, made on first use and reused by every later stage (see
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import assemble
-from .limiting import (LimiterConfig, limit_scalar_contributions,
+from .limiting import (limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
 from .mesh import MeshSystem, Workspace, scratch
 from .models import TINY
@@ -42,6 +43,7 @@ class CFLError(Exception):
 
 
 SCHEME_KEYS = ("none", "low", "fct.scale", "fct.cs", "mcl.scale", "mcl.cs")
+SYSTEM_MODES = ("sequential", "synchronized")
 
 
 def parse_limiter_key(key: str):
@@ -87,7 +89,7 @@ class SpatialScheme:
     ms: MeshSystem
     model: object
     limiter: str = "mcl.cs"
-    lcfg: LimiterConfig = field(default_factory=LimiterConfig)
+    system: str = "sequential"    # system models: one of SYSTEM_MODES
     bc: object = None             # callable or None (periodic / closed)
     last_alpha: np.ndarray | None = None
     last_bounds: tuple | None = None  # per-DOF (lo, hi), each (n_dofs, m)
@@ -100,9 +102,10 @@ class SpatialScheme:
                           compare=False)
 
     def __post_init__(self):
-        self.driver, kind = parse_limiter_key(self.limiter)
-        if kind is not None:
-            self.lcfg.kind = kind
+        self.driver, self.kind = parse_limiter_key(self.limiter)
+        if self.system not in SYSTEM_MODES:
+            raise ValueError(f"unknown system limiter {self.system!r}; "
+                             f"valid: {', '.join(SYSTEM_MODES)}")
 
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
@@ -116,11 +119,9 @@ class SpatialScheme:
         return dt
 
     def _fresh_assembly(self, u, t):
-        bars = self.driver == "mcl" or (
-            self.driver == "fct" and self.lcfg.bounds_mode("fct") == "barstate")
         return assemble(self.ms, self.model, u, t, self.bc,
                         with_antidiffusion=self.driver != "low", ws=self.ws,
-                        with_bar_states=bars)
+                        with_bar_states=self.driver == "mcl")
 
     def _assemble(self, u, t):
         """``(work, bwork, dt bound)`` at ``(u, t)``: what ``dt_bound`` left
@@ -154,11 +155,12 @@ class SpatialScheme:
         if self.model.m == 1:
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
                                              gamma, lo[:, 0], hi[:, 0],
-                                             self.lcfg, self.ws)
+                                             self.kind, self.ws)
             f_star = res.f_star[..., None]
         else:
             res = limit_system_contributions(self.ms, self.model, f, base,
-                                             gamma, bounds, self.lcfg, self.ws)
+                                             gamma, bounds, self.kind,
+                                             self.system, self.ws)
             f_star = res.f_star
         self.last_alpha = res.alpha
         return f_star
@@ -181,8 +183,8 @@ class SpatialScheme:
             gamma = np.maximum(work.d[:, None], TINY,
                                out=self._gamma_buffer())
             gamma *= 2.0                                          # (E, 1)
-            bounds = _component_bounds(ms, u, work, bwork,
-                                       self.lcfg.bounds_mode("mcl"), self.ws)
+            bounds = _component_bounds(ms, u, work, bwork, "barstate",
+                                       self.ws)
             f = _zero_inactive(work.f_anti, work.d)
             f_star = self._limit(f, work.bar_states, gamma, bounds)
             contrib = np.add(work.r_rusanov, _zero_inactive(f_star, work.d),
@@ -208,12 +210,7 @@ class SpatialScheme:
         # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.divide(ms.geometry.m_elem[:, None], dt,
                           out=self._gamma_buffer())             # (E, 1)
-        mode = self.lcfg.bounds_mode("fct")
-        bounds = _component_bounds(ms, u_low, work, bwork, mode, self.ws)
-        if mode == "barstate":
-            # Bar-state bounds must cover both u and u_low.
-            lo, hi = bounds
-            bounds = np.minimum(lo, u, out=lo), np.maximum(hi, u, out=hi)
+        bounds = _component_bounds(ms, u_low, work, bwork, "stencil", self.ws)
         # u_loc is not read again in this stage
         base = ms.gather(u_low, out=work.u_loc)
         f_star = self._limit(work.f_anti, base, gamma, bounds)

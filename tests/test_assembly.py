@@ -3,7 +3,7 @@ import pytest
 
 from idpfem.assembly import assemble, boundary_terms, element_average
 from idpfem.diagnostics import residual_split
-from idpfem.mesh import build_system, structured_rect
+from idpfem.mesh import Workspace, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model, \
     translation_velocity
 
@@ -70,7 +70,7 @@ class TestElementIdentities:
 
     def test_split_uses_the_assembled_antidiffusion(self, rng, periodic8):
         for model, u in models_with_states(rng, periodic8):
-            work, _ = assemble(periodic8, model, u, ws={})
+            work, _ = assemble(periodic8, model, u, ws=Workspace())
             split = residual_split(periodic8, model, u)
             assert split.work.f_anti.tobytes() == work.f_anti.tobytes()
 

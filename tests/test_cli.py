@@ -235,6 +235,18 @@ class TestCliCommands:
         assert main(["solve", str(cfgfile)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("h = 1/0", "line 1: bad number '1/0' for h"),
+        ("h = nan", "line 1: bad number 'nan' for h"),
+        ("output_every_t = -0.01", "output_every_t must be >= 0")])
+    def test_solve_bad_number_exit_one(self, tmp_path, capsys, line, message):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["solve", str(cfgfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert not out.exists()
+
     def test_mesh_gen_and_reuse(self, tmp_path, capsys):
         meshfile = tmp_path / "m.mesh"
         code = main(["mesh-gen", "--nx", "4", "--ny", "4", "--periodic",

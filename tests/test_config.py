@@ -34,6 +34,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1.*unknown key"):
             parse_config("rs_operator = clip\n")
 
+    def test_removed_bounds_is_unknown(self):
+        # the driver fixes the bounds: bar states for mcl.*, stencil for fct.*
+        with pytest.raises(ConfigError, match="line 1.*unknown key"):
+            parse_config("bounds = stencil\n")
+
     def test_invalid_enum_lists_valid_values(self):
         with pytest.raises(ConfigError, match="mcl.cs"):
             parse_config("limiter = banana\n")
@@ -49,6 +54,13 @@ class TestParsing:
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="bad number"):
             parse_config("cfl = fast\n")
+
+    @pytest.mark.parametrize("text", [
+        "h = 1/0\n", "h = 0/0\n", "h = 1/\n", "h = nan\n", "h = inf\n",
+        "dt_max = -inf\n", "t_end = 1/nan\n", "audit_bound_tol = 1e999\n"])
+    def test_every_float_is_finite(self, text):
+        with pytest.raises(ConfigError, match="line 1: bad number"):
+            parse_config(text)
 
     def test_bad_integer(self):
         with pytest.raises(ConfigError, match="bad integer"):
@@ -76,6 +88,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="audit_every"):
             parse_config("audit_every = -1\n")
 
+    def test_output_every_t_nonnegative(self):
+        with pytest.raises(ConfigError, match="output_every_t"):
+            parse_config("output_every_t = -0.01\n")
+        assert parse_config("output_every_t = 0\n").output_every_t == 0.0
+
 
 class TestFractions:
     def test_plain_float(self):
@@ -83,6 +100,11 @@ class TestFractions:
 
     def test_fraction(self):
         assert eval_fraction("1/64") == pytest.approx(1 / 64)
+
+    @pytest.mark.parametrize("val", ["1/0", "nan", "-inf", "2/inf/3", "x"])
+    def test_rejects_with_value_error(self, val):
+        with pytest.raises(ValueError):
+            eval_fraction(val)
 
 
 def test_effective_text_roundtrips():

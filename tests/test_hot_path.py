@@ -19,7 +19,7 @@ import idpfem.schemes as schemes_mod
 from conftest import random_euler_states
 from idpfem.assembly import assemble
 from idpfem.config import RunConfig
-from idpfem.limiting import LimiterConfig, local_bounds
+from idpfem.limiting import local_bounds
 from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
                          read_mesh, scratch, structured_rect, write_mesh)
 from idpfem.models import Burgers2D, Euler, make_model
@@ -96,7 +96,7 @@ class TestScatter:
         vals, vals_f = self._vals(ms, trailing, 2)
         lo, hi = self._min_max_ref(ms, vals)
         for v in (vals, vals_f):
-            got_lo, got_hi = ms.scatter_min(v), ms.scatter_max(v)
+            got_lo, got_hi = ms.scatter_min_max(v)
             assert got_lo.tobytes() == lo.tobytes()
             assert got_hi.tobytes() == hi.tobytes()
             assert _dof_fastest(got_lo) and _dof_fastest(got_hi)
@@ -142,8 +142,12 @@ class TestShapeContracts:
         n_el = ms.n_elements
         vals = np.ones({"E11": (n_el, 1, 1), "E-1,3": (n_el - 1, 3),
                         "3E": (3 * n_el,)}[shape])
+        call = {"scatter_add": ms.scatter_add,
+                "scatter_min": lambda v: ms.scatter_min_max(v)[0],
+                "scatter_max": lambda v: ms.scatter_min_max(v)[1],
+                "scatter_min_max": ms.scatter_min_max}[scatter]
         with pytest.raises(ValueError, match="element block"):
-            getattr(ms, scatter)(vals)
+            call(vals)
 
 
 def _scheme(limiter, bc=None, periodic=True):
@@ -154,8 +158,7 @@ def _scheme(limiter, bc=None, periodic=True):
         model = Burgers2D()
     u = np.random.default_rng(5).uniform(0.1, 1.0, (ms.n_dofs, 1))
     model.set_global_bounds(u)
-    return SpatialScheme(ms=ms, model=model, limiter=limiter,
-                         lcfg=LimiterConfig(), bc=bc), u
+    return SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc), u
 
 
 def _time_bc(x, t, u_in, nhat):
@@ -468,12 +471,13 @@ def _bounds_per_component(ms, field, work, bwork, mode):
     return out
 
 
-@pytest.mark.parametrize("ws", [None, {}], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("ws", [False, True], ids=["fresh", "workspace"])
 @pytest.mark.parametrize("mode", ["barstate", "stencil"])
 @pytest.mark.parametrize("mesh_kind", MESH_KINDS)
 @pytest.mark.parametrize("model_name", ["translation", "euler"])
 def test_component_bounds_bit_equal_to_per_component_loop(
         model_name, mesh_kind, mode, ws):
+    ws = Workspace() if ws else None
     ms, model, bc, u = _problem(model_name, mesh_kind)
     work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
     assert (bwork is not None) == (mesh_kind == "bounded")
@@ -580,15 +584,8 @@ def test_workspace_dies_with_its_scheme():
     assert ms is not None and model is not None
 
 
-def test_plain_dict_workspace_gives_fresh_views():
-    ws = {}
-    a = scratch(ws, "x", (4, 3))
-    b = scratch(ws, "x", (4, 3))
-    assert a is not b and np.shares_memory(a, b)
-    assert scratch(None, "x", (4, 3)) is None
-
-
 def test_workspace_view_follows_a_grown_buffer():
+    assert scratch(None, "x", (2, 3)) is None
     ws = Workspace()
     small = scratch(ws, "x", (2, 3))
     assert scratch(ws, "x", (2, 3)) is small
@@ -629,36 +626,39 @@ def test_fresh_assembly_is_not_overwritten(model_name):
         for b in _arrays(other).values():
             assert not np.shares_memory(a, b), name
     # a workspace gives the same bits
-    ws_work, ws_bwork = assemble(ms, model, u, 0.1, bc, ws={})
+    ws_work, ws_bwork = assemble(ms, model, u, 0.1, bc, ws=Workspace())
     for name, a in _arrays(ws_work, ws_bwork).items():
         assert a.tobytes() == first[name].tobytes(), name
 
 
 @pytest.mark.parametrize("limiters", [("mcl.cs", "mcl.cs"), ("mcl.cs", "fct.cs"),
-                                      ("fct.cs", "low")])
+                                      ("fct.cs", "low"), ("mcl.cs", "mcl.scale"),
+                                      ("mcl.scale", "mcl.cs"),
+                                      ("fct.cs", "fct.scale"),
+                                      ("fct.scale", "fct.cs")])
 @pytest.mark.parametrize("model_name", ["translation", "euler"])
 def test_interleaved_schemes_on_one_mesh_system(model_name, limiters):
-    """Two schemes on one MeshSystem, stepped stage by stage in turn (each
-    one's dt_bound assembly waits while the other assembles), give the
-    bits each gives when stepped alone."""
+    """Two schemes on one MeshSystem and model, stepped stage by stage in
+    turn (each one's dt_bound assembly waits while the other assembles),
+    give the bits of each scheme built and stepped alone."""
     ms, model, bc, u0 = _problem(model_name, "bounded")
 
-    def schemes():
-        return [SpatialScheme(ms=ms, model=model, limiter=lim, bc=bc)
-                for lim in limiters]
+    def scheme_of(limiter):
+        return SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
 
     def dt_of(scheme, u, t):
         return compute_dt(scheme.dt_bound(u, t), 0.5, t, 1.0)
 
     alone = []
-    for scheme in schemes():
+    for lim in limiters:
+        scheme = scheme_of(lim)
         u, t = u0, 0.1
         for _ in range(3):
             dt = dt_of(scheme, u, t)
             u, t = ssp_rk_step("ssp2", scheme.stage_map(), u, t, dt), t + dt
         alone.append(u)
 
-    pair = schemes()
+    pair = [scheme_of(lim) for lim in limiters]
     maps = [scheme.stage_map() for scheme in pair]
     us, t = [u0, u0], [0.1, 0.1]
     for _ in range(3):
@@ -714,8 +714,8 @@ def _stencil_bounds_reference(ms, field, extra_dofs, extra_vals):
     first, second, third = f_loc[:, :1], f_loc[:, 1:2], f_loc[:, 2:]
     e_min = np.minimum(np.minimum(first, second), third)
     e_max = np.maximum(np.maximum(first, second), third)
-    lo = ms.scatter_min(np.repeat(e_min, 3, axis=1))
-    hi = ms.scatter_max(np.repeat(e_max, 3, axis=1))
+    lo = ms.scatter_min_max(np.repeat(e_min, 3, axis=1))[0]
+    hi = ms.scatter_min_max(np.repeat(e_max, 3, axis=1))[1]
     lo, hi = np.minimum(field, lo), np.maximum(field, hi)
     if extra_dofs is not None:
         lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)
@@ -799,22 +799,18 @@ def test_assembly_without_bar_states_keeps_every_other_bit(
         assert a.tobytes() == ref[name].tobytes(), name
 
 
-@pytest.mark.parametrize("limiter, bounds, reads", [
-    ("fct.cs", "auto", False), ("fct.scale", "stencil", False),
-    ("low", "auto", False), ("none", "auto", False),
-    ("low", "barstate", False), ("none", "barstate", False),
-    ("mcl.cs", "auto", True), ("mcl.scale", "stencil", True),
-    ("fct.cs", "barstate", True)])
+@pytest.mark.parametrize("limiter, reads", [
+    ("fct.cs", False), ("fct.scale", False), ("low", False),
+    ("none", False), ("mcl.cs", True), ("mcl.scale", True)])
 @pytest.mark.parametrize("model_name", ["translation", "euler"])
 def test_bar_states_assembled_only_for_their_readers(
-        monkeypatch, model_name, limiter, bounds, reads):
+        monkeypatch, model_name, limiter, reads):
     calls = []
     original = assembly_mod.bar_states
     monkeypatch.setattr(assembly_mod, "bar_states",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     ms, model, bc, u = _problem(model_name, "bounded")
-    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter,
-                           lcfg=LimiterConfig(bounds=bounds), bc=bc)
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
     dt = 0.5 * scheme.dt_bound(u, 0.1)
     _stage(scheme, u, 0.1, dt)                 # the assembly of dt_bound
     _stage(scheme, u, 0.1, dt)                 # a fresh one

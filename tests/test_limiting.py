@@ -9,7 +9,7 @@ import idpfem.limiting as limiting_mod
 from idpfem.assembly import assemble
 from idpfem.config import RunConfig
 from idpfem import diagnostics
-from idpfem.limiting import (LimiterConfig, clip_and_scale, idp_fix,
+from idpfem.limiting import (clip_and_scale, idp_fix,
                              limit_scalar_contributions,
                              limit_system_contributions, local_bounds,
                              product_rule_cs, scaling_limiter)
@@ -366,8 +366,7 @@ class TestScalarContributionLimiting:
         lo = np.full(ms.n_dofs, 0.0)
         hi = np.full(ms.n_dofs, 1.0)
         for kind in ("scale", "cs"):
-            cfg = LimiterConfig(kind=kind)
-            res = limit_scalar_contributions(ms, f, base, gamma, lo, hi, cfg)
+            res = limit_scalar_contributions(ms, f, base, gamma, lo, hi, kind)
             cand = base + res.f_star / gamma
             assert np.all(cand >= -1e-12) and np.all(cand <= 1.0 + 1e-12)
             assert np.abs(res.f_star.sum(axis=1)).max() < 1e-12 * max(
@@ -400,7 +399,7 @@ class TestProductRule:
         lo = np.full((ms.n_dofs, 3), -np.inf)
         hi = np.full((ms.n_dofs, 3), np.inf)
         out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f_k, base_rho,
-                                    base_k, gamma, lo, hi, LimiterConfig())
+                                    base_k, gamma, lo, hi, "cs")
         phi_final = (base_k + out / gamma[..., None]) / rho_bar_star[..., None]
         assert np.allclose(phi_final, phi0, atol=1e-12)
 
@@ -413,23 +412,21 @@ class TestProductRule:
         hi = np.full((ms.n_dofs, 3), np.inf)
         out, _, _ = product_rule_cs(
             ms, zeros, base_rho, np.zeros((ms.n_elements, 3, 3)), base_rho,
-            np.full((ms.n_elements, 3, 3), 0.5), gamma, lo, hi,
-            LimiterConfig())
+            np.full((ms.n_elements, 3, 3), 0.5), gamma, lo, hi, "cs")
         assert np.all(out == 0)
 
     def test_random_zero_sum_and_bounds(self, rng, periodic8):
         ms = periodic8
         model, work, f, gamma, bounds = _euler_element_data(rng, ms)
-        cfg = LimiterConfig()
         base = work.bar_states
         lo, hi = bounds
         f_rho = limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
-                                           lo[:, 0], hi[:, 0], cfg).f_star
+                                           lo[:, 0], hi[:, 0], "cs").f_star
         rho_bar_star = base[..., 0] + f_rho / gamma
         scale = max(np.abs(f).max(), 1.0)
         out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f[..., 1:],
                                     base[..., 0], base[..., 1:], gamma,
-                                    lo[:, 1:], hi[:, 1:], cfg)
+                                    lo[:, 1:], hi[:, 1:], "cs")
         assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
 
 
@@ -465,7 +462,7 @@ class TestSequentialLimiterBounds:
         for _ in range(5):
             model, work, f, gamma, bounds = _euler_element_data(rng, periodic8)
             limit_system_contributions(periodic8, model, f, work.bar_states,
-                                       gamma, bounds, LimiterConfig(kind=kind))
+                                       gamma, bounds, kind, "sequential")
         self._check(product_rule_defects)
 
     def test_dmr_stages(self, kind, product_rule_defects):
@@ -522,9 +519,8 @@ class TestSystemLimiting:
     def test_zero_sum_and_admissibility(self, rng, periodic8, system):
         ms = periodic8
         model, work, f, gamma, bounds = _euler_element_data(rng, ms)
-        cfg = LimiterConfig(system=system)
         res = limit_system_contributions(ms, model, f, work.bar_states, gamma,
-                                         bounds, cfg)
+                                         bounds, "cs", system)
         scale = max(np.abs(f).max(), 1.0)
         assert np.abs(res.f_star.sum(axis=1)).max() < 1e-11 * scale
         cand = work.bar_states + res.f_star / gamma[..., None]
@@ -545,11 +541,10 @@ class TestSystemLimiting:
         with pytest.raises(AdmissibilityError,
                            match="nonpositive intermediate density"):
             limit_system_contributions(ms, model, f, base, gamma, wide,
-                                       LimiterConfig())
+                                       "cs", "sequential")
 
     def test_unknown_system_rejected(self, rng, periodic8):
         model, work, f, gamma, bounds = _euler_element_data(rng, periodic8)
         with pytest.raises(ValueError):
             limit_system_contributions(periodic8, model, f, work.bar_states,
-                                       gamma, bounds,
-                                       LimiterConfig(system="banana"))
+                                       gamma, bounds, "cs", "banana")

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import idpfem.schemes as schemes_mod
-from idpfem.assembly import assemble
 from idpfem.config import RunConfig
-from idpfem.limiting import LimiterConfig, local_bounds
 from idpfem.mesh import build_system, structured_rect, write_mesh
 from idpfem.models import Euler, make_model
 from idpfem.runner import integrate, setup
@@ -15,9 +13,8 @@ from idpfem.timestepping import TimeControls, ssp_rk_step
 from conftest import single_triangle_system
 
 
-def make_scheme(ms, model, limiter, **lcfg):
-    return SpatialScheme(ms=ms, model=model, limiter=limiter,
-                         lcfg=LimiterConfig(**lcfg))
+def make_scheme(ms, model, limiter):
+    return SpatialScheme(ms=ms, model=model, limiter=limiter)
 
 
 class TestLimiterKey:
@@ -116,7 +113,7 @@ class TestFct:
         ms, model, scheme, u = _scalar_setup("fct.cs")
         low = make_scheme(ms, model, "low")
 
-        def zero_limit(ms_, f, base, gamma, lo, hi, cfg, ws=None):
+        def zero_limit(ms_, f, base, gamma, lo, hi, kind, ws=None):
             from idpfem.limiting import LimitResult
             return LimitResult(f_star=np.zeros_like(f), alpha=None)
 
@@ -147,58 +144,10 @@ def _euler_setup(n=8):
     return ms, model, model.conserved(rho, v, p)
 
 
-def _two_pass_barstate_bounds(scheme, u, t, dt):
-    """Bar-state bounds of min(u, u_low) and max(u, u_low), one pass each."""
-    ms = scheme.ms
-    work, bwork = assemble(ms, scheme.model, u, t, scheme.bc)
-    low = schemes_mod._scatter(ms, work.r_rusanov, bwork, u.shape)
-    u_low = u + dt * low / ms.lumped_mass[:, None]
-    return [(local_bounds(ms, np.minimum(u, u_low)[:, k],
-                          work.bar_states[..., k], "barstate")[0],
-             local_bounds(ms, np.maximum(u, u_low)[:, k],
-                          work.bar_states[..., k], "barstate")[1])
-            for k in range(u.shape[1])]
-
-
-class TestFctBarstateBounds:
-    def _run(self, ms, model, u, in_bounds, steps=5):
-        scheme = make_scheme(ms, model, "fct.cs", bounds="barstate")
-        stages = 0
-
-        def stage(v, t, dt):
-            nonlocal stages
-            out = scheme.step(v, t, dt)
-            ref = _two_pass_barstate_bounds(scheme, v, t, dt)
-            lo, hi = scheme.last_bounds
-            assert lo.shape == hi.shape == v.shape
-            for k, (lo_ref, hi_ref) in enumerate(ref):
-                np.testing.assert_allclose(lo[:, k], lo_ref, rtol=1e-14,
-                                           atol=1e-14)
-                np.testing.assert_allclose(hi[:, k], hi_ref, rtol=1e-14,
-                                           atol=1e-14)
-            total_in = (ms.lumped_mass[:, None] * v).sum(axis=0)
-            total_out = (ms.lumped_mass[:, None] * out).sum(axis=0)
-            np.testing.assert_allclose(total_out, total_in, rtol=0,
-                                       atol=1e-12 * np.abs(total_in).max())
-            assert in_bounds(out)
-            stages += 1
-            return out
-
-        t = 0.0
-        for _ in range(steps):
-            dt = 0.9 * scheme.dt_bound(u, t)
-            u = ssp_rk_step("ssp2", stage, u, t, dt)
-            t += dt
-        assert stages == 2 * steps
-
-    def test_scalar_advection(self):
-        ms, model, _, u = _scalar_setup("fct.cs")
-        self._run(ms, model, u, lambda v: v.min() >= -1e-12
-                  and v.max() <= 1.0 + 1e-12)
-
-    def test_euler(self):
-        ms, model, u = _euler_setup()
-        self._run(ms, model, u, lambda v: np.all(model.admissible(v, 0.0)))
+def test_unknown_system_mode_raises_at_construction():
+    ms, model, _ = _euler_setup(n=2)
+    with pytest.raises(ValueError, match="unknown system limiter 'banana'"):
+        SpatialScheme(ms=ms, model=model, limiter="mcl.cs", system="banana")
 
 
 class TestMcl:

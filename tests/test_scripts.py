@@ -4,6 +4,8 @@ import importlib.util
 import math
 import pathlib
 
+import pytest
+
 from idpfem.schemes import SCHEME_KEYS
 from idpfem.vtk_io import read_vtk_point_data
 
@@ -50,3 +52,13 @@ def test_run_dmr(tmp_path, capsys):
     _, fields = read_vtk_point_data(snapshots[-1])
     assert fields["rho"].min() > 0.0
     assert fields["pressure"].min() > 0.0
+
+
+def test_run_dmr_rejects_an_unknown_limiter(tmp_path, capsys):
+    main = load_script("run_dmr").main
+    out = tmp_path / "dmr"
+    with pytest.raises(SystemExit) as exc:
+        main(["--limiter", "mcl.banana", "--out", str(out)])
+    assert exc.value.code == 2                 # argparse's usage error
+    assert "invalid choice: 'mcl.banana'" in capsys.readouterr().err
+    assert not out.exists()
