@@ -129,7 +129,8 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
 def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
              with_antidiffusion: bool = True, ws: Optional[Workspace] = None,
-             with_bar_states: bool = True) -> tuple:
+             with_bar_states: bool = True,
+             d: Optional[np.ndarray] = None) -> tuple:
     """Compute the element quantities for the global state u (n_dofs, m).
 
     Returns (ElementWork, BoundaryWork or None). Gather/scatter order is fixed,
@@ -137,6 +138,12 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     the antidiffusive contributions and ``with_bar_states=False`` the
     element bar states (and f(u_i) . c_i, which only they read); the other
     blocks keep their bits either way. Boundary bar states are always formed.
+
+    ``d`` (E,) is the Rusanov viscosity when the caller already has it, for
+    a model whose wave speeds do not depend on the states (see
+    ``models``): the wave speeds and the viscosity are then not computed,
+    ``d`` itself is the returned ``work.d`` and every other block keeps its
+    bits.
 
     With a ``Workspace`` ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
@@ -159,13 +166,14 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                         tmp=buf("tmp", blk[:2]))
     aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
                         tmp=buf("tmp", (n_e,)))
-    # the wave speeds go where the bar states (if formed) go later, their
-    # intermediates where f(u_i) goes
-    lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
-                      aux_loc=aux_loc, aux_bar=aux_bar,
-                      tmp=buf("flux_loc", blk[:2] + (2,)))
-    d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
-                          tmp=buf("tmp", blk[:2]))
+    if d is None:
+        # the wave speeds go where the bar states (if formed) go later,
+        # their intermediates where f(u_i) goes
+        lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
+                          aux_loc=aux_loc, aux_bar=aux_bar,
+                          tmp=buf("flux_loc", blk[:2] + (2,)))
+        d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
+                              tmp=buf("tmp", blk[:2]))
 
     x_bar = geom.centroid
     flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),

@@ -295,7 +295,8 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                                bounds, kind: str, system: str,
                                ws=None) -> LimitResult:
     """System limiting (``system`` "sequential", by the scalar limiter
-    ``kind``, or "synchronized") plus the IDP correction.
+    ``kind``, or "synchronized", which does not read ``kind``) plus the IDP
+    correction.
 
     f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
     each (n_dofs, m).

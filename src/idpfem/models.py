@@ -16,6 +16,12 @@ evaluates both at the same states computes it once and passes it as
 ``max_wave_speed`` (and ``Euler.admissible``) also take ``tmp``, the
 shape of their result with a trailing axis of length 2, for their
 intermediates.
+
+A model whose class sets ``state_free_speeds = True`` promises that its
+``max_wave_speed`` reads only ``n`` and ``x``, never the states or t, so
+that a scheme may compute the wave speeds and what follows from them (the
+viscosity d^e and the CFL bound) once and keep them. Models without the
+attribute are read as state-dependent.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class LinearAdvection:
     u_max: float = np.inf
     m: int = 1
     kind: str = "linear_advection"
+    state_free_speeds = True      # a class attribute, not a field
 
     def __post_init__(self):
         if self.velocity is None:

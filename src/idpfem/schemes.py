@@ -11,8 +11,13 @@ Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 ``step``. ``dt_bound`` yields the largest IDP-safe forward-Euler step; the
 assembly it makes, and the bound itself, are reused by the next
 ``rhs``/``step`` call at the same ``(u, t)``, so the first stage of an SSP
-step assembles nothing new and FCT's CFL check recomputes nothing. The
-driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
+step assembles nothing new and FCT's CFL check recomputes nothing. On a
+model with state-free wave speeds (``state_free_speeds``, linear
+advection) the scheme keeps a read-only copy of the viscosity d^e of its
+first assembly, which every later assembly takes instead of computing the
+wave speeds, and the bound of its first CFL computation: ``dt_bound`` then
+returns it without assembling, and FCT's CFL check compares against it.
+The driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
 states, which only its assemblies form, and ``fct.*`` from the low-order
 predictor over each DOF's nodal stencil.
 
@@ -96,6 +101,10 @@ class SpatialScheme:
     # (u copy, t, work, bwork, dt bound) of the last dt_bound, for one use
     # only
     _memo: tuple | None = field(default=None, init=False, repr=False)
+    # on a model with state-free wave speeds: the read-only d^e of the
+    # first assembly and the first CFL bound, kept for the scheme's life
+    _d: np.ndarray | None = field(default=None, init=False, repr=False)
+    _dt: float | None = field(default=None, init=False, repr=False)
     # element-sized buffers and their views, reused by every stage (see
     # mesh.scratch)
     ws: Workspace = field(default_factory=Workspace, init=False, repr=False,
@@ -111,26 +120,35 @@ class SpatialScheme:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
 
         The assembly and the bound are kept for the next ``rhs`` or ``step``
-        call only.
+        call only. Once the scheme keeps its bound (state-free wave
+        speeds), that is returned and nothing is assembled or kept.
         """
+        if self._dt is not None:
+            return self._dt
         work, bwork = self._fresh_assembly(u, t)
         dt = self._dt_from_work(work, bwork)
         self._memo = (u.copy(), t, work, bwork, dt)
         return dt
 
     def _fresh_assembly(self, u, t):
-        return assemble(self.ms, self.model, u, t, self.bc,
-                        with_antidiffusion=self.driver != "low", ws=self.ws,
-                        with_bar_states=self.driver == "mcl")
+        work, bwork = assemble(self.ms, self.model, u, t, self.bc,
+                               with_antidiffusion=self.driver != "low",
+                               ws=self.ws, d=self._d,
+                               with_bar_states=self.driver == "mcl")
+        if self._d is None and getattr(self.model, "state_free_speeds", False):
+            self._d = work.d.copy()
+            self._d.flags.writeable = False
+        return work, bwork
 
     def _assemble(self, u, t):
         """``(work, bwork, dt bound)`` at ``(u, t)``: what ``dt_bound`` left
         if it was made at equal ``t`` and ``u``, else a fresh assembly and
-        None for the bound. Either way the memo is dropped."""
+        the kept bound (None if there is none). Either way the memo is
+        dropped."""
         memo, self._memo = self._memo, None
         if memo is not None and memo[1] == t and np.array_equal(memo[0], u):
             return memo[2:]
-        return self._fresh_assembly(u, t) + (None,)
+        return self._fresh_assembly(u, t) + (self._dt,)
 
     def _gamma_buffer(self):
         """The (E, 1) buffer of gamma: that of dt's 2 d^e, used up by then."""
@@ -143,9 +161,15 @@ class SpatialScheme:
         if bwork is not None:
             denom[bwork.dofs] += bwork.visc
         if denom.max() <= 0.0:
-            return np.inf
-        mask = denom > 0
-        return float((self.ms.lumped_mass[mask] / denom[mask]).min())
+            dt = np.inf
+        else:
+            mask = denom > 0
+            dt = float((self.ms.lumped_mass[mask] / denom[mask]).min())
+        if self._d is not None:
+            # state-free speeds (the boundary lambda |n_i| too): the bound
+            # holds for every state
+            self._dt = dt
+        return dt
 
     def _limit(self, f, base, gamma, bounds):
         """Limit the antidiffusive contributions ``f`` (E, 3, m) so that every

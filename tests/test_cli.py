@@ -9,6 +9,7 @@ from idpfem.diagnostics import AuditError
 from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import AdmissibilityError, Euler
 from idpfem.runner import run
+from idpfem.timestepping import TimeControls
 from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, write_vtk
 
 from conftest import single_triangle_system
@@ -371,3 +372,33 @@ class TestDeterminism:
             vtk = sorted((tmp_path / name).glob("state_*.vtk"))[-1].read_bytes()
             texts.append((csv, vtk))
         assert texts[0] == texts[1]
+
+
+def _check_scheme(case):
+    """What a `check` case runs: its full configuration, with the `.cs`
+    keys of the synchronized mode (which reads no scalar limiter kind)
+    read as `.scale`."""
+    cfg = RunConfig(**case)
+    if cfg.system_limiter == "synchronized":
+        cfg.limiter = cfg.limiter.replace(".cs", ".scale")
+    return cfg.effective_text()
+
+
+def test_no_two_check_cases_run_the_same_scheme():
+    schemes = [_check_scheme(case) for case in CHECK_CASES]
+    assert len(set(schemes)) == len(CHECK_CASES) == 23
+
+
+@pytest.mark.parametrize("system", ["synchronized", "sequential"])
+@pytest.mark.parametrize("driver", ["mcl", "fct"])
+def test_only_the_synchronized_mode_ignores_the_limiter_kind(driver, system):
+    states = []
+    for kind in ("cs", "scale"):
+        _, _, _, scheme, u0 = runner_mod.setup(RunConfig(
+            benchmark="dmr", h=1 / 4, limiter=f"{driver}.{kind}",
+            system_limiter=system))
+        u, _, steps = runner_mod.integrate(
+            scheme, u0, TimeControls(cfl=0.5, t_end=0.01))
+        assert steps > 1
+        states.append(u.tobytes())
+    assert (states[0] == states[1]) == (system == "synchronized")

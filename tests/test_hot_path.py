@@ -1,6 +1,7 @@
 """The hot path: numpy scatters equal the ``ufunc.at`` forms bit for bit,
 each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
-is only reused for the same state, element blocks stored with the element
+is only reused for the same state, a model with state-free wave speeds
+has them computed once per scheme, element blocks stored with the element
 index fastest give the same bits as C-ordered ones, and a step reuses the
 scheme's buffers instead of allocating element-sized temporaries."""
 
@@ -22,9 +23,9 @@ from idpfem.config import RunConfig
 from idpfem.limiting import local_bounds
 from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
                          read_mesh, scratch, structured_rect, write_mesh)
-from idpfem.models import Burgers2D, Euler, make_model
+from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model
 from idpfem.runner import integrate, setup
-from idpfem.schemes import CFLError, SpatialScheme
+from idpfem.schemes import SCHEME_KEYS, CFLError, SpatialScheme
 from idpfem.timestepping import TimeControls, compute_dt, ssp_rk_step
 
 def _dmr_system():
@@ -858,4 +859,123 @@ class TestCflBoundReuse:
         scheme.step(u, 0.1, dt)                # the memo of dt_bound
         assert len(calls) == 1
         scheme.step(u, 0.1, dt)                # a fresh assembly is checked
-        assert len(calls) == 2
+        if model_name == "euler":
+            assert len(calls) == 2
+        else:
+            # against the kept bound: with state-free wave speeds it is
+            # computed once per scheme
+            scheme.dt_bound(u, 0.3)
+            assert len(calls) == 1
+
+
+# --- state-free wave speeds: d^e and the CFL bound kept per scheme ------------
+
+class _StateDependent(LinearAdvection):
+    """Linear advection whose wave speeds a scheme treats as state-dependent:
+    the reference that computes them in every assembly."""
+    state_free_speeds = False
+
+
+def _ssp2_steps(scheme, u, t, n):
+    """``n`` SSP2 steps at cfl 0.5; yields the bits of (dt, u, last_bounds,
+    last_alpha) after each."""
+    stage = scheme.stage_map()
+    for _ in range(n):
+        dt = 0.5 * scheme.dt_bound(u, t)
+        u = ssp_rk_step("ssp2", stage, u, t, dt)
+        t += dt
+        bounds = scheme.last_bounds or ()
+        alpha = scheme.last_alpha
+        yield (dt, u.tobytes(), [b.tobytes() for b in bounds],
+               None if alpha is None else alpha.tobytes())
+
+
+@pytest.mark.parametrize("limiter", SCHEME_KEYS)
+@pytest.mark.parametrize("velocity", ["translation", "rotation"])
+@pytest.mark.parametrize("mesh_kind", ["periodic", "bounded"])
+def test_kept_wave_speeds_change_no_bit(limiter, velocity, mesh_kind):
+    ms, model, bc, u = _problem(velocity, mesh_kind)
+    twin = _StateDependent(velocity=model.velocity, u_min=model.u_min,
+                           u_max=model.u_max)
+    kept = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    fresh = SpatialScheme(ms=ms, model=twin, limiter=limiter, bc=bc)
+    for got, ref in zip(_ssp2_steps(kept, u, 0.1, 4),
+                        _ssp2_steps(fresh, u.copy(), 0.1, 4)):
+        assert got == ref
+    assert kept._dt is not None and fresh._d is None and fresh._dt is None
+
+
+def _count(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+
+
+@pytest.mark.parametrize("limiter", ["mcl.cs", "fct.cs", "low"])
+@pytest.mark.parametrize("model_name", ["translation", "rotation", "burgers",
+                                        "euler"])
+def test_warm_step_computes_wave_speeds_only_if_they_depend_on_u(
+        monkeypatch, model_name, limiter):
+    """On a periodic mesh (no boundary terms) a warm SSP2 step assembles
+    once per stage; advection calls max_wave_speed in none of them,
+    Burgers and Euler in each."""
+    ms, model, bc, u = _problem(model_name, "periodic")
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    steps = _ssp2_steps(scheme, u, 0.0, 3)
+    next(steps)
+    speeds, assemblies = [], []
+    _count(monkeypatch, type(model), "max_wave_speed", speeds)
+    _count(monkeypatch, schemes_mod, "assemble", assemblies)
+    next(steps)
+    next(steps)
+    assert len(assemblies) == 2 * 2
+    state_free = model_name in ("translation", "rotation")
+    assert len(speeds) == (0 if state_free else len(assemblies))
+
+
+def test_dt_bound_of_a_state_free_model_assembles_once(monkeypatch):
+    ms, model, bc, u = _problem("rotation", "bounded")
+    scheme = SpatialScheme(ms=ms, model=model, limiter="mcl.cs", bc=bc)
+    assemblies = []
+    _count(monkeypatch, schemes_mod, "assemble", assemblies)
+    dt = scheme.dt_bound(u, 0.1)
+    for t in (0.1, 0.2, 0.3):
+        assert scheme.dt_bound(2.0 * u, t) == dt
+    assert len(assemblies) == 1
+    assert scheme._memo is not None and scheme._memo[1] == 0.1
+
+
+def test_kept_viscosity_is_a_read_only_copy_of_the_first():
+    ms, model, bc, u = _problem("rotation", "bounded")
+    scheme = SpatialScheme(ms=ms, model=model, limiter="fct.cs", bc=bc)
+    scheme.step(u, 0.1, 0.5 * scheme.dt_bound(u, 0.1))
+    kept = scheme._d
+    assert kept.shape == (ms.n_elements,)
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0] = 1.0
+    work, _ = assemble(ms, model, u, 0.1, bc)
+    assert kept.tobytes() == work.d.tobytes()
+    assert not any(np.shares_memory(kept, buf) for buf in scheme.ws.values())
+
+
+@pytest.mark.parametrize("with_ws", [False, True])
+@pytest.mark.parametrize("model_name", ["rotation", "euler"])
+def test_assemble_with_given_viscosity_keeps_every_bit(monkeypatch,
+                                                       model_name, with_ws):
+    ms, model, bc, u = _problem(model_name, "bounded")
+    ref, ref_b = assemble(ms, model, u, 0.1, bc)
+    d = ref.d.copy()
+    calls = []
+    _count(monkeypatch, assembly_mod, "wave_speeds", calls)
+    _count(monkeypatch, assembly_mod, "rusanov_viscosity", calls)
+    work, bwork = assemble(ms, model, u, 0.1, bc, d=d,
+                           ws=Workspace() if with_ws else None)
+    assert calls == []
+    assert work.d is d
+    for f in dataclasses.fields(work):
+        assert getattr(work, f.name).tobytes() == \
+            getattr(ref, f.name).tobytes(), f.name
+    for f in dataclasses.fields(bwork):
+        assert getattr(bwork, f.name).tobytes() == \
+            getattr(ref_b, f.name).tobytes(), f.name

@@ -1,10 +1,16 @@
 """The benchmark harness still runs against the package: its tracer patches
 functions by the names their callers look them up under, so a refactor that
-moves one breaks ``--trace 1`` without failing any other test."""
+moves one breaks ``--trace 1`` without failing any other test. The
+committed ``BENCH_*.json`` trajectory files stay whole: each summary holds
+the value of every run, one per pair and side, and their medians."""
 
+import json
 import pathlib
+import statistics
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -13,3 +19,31 @@ def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_are_committed():
+    assert len(BENCH_FILES) >= 3
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_summaries_match_their_pairs(path):
+    data = json.loads(path.read_text())
+    assert data["workloads"]
+    for name, workload in data["workloads"].items():
+        pairs = workload["pairs"]
+        assert pairs >= 1, name
+        for side in ("parent", "change"):
+            assert len(workload["runs"][side]) == pairs, (name, side)
+        for metric, summary in workload["summary"].items():
+            where = f"{name} {metric}"
+            for side in ("parent", "change"):
+                values = summary[side]
+                assert len(values) == pairs, f"{where} {side}"
+                assert values == [run["metrics"][metric]["value"]
+                                  for run in workload["runs"][side]], \
+                    f"{where} {side}: not the values of the runs"
+                assert summary[f"{side}_median"] == \
+                    statistics.median(values), f"{where} {side}_median"
