@@ -3,11 +3,15 @@ antidiffusive contributions.
 
 The antidiffusive contributions come from their direct formula. No scheme
 reads the residual-distribution split they belong to, so it is left to the
-tests: ``diagnostics.residual_split`` recomputes it.
+tests, which recompute it (``tests/reference.py``).
 
 Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent
-advection fields.
+advection fields. For a model with a linear flux (``flux_coefficients``,
+see ``models``) that makes f(u) . c_i = u k_i with k_i = v(x_e) . c_i (E, 3),
+and the flux part of the antidiffusive contribution, f(ubar) . c_i -
+sum_j f(u_j) . c_i / 3, exactly zero: such a model is assembled in that
+coefficient form, from k alone, and no flux tensor is formed.
 
 Every per-element array is stored with the element index fastest (see
 ``MeshSystem``); numpy keeps that order through elementwise operations, so
@@ -106,6 +110,17 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
+def flux_coefficients(ms: MeshSystem, model) -> Optional[np.ndarray]:
+    """k_i = v(x_e) . c_i (E, 3) of a model with a linear flux, the velocity
+    taken at the element centroid; None for a model without
+    ``flux_coefficients``."""
+    coefficients = getattr(model, "flux_coefficients", None)
+    if coefficients is None:
+        return None
+    geom = ms.geometry
+    return coefficients(geom.c, geom.centroid[:, None, :])
+
+
 def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
                tmp=None) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
@@ -130,7 +145,8 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
              with_antidiffusion: bool = True, ws: Optional[Workspace] = None,
              with_bar_states: bool = True,
-             d: Optional[np.ndarray] = None) -> tuple:
+             d: Optional[np.ndarray] = None,
+             k: Optional[np.ndarray] = None) -> tuple:
     """Compute the element quantities for the global state u (n_dofs, m).
 
     Returns (ElementWork, BoundaryWork or None). Gather/scatter order is fixed,
@@ -144,6 +160,10 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     ``models``): the wave speeds and the viscosity are then not computed,
     ``d`` itself is the returned ``work.d`` and every other block keeps its
     bits.
+
+    A model with a linear flux is assembled in coefficient form, from the
+    (E, 3) ``k`` of ``flux_coefficients``; ``k`` is formed here unless the
+    caller passes the one it keeps. Other models go through ``model.flux``.
 
     With a ``Workspace`` ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
@@ -175,21 +195,29 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
                               tmp=buf("tmp", blk[:2]))
 
-    x_bar = geom.centroid
-    flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
-                          aux=aux_bar)
-    flux_loc = model.flux(u_loc, x_bar[:, None, :],
-                          out=buf("flux_loc", blk + (2,)), aux=aux_loc)
+    if k is None:
+        k = flux_coefficients(ms, model)
+    linear = k is not None
     # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
-    fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
+    if linear:
+        k = k[:, :, None]
+        fbar_c = np.multiply(ubar[:, None, :], k, out=buf("r_rus"))
+    else:
+        x_bar = geom.centroid
+        flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
+                              aux=aux_bar)
+        flux_loc = model.flux(u_loc, x_bar[:, None, :],
+                              out=buf("flux_loc", blk + (2,)), aux=aux_loc)
+        fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
     bars = None
     if with_bar_states:
         # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
-        fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
+        fi_c = (np.multiply(u_loc, k, out=buf("f_anti")) if linear
+                else _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp))
         bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
                           tmp=tmp)
 
-    if with_antidiffusion:
+    if with_antidiffusion and not linear:
         # fbar_c - sum_j f(u_j) . c_i / 3, completed to f_anti below
         sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
         f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"), tmp=tmp)
@@ -214,16 +242,21 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         return work, bwork
 
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
-    # formed in the gathered udot, in the buffers of the used-up fluxes
+    # formed in the gathered udot, in the buffers of the used-up fluxes (of
+    # the wave speeds' intermediates only, in coefficient form)
     mass = ms.gather(udot, out=buf("flux_loc"))
     udot_sum = _node_sum(mass, out=buf("flux_bar", (n_e, m)))
     mass *= 3.0
     mass -= udot_sum[:, None, :]
     mass *= geom.m_off[:, None, None]
 
-    # direct antidiffusion formula: f_anti = mass + flux part - visc
-    f_anti += mass
-    f_anti -= visc
+    # direct antidiffusion formula: f_anti = mass + flux part - visc, with
+    # no flux part in coefficient form
+    if linear:
+        f_anti = np.subtract(mass, visc, out=buf("f_anti"))
+    else:
+        f_anti += mass
+        f_anti -= visc
     work.f_anti = f_anti
     return work, bwork
 
@@ -249,8 +282,12 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
                                aux_r=aux_ext)
     visc = lam * nlen
-    f_in = _dot(model.flux(u_in, x, aux=aux_in), n)
-    f_ext = _dot(model.flux(u_ext, x, aux=aux_ext), n)
+    if hasattr(model, "flux_coefficients"):
+        k = model.flux_coefficients(n, x)[:, None]
+        f_in, f_ext = u_in * k, u_ext * k
+    else:
+        f_in = _dot(model.flux(u_in, x, aux=aux_in), n)
+        f_ext = _dot(model.flux(u_ext, x, aux=aux_ext), n)
     flux_term = -0.5 * (f_in + f_ext) + 0.5 * visc[:, None] * (u_ext - u_in)
 
     # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_hat / (2 lambda)

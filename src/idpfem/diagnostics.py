@@ -1,6 +1,5 @@
-"""Auditing and diagnostics: invariant checks per step, the residual split
-and residual-distribution weights, product-rule defects, error norms and
-the CSV trace.
+"""Auditing and diagnostics: invariant checks per step, product-rule
+defects, error norms and the CSV trace.
 
 Audits recompute everything from the state; they never read scheme internals,
 so running them cannot perturb the solver trajectory.
@@ -13,83 +12,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import ElementWork, assemble
 from .mesh import MeshSystem
 from .models import TINY
 
 
 class AuditError(Exception):
     pass
-
-
-@dataclass
-class RdWeights:
-    r_plus: np.ndarray            # (E, m)
-    r_minus: np.ndarray           # (E, m)
-    beta_plus: np.ndarray         # (E, 3, m)
-    beta_minus: np.ndarray        # (E, 3, m)
-
-
-def rd_weights(residuals: np.ndarray) -> RdWeights:
-    """Signed-fluctuation decomposition of per-element nodal residuals.
-
-    residuals: (..., 3) or (..., 3, m). beta_{i,+} = max(0, r_i)/r_+ when
-    r_+ > 0, else 0; reconstruction beta_{i,+-} r_+- recovers r_i exactly.
-    """
-    r = np.asarray(residuals, dtype=float)
-    if r.shape[-1] == 3:
-        r = r[..., None]          # promote scalars to m = 1
-    elif r.ndim < 2 or r.shape[-2] != 3:
-        raise ValueError("residuals must have a local-node axis of length 3")
-    pos = np.maximum(r, 0.0)
-    neg = np.minimum(r, 0.0)
-    r_plus = pos.sum(axis=-2)
-    r_minus = neg.sum(axis=-2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta_plus = np.where(r_plus[..., None, :] > 0,
-                             pos / r_plus[..., None, :], 0.0)
-        beta_minus = np.where(r_minus[..., None, :] < 0,
-                              neg / r_minus[..., None, :], 0.0)
-    return RdWeights(r_plus=r_plus, r_minus=r_minus,
-                     beta_plus=beta_plus, beta_minus=beta_minus)
-
-
-@dataclass
-class ResidualSplit:
-    work: ElementWork             # the fresh assembly the split is taken from
-    flux_c: np.ndarray            # (E, 3, m) f(u_i) . c_i
-    mass_term: np.ndarray         # (E, 3, m) sum_j m_ij (udot_i - udot_j)
-    fluctuation: np.ndarray       # (E, m) sum_j f(u_j) . c_j
-    r_high: np.ndarray            # (E, 3, m) high-order residual
-    r_low: np.ndarray             # (E, 3, m) low-order residual
-
-
-def residual_split(ms: MeshSystem, model, u: np.ndarray) -> ResidualSplit:
-    """The residual-distribution split of the element assembly of u (n_dofs, m).
-
-    The high-order residual uses the lumped derivative approximation, the
-    antidiffusive vector comes from its direct formula, and the low-order
-    residual is defined residually, so that r_low + f_anti = r_high and both
-    residual sums equal the element fluctuation exactly (up to roundoff). The
-    closed-form Rusanov residual d(ubar - u_i) - f(ubar).c_i (used by the
-    actual schemes) agrees with the assembled r_low at interior nodes after
-    gathering over elements; elementwise the two differ by boundary-flux
-    terms that telescope.
-
-    No scheme reads the split, so all but f_anti is recomputed here; f_anti
-    is that of a fresh ``assemble``, the contributions the limiters see.
-    """
-    work, _ = assemble(ms, model, u)
-    geom = ms.geometry
-    flux_loc = model.flux(work.u_loc, geom.centroid[:, None, :])
-    flux_c = (flux_loc * geom.c[:, :, None, :]).sum(axis=-1)
-    udot_loc = ms.gather(work.udot) * geom.m_off[:, None, None]
-    mass = 3.0 * udot_loc - udot_loc.sum(axis=1, keepdims=True)
-    fluctuation = flux_c.sum(axis=1)
-    r_high = mass + fluctuation[:, None, :] / 3.0
-    return ResidualSplit(work=work, flux_c=flux_c, mass_term=mass,
-                         fluctuation=fluctuation, r_high=r_high,
-                         r_low=r_high - work.f_anti)
 
 
 @dataclass

@@ -22,6 +22,11 @@ A model whose class sets ``state_free_speeds = True`` promises that its
 that a scheme may compute the wave speeds and what follows from them (the
 viscosity d^e and the CFL bound) once and keep them. Models without the
 attribute are read as state-dependent.
+
+A model whose flux is linear in the state, f(u) = u v(x), also has
+``flux_coefficients(c, x)``, k = v(x) . c, and promises f(u) . c = u k at x
+for every state u and time t: the assembly then builds no flux tensor.
+Models without the method are assembled through ``flux``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,15 @@ class LinearAdvection:
         v = self.velocity(np.asarray(x, dtype=float))
         f = np.empty(u.shape + (2,), order="F") if out is None else out
         return np.multiply(u[..., :, None], v[..., None, :], out=f)
+
+    def flux_coefficients(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """k = v(x) . c (the shape of ``c[..., 0]`` broadcast against that
+        of ``x[..., 0]``), so that f(u) . c = u k; the velocity is
+        evaluated once, at ``x``."""
+        v = self.velocity(np.asarray(x, dtype=float))
+        k = np.multiply(v[..., 0], c[..., 0])
+        k += v[..., 1] * c[..., 1]
+        return k
 
     def max_wave_speed(self, ul, ur, n, x, out=None, aux_l=None,
                        aux_r=None, tmp=None) -> np.ndarray:

@@ -17,6 +17,9 @@ advection) the scheme keeps a read-only copy of the viscosity d^e of its
 first assembly, which every later assembly takes instead of computing the
 wave speeds, and the bound of its first CFL computation: ``dt_bound`` then
 returns it without assembling, and FCT's CFL check compares against it.
+On a model with a linear flux (``flux_coefficients``, linear advection)
+the scheme also keeps the read-only coefficients k (E, 3) of the
+coefficient-form assembly, formed in its first assembly.
 The driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
 states, which only its assemblies form, and ``fct.*`` from the low-order
 predictor over each DOF's nodal stencil.
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import assemble, flux_coefficients
 from .limiting import (limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
 from .mesh import MeshSystem, Workspace, scratch
@@ -105,6 +108,9 @@ class SpatialScheme:
     # first assembly and the first CFL bound, kept for the scheme's life
     _d: np.ndarray | None = field(default=None, init=False, repr=False)
     _dt: float | None = field(default=None, init=False, repr=False)
+    # on a model with a linear flux: the read-only flux coefficients k
+    # (E, 3), formed in the first assembly and kept for the scheme's life
+    _k: np.ndarray | None = field(default=None, init=False, repr=False)
     # element-sized buffers and their views, reused by every stage (see
     # mesh.scratch)
     ws: Workspace = field(default_factory=Workspace, init=False, repr=False,
@@ -131,9 +137,13 @@ class SpatialScheme:
         return dt
 
     def _fresh_assembly(self, u, t):
+        if self._k is None:
+            self._k = flux_coefficients(self.ms, self.model)
+            if self._k is not None:
+                self._k.flags.writeable = False
         work, bwork = assemble(self.ms, self.model, u, t, self.bc,
                                with_antidiffusion=self.driver != "low",
-                               ws=self.ws, d=self._d,
+                               ws=self.ws, d=self._d, k=self._k,
                                with_bar_states=self.driver == "mcl")
         if self._d is None and getattr(self.model, "state_free_speeds", False):
             self._d = work.d.copy()

@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,3 +59,16 @@ def random_euler_states(rng, model, shape):
     v = rng.uniform(-1.0, 1.0, shape + (2,))
     p = rng.uniform(0.5, 2.0, shape)
     return model.conserved(rho, v, p)
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported by path and left unchanged."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(
+            name, path / "workloads.py")
+        # registered first: its dataclass looks the module up by name
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]

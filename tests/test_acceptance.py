@@ -10,8 +10,7 @@ import pytest
 
 import idpfem.schemes as schemes_mod
 from idpfem.config import RunConfig
-from idpfem.diagnostics import (audit_step, csv_header, error_norms,
-                                residual_split)
+from idpfem.diagnostics import audit_step, csv_header, error_norms
 from idpfem.limiting import LimitResult, clip_and_scale, scaling_limiter
 from idpfem.mesh import Mesh, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, make_model
@@ -20,6 +19,7 @@ from idpfem.schemes import SpatialScheme
 from idpfem.timestepping import TimeControls, ssp_rk_step
 
 from conftest import p1_mass_matrix
+from reference import residual_split
 
 
 def verdict(num, ok, text):

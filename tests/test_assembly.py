@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from idpfem.assembly import assemble, boundary_terms, element_average
-from idpfem.diagnostics import residual_split
 from idpfem.mesh import Workspace, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model, \
     translation_velocity
 
-from conftest import random_euler_states, random_triangle, \
-    single_triangle_system
+from conftest import perfbench_workloads, random_euler_states, \
+    random_triangle, single_triangle_system
+from reference import reference_assembly, relative_error, residual_split
 
 
 def models_with_states(rng, ms):
@@ -231,3 +231,84 @@ class TestBoundaryTerms:
                                lambda x, t, ui, n: np.zeros_like(ui))
         assert np.all(bwork.visc >= 0)
         assert bwork.dofs.shape[0] == ms.boundary_dofs.shape[0]
+
+
+def _model(name):
+    """``seed<n>``: translation in the direction of seed n of the advect
+    workloads; ``rotation``, ``burgers`` and ``euler`` as named."""
+    if name.startswith("seed"):
+        vx, vy = perfbench_workloads().advect_velocity(int(name[4:]))
+        return make_model("advection", velocity="translation", vx=vx, vy=vy)
+    if name == "rotation":
+        return make_model("advection", velocity="rotation")
+    return make_model(name)
+
+
+def _mixing_bc(x, t, u_in, nhat):
+    """Exterior states that mix the interior ones (admissible for every
+    model, whose invariant sets are convex) and move with t."""
+    return (0.5 + t) * u_in + (0.5 - t) * u_in[::-1]
+
+
+def _coefficient_problem(model_name, periodic):
+    """h = 1/16 on the unit square, so every c_i is dyadic."""
+    ms = build_system(structured_rect(16, 16, periodic=periodic))
+    model = _model(model_name)
+    rng = np.random.default_rng(11)
+    if model_name == "euler":
+        u = random_euler_states(rng, model, (ms.n_dofs,))
+    else:
+        u = rng.uniform(-1.0, 1.0, (ms.n_dofs, 1))
+    return ms, model, u, None if periodic else _mixing_bc
+
+
+COEFFICIENT_FIELDS = ("d", "bar_states", "r_rusanov", "udot", "f_anti")
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "bounded"])
+class TestCoefficientForm:
+    """Linear advection is assembled from k_i = v(x_e) . c_i alone, without
+    its flux. What it assembles equals the flux formulas of
+    ``reference.reference_assembly`` to rounding, and bit for bit for
+    v = (1, 1) on the structured mesh, whose c_i are dyadic. Burgers and
+    Euler, assembled through their fluxes, match the same reference."""
+
+    @pytest.mark.parametrize("model_name", ["seed1", "seed2", "seed3",
+                                            "rotation", "burgers", "euler"])
+    def test_matches_the_flux_formulas(self, model_name, periodic):
+        ms, model, u, bc = _coefficient_problem(model_name, periodic)
+        ref = reference_assembly(ms, model, u, 0.1, bc)
+        for ws in (None, Workspace()):
+            work, _ = assemble(ms, model, u, 0.1, bc, ws=ws)
+            for name in COEFFICIENT_FIELDS:
+                assert relative_error(getattr(work, name),
+                                      getattr(ref, name)) <= 1e-13, name
+
+    def test_seed0_translation_is_bit_equal(self, periodic):
+        ms, model, u, bc = _coefficient_problem("seed0", periodic)
+        assert model.velocity(None).tolist() == [1.0, 1.0]
+        ref = reference_assembly(ms, model, u, 0.1, bc)
+        work, _ = assemble(ms, model, u, 0.1, bc, ws=Workspace())
+        for name in COEFFICIENT_FIELDS:
+            assert getattr(work, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("model_name", ["seed1", "rotation"])
+    def test_advection_assembly_evaluates_no_flux(self, monkeypatch,
+                                                  model_name, periodic):
+        ms, model, u, bc = _coefficient_problem(model_name, periodic)
+        ref, ref_b = assemble(ms, model, u, 0.1, bc)
+
+        def no_flux(*args, **kwargs):
+            raise AssertionError("model.flux called")
+
+        monkeypatch.setattr(LinearAdvection, "flux", no_flux)
+        for ws in (None, Workspace()):
+            work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
+            assert (bwork is None) == periodic
+            for name in COEFFICIENT_FIELDS:
+                assert getattr(work, name).tobytes() == \
+                    getattr(ref, name).tobytes(), name
+        if not periodic:
+            assert bwork.flux_term.tobytes() == ref_b.flux_term.tobytes()

@@ -7,10 +7,11 @@ from conftest import random_euler_states
 from idpfem import runner
 from idpfem.config import RunConfig
 from idpfem.diagnostics import (AuditError, audit_step, csv_header,
-                                error_norms, lumped_totals, rd_weights)
+                                error_norms, lumped_totals)
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler, make_model
 from idpfem.schemes import SpatialScheme
+from reference import rd_weights
 
 
 class TestRdWeights:

@@ -1,7 +1,8 @@
 """The hot path: numpy scatters equal the ``ufunc.at`` forms bit for bit,
 each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
 is only reused for the same state, a model with state-free wave speeds
-has them computed once per scheme, element blocks stored with the element
+has them computed once per scheme (and a linear flux its coefficients),
+element blocks stored with the element
 index fastest give the same bits as C-ordered ones, and a step reuses the
 scheme's buffers instead of allocating element-sized temporaries."""
 
@@ -504,21 +505,26 @@ WORKLOAD_CONFIGS = {
     "dmr-mcl": dict(benchmark="dmr", h=1 / 32, limiter="mcl.cs",
                     system_limiter="sequential", t_end=0.002,
                     audit_every=50, output_every_t=0.0002),
+    # a position-dependent velocity, evaluated only for the kept d^e and k
+    "rotation-mcl": dict(benchmark="advected_gaussian", h=1 / 64,
+                         limiter="mcl.cs", velocity="rotation", t_end=0.1,
+                         audit_every=1),
 }
 # Largest traced growth of memory during one warm SSP2 step, in bytes: the
 # per-DOF arrays and masks a step allocates (measured 0.24, 0.30 and 1.11
-# MB), with a margin. The element-sized temporaries each step used to
-# allocate peaked at 3.9 MB (advection) and 13.8 MB (DMR), and those of the
-# limiters alone at 0.64, 0.67 and 2.46 MB.
+# MB; 0.23 for rotation), with a margin. The element-sized temporaries each
+# step used to allocate peaked at 3.9 MB (advection) and 13.8 MB (DMR),
+# those of the limiters alone at 0.64, 0.67 and 2.46 MB, and the rotation
+# velocity at the centroids and its products with c_i at 0.36 MB.
 STEP_ALLOCATION_LIMIT = {"advect-mcl": 0.35e6, "advect-fct": 0.45e6,
-                         "dmr-mcl": 1.5e6}
+                         "dmr-mcl": 1.5e6, "rotation-mcl": 0.35e6}
 # Largest size of the scheme's workspace after a warm step, in bytes. It was
 # 3.44, 4.03 and 14.98 MB while the assembly kept f(u_i) . c_i, the mass
 # term and the wave speeds in buffers of their own, and 3.28 MB on
 # advect-fct (now 2.92) while the stencil bounds kept a gathered field and
 # element candidates in two (E, 3) buffers.
 WORKSPACE_LIMIT = {"advect-mcl": 2.9e6, "advect-fct": 3.0e6,
-                   "dmr-mcl": 13.3e6}
+                   "dmr-mcl": 13.3e6, "rotation-mcl": 2.9e6}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
@@ -917,20 +923,23 @@ def _count(monkeypatch, owner, name, calls):
 def test_warm_step_computes_wave_speeds_only_if_they_depend_on_u(
         monkeypatch, model_name, limiter):
     """On a periodic mesh (no boundary terms) a warm SSP2 step assembles
-    once per stage; advection calls max_wave_speed in none of them,
-    Burgers and Euler in each."""
+    once per stage; advection calls max_wave_speed and flux in none of
+    them, Burgers and Euler max_wave_speed once and flux twice (at ubar
+    and at u_i) in each."""
     ms, model, bc, u = _problem(model_name, "periodic")
     scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
     steps = _ssp2_steps(scheme, u, 0.0, 3)
     next(steps)
-    speeds, assemblies = [], []
+    speeds, fluxes, assemblies = [], [], []
     _count(monkeypatch, type(model), "max_wave_speed", speeds)
+    _count(monkeypatch, type(model), "flux", fluxes)
     _count(monkeypatch, schemes_mod, "assemble", assemblies)
     next(steps)
     next(steps)
     assert len(assemblies) == 2 * 2
-    state_free = model_name in ("translation", "rotation")
-    assert len(speeds) == (0 if state_free else len(assemblies))
+    linear = model_name in ("translation", "rotation")
+    assert len(speeds) == (0 if linear else len(assemblies))
+    assert len(fluxes) == (0 if linear else 2 * len(assemblies))
 
 
 def test_dt_bound_of_a_state_free_model_assembles_once(monkeypatch):
@@ -956,6 +965,41 @@ def test_kept_viscosity_is_a_read_only_copy_of_the_first():
         kept[0] = 1.0
     work, _ = assemble(ms, model, u, 0.1, bc)
     assert kept.tobytes() == work.d.tobytes()
+    assert not any(np.shares_memory(kept, buf) for buf in scheme.ws.values())
+
+
+@pytest.mark.parametrize("limiter", ["mcl.cs", "fct.cs"])
+@pytest.mark.parametrize("model_name", ["translation", "rotation",
+                                        "burgers"])
+def test_kept_flux_coefficients_are_read_only_and_made_once(
+        monkeypatch, model_name, limiter):
+    """A scheme over linear advection forms k in its first assembly, keeps
+    it read-only and outside its workspace, and passes it to every later
+    one; a scheme over a flux model keeps none."""
+    ms, model, bc, u = _problem(model_name, "periodic")
+    made, given = [], []
+    if model_name != "burgers":
+        _count(monkeypatch, LinearAdvection, "flux_coefficients", made)
+    original = schemes_mod.assemble
+    monkeypatch.setattr(schemes_mod, "assemble", lambda *a, **kw: (
+        given.append(kw["k"]) or original(*a, **kw)))
+    scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
+    for _ in _ssp2_steps(scheme, u, 0.0, 3):
+        pass
+    kept = scheme._k
+    assert len(given) == 6
+    if model_name == "burgers":
+        assert kept is None and given == [None] * 6
+        return
+    assert len(made) == 1
+    assert all(k is kept for k in given)
+    assert kept.shape == (ms.n_elements, 3)
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1.0
+    ref = model.flux_coefficients(ms.geometry.c,
+                                  ms.geometry.centroid[:, None, :])
+    assert kept.tobytes() == ref.tobytes()
     assert not any(np.shares_memory(kept, buf) for buf in scheme.ws.values())
 
 
