@@ -9,9 +9,11 @@ Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent
 advection fields. For a model with a linear flux (``flux_coefficients``,
 see ``models``) that makes f(u) . c_i = u k_i with k_i = v(x_e) . c_i (E, 3),
-and the flux part of the antidiffusive contribution, f(ubar) . c_i -
-sum_j f(u_j) . c_i / 3, exactly zero: such a model is assembled in that
-coefficient form, from k alone, and no flux tensor is formed.
+the viscosity d^e = max_i lambda_i |c_i| = max_i |k_i|, and the flux part
+of the antidiffusive contribution, f(ubar) . c_i - sum_j f(u_j) . c_i / 3,
+exactly zero: such a model is assembled in that coefficient form, from k
+and d^e alone (``linear_flux``), and neither a flux tensor nor a wave
+speed is formed.
 
 Every per-element array is stored with the element index fastest (see
 ``MeshSystem``); numpy keeps that order through elementwise operations, so
@@ -110,15 +112,18 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def flux_coefficients(ms: MeshSystem, model) -> Optional[np.ndarray]:
-    """k_i = v(x_e) . c_i (E, 3) of a model with a linear flux, the velocity
-    taken at the element centroid; None for a model without
-    ``flux_coefficients``."""
+def linear_flux(ms: MeshSystem, model) -> tuple:
+    """``(k, d)`` of a model with a linear flux: k_i = v(x_e) . c_i (E, 3),
+    the velocity taken at the element centroid, and the viscosity d^e =
+    max_i |k_i| (E,), which is max_i lambda_i |c_i| because lambda_i =
+    |v(x_e) . c_hat_i|. Both are fresh. ``(None, None)`` for a model
+    without ``flux_coefficients``."""
     coefficients = getattr(model, "flux_coefficients", None)
     if coefficients is None:
-        return None
+        return None, None
     geom = ms.geometry
-    return coefficients(geom.c, geom.centroid[:, None, :])
+    k = coefficients(geom.c, geom.centroid[:, None, :])
+    return k, np.abs(k).max(axis=1)
 
 
 def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
@@ -155,15 +160,15 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     element bar states (and f(u_i) . c_i, which only they read); the other
     blocks keep their bits either way. Boundary bar states are always formed.
 
-    ``d`` (E,) is the Rusanov viscosity when the caller already has it, for
-    a model whose wave speeds do not depend on the states (see
-    ``models``): the wave speeds and the viscosity are then not computed,
-    ``d`` itself is the returned ``work.d`` and every other block keeps its
-    bits.
+    ``d`` (E,) is the Rusanov viscosity when the caller already has it:
+    it is then not computed, ``d`` itself is the returned ``work.d`` and
+    every other block keeps its bits. Without it a model with a linear flux
+    takes it from ``linear_flux`` and any other from its wave speeds.
 
     A model with a linear flux is assembled in coefficient form, from the
-    (E, 3) ``k`` of ``flux_coefficients``; ``k`` is formed here unless the
-    caller passes the one it keeps. Other models go through ``model.flux``.
+    (E, 3) ``k`` of ``linear_flux``; ``k`` and ``d`` are formed here unless
+    the caller passes the ones it keeps. Other models go through
+    ``model.flux``.
 
     With a ``Workspace`` ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
@@ -186,6 +191,10 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                         tmp=buf("tmp", blk[:2]))
     aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
                         tmp=buf("tmp", (n_e,)))
+    if k is None:
+        k, d_k = linear_flux(ms, model)
+        d = d_k if d is None else d
+    linear = k is not None
     if d is None:
         # the wave speeds go where the bar states (if formed) go later,
         # their intermediates where f(u_i) goes
@@ -194,10 +203,6 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                           tmp=buf("flux_loc", blk[:2] + (2,)))
         d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
                               tmp=buf("tmp", blk[:2]))
-
-    if k is None:
-        k = flux_coefficients(ms, model)
-    linear = k is not None
     # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
     if linear:
         k = k[:, :, None]
@@ -282,7 +287,7 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
                                aux_r=aux_ext)
     visc = lam * nlen
-    if hasattr(model, "flux_coefficients"):
+    if getattr(model, "flux_coefficients", None) is not None:
         k = model.flux_coefficients(n, x)[:, None]
         f_in, f_ext = u_in * k, u_ext * k
     else:

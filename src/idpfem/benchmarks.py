@@ -22,7 +22,6 @@ class Benchmark:
     bc: Optional[Callable] = None                     # see assembly.boundary_terms
     exact: Optional[Callable] = None                  # (x, t) -> (N, m)
     t_end: float = 1.0
-    periodic: bool = True
 
 
 def _cells(h: float, length: float) -> int:
@@ -64,11 +63,19 @@ def _rotated_back(x: np.ndarray, t: float) -> np.ndarray:
 
 def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
     """Instantiate a registered benchmark, honoring config overrides for the
-    model, velocity field and resolution."""
+    model, velocity field and resolution. A ``model`` or ``velocity`` other
+    than the one the benchmark runs is a ``ConfigError``, and so is any
+    ``velocity`` for a model other than advection."""
     name = cfg.benchmark
-    maker = _REGISTRY.get(name)
-    if maker is None:
+    if name not in _REGISTRY:
         raise ConfigError(f"unknown benchmark {name!r}")
+    maker, model, velocity = _REGISTRY[name]
+    model = model or cfg.model or "advection"
+    velocity = (velocity or cfg.velocity) if model == "advection" else "none"
+    for key, runs in (("model", model), ("velocity", velocity)):
+        if getattr(cfg, key) not in (None, runs):
+            raise ConfigError(f"benchmark {name} runs {key} = {runs}, not "
+                              f"{getattr(cfg, key)}")
     return maker(cfg, mesh)
 
 
@@ -101,7 +108,7 @@ def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
         return u0(x)
 
     return Benchmark(id="constant", model=model, mesh=mesh, u0=u0,
-                     exact=exact, t_end=cfg.t_end or 1.0, periodic=True)
+                     exact=exact, t_end=cfg.t_end or 1.0)
 
 
 def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
@@ -126,7 +133,7 @@ def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
             return u0(_rotated_back(x, t))
 
     return Benchmark(id="advected_gaussian", model=model, mesh=mesh, u0=u0,
-                     exact=exact, t_end=cfg.t_end or 1.0, periodic=True)
+                     exact=exact, t_end=cfg.t_end or 1.0)
 
 
 def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
@@ -160,7 +167,7 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
         return np.where(inflow[:, None], 0.0, u_in)
 
     return Benchmark(id="solid_body_rotation", model=model, mesh=mesh, u0=u0,
-                     bc=bc, exact=exact, t_end=cfg.t_end or 1.0, periodic=False)
+                     bc=bc, exact=exact, t_end=cfg.t_end or 1.0)
 
 
 def _bench_burgers_riemann(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
@@ -176,7 +183,7 @@ def _bench_burgers_riemann(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
         return np.where(inside, 0.8, -0.2)[..., None]
 
     return Benchmark(id="burgers_riemann", model=model, mesh=mesh, u0=u0,
-                     t_end=cfg.t_end or 0.5, periodic=True)
+                     t_end=cfg.t_end or 0.5)
 
 
 # Double Mach reflection: Mach-10 shock at 60 degrees over a reflecting wall
@@ -249,15 +256,18 @@ def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
         return u_ext
 
     return Benchmark(id="dmr", model=model, mesh=mesh, u0=u0, bc=bc,
-                     t_end=cfg.t_end or 0.2, periodic=False)
+                     t_end=cfg.t_end or 0.2)
 
 
+# name -> (maker, the model and the velocity field it runs; None where the
+# config chooses, and no velocity field but for advection)
 _REGISTRY = {
-    "constant": _bench_constant,
-    "advected_gaussian": _bench_advected_gaussian,
-    "solid_body_rotation": _bench_solid_body_rotation,
-    "burgers_riemann": _bench_burgers_riemann,
-    "dmr": _bench_dmr,
+    "constant": (_bench_constant, None, None),
+    "advected_gaussian": (_bench_advected_gaussian, "advection", None),
+    "solid_body_rotation": (_bench_solid_body_rotation, "advection",
+                            "rotation"),
+    "burgers_riemann": (_bench_burgers_riemann, "burgers", None),
+    "dmr": (_bench_dmr, "euler", None),
 }
 
 BENCHMARK_IDS = tuple(sorted(_REGISTRY))

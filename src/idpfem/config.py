@@ -112,12 +112,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("cfl must lie in (0, 1]")
     if cfg.gamma <= 1.0:
         raise ConfigError("gamma must exceed 1")
-    if cfg.h is not None and cfg.h <= 0:
-        raise ConfigError("h must be positive")
-    if cfg.audit_every < 0:
-        raise ConfigError("audit_every must be >= 0")
-    if cfg.output_every_t is not None and cfg.output_every_t < 0:
-        raise ConfigError("output_every_t must be >= 0 (0 is off)")
+    for key in ("h", "t_end", "dt_max"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
+    # output_every_t = 0 is off
+    for key in ("audit_every", "output_every_t", "audit_bound_tol",
+                "audit_cons_tol"):
+        if (getattr(cfg, key) or 0) < 0:
+            raise ConfigError(f"{key} must be >= 0")
     return cfg
 
 

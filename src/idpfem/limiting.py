@@ -127,7 +127,7 @@ def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
 
 
 def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
-                 extra_dofs=None, extra_vals=None, ws=None):
+                 bwork=None, ws=None):
     """Per-DOF admissible range of one scalar quantity, or of every
     component at once.
 
@@ -138,7 +138,8 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
     range of ``field`` over each DOF's nodal stencil, the DOFs it shares an
     element with, in one take through ``ms.stencil_table``
     (``MeshSystem.stencil_min_max``); it reads no ``elem_vals``, which may
-    be None. ``extra_*`` injects boundary bar states, (B,) or (B, m).
+    be None. ``bwork`` (an ``assembly.BoundaryWork``, or None) widens the
+    range at its ``dofs`` to its ``bar_states``, (B,) or (B, m).
     Returns fresh (lo, hi) shaped like ``field``, stored with the DOF index
     fastest. As with the scatters, a tie between -0.0 and +0.0 may keep
     either sign.
@@ -152,10 +153,10 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
         lo, hi = ms.stencil_min_max(field, ws)
     else:
         raise ValueError(f"unknown bounds mode {mode!r}")
-    if extra_dofs is not None and len(extra_dofs):
+    if bwork is not None:
         # boundary dofs are unique, so plain fancy indexing suffices
-        lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)
-        hi[extra_dofs] = np.maximum(hi[extra_dofs], extra_vals)
+        lo[bwork.dofs] = np.minimum(lo[bwork.dofs], bwork.bar_states)
+        hi[bwork.dofs] = np.maximum(hi[bwork.dofs], bwork.bar_states)
     return lo, hi
 
 
@@ -241,11 +242,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     # phibar (used up)
     g_rho = np.multiply(gamma, rho_bar_star, out=buf(
         "phibar", rho_bar_star.shape))[..., None]
-    for bound, gap in ((phi_lo, bmin), (phi_hi, bmax)):
-        ms.gather(bound, out=gap)
-        gap -= phi
-        gap *= g_rho
-    g_star = limit_scalar(kind, g, bmin, bmax, ws, out=g)[0]
+    gmin, gmax = _bound_gaps(ms, phi_lo, phi_hi, phi, g_rho, ws)
+    g_star = limit_scalar(kind, g, gmin, gmax, ws, out=g)[0]
     g_star += rs
     return g_star, phi_lo, phi_hi
 

@@ -515,9 +515,16 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     lower-left/upper-right diagonal (interior nodes touch 6 elements).
 
     With ``periodic=True`` opposite boundary nodes are paired for wraparound.
+    The mesh is valid by construction, so it is not run through
+    :meth:`Mesh.validate`; the arguments are checked instead.
     """
-    if nx < 1 or ny < 1:
-        raise MeshError("structured_rect needs nx, ny >= 1")
+    w, h = x1 - x0, y1 - y0
+    # the degenerate-triangle test of Mesh.validate on the signed area,
+    # which a zero, non-finite or (in one direction) inverted extent fails
+    if nx < 1 or ny < 1 or not (w * h / (2 * nx * ny)
+                                > DEGENERATE_REL * max(w * w + h * h, 1.0)):
+        raise MeshError(f"structured_rect needs nx, ny >= 1 and nondegenerate"
+                        f" cells, got {nx} x {ny} over {w:g} x {h:g}")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
@@ -546,6 +553,5 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
         rep = ((gy % ny) * row + gx % nx).ravel()
         moved = node != rep
         periodic_pairs = dict(zip(node[moved].tolist(), rep[moved].tolist()))
-    mesh = Mesh(nodes=nodes, triangles=tris,
+    return Mesh(nodes=nodes, triangles=tris,
                 boundary_tags=tags, periodic_pairs=periodic_pairs)
-    return mesh.validate()

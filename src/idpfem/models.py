@@ -17,16 +17,13 @@ evaluates both at the same states computes it once and passes it as
 shape of their result with a trailing axis of length 2, for their
 intermediates.
 
-A model whose class sets ``state_free_speeds = True`` promises that its
-``max_wave_speed`` reads only ``n`` and ``x``, never the states or t, so
-that a scheme may compute the wave speeds and what follows from them (the
-viscosity d^e and the CFL bound) once and keep them. Models without the
-attribute are read as state-dependent.
-
 A model whose flux is linear in the state, f(u) = u v(x), also has
 ``flux_coefficients(c, x)``, k = v(x) . c, and promises f(u) . c = u k at x
-for every state u and time t: the assembly then builds no flux tensor.
-Models without the method are assembled through ``flux``.
+for every state u and time t. Its wave speed across c is then |k| / |c|,
+which reads neither the states nor t: the element assembly forms no flux
+tensor and no wave speed, and a scheme takes the viscosity d^e = max_i
+|k_i| and the CFL bound that follows from it once and keeps them. Models
+without the method are assembled through ``flux`` and ``max_wave_speed``.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ class LinearAdvection:
     u_max: float = np.inf
     m: int = 1
     kind: str = "linear_advection"
-    state_free_speeds = True      # a class attribute, not a field
 
     def __post_init__(self):
         if self.velocity is None:

@@ -12,14 +12,12 @@ Semi-discrete operators expose ``rhs``; FCT exposes the full stage map
 assembly it makes, and the bound itself, are reused by the next
 ``rhs``/``step`` call at the same ``(u, t)``, so the first stage of an SSP
 step assembles nothing new and FCT's CFL check recomputes nothing. On a
-model with state-free wave speeds (``state_free_speeds``, linear
-advection) the scheme keeps a read-only copy of the viscosity d^e of its
-first assembly, which every later assembly takes instead of computing the
-wave speeds, and the bound of its first CFL computation: ``dt_bound`` then
-returns it without assembling, and FCT's CFL check compares against it.
-On a model with a linear flux (``flux_coefficients``, linear advection)
-the scheme also keeps the read-only coefficients k (E, 3) of the
-coefficient-form assembly, formed in its first assembly.
+model with a linear flux (``flux_coefficients``, linear advection) the
+scheme builds the coefficients k (E, 3) and the viscosity d^e = max_i
+|k_i| at construction (``assembly.linear_flux``), read-only, and every
+assembly takes them; it also keeps the bound of its first CFL
+computation, which holds for every state: ``dt_bound`` then returns it
+without assembling, and FCT's CFL check compares against it.
 The driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
 states, which only its assemblies form, and ``fct.*`` from the low-order
 predictor over each DOF's nodal stencil.
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble, flux_coefficients
+from .assembly import assemble, linear_flux
 from .limiting import (limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
 from .mesh import MeshSystem, Workspace, scratch
@@ -71,16 +69,6 @@ def _scatter(ms: MeshSystem, contrib, bwork, shape, ws=None):
     return rhs
 
 
-def _component_bounds(ms: MeshSystem, field_dof, work, bwork, mode, ws):
-    """Per-DOF (lo, hi) of every conserved component, each (n_dofs, m), from
-    one ``local_bounds`` pass over all components; element blocks go to the
-    workspace ``ws``."""
-    extra_dofs = bwork.dofs if bwork is not None else None
-    extra_vals = bwork.bar_states if bwork is not None else None
-    return local_bounds(ms, field_dof, work.bar_states, mode, extra_dofs,
-                        extra_vals, ws)
-
-
 def _zero_inactive(a, d):
     """Zero the block ``a`` (E, 3, m) in place where the viscosity ``d``
     (E,) is not positive. ``d`` is rarely zero anywhere, so the mask is
@@ -104,13 +92,12 @@ class SpatialScheme:
     # (u copy, t, work, bwork, dt bound) of the last dt_bound, for one use
     # only
     _memo: tuple | None = field(default=None, init=False, repr=False)
-    # on a model with state-free wave speeds: the read-only d^e of the
-    # first assembly and the first CFL bound, kept for the scheme's life
+    # on a model with a linear flux: the read-only flux coefficients k
+    # (E, 3) and viscosity d^e (E,), built at construction, and the first
+    # CFL bound, all kept for the scheme's life
+    _k: np.ndarray | None = field(default=None, init=False, repr=False)
     _d: np.ndarray | None = field(default=None, init=False, repr=False)
     _dt: float | None = field(default=None, init=False, repr=False)
-    # on a model with a linear flux: the read-only flux coefficients k
-    # (E, 3), formed in the first assembly and kept for the scheme's life
-    _k: np.ndarray | None = field(default=None, init=False, repr=False)
     # element-sized buffers and their views, reused by every stage (see
     # mesh.scratch)
     ws: Workspace = field(default_factory=Workspace, init=False, repr=False,
@@ -121,13 +108,16 @@ class SpatialScheme:
         if self.system not in SYSTEM_MODES:
             raise ValueError(f"unknown system limiter {self.system!r}; "
                              f"valid: {', '.join(SYSTEM_MODES)}")
+        self._k, self._d = linear_flux(self.ms, self.model)
+        if self._k is not None:
+            self._k.flags.writeable = self._d.flags.writeable = False
 
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
 
         The assembly and the bound are kept for the next ``rhs`` or ``step``
-        call only. Once the scheme keeps its bound (state-free wave
-        speeds), that is returned and nothing is assembled or kept.
+        call only. Once the scheme keeps its bound (a linear flux), that is
+        returned and nothing is assembled or kept.
         """
         if self._dt is not None:
             return self._dt
@@ -137,18 +127,10 @@ class SpatialScheme:
         return dt
 
     def _fresh_assembly(self, u, t):
-        if self._k is None:
-            self._k = flux_coefficients(self.ms, self.model)
-            if self._k is not None:
-                self._k.flags.writeable = False
-        work, bwork = assemble(self.ms, self.model, u, t, self.bc,
-                               with_antidiffusion=self.driver != "low",
-                               ws=self.ws, d=self._d, k=self._k,
-                               with_bar_states=self.driver == "mcl")
-        if self._d is None and getattr(self.model, "state_free_speeds", False):
-            self._d = work.d.copy()
-            self._d.flags.writeable = False
-        return work, bwork
+        return assemble(self.ms, self.model, u, t, self.bc,
+                        with_antidiffusion=self.driver != "low", ws=self.ws,
+                        d=self._d, k=self._k,
+                        with_bar_states=self.driver == "mcl")
 
     def _assemble(self, u, t):
         """``(work, bwork, dt bound)`` at ``(u, t)``: what ``dt_bound`` left
@@ -175,9 +157,9 @@ class SpatialScheme:
         else:
             mask = denom > 0
             dt = float((self.ms.lumped_mass[mask] / denom[mask]).min())
-        if self._d is not None:
-            # state-free speeds (the boundary lambda |n_i| too): the bound
-            # holds for every state
+        if self._k is not None:
+            # a linear flux: d^e and the boundary lambda |n_i| read no
+            # state, so the bound holds for every state
             self._dt = dt
         return dt
 
@@ -217,8 +199,8 @@ class SpatialScheme:
             gamma = np.maximum(work.d[:, None], TINY,
                                out=self._gamma_buffer())
             gamma *= 2.0                                          # (E, 1)
-            bounds = _component_bounds(ms, u, work, bwork, "barstate",
-                                       self.ws)
+            bounds = local_bounds(ms, u, work.bar_states, "barstate", bwork,
+                                  self.ws)
             f = _zero_inactive(work.f_anti, work.d)
             f_star = self._limit(f, work.bar_states, gamma, bounds)
             contrib = np.add(work.r_rusanov, _zero_inactive(f_star, work.d),
@@ -244,7 +226,8 @@ class SpatialScheme:
         # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.divide(ms.geometry.m_elem[:, None], dt,
                           out=self._gamma_buffer())             # (E, 1)
-        bounds = _component_bounds(ms, u_low, work, bwork, "stencil", self.ws)
+        bounds = local_bounds(ms, u_low, work.bar_states, "stencil", bwork,
+                              self.ws)
         # u_loc is not read again in this stage
         base = ms.gather(u_low, out=work.u_loc)
         f_star = self._limit(work.f_anti, base, gamma, bounds)

@@ -5,6 +5,10 @@ sum written out.
 * ``reference_assembly``: the Rusanov viscosity, the bar states, the
   closed-form low-order residual and the antidiffusive contributions of
   one element assembly, boundary terms included;
+* ``reference_stage``: one forward-Euler stage of every scheme key for a
+  scalar model, built on ``reference_assembly``: the low-order predictor,
+  MCL's bar-state bounds and ``r + f*``, FCT's stencil bounds and
+  corrector, and the scaling and clip-and-scale limiters;
 * ``residual_split``: the residual-distribution split the assembly
   follows (no scheme reads it);
 * ``rd_weights``: the signed-fluctuation decomposition of element
@@ -96,8 +100,10 @@ class ReferenceAssembly:
     d: np.ndarray                 # (E,) Rusanov viscosity
     bar_states: np.ndarray        # (E, 3, m)
     r_rusanov: np.ndarray         # (E, 3, m)
+    residual: np.ndarray          # (n_dofs, m) sum of r_rusanov + boundary
     udot: np.ndarray              # (n_dofs, m)
     f_anti: np.ndarray            # (E, 3, m)
+    boundary_bars: np.ndarray | None = None   # (B, m), with a bc
 
 
 def reference_assembly(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
@@ -129,8 +135,10 @@ def reference_assembly(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
 
     residual = np.zeros(u.shape)
     np.add.at(residual, ms.elem_dofs, r_rus)
+    b_bars = None
     if bc is not None and ms.boundary_dofs.size:
-        residual[ms.boundary_dofs] += _boundary_flux(ms, model, u, t, bc)
+        b_flux, b_bars = _boundary_terms(ms, model, u, t, bc)
+        residual[ms.boundary_dofs] += b_flux
     udot = residual / ms.lumped_mass[:, None]
 
     udot_loc = udot[ms.elem_dofs]
@@ -138,24 +146,135 @@ def reference_assembly(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         * geom.m_off[:, None, None]
     f_anti = mass + (fbar_c - fsum_c / 3.0) - visc
     return ReferenceAssembly(d=d, bar_states=bars, r_rusanov=r_rus,
-                             udot=udot, f_anti=f_anti)
+                             residual=residual, udot=udot, f_anti=f_anti,
+                             boundary_bars=b_bars)
 
 
-def _boundary_flux(ms: MeshSystem, model, u: np.ndarray, t: float,
-                   bc) -> np.ndarray:
+def _boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
+                    bc) -> tuple:
     """The weak Rusanov face term -(f(u_in) + f(u_ext)) . n_i / 2
-    + lambda |n_i| (u_ext - u_in) / 2 of each boundary DOF, (B, m)."""
+    + lambda |n_i| (u_ext - u_in) / 2 of each boundary DOF, and its bar
+    state (u_in + u_ext) / 2 - (f(u_ext) - f(u_in)) . n_i / (2 lambda |n_i|)
+    (the mean where lambda |n_i| = 0), each (B, m)."""
     dofs, x = ms.boundary_dofs, ms.boundary_x
     n, nhat = ms.boundary_n, ms.boundary_nhat
     u_in = u[dofs]
     u_ext = bc(x, t, u_in, nhat)
-    lam = model.max_wave_speed(u_in, u_ext, nhat, x)
+    visc = (model.max_wave_speed(u_in, u_ext, nhat, x)
+            * ms.boundary_nlen)[:, None]
 
     def flux_n(w):
         return (model.flux(w, x) * n[:, None, :]).sum(axis=-1)
 
-    return (-0.5 * (flux_n(u_in) + flux_n(u_ext))
-            + 0.5 * (lam * ms.boundary_nlen)[:, None] * (u_ext - u_in))
+    f_in, f_ext = flux_n(u_in), flux_n(u_ext)
+    mean = 0.5 * (u_in + u_ext)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bars = np.where(visc > 0, mean - (f_ext - f_in) / (2.0 * visc), mean)
+    return -0.5 * (f_in + f_ext) + 0.5 * visc * (u_ext - u_in), bars
+
+
+@dataclass
+class ReferenceStage:
+    u: np.ndarray                 # (n_dofs, 1) the stage's result
+    alpha: np.ndarray | None      # (E,) factors of a scaling limiter
+    f_anti: np.ndarray            # (E, 3, 1) the unlimited contributions
+
+
+def reference_stage(ms: MeshSystem, model, u: np.ndarray, t: float,
+                    dt: float, key: str, bc=None) -> ReferenceStage:
+    """One forward-Euler stage ``u -> u + dt (...)`` of the scheme ``key``
+    (``schemes.SCHEME_KEYS``) for a scalar model, from the formulas:
+
+    * ``low``: u + dt udot, the low-order predictor;
+    * ``none``: u + dt (residual + sum_e f_anti) / m_i;
+    * ``mcl.*``: u + dt (residual + sum_e f*) / m_i, f* limited so that
+      each bar state + f* / (2 d^e) stays within the range of u_i, of the
+      bar states at DOF i and of its boundary bar state; an element with
+      d^e = 0 has no viscosity to compensate and takes no correction;
+    * ``fct.*``: u_low + dt sum_e f* / m_i from the low-order predictor
+      u_low, f* limited so that u_low,i + dt f* / m^e stays within the
+      range of u_low over the DOFs DOF i shares an element with, and of
+      its boundary bar state.
+    """
+    ref = reference_assembly(ms, model, u, t, bc)
+    m_i = ms.lumped_mass[:, None]
+    stage = ReferenceStage(u=u + dt * ref.udot, alpha=None,
+                           f_anti=ref.f_anti)
+    driver, _, kind = key.partition(".")
+    if driver == "low":
+        return stage
+    if driver == "none":
+        stage.u = u + dt * (ref.residual + _sum_at(ms, ref.f_anti)) / m_i
+        return stage
+
+    if driver == "mcl":
+        base, gamma = ref.bar_states, 2.0 * ref.d[:, None, None]
+        lo = np.minimum(_min_at(ms, base), u)
+        hi = np.maximum(_max_at(ms, base), u)
+        f = np.where(ref.d[:, None, None] > 0, ref.f_anti, 0.0)
+    else:
+        u_low = stage.u
+        base = u_low[ms.elem_dofs]
+        gamma = (ms.geometry.m_elem / dt)[:, None, None]
+        # each element's range, at its nodes, then over the elements of
+        # each DOF
+        lo = _min_at(ms, np.broadcast_to(base.min(axis=1, keepdims=True),
+                                         base.shape))
+        hi = _max_at(ms, np.broadcast_to(base.max(axis=1, keepdims=True),
+                                         base.shape))
+        f = ref.f_anti
+    if ref.boundary_bars is not None:
+        dofs = ms.boundary_dofs
+        lo[dofs] = np.minimum(lo[dofs], ref.boundary_bars)
+        hi[dofs] = np.maximum(hi[dofs], ref.boundary_bars)
+    f_star, stage.alpha = _limit(kind, f, gamma * (lo[ms.elem_dofs] - base),
+                                 gamma * (hi[ms.elem_dofs] - base))
+    if driver == "mcl":
+        stage.u = u + dt * (ref.residual + _sum_at(ms, f_star)) / m_i
+    else:
+        stage.u = u_low + dt * _sum_at(ms, f_star) / m_i
+    return stage
+
+
+def _limit(kind: str, f, fmin, fmax):
+    """(f*, per-element factors or None) of the scalar limiter ``kind`` on
+    (E, 3, 1) blocks with fmin <= 0 <= fmax.
+
+    * ``scale``: f* = alpha f with alpha = min_i alpha_i, where alpha_i is
+      fmax_i / f_i above the bounds, fmin_i / f_i below them and 1 within;
+    * ``cs``: each f_i clipped into its bounds, then the larger of the
+      positive and the negative part scaled down to the size of the other.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "scale":
+            alpha_i = np.where(f > fmax, fmax / f,
+                               np.where(f < fmin, fmin / f, 1.0))
+            alpha = alpha_i.min(axis=1)                       # (E, 1)
+            return alpha[:, None] * f, alpha[:, 0]
+        clipped = np.minimum(np.maximum(f, fmin), fmax)
+        pos = np.maximum(clipped, 0.0).sum(axis=1, keepdims=True)
+        neg = -np.minimum(clipped, 0.0).sum(axis=1, keepdims=True)
+        pos_factor = np.where(pos > neg, neg / pos, 1.0)
+        neg_factor = np.where(neg > pos, pos / neg, 1.0)
+    return np.where(clipped > 0, pos_factor, neg_factor) * clipped, None
+
+
+def _sum_at(ms: MeshSystem, vals) -> np.ndarray:
+    out = np.zeros((ms.n_dofs,) + vals.shape[2:])
+    np.add.at(out, ms.elem_dofs, vals)
+    return out
+
+
+def _min_at(ms: MeshSystem, vals) -> np.ndarray:
+    out = np.full((ms.n_dofs,) + vals.shape[2:], np.inf)
+    np.minimum.at(out, ms.elem_dofs, vals)
+    return out
+
+
+def _max_at(ms: MeshSystem, vals) -> np.ndarray:
+    out = np.full((ms.n_dofs,) + vals.shape[2:], -np.inf)
+    np.maximum.at(out, ms.elem_dofs, vals)
+    return out
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:

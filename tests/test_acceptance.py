@@ -249,8 +249,8 @@ def test_criterion_06_scheme_recovery(monkeypatch):
     ref_galerkin = trajectory(SpatialScheme(ms=ms, model=model,
                                             limiter="none"))
     with monkeypatch.context() as mp:
-        mp.setattr(schemes_mod, "_component_bounds",
-                   lambda ms_, f, w, bw, mode, ws: (
+        mp.setattr(schemes_mod, "local_bounds",
+                   lambda ms_, f, ev, mode, bw, ws: (
                        np.full(f.shape, -np.inf), np.full(f.shape, np.inf)))
         got_mcl = trajectory(SpatialScheme(ms=ms, model=model,
                                            limiter="mcl.cs"))

@@ -162,6 +162,36 @@ class TestRegistry:
         bench.model.set_global_bounds(u0)
         assert np.all(bench.model.admissible(u0, 0.0))
 
+    @pytest.mark.parametrize("keys, message", [
+        (dict(benchmark="dmr", model="advection"),
+         "benchmark dmr runs model = euler, not advection"),
+        (dict(benchmark="burgers_riemann", model="advection"),
+         "benchmark burgers_riemann runs model = burgers, not advection"),
+        (dict(benchmark="advected_gaussian", model="euler"),
+         "benchmark advected_gaussian runs model = advection, not euler"),
+        (dict(benchmark="solid_body_rotation", velocity="translation"),
+         "benchmark solid_body_rotation runs velocity = rotation, not "
+         "translation"),
+        (dict(benchmark="burgers_riemann", velocity="rotation"),
+         "benchmark burgers_riemann runs velocity = none, not rotation"),
+        (dict(benchmark="constant", model="euler", velocity="translation"),
+         "benchmark constant runs velocity = none, not translation")])
+    def test_ignored_model_or_velocity_rejected(self, keys, message):
+        with pytest.raises(ConfigError, match=message):
+            make_benchmark(RunConfig(h=1 / 4, **keys))
+
+    @pytest.mark.parametrize("keys", [
+        dict(benchmark="dmr", model="euler"),
+        dict(benchmark="burgers_riemann", model="burgers"),
+        dict(benchmark="solid_body_rotation", model="advection",
+             velocity="rotation"),
+        dict(benchmark="advected_gaussian", velocity="rotation"),
+        dict(benchmark="constant", model="burgers"),
+        dict(benchmark="constant", velocity="rotation")])
+    def test_model_and_velocity_the_benchmark_runs_accepted(self, keys):
+        assert make_benchmark(RunConfig(h=1 / 4, **keys)).id == \
+            keys["benchmark"]
+
     def test_euler_constant_variant(self):
         cfg = RunConfig(benchmark="constant", model="euler", h=1 / 4)
         bench = make_benchmark(cfg)

@@ -260,6 +260,16 @@ class TestCliCommands:
                            f"t_end = 0.1\nout = {tmp_path / 'o'}\n")
         assert main(["solve", str(cfgfile), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("extent", [["--x0", "0.5", "--x1", "0.5"],
+                                        ["--y0", "1", "--y1", "1"]])
+    def test_mesh_gen_rejects_zero_extent(self, tmp_path, capsys, extent):
+        meshfile = tmp_path / "m.mesh"
+        assert main(["mesh-gen", "--nx", "4", "--ny", "4", *extent,
+                     "--out", str(meshfile)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: structured_rect needs nx, ny >= 1 and nondegenerate")
+        assert not meshfile.exists()
+
     def test_check_passes(self, capsys):
         assert main(["check", "--seed", "0", "--trials", "50"]) == 0
         out = capsys.readouterr().out

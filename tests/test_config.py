@@ -84,6 +84,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="h"):
             parse_config("h = -0.1\n")
 
+    @pytest.mark.parametrize("text", ["t_end = 0\n", "t_end = -1\n"])
+    def test_t_end_positive(self, text):
+        with pytest.raises(ConfigError, match="t_end must be positive"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", ["dt_max = 0\n", "dt_max = -1e-3\n"])
+    def test_dt_max_positive(self, text):
+        with pytest.raises(ConfigError, match="dt_max must be positive"):
+            parse_config(text)
+
+    def test_audit_bound_tol_nonnegative(self):
+        with pytest.raises(ConfigError, match="audit_bound_tol must be >= 0"):
+            parse_config("audit_bound_tol = -1\n")
+        assert parse_config("audit_bound_tol = 0\n").audit_bound_tol == 0.0
+
+    def test_audit_cons_tol_nonnegative(self):
+        with pytest.raises(ConfigError, match="audit_cons_tol must be >= 0"):
+            parse_config("audit_cons_tol = -1e-12\n")
+        assert parse_config("audit_cons_tol = 0\n").audit_cons_tol == 0.0
+
     def test_audit_every_nonnegative(self):
         with pytest.raises(ConfigError, match="audit_every"):
             parse_config("audit_every = -1\n")

@@ -1,8 +1,8 @@
 """The hot path: numpy scatters equal the ``ufunc.at`` forms bit for bit,
 each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
-is only reused for the same state, a model with state-free wave speeds
-has them computed once per scheme (and a linear flux its coefficients),
-element blocks stored with the element
+is only reused for the same state, a model with a linear flux has its
+coefficients, viscosity and CFL bound computed once per scheme and no wave
+speed at all, element blocks stored with the element
 index fastest give the same bits as C-ordered ones, and a step reuses the
 scheme's buffers instead of allocating element-sized temporaries."""
 
@@ -18,8 +18,9 @@ import pytest
 import idpfem.assembly as assembly_mod
 import idpfem.limiting as limiting_mod
 import idpfem.schemes as schemes_mod
-from conftest import random_euler_states
-from idpfem.assembly import assemble
+from conftest import perfbench_workloads, random_euler_states
+from idpfem.assembly import (BoundaryWork, assemble, linear_flux,
+                             rusanov_viscosity, wave_speeds)
 from idpfem.config import RunConfig
 from idpfem.limiting import local_bounds
 from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
@@ -466,10 +467,10 @@ def _bounds_per_component(ms, field, work, bwork, mode):
     """The reference: one ``local_bounds`` call per component."""
     out = []
     for k in range(field.shape[1]):
-        extra_dofs = bwork.dofs if bwork is not None else None
-        extra_vals = bwork.bar_states[:, k] if bwork is not None else None
+        bwork_k = None if bwork is None else dataclasses.replace(
+            bwork, bar_states=bwork.bar_states[:, k])
         out.append(local_bounds(ms, field[:, k], work.bar_states[..., k], mode,
-                                extra_dofs, extra_vals))
+                                bwork_k))
     return out
 
 
@@ -483,7 +484,7 @@ def test_component_bounds_bit_equal_to_per_component_loop(
     ms, model, bc, u = _problem(model_name, mesh_kind)
     work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
     assert (bwork is not None) == (mesh_kind == "bounded")
-    lo, hi = schemes_mod._component_bounds(ms, u, work, bwork, mode, ws)
+    lo, hi = local_bounds(ms, u, work.bar_states, mode, bwork, ws)
     ref = _bounds_per_component(ms, u, work, bwork, mode)
     assert lo.shape == hi.shape == (ms.n_dofs, model.m)
     assert len(ref) == model.m
@@ -713,7 +714,7 @@ def _unstructured_system():
 STENCIL_MESHES = dict(MESHES, unstructured=_unstructured_system)
 
 
-def _stencil_bounds_reference(ms, field, extra_dofs, extra_vals):
+def _stencil_bounds_reference(ms, field, bwork):
     """The reference stencil bounds: the gathered field's element minimum
     and maximum, written at each node of the element and scattered to the
     DOFs, then widened to the field and to the extra values."""
@@ -724,9 +725,10 @@ def _stencil_bounds_reference(ms, field, extra_dofs, extra_vals):
     lo = ms.scatter_min_max(np.repeat(e_min, 3, axis=1))[0]
     hi = ms.scatter_min_max(np.repeat(e_max, 3, axis=1))[1]
     lo, hi = np.minimum(field, lo), np.maximum(field, hi)
-    if extra_dofs is not None:
-        lo[extra_dofs] = np.minimum(lo[extra_dofs], extra_vals)
-        hi[extra_dofs] = np.maximum(hi[extra_dofs], extra_vals)
+    if bwork is not None:
+        dofs, vals = bwork.dofs, bwork.bar_states
+        lo[dofs] = np.minimum(lo[dofs], vals)
+        hi[dofs] = np.maximum(hi[dofs], vals)
     return lo, hi
 
 
@@ -766,17 +768,16 @@ def test_stencil_bounds_bit_equal_to_element_scatter(mesh, trailing, extras,
     shape = (ms.n_dofs,) + trailing
     # continuous values, and a coarse grid of them, which makes many ties
     fields = [rng.normal(size=shape), rng.integers(-3, 4, shape) / 2.0]
-    extra_dofs = extra_vals = None
+    bwork = None
     if extras:
-        extra_dofs = rng.choice(ms.n_dofs, ms.n_dofs // 3, replace=False)
-        extra_vals = rng.normal(size=(extra_dofs.size,) + trailing)
+        dofs = rng.choice(ms.n_dofs, ms.n_dofs // 3, replace=False)
+        bwork = BoundaryWork(dofs=dofs, flux_term=None, visc=None,
+                             bar_states=rng.normal(size=dofs.shape + trailing))
     space = Workspace() if ws else None
     for field in fields + [np.asfortranarray(fields[0])]:
         for _ in range(2):                     # a warm workspace as well
-            lo, hi = local_bounds(ms, field, None, "stencil", extra_dofs,
-                                  extra_vals, space)
-            ref_lo, ref_hi = _stencil_bounds_reference(ms, field, extra_dofs,
-                                                       extra_vals)
+            lo, hi = local_bounds(ms, field, None, "stencil", bwork, space)
+            ref_lo, ref_hi = _stencil_bounds_reference(ms, field, bwork)
             assert lo.shape == hi.shape == field.shape
             assert lo.tobytes() == ref_lo.tobytes()
             assert hi.tobytes() == ref_hi.tobytes()
@@ -868,18 +869,22 @@ class TestCflBoundReuse:
         if model_name == "euler":
             assert len(calls) == 2
         else:
-            # against the kept bound: with state-free wave speeds it is
-            # computed once per scheme
+            # against the kept bound: with a linear flux it is computed
+            # once per scheme
             scheme.dt_bound(u, 0.3)
             assert len(calls) == 1
 
 
-# --- state-free wave speeds: d^e and the CFL bound kept per scheme ------------
+# --- a linear flux: k, d^e and the CFL bound kept per scheme -----------------
 
-class _StateDependent(LinearAdvection):
-    """Linear advection whose wave speeds a scheme treats as state-dependent:
-    the reference that computes them in every assembly."""
-    state_free_speeds = False
+class _FreshBound(SpatialScheme):
+    """A scheme that computes its CFL bound anew in every ``dt_bound``, from
+    the assembly of the state it is given: the reference for the kept
+    bound."""
+
+    def dt_bound(self, u, t=0.0):
+        self._dt = None
+        return super().dt_bound(u, t)
 
 
 def _ssp2_steps(scheme, u, t, n):
@@ -900,15 +905,38 @@ def _ssp2_steps(scheme, u, t, n):
 @pytest.mark.parametrize("velocity", ["translation", "rotation"])
 @pytest.mark.parametrize("mesh_kind", ["periodic", "bounded"])
 def test_kept_wave_speeds_change_no_bit(limiter, velocity, mesh_kind):
+    """The kept CFL bound gives every stage the bits of a bound assembled
+    anew for each step."""
     ms, model, bc, u = _problem(velocity, mesh_kind)
-    twin = _StateDependent(velocity=model.velocity, u_min=model.u_min,
-                           u_max=model.u_max)
     kept = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
-    fresh = SpatialScheme(ms=ms, model=twin, limiter=limiter, bc=bc)
+    fresh = _FreshBound(ms=ms, model=model, limiter=limiter, bc=bc)
     for got, ref in zip(_ssp2_steps(kept, u, 0.1, 4),
                         _ssp2_steps(fresh, u.copy(), 0.1, 4)):
         assert got == ref
-    assert kept._dt is not None and fresh._d is None and fresh._dt is None
+    assert kept._dt is not None
+
+
+@pytest.mark.parametrize("velocity", ["translation", "rotation", "seed1",
+                                      "seed2", "seed3"])
+@pytest.mark.parametrize("mesh", ["periodic", "unstructured"])
+def test_linear_viscosity_is_max_abs_k_and_the_wave_speed_one(velocity,
+                                                               mesh):
+    """d^e of a linear flux is max_i |k_i| bit for bit, and the d^e of its
+    wave speeds, max_i lambda_i |c_i|, to rounding."""
+    ms = STENCIL_MESHES[mesh]()
+    if velocity.startswith("seed"):
+        vx, vy = perfbench_workloads().advect_velocity(int(velocity[4:]))
+        model = make_model("advection", velocity="translation", vx=vx, vy=vy)
+    else:
+        model = make_model("advection", velocity=velocity)
+    scheme = SpatialScheme(ms=ms, model=model, limiter="mcl.cs")
+    k, d = scheme._k, scheme._d
+    assert d.tobytes() == np.abs(k).max(axis=1).tobytes()
+    u = np.random.default_rng(3).uniform(0.0, 1.0, (ms.n_dofs, 1))
+    u_loc = ms.gather(u)
+    lam = wave_speeds(model, ms, u_loc, u_loc.mean(axis=1))
+    ref = rusanov_viscosity(lam, ms.geometry.c_norm)
+    assert np.abs(d - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def _count(monkeypatch, owner, name, calls):
@@ -925,19 +953,22 @@ def test_warm_step_computes_wave_speeds_only_if_they_depend_on_u(
     """On a periodic mesh (no boundary terms) a warm SSP2 step assembles
     once per stage; advection calls max_wave_speed and flux in none of
     them, Burgers and Euler max_wave_speed once and flux twice (at ubar
-    and at u_i) in each."""
+    and at u_i) in each. Advection calls no max_wave_speed at construction
+    or in the first step either."""
     ms, model, bc, u = _problem(model_name, "periodic")
+    speeds, fluxes, assemblies = [], [], []
+    _count(monkeypatch, type(model), "max_wave_speed", speeds)
     scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
     steps = _ssp2_steps(scheme, u, 0.0, 3)
     next(steps)
-    speeds, fluxes, assemblies = [], [], []
-    _count(monkeypatch, type(model), "max_wave_speed", speeds)
+    linear = model_name in ("translation", "rotation")
+    assert len(speeds) == (0 if linear else 2)
+    speeds.clear()
     _count(monkeypatch, type(model), "flux", fluxes)
     _count(monkeypatch, schemes_mod, "assemble", assemblies)
     next(steps)
     next(steps)
     assert len(assemblies) == 2 * 2
-    linear = model_name in ("translation", "rotation")
     assert len(speeds) == (0 if linear else len(assemblies))
     assert len(fluxes) == (0 if linear else 2 * len(assemblies))
 
@@ -973,9 +1004,9 @@ def test_kept_viscosity_is_a_read_only_copy_of_the_first():
                                         "burgers"])
 def test_kept_flux_coefficients_are_read_only_and_made_once(
         monkeypatch, model_name, limiter):
-    """A scheme over linear advection forms k in its first assembly, keeps
-    it read-only and outside its workspace, and passes it to every later
-    one; a scheme over a flux model keeps none."""
+    """A scheme over linear advection forms k at construction, keeps it
+    read-only and outside its workspace, and passes it to every assembly;
+    a scheme over a flux model keeps none."""
     ms, model, bc, u = _problem(model_name, "periodic")
     made, given = [], []
     if model_name != "burgers":

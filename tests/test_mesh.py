@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idpfem.config import RunConfig
 from idpfem.mesh import (Mesh, MeshError, build_system, canonical_pairs,
                          element_geometry, read_mesh, structured_rect,
                          write_mesh)
+from idpfem.runner import setup
 
 from conftest import p1_mass_matrix, random_triangle, single_triangle_system
 
@@ -156,6 +158,35 @@ class TestStructuredRect:
         counts = np.zeros(ms.n_dofs, dtype=int)
         np.add.at(counts, ms.elem_dofs, 1)
         assert np.all(counts == 6)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("extent", [(0.0, 1.0, 0.0, 1.0),
+                                        (-2.0, 3.0, 1.0, 1.5),
+                                        (1.0, 0.0, 1.0, 0.0)])
+    def test_valid_as_built(self, extent, periodic):
+        """``structured_rect`` skips ``validate``, which finds nothing to
+        fix or reject in what it builds."""
+        mesh = structured_rect(3, 4, *extent, periodic=periodic)
+        tris = mesh.triangles.copy()
+        assert mesh.validate() is mesh
+        assert np.array_equal(mesh.triangles, tris)
+        assert mesh.nodes.dtype == float and tris.dtype == np.int64
+
+    @pytest.mark.parametrize("extent", [
+        (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0, 2.0), (1.0, 0.0, 0.0, 1.0),
+        (0.0, 1e-300, 0.0, 1.0), (0.0, np.nan, 0.0, 1.0),
+        (0.0, np.inf, 0.0, 1.0)])
+    def test_degenerate_or_inverted_extent_rejected(self, extent):
+        with pytest.raises(MeshError, match="nondegenerate cells, got 3 x 4 over"):
+            structured_rect(3, 4, *extent)
+
+    def test_setup_validates_each_mesh_once(self, monkeypatch):
+        calls = []
+        original = Mesh.validate
+        monkeypatch.setattr(Mesh, "validate", lambda self: calls.append(1)
+                            or original(self))
+        setup(RunConfig(benchmark="advected_gaussian", h=1 / 8))
+        assert len(calls) == 1
 
     def test_boundary_tags_cover_all_sides(self):
         mesh = structured_rect(3, 3)

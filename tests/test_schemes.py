@@ -155,11 +155,11 @@ class TestMcl:
         ms, model, scheme, u = _scalar_setup("mcl.cs")
         galerkin = make_scheme(ms, model, "none")
 
-        def wide_bounds(ms_, field_dof, work, bwork, mode, ws):
+        def wide_bounds(ms_, field_dof, elem_vals, mode, bwork, ws):
             return (np.full(field_dof.shape, -np.inf),
                     np.full(field_dof.shape, np.inf))
 
-        monkeypatch.setattr(schemes_mod, "_component_bounds", wide_bounds)
+        monkeypatch.setattr(schemes_mod, "local_bounds", wide_bounds)
         a = scheme.rhs(u, 0.0)
         b = galerkin.rhs(u, 0.0)
         assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0)
