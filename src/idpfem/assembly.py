@@ -223,11 +223,10 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                           tmp=tmp)
 
     if with_antidiffusion and not linear:
-        # fbar_c - sum_j f(u_j) . c_i / 3, completed to f_anti below
+        # (sum_j f(u_j) / 3) . c_i, completed to f_anti below
         sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
+        sum_flux /= 3.0
         f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"), tmp=tmp)
-        f_anti /= 3.0
-        f_anti = np.subtract(fbar_c, f_anti, out=f_anti)
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
     visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
@@ -255,13 +254,14 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     mass -= udot_sum[:, None, :]
     mass *= geom.m_off[:, None, None]
 
-    # direct antidiffusion formula: f_anti = mass + flux part - visc, with
-    # no flux part in coefficient form
+    # direct antidiffusion formula: f_anti = mass + f(ubar) . c_i - sum_j
+    # f(u_j) . c_i / 3 - visc, which is mass - r_rusanov - (sum_j f(u_j) /
+    # 3) . c_i; in coefficient form the flux part is zero, so mass - visc
     if linear:
         f_anti = np.subtract(mass, visc, out=buf("f_anti"))
     else:
-        f_anti += mass
-        f_anti -= visc
+        f_anti = np.subtract(mass, f_anti, out=f_anti)
+        f_anti -= r_rus
     work.f_anti = f_anti
     return work, bwork
 
@@ -274,6 +274,7 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     pairs with the closed-form interior assembly: for a free-stream state it
     cancels the deficit f(u_i) . n_i exactly, and its bar-state form keeps
     the forward-Euler update a convex combination of admissible states.
+    The fluxes are ``model.normal_flux``, no flux tensor.
     """
     dofs = ms.boundary_dofs
     if dofs.size == 0:
@@ -287,20 +288,29 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
                                aux_r=aux_ext)
     visc = lam * nlen
-    if getattr(model, "flux_coefficients", None) is not None:
-        k = model.flux_coefficients(n, x)[:, None]
-        f_in, f_ext = u_in * k, u_ext * k
-    else:
-        f_in = _dot(model.flux(u_in, x, aux=aux_in), n)
-        f_ext = _dot(model.flux(u_ext, x, aux=aux_ext), n)
-    flux_term = -0.5 * (f_in + f_ext) + 0.5 * visc[:, None] * (u_ext - u_in)
+    f_in = model.normal_flux(u_in, n, x, aux_in)
+    f_ext = model.normal_flux(u_ext, n, x, aux_ext)
 
-    # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_hat / (2 lambda)
-    dfn = (f_ext - f_in) / np.maximum(nlen, TINY)[:, None]
-    bars = 0.5 * (u_in + u_ext) - dfn / (2.0 * np.maximum(lam, TINY))[:, None]
-    zero = lam * nlen <= 0
+    # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_i / |n_i| / (2
+    # lambda), the mean where lambda |n_i| = 0; |n_i| > 0 at every
+    # boundary DOF, so it divides unguarded
+    mean = np.add(u_in, u_ext)
+    mean *= 0.5
+    bars = np.subtract(f_ext, f_in)
+    bars /= nlen[:, None]
+    den = np.maximum(lam, TINY)
+    den *= 2.0
+    bars /= den[:, None]
+    bars = np.subtract(mean, bars, out=bars)
+    zero = visc <= 0
     if zero.any():
-        bars[zero] = 0.5 * (u_in[zero] + u_ext[zero])
+        bars[zero] = mean[zero]
 
+    # lambda |n_i| (u_ext - u_in) / 2 - (f_in + f_ext) . n_i / 2
+    flux_term = np.subtract(u_ext, u_in)
+    flux_term *= np.multiply(0.5, visc, out=den)[:, None]
+    f_in += f_ext
+    f_in *= 0.5
+    flux_term -= f_in
     return BoundaryWork(dofs=dofs, flux_term=flux_term, visc=visc,
                         bar_states=bars)

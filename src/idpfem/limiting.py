@@ -180,13 +180,15 @@ def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
 
 
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
-                               kind: str, ws=None,
-                               out=None) -> LimitResult:
+                               kind: str, ws=None, out=None,
+                               gaps=None) -> LimitResult:
     """Scalar-model limiting by the scalar limiter ``kind``: f, base are
-    (E, 3), gamma (E, 3) or (E, 1); lo, hi per DOF. f_star goes into
-    ``out`` when given, else into the buffer of the lower bound gap, which
-    the limiter has used up."""
-    fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma, ws)
+    (E, 3), gamma (E, 3) or (E, 1); lo, hi per DOF. ``gaps`` are the bound
+    gaps gamma (lo - base) and gamma (hi - base), (E, 3) each, when the
+    caller has formed them. f_star goes into ``out`` when given, else into
+    the lower bound gap, which the limiter has used up."""
+    fmin, fmax = (_bound_gaps(ms, lo, hi, base, gamma, ws) if gaps is None
+                  else gaps)
     f_star, alpha = limit_scalar(kind, f, fmin, fmax, ws,
                                  fmin if out is None else out)
     return LimitResult(f_star=f_star, alpha=alpha)
@@ -194,7 +196,7 @@ def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
 
 def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
                     base_k, gamma, lo_k, hi_k, kind: str, ws=None,
-                    out=None):
+                    out=None, gaps=None):
     """Sequential limiting of all product components rho*phi at once, given
     the limited density contributions ``f_rho_star``.
 
@@ -210,7 +212,11 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
 
     f_k, base_k: (E, 3, m - 1); f_rho_star, rho_bar_star, base_rho: (E, 3);
     gamma: (E, 3) or (E, 1); lo_k, hi_k: (n_dofs, m - 1). ``rho_bar_star``
-    must be positive (``limit_system_contributions`` checks it). Returns
+    must be positive (``limit_system_contributions`` checks it), and the
+    bounds must hold the base, ``lo_k <= base_k <= hi_k`` at every element
+    node, as those of both drivers do. ``gaps`` are the bound gaps gamma
+    (lo_k - base_k) and gamma (hi_k - base_k), (E, 3, m - 1) each, when the
+    caller has formed them; they are used up. Returns
     (f_k_star, phi_lo, phi_hi): f_k_star in ``out`` when given, and the
     per-DOF bounds (n_dofs, m - 1) on the specific values, stored with the
     DOF index fastest.
@@ -224,9 +230,9 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phibar = _sum3(base_k, buf("phibar", per_element))
     phibar /= _sum3(base_rho, buf("rs", per_element[:2]))[..., None]
     rs = np.multiply(phibar, f_rho_star[..., None], out=buf("rs"))
-    bmin, bmax = _bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
-    np.minimum(bmin, 0.0, out=bmin)
-    np.maximum(bmax, 0.0, out=bmax)
+    # bmin <= 0 <= bmax, because the bounds hold the base
+    bmin, bmax = (_bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
+                  if gaps is None else gaps)
     # R_S: its per-element factor goes into the buffer of phibar (used up);
     # the buffers of g and phi_eL are free until they are written below
     phi = buf("phi_eL")
@@ -253,11 +259,12 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
     states base + alpha f_star / gamma admissible. base: (E, 3, m). The
     factors (E,) go into ``ws`` when given."""
     # the admissibility test's intermediates go into the buffer of the lower
-    # bound gap, which the limiters before the fix have used up
+    # bound gap and the candidate states into that of the upper one, which
+    # the limiters before the fix have used up
     tmp = scratch(ws, "gaps.fmin", base.shape[:2] + (2,))
     if not np.all(model.admissible(base, 0.0, tmp)):
         raise AdmissibilityError("idp_fix called with inadmissible base states")
-    cand = scratch(ws, "idp.cand", base.shape)
+    cand = scratch(ws, "gaps.fmax", base.shape)
     gam = gamma[..., None]
 
     def ok(alpha=None):
@@ -297,17 +304,18 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     correction.
 
     f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
-    each (n_dofs, m).
+    each (n_dofs, m). The bound gaps of all components are formed in one
+    pass; the sequential limiter takes the density's, then the products'.
     """
     lo, hi = bounds
     f_star = scratch(ws, "system.f_star", f.shape)
     if f_star is None:
         f_star = np.empty_like(f)
+    fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
     if system == "sequential":
-        f_rho_star = f_star[..., 0]
-        limit_scalar_contributions(ms, f[..., 0], base[..., 0], gamma,
-                                   lo[:, 0], hi[:, 0], kind, ws,
-                                   out=f_rho_star)
+        f_rho_star = limit_scalar_contributions(
+            ms, f[..., 0], base[..., 0], gamma, lo[:, 0], hi[:, 0], kind, ws,
+            out=f_star[..., 0], gaps=(fmin[..., 0], fmax[..., 0])).f_star
         rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
             ws, "system.rho_bar_star", f_rho_star.shape))
         rho_bar_star = np.add(base[..., 0], rho_bar_star, out=rho_bar_star)
@@ -316,11 +324,11 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                 "nonpositive intermediate density in product rule")
         product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
                         base[..., 0], base[..., 1:], gamma, lo[:, 1:],
-                        hi[:, 1:], kind, ws, out=f_star[..., 1:])
+                        hi[:, 1:], kind, ws, out=f_star[..., 1:],
+                        gaps=(fmin[..., 1:], fmax[..., 1:]))
     elif system == "synchronized":
         # the smallest scaling factor of all components; f_star's buffer
         # takes an intermediate
-        fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
         alpha = _min3(_node_factors(f, fmin, fmax, f_star, scratch(
             ws, "scale.alpha_i", f.shape)), scratch(
                 ws, "scale.alpha", _one_per_element(f.shape)))

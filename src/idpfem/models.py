@@ -9,6 +9,9 @@ fastest each (component, direction) column is contiguous. ``flux`` and
 ``max_wave_speed`` write into ``out`` when it is given (numpy's ``out=``
 idiom) and return a fresh array otherwise.
 
+``normal_flux(u, n, x, aux)`` is f(u) . n (..., m), one value per state and
+component, without the flux tensor: the boundary terms take it.
+
 ``aux(u)`` is the per-state quantity that ``flux`` and ``max_wave_speed``
 both need (the Euler pressure; None for the scalar models). A caller that
 evaluates both at the same states computes it once and passes it as
@@ -77,6 +80,11 @@ class LinearAdvection:
         f = np.empty(u.shape + (2,), order="F") if out is None else out
         return np.multiply(u[..., :, None], v[..., None, :], out=f)
 
+    def normal_flux(self, u: np.ndarray, n: np.ndarray, x: np.ndarray,
+                    aux=None) -> np.ndarray:
+        """f(u) . n = u k with k = v(x) . n."""
+        return u * self.flux_coefficients(n, x)[..., None]
+
     def flux_coefficients(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """k = v(x) . c (the shape of ``c[..., 0]`` broadcast against that
         of ``x[..., 0]``), so that f(u) . c = u k; the velocity is
@@ -127,6 +135,13 @@ class Burgers2D:
         f0 = np.square(u, out=f[..., 0])
         f0 *= 0.5
         f[..., 1] = f0
+        return f
+
+    def normal_flux(self, u: np.ndarray, n: np.ndarray, x=None,
+                    aux=None) -> np.ndarray:
+        """f(u) . n = u^2 (n_1 + n_2) / 2."""
+        f = np.square(u)
+        f *= 0.5 * (n[..., 0] + n[..., 1])[..., None]
         return f
 
     def max_wave_speed(self, ul, ur, n, x=None, out=None, aux_l=None,
@@ -221,6 +236,19 @@ class Euler:
         f[..., 2, 1] += p
         v *= np.add(p, u[..., 3], out=f[..., 0, 0])[..., None]
         f[..., 0, :] = u[..., 1:3]
+        return f
+
+    def normal_flux(self, u: np.ndarray, n: np.ndarray, x=None,
+                    aux=None) -> np.ndarray:
+        """f(u) . n = (v . n) u + p (0, n, v . n), from the pressure ``aux``
+        when given."""
+        p = self.pressure(u) if aux is None else aux
+        vn = np.multiply(u[..., 1], n[..., 0])
+        vn += u[..., 2] * n[..., 1]
+        vn /= u[..., 0]
+        f = np.multiply(u, vn[..., None])
+        f[..., 1:3] += p[..., None] * n
+        f[..., 3] += p * vn
         return f
 
     def _speed(self, u, n, out=None, p=None, tmp=None, w=None):

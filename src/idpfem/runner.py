@@ -78,7 +78,7 @@ def _global_bounds(model, m: int):
 
 def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     """Execute the configured run and write VTK, CSV and summary artifacts."""
-    from .vtk_io import write_vtk
+    from .vtk_io import vtk_grid, write_vtk
 
     out = pathlib.Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,11 +109,12 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
             check_admissibility=idp_claim)
         reports.append(report)
 
-    snap, snap_t = 0, None
+    # the state-free part of the snapshots, formed once per run
+    snap, snap_t, grid = 0, None, vtk_grid(ms)
 
     def snapshot(u, t):
         nonlocal snap, snap_t
-        write_vtk(out / f"state_{snap:06d}.vtk", ms, u, model)
+        write_vtk(out / f"state_{snap:06d}.vtk", ms, u, model, grid)
         snap, snap_t = snap + 1, t
 
     next_out = cfg.output_every_t if cfg.output_every_t else None

@@ -62,13 +62,6 @@ def parse_limiter_key(key: str):
     return driver, kind
 
 
-def _scatter(ms: MeshSystem, contrib, bwork, shape, ws=None):
-    rhs = ms.scatter_add(contrib, ws).reshape(shape)
-    if bwork is not None:
-        rhs[bwork.dofs] += bwork.flux_term
-    return rhs
-
-
 def _zero_inactive(a, d):
     """Zero the block ``a`` (E, 3, m) in place where the viscosity ``d``
     (E,) is not positive. ``d`` is rarely zero anywhere, so the mask is
@@ -190,23 +183,26 @@ class SpatialScheme:
         work, bwork, _ = self._assemble(u, t)
         if self.driver == "low":
             return work.udot
-        # The stage is the only reader of its assembly (``_assemble`` drops
-        # the memo), so f_anti's buffer takes the contributions.
+        # Every driver adds its scattered correction to the residual, which
+        # holds the scattered r_rusanov and the boundary terms already.
         if self.driver == "none":
-            contrib = np.add(work.r_rusanov, work.f_anti, out=work.f_anti)
+            corr = work.f_anti
         elif self.driver == "mcl":
-            # MCL: bar states as base, gamma = 2 d^e.
+            # MCL: bar states as base, gamma = 2 d^e. The stage is the only
+            # reader of its assembly (``_assemble`` drops the memo), so
+            # f_anti is zeroed in place where d^e = 0.
             gamma = np.maximum(work.d[:, None], TINY,
                                out=self._gamma_buffer())
             gamma *= 2.0                                          # (E, 1)
             bounds = local_bounds(ms, u, work.bar_states, "barstate", bwork,
                                   self.ws)
             f = _zero_inactive(work.f_anti, work.d)
-            f_star = self._limit(f, work.bar_states, gamma, bounds)
-            contrib = np.add(work.r_rusanov, _zero_inactive(f_star, work.d),
-                             out=f)
-        total = _scatter(ms, contrib, bwork, u.shape, self.ws)
-        return total / ms.lumped_mass[:, None]
+            corr = _zero_inactive(
+                self._limit(f, work.bar_states, gamma, bounds), work.d)
+        total = ms.scatter_add(corr, self.ws)
+        total += work.residual
+        total /= ms.lumped_mass[:, None]
+        return total
 
     # --- FCT stage map ----------------------------------------------------
 
@@ -231,7 +227,7 @@ class SpatialScheme:
         # u_loc is not read again in this stage
         base = ms.gather(u_low, out=work.u_loc)
         f_star = self._limit(work.f_anti, base, gamma, bounds)
-        corr = _scatter(ms, f_star, None, u.shape, self.ws)
+        corr = ms.scatter_add(f_star, self.ws)
         return u_low + dt * corr / ms.lumped_mass[:, None]
 
     def stage_map(self):

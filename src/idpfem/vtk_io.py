@@ -18,12 +18,9 @@ SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 HEADER = b"# vtk DataFile Version 3.0\nidpfem state\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
 
 
-def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None) -> bytes:
-    """Render the state as a legacy VTK unstructured grid (triangles, type 5).
-
-    Periodically identified DOFs are expanded back to mesh nodes. For Euler
-    models the derived pressure and velocity fields are appended.
-    """
+def vtk_grid(ms: MeshSystem) -> bytes:
+    """The state-free part of every snapshot of ``ms``: the header, points,
+    cells and cell types, up to the POINT_DATA line."""
     mesh = ms.mesh
     n, n_el = mesh.n_nodes, mesh.n_elements
     points = np.zeros((n, 3), ">f8")
@@ -31,14 +28,25 @@ def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None) -> bytes:
     cells = np.empty((n_el, 4), ">i4")
     cells[:, 0] = 3
     cells[:, 1:] = mesh.triangles
-    parts = [
+    return b"".join([
         HEADER,
         b"POINTS %d double\n" % n, points.tobytes(), b"\n",
         b"CELLS %d %d\n" % (n_el, 4 * n_el), cells.tobytes(), b"\n",
         b"CELL_TYPES %d\n" % n_el, np.full(n_el, 5, ">i4").tobytes(), b"\n",
         b"POINT_DATA %d\n" % n,
-    ]
+    ])
 
+
+def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None,
+              grid: bytes | None = None) -> bytes:
+    """Render the state as a legacy VTK unstructured grid (triangles, type 5).
+
+    Periodically identified DOFs are expanded back to mesh nodes. For Euler
+    models the derived pressure and velocity fields are appended. ``grid``
+    is ``vtk_grid(ms)`` when the caller keeps it for its snapshots; it is
+    formed here otherwise.
+    """
+    parts = [vtk_grid(ms) if grid is None else grid]
     nodal = u[ms.dof_of_node]                 # (N, m)
     m = nodal.shape[1]
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
@@ -54,8 +62,9 @@ def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None) -> bytes:
     return b"".join(parts)
 
 
-def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None) -> None:
-    pathlib.Path(path).write_bytes(vtk_bytes(ms, u, model))
+def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None,
+              grid: bytes | None = None) -> None:
+    pathlib.Path(path).write_bytes(vtk_bytes(ms, u, model, grid))
 
 
 def read_vtk_point_data(path):

@@ -9,6 +9,9 @@ sum written out.
   scalar model, built on ``reference_assembly``: the low-order predictor,
   MCL's bar-state bounds and ``r + f*``, FCT's stencil bounds and
   corrector, and the scaling and clip-and-scale limiters;
+* ``product_rule`` and ``sequential_limiter``: the sequential system
+  limiter before the IDP fix, the density by a scalar limiter and then
+  the products rho phi by the product rule;
 * ``residual_split``: the residual-distribution split the assembly
   follows (no scheme reads it);
 * ``rd_weights``: the signed-fluctuation decomposition of element
@@ -238,7 +241,7 @@ def reference_stage(ms: MeshSystem, model, u: np.ndarray, t: float,
 
 def _limit(kind: str, f, fmin, fmax):
     """(f*, per-element factors or None) of the scalar limiter ``kind`` on
-    (E, 3, 1) blocks with fmin <= 0 <= fmax.
+    (E, 3, k) blocks with fmin <= 0 <= fmax, each component on its own.
 
     * ``scale``: f* = alpha f with alpha = min_i alpha_i, where alpha_i is
       fmax_i / f_i above the bounds, fmin_i / f_i below them and 1 within;
@@ -257,6 +260,50 @@ def _limit(kind: str, f, fmin, fmax):
         pos_factor = np.where(pos > neg, neg / pos, 1.0)
         neg_factor = np.where(neg > pos, pos / neg, 1.0)
     return np.where(clipped > 0, pos_factor, neg_factor) * clipped, None
+
+
+def product_rule(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
+                 base_k, gamma, lo_k, hi_k, kind: str) -> tuple:
+    """(f_k_star, phi_lo, phi_hi) of ``limiting.product_rule_cs`` with the
+    same arguments, from the formulas of its docstring:
+
+    * phibar = sum_i base_k_i / sum_i base_rho_i per element and component;
+    * rs = phibar f_rho_star, scaled by the scaling limiter (R_S) so that
+      base_k + rs / gamma stays within [lo_k, hi_k];
+    * phi_eL = (base_k + rs / gamma) / rho_bar_star, and [phi_lo, phi_hi]
+      its range at each DOF;
+    * f_k_star = rs + g*, with g* the limiter ``kind`` applied to f_k - rs
+      against gamma rho_bar_star ([phi_lo, phi_hi] - phi_eL).
+    """
+    gam = gamma[..., None]
+    rho = rho_bar_star[..., None]
+    phibar = base_k.sum(axis=1, keepdims=True) \
+        / base_rho.sum(axis=1, keepdims=True)[..., None]
+    rs = phibar * f_rho_star[..., None]
+    rs = _limit("scale", rs, gam * (lo_k[ms.elem_dofs] - base_k),
+                gam * (hi_k[ms.elem_dofs] - base_k))[0]
+    phi = (base_k + rs / gam) / rho
+    phi_lo, phi_hi = _min_at(ms, phi), _max_at(ms, phi)
+    g_star = _limit(kind, f_k - rs, gam * rho * (phi_lo[ms.elem_dofs] - phi),
+                    gam * rho * (phi_hi[ms.elem_dofs] - phi))[0]
+    return rs + g_star, phi_lo, phi_hi
+
+
+def sequential_limiter(ms: MeshSystem, f, base, gamma, lo, hi,
+                       kind: str) -> np.ndarray:
+    """The sequential system limiter's f* (E, 3, m) before the IDP fix:
+    the density's contributions limited by ``kind`` so that base_rho +
+    f_rho* / gamma stays within its bounds, then the products by
+    ``product_rule`` around rho_bar_star = base_rho + f_rho* / gamma.
+    gamma is (E, 1) or (E, 3); lo, hi are per DOF, (n_dofs, m)."""
+    gam = gamma[..., None]
+    gaps = gam * (lo[ms.elem_dofs] - base), gam * (hi[ms.elem_dofs] - base)
+    f_rho = _limit(kind, f[..., :1], gaps[0][..., :1],
+                   gaps[1][..., :1])[0][..., 0]
+    rho_bar_star = base[..., 0] + f_rho / gamma
+    f_k = product_rule(ms, f_rho, rho_bar_star, f[..., 1:], base[..., 0],
+                       base[..., 1:], gamma, lo[:, 1:], hi[:, 1:], kind)[0]
+    return np.concatenate([f_rho[..., None], f_k], axis=-1)
 
 
 def _sum_at(ms: MeshSystem, vals) -> np.ndarray:

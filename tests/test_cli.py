@@ -3,6 +3,7 @@ import pytest
 
 import idpfem.limiting as limiting_mod
 import idpfem.runner as runner_mod
+import idpfem.vtk_io as vtk_mod
 from idpfem.cli import CHECK_CASES, main
 from idpfem.config import RunConfig
 from idpfem.diagnostics import AuditError
@@ -10,7 +11,7 @@ from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import AdmissibilityError, Euler
 from idpfem.runner import run
 from idpfem.timestepping import TimeControls
-from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, write_vtk
+from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, vtk_grid, write_vtk
 
 from conftest import single_triangle_system
 
@@ -114,6 +115,35 @@ class TestVtk:
         ms = build_system(structured_rect(3, 3))
         u = rng.uniform(size=(ms.n_dofs, 1))
         assert vtk_bytes(ms, u) == vtk_bytes(ms, u.copy())
+
+    def test_kept_grid_changes_no_byte(self, rng):
+        ms = build_system(structured_rect(3, 3))
+        model = Euler()
+        u = model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
+                            rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
+                            rng.uniform(0.5, 2.0, ms.n_dofs))
+        grid = vtk_grid(ms)
+        data = vtk_bytes(ms, u, model, grid)
+        assert data == vtk_bytes(ms, u, model)
+        assert data.startswith(grid) and grid.endswith(b"POINT_DATA 16\n")
+
+    def test_run_forms_the_grid_once(self, tmp_path, monkeypatch):
+        """Every snapshot of a run shares one ``vtk_grid`` and has the bytes
+        of a snapshot rendered on its own."""
+        calls = []
+        original = vtk_mod.vtk_grid
+
+        def counted(ms):
+            calls.append(ms)
+            return original(ms)
+
+        monkeypatch.setattr(vtk_mod, "vtk_grid", counted)
+        result = run(RunConfig(benchmark="dmr", h=1 / 8, t_end=0.004,
+                               output_every_t=0.001), out_dir=tmp_path)
+        snapshots = sorted(tmp_path.glob("state_*.vtk"))
+        assert len(snapshots) >= 4 and len(calls) == 1
+        assert snapshots[-1].read_bytes() == vtk_bytes(
+            result.ms, result.u, result.model)
 
     def test_roundtrip_through_reader(self, tmp_path, rng):
         ms = build_system(structured_rect(3, 3))

@@ -16,9 +16,9 @@ from idpfem.config import RunConfig
 from idpfem.runner import run
 
 DIGESTS = {
-    "advect-mcl": "d923bdf37fa10ff6/73748a7ff1f65d19",
+    "advect-mcl": "2c243af32eb17ba2/803e6341dcf16bd1",
     "advect-fct": "58d8e7a7b4b74c06/14b4ae7db9cd79f9",
-    "dmr-mcl": "31cb5ac2e74aa03d/f7b29a09376eaa98",
+    "dmr-mcl": "db9a27e3aa5041b8/f7b29a09376eaa98",
 }
 STEPS = {"advect-mcl": 77, "advect-fct": 77, "dmr-mcl": 21}
 

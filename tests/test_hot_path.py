@@ -394,8 +394,12 @@ def test_stage_bit_equal_to_c_order(monkeypatch, model_name, mesh_kind,
 @pytest.mark.parametrize("model_name", ["translation", "euler"])
 def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
     """Every block ``MeshSystem.gather`` hands the limiters (the gathered
-    bounds and bound candidates) is stored with the element index fastest."""
-    inside = {"limit_scalar_contributions", "product_rule_cs"}
+    bounds and bound candidates) is stored with the element index fastest.
+    A system model's bounds are gathered once for all components, by the
+    system limiter, and the product rule gathers its own bounds on the
+    specific values."""
+    inside = {"limit_scalar_contributions", "limit_system_contributions",
+              "product_rule_cs"}
     seen = []
     stack = []
     original_gather = MeshSystem.gather
@@ -428,7 +432,8 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
         scheme.step(u, 0.0, 0.5 * dt)
     else:
         scheme.rhs(u, 0.0)
-    expected = inside if model.m > 1 else {"limit_scalar_contributions"}
+    expected = ({"limit_system_contributions", "product_rule_cs"}
+                if model.m > 1 else {"limit_scalar_contributions"})
     assert {name for name, _ in seen} == expected
     for name, a in seen:
         assert a.shape[:2] == (ms.n_elements, 3)

@@ -129,6 +129,23 @@ class TestEuler:
                            0.4 * model.internal_energy_density(u))
 
 
+@pytest.mark.parametrize("model", [
+    LinearAdvection(velocity=rotation_velocity()), Burgers2D(), Euler()],
+    ids=["advection", "burgers", "euler"])
+def test_normal_flux_is_the_flux_tensor_along_n(model, rng):
+    """f(u) . n without the flux tensor: that of ``flux`` dotted with n,
+    with the Euler pressure given or not."""
+    x = rng.uniform(0.0, 1.0, (40, 2))
+    n = rng.normal(size=(40, 2))
+    u = (random_euler_states(rng, model, (40,)) if model.m == 4
+         else rng.uniform(-1.0, 1.0, (40, 1)))
+    want = (model.flux(u, x) * n[:, None, :]).sum(axis=-1)
+    for aux in (None, model.aux(u)):
+        got = model.normal_flux(u, n, x, aux)
+        assert got.shape == u.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
 class TestFactory:
     def test_make_model_dispatch(self):
         assert isinstance(make_model("advection"), LinearAdvection)

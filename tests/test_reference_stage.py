@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Burgers2D, make_model
 from idpfem.schemes import SCHEME_KEYS, SpatialScheme
@@ -54,7 +55,7 @@ def _model(name):
 @pytest.mark.parametrize("mesh", ["periodic", "bounded"])
 @pytest.mark.parametrize("model_name", ["translation", "rotation", "burgers"])
 @pytest.mark.parametrize("key", SCHEME_KEYS)
-@settings(max_examples=4, deadline=None, derandomize=True)
+@settings(max_examples=4, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans(),
        frac=st.floats(0.05, 1.0), t=st.floats(0.0, 0.4))
 def test_stage_matches_the_reference(key, model_name, mesh, seed, sparse,
