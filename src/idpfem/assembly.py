@@ -9,11 +9,12 @@ Flux evaluations inside one element use the velocity at the element centroid
 (midpoint rule), which keeps every identity exact for position-dependent
 advection fields. For a model with a linear flux (``flux_coefficients``,
 see ``models``) that makes f(u) . c_i = u k_i with k_i = v(x_e) . c_i (E, 3),
-the viscosity d^e = max_i lambda_i |c_i| = max_i |k_i|, and the flux part
-of the antidiffusive contribution, f(ubar) . c_i - sum_j f(u_j) . c_i / 3,
-exactly zero: such a model is assembled in that coefficient form, from k
-and d^e alone (``linear_flux``), and neither a flux tensor nor a wave
-speed is formed.
+the viscosity d^e = max_i lambda_i |c_i| = max_i |k_i|, the bar states
+u_i + w_i (ubar - u_i) with the weights w_i = 1/2 - k_i / (2 d^e) in
+[0, 1], and the flux part of the antidiffusive contribution, f(ubar) . c_i
+- sum_j f(u_j) . c_i / 3, exactly zero: such a model is assembled in that
+coefficient form, from the state-free ``LinearFlux`` of ``linear_flux``,
+and neither a flux tensor nor a wave speed is formed.
 
 Every per-element array is stored with the element index fastest (see
 ``MeshSystem``); numpy keeps that order through elementwise operations, so
@@ -112,18 +113,50 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def linear_flux(ms: MeshSystem, model) -> tuple:
-    """``(k, d)`` of a model with a linear flux: k_i = v(x_e) . c_i (E, 3),
-    the velocity taken at the element centroid, and the viscosity d^e =
-    max_i |k_i| (E,), which is max_i lambda_i |c_i| because lambda_i =
-    |v(x_e) . c_hat_i|. Both are fresh. ``(None, None)`` for a model
-    without ``flux_coefficients``."""
+@dataclass(frozen=True)
+class LinearFlux:
+    """What the assembly of a model with a linear flux reads of its mesh and
+    velocity alone; every array is read-only. The boundary arrays are None
+    on a mesh without boundary DOFs."""
+
+    k: np.ndarray                  # (E, 3) k_i = v(x_e) . c_i
+    d: np.ndarray                  # (E,) viscosity d^e = max_i |k_i|
+    w: np.ndarray                  # (E, 3) bar-state weights
+    k_b: Optional[np.ndarray]      # (B,) v(x_i) . n_i at the boundary DOFs
+    lam_b: Optional[np.ndarray]    # (B,) wave speed across n_i
+    visc_b: Optional[np.ndarray]   # (B,) lambda |n_i|
+
+
+def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
+    """The ``LinearFlux`` of a model with ``flux_coefficients``, None for
+    any other. k_i takes the velocity at the element centroid, d^e =
+    max_i |k_i| is max_i lambda_i |c_i| because lambda_i = |v(x_e) .
+    c_hat_i|, and w_i = 1/2 - k_i / (2 max(d^e, TINY)) lies in [0, 1]
+    (|k_i| <= d^e) and is 1/2 where d^e = 0 (every k_i is 0 there). The
+    boundary arrays come from the calls ``boundary_terms`` would make."""
     coefficients = getattr(model, "flux_coefficients", None)
     if coefficients is None:
-        return None, None
+        return None
     geom = ms.geometry
     k = coefficients(geom.c, geom.centroid[:, None, :])
-    return k, np.abs(k).max(axis=1)
+    d = np.abs(k).max(axis=1)
+    den = np.maximum(d, TINY)
+    den *= 2.0
+    w = np.divide(k, den[:, None])
+    w = np.subtract(0.5, w, out=w)
+    k_b = lam_b = visc_b = None
+    if ms.boundary_dofs.size:
+        x = ms.boundary_x
+        k_b = coefficients(ms.boundary_n, x)
+        # the wave speed reads no state: any state of the right shape will do
+        u = np.zeros((ms.boundary_dofs.size, model.m))
+        lam_b = model.max_wave_speed(u, u, ms.boundary_nhat, x)
+        visc_b = lam_b * ms.boundary_nlen
+    lin = LinearFlux(k=k, d=d, w=w, k_b=k_b, lam_b=lam_b, visc_b=visc_b)
+    for a in vars(lin).values():
+        if a is not None:
+            a.flags.writeable = False
+    return lin
 
 
 def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
@@ -151,24 +184,24 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              with_antidiffusion: bool = True, ws: Optional[Workspace] = None,
              with_bar_states: bool = True,
              d: Optional[np.ndarray] = None,
-             k: Optional[np.ndarray] = None) -> tuple:
+             lin: Optional[LinearFlux] = None) -> tuple:
     """Compute the element quantities for the global state u (n_dofs, m).
 
     Returns (ElementWork, BoundaryWork or None). Gather/scatter order is fixed,
     so repeated calls are bit-identical. ``with_antidiffusion=False`` skips
     the antidiffusive contributions and ``with_bar_states=False`` the
-    element bar states (and f(u_i) . c_i, which only they read); the other
-    blocks keep their bits either way. Boundary bar states are always formed.
+    element bar states (and, for a flux model, f(u_i) . c_i, which only
+    they read); the other blocks keep their bits either way. Boundary bar
+    states are always formed.
 
     ``d`` (E,) is the Rusanov viscosity when the caller already has it:
     it is then not computed, ``d`` itself is the returned ``work.d`` and
     every other block keeps its bits. Without it a model with a linear flux
-    takes it from ``linear_flux`` and any other from its wave speeds.
+    takes it from its ``LinearFlux`` and any other from its wave speeds.
 
     A model with a linear flux is assembled in coefficient form, from the
-    (E, 3) ``k`` of ``linear_flux``; ``k`` and ``d`` are formed here unless
-    the caller passes the ones it keeps. Other models go through
-    ``model.flux``.
+    ``LinearFlux`` ``lin`` of ``linear_flux``, formed here unless the
+    caller passes the one it keeps. Other models go through ``model.flux``.
 
     With a ``Workspace`` ``ws`` every element block is written into a
     buffer of ``ws`` (see ``mesh.scratch``), so the blocks of the returned
@@ -185,55 +218,62 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     tmp = buf("tmp")
     u_loc = ms.gather(u, out=buf("u_loc"))
     ubar = element_average(u_loc, out=buf("ubar", (n_e, m)))
-    # What the fluxes and the wave speeds share (the Euler pressure), in
-    # the buffers of f_anti and r_rusanov until those are formed
-    aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
-                        tmp=buf("tmp", blk[:2]))
-    aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
-                        tmp=buf("tmp", (n_e,)))
-    if k is None:
-        k, d_k = linear_flux(ms, model)
-        d = d_k if d is None else d
-    linear = k is not None
-    if d is None:
-        # the wave speeds go where the bar states (if formed) go later,
-        # their intermediates where f(u_i) goes
-        lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
-                          aux_loc=aux_loc, aux_bar=aux_bar,
-                          tmp=buf("flux_loc", blk[:2] + (2,)))
-        d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
-                              tmp=buf("tmp", blk[:2]))
-    # f(ubar) . c_i goes where r_rusanov, which is formed from it last, goes
-    if linear:
-        k = k[:, :, None]
-        fbar_c = np.multiply(ubar[:, None, :], k, out=buf("r_rus"))
+    if lin is None:
+        lin = linear_flux(ms, model)
+    bars = None
+    if lin is not None:
+        d = lin.d if d is None else d
+        # ubar - u_i, in the buffer of the viscous term d (ubar - u_i)
+        diff = np.subtract(ubar[:, None, :], u_loc, out=tmp)
+        if with_bar_states:
+            bars = np.multiply(lin.w[:, :, None], diff, out=buf("bars"))
+            bars += u_loc
+        visc = np.multiply(diff, d[:, None, None], out=diff)
+        # f(ubar) . c_i goes where r_rusanov, formed from it, goes
+        fbar_c = np.multiply(ubar[:, None, :], lin.k[:, :, None],
+                             out=buf("r_rus"))
     else:
+        # What the fluxes and the wave speeds share (the Euler pressure),
+        # in the buffers of f_anti and r_rusanov until those are formed
+        aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
+                            tmp=buf("tmp", blk[:2]))
+        aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
+                            tmp=buf("tmp", (n_e,)))
+        if d is None:
+            # the wave speeds go where the bar states (if formed) go later,
+            # their intermediates where f(u_i) goes
+            lam = wave_speeds(model, ms, u_loc, ubar,
+                              out=buf("bars", blk[:2]), aux_loc=aux_loc,
+                              aux_bar=aux_bar,
+                              tmp=buf("flux_loc", blk[:2] + (2,)))
+            d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
+                                  tmp=buf("tmp", blk[:2]))
         x_bar = geom.centroid
         flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
                               aux=aux_bar)
         flux_loc = model.flux(u_loc, x_bar[:, None, :],
                               out=buf("flux_loc", blk + (2,)), aux=aux_loc)
+        # f(ubar) . c_i goes where r_rusanov, formed from it, goes
         fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
-    bars = None
-    if with_bar_states:
-        # f(u_i) . c_i is read only by the bar states; f_anti overwrites it
-        fi_c = (np.multiply(u_loc, k, out=buf("f_anti")) if linear
-                else _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp))
-        bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
+        if with_bar_states:
+            # f(u_i) . c_i is read only by the bar states; f_anti
+            # overwrites it
+            fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
+            bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
+                              tmp=tmp)
+        if with_antidiffusion:
+            # (sum_j f(u_j) / 3) . c_i, completed to f_anti below
+            sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
+            sum_flux /= 3.0
+            f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"),
                           tmp=tmp)
-
-    if with_antidiffusion and not linear:
-        # (sum_j f(u_j) / 3) . c_i, completed to f_anti below
-        sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
-        sum_flux /= 3.0
-        f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"), tmp=tmp)
+        visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
+        visc *= d[:, None, None]
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
-    visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
-    visc *= d[:, None, None]
     r_rus = np.subtract(visc, fbar_c, out=fbar_c)
 
-    bwork = boundary_terms(ms, model, u, t, bc) if bc is not None else None
+    bwork = None if bc is None else boundary_terms(ms, model, u, t, bc, lin)
 
     residual = ms.scatter_add(r_rus, ws)
     if bwork is not None:
@@ -246,8 +286,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         return work, bwork
 
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
-    # formed in the gathered udot, in the buffers of the used-up fluxes (of
-    # the wave speeds' intermediates only, in coefficient form)
+    # formed in the gathered udot, in the buffers of the used-up fluxes
     mass = ms.gather(udot, out=buf("flux_loc"))
     udot_sum = _node_sum(mass, out=buf("flux_bar", (n_e, m)))
     mass *= 3.0
@@ -257,7 +296,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     # direct antidiffusion formula: f_anti = mass + f(ubar) . c_i - sum_j
     # f(u_j) . c_i / 3 - visc, which is mass - r_rusanov - (sum_j f(u_j) /
     # 3) . c_i; in coefficient form the flux part is zero, so mass - visc
-    if linear:
+    if lin is not None:
         f_anti = np.subtract(mass, visc, out=buf("f_anti"))
     else:
         f_anti = np.subtract(mass, f_anti, out=f_anti)
@@ -267,14 +306,17 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
 
 
 def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
-                   bc: Callable) -> Optional[BoundaryWork]:
+                   bc: Callable,
+                   lin: Optional[LinearFlux] = None) -> Optional[BoundaryWork]:
     """Weak Rusanov flux through the boundary, one face term per boundary dof.
 
     ``bc(x, t, u_in, n_hat)`` returns the exterior states. The term
     pairs with the closed-form interior assembly: for a free-stream state it
     cancels the deficit f(u_i) . n_i exactly, and its bar-state form keeps
     the forward-Euler update a convex combination of admissible states.
-    The fluxes are ``model.normal_flux``, no flux tensor.
+    The fluxes are ``model.normal_flux``, no flux tensor; with the
+    ``LinearFlux`` ``lin`` of a linear flux they are u k_b, and the wave
+    speed and the viscosity are the kept ones.
     """
     dofs = ms.boundary_dofs
     if dofs.size == 0:
@@ -283,13 +325,17 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     x = ms.boundary_x
     u_in = u[dofs]
     u_ext = bc(x, t, u_in, nhat)
-    aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)
-
-    lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
-                               aux_r=aux_ext)
-    visc = lam * nlen
-    f_in = model.normal_flux(u_in, n, x, aux_in)
-    f_ext = model.normal_flux(u_ext, n, x, aux_ext)
+    if lin is not None:
+        lam, visc = lin.lam_b, lin.visc_b
+        f_in = u_in * lin.k_b[:, None]
+        f_ext = u_ext * lin.k_b[:, None]
+    else:
+        aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)
+        lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
+                                   aux_r=aux_ext)
+        visc = lam * nlen
+        f_in = model.normal_flux(u_in, n, x, aux_in)
+        f_ext = model.normal_flux(u_ext, n, x, aux_ext)
 
     # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_i / |n_i| / (2
     # lambda), the mean where lambda |n_i| = 0; |n_i| > 0 at every

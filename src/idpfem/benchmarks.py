@@ -65,24 +65,39 @@ def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
     """Instantiate a registered benchmark, honoring config overrides for the
     model, velocity field and resolution. A ``model`` or ``velocity`` other
     than the one the benchmark runs is a ``ConfigError``, and so is any
-    ``velocity`` for a model other than advection."""
+    ``velocity`` for a model other than advection. So is a key that the
+    benchmark does not read: ``vx``/``vy`` are read only by translation
+    advection and ``body`` only by ``solid_body_rotation``."""
     name = cfg.benchmark
     if name not in _REGISTRY:
         raise ConfigError(f"unknown benchmark {name!r}")
     maker, model, velocity = _REGISTRY[name]
     model = model or cfg.model or "advection"
-    velocity = (velocity or cfg.velocity) if model == "advection" else "none"
+    velocity = (velocity or cfg.velocity or "translation") \
+        if model == "advection" else "none"
     for key, runs in (("model", model), ("velocity", velocity)):
         if getattr(cfg, key) not in (None, runs):
             raise ConfigError(f"benchmark {name} runs {key} = {runs}, not "
                               f"{getattr(cfg, key)}")
+    for key, read in (("vx", velocity == "translation"),
+                      ("vy", velocity == "translation"),
+                      ("body", name == "solid_body_rotation")):
+        if not read and getattr(cfg, key) is not None:
+            raise ConfigError(f"benchmark {name} with model = {model} and "
+                              f"velocity = {velocity} does not read {key}")
     return maker(cfg, mesh)
+
+
+def _translation(cfg: RunConfig) -> tuple:
+    """(vx, vy) of a translation; each is 1 unless set."""
+    return tuple(1.0 if v is None else v for v in (cfg.vx, cfg.vy))
 
 
 def _advection_model(cfg: RunConfig):
     vel = cfg.velocity or "translation"
     if vel == "translation":
-        return make_model("advection", velocity=vel, vx=cfg.vx, vy=cfg.vy)
+        vx, vy = _translation(cfg)
+        return make_model("advection", velocity=vel, vx=vx, vy=vy)
     return make_model("advection", velocity=vel)
 
 
@@ -124,7 +139,7 @@ def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
 
     exact = None
     if vel == "translation":
-        v = np.array([cfg.vx, cfg.vy])
+        v = np.array(_translation(cfg))
 
         def exact(x, t):
             return u0(_wrap_unit(x - v * t))
@@ -143,7 +158,7 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
         n = _cells(h, 1.0)
         mesh = structured_rect(n, n, periodic=False)
 
-    if cfg.body == "smooth":
+    if cfg.body in (None, "smooth"):
         def u0(x):
             r = np.sqrt((x[..., 0] - 0.5) ** 2 + (x[..., 1] - 0.75) ** 2)
             val = np.where(r < 0.15, 0.5 * (1.0 + np.cos(np.pi * r / 0.15)), 0.0)

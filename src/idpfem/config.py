@@ -33,9 +33,9 @@ class RunConfig:
     model: Optional[str] = None          # None -> benchmark default
     gamma: float = 1.4
     velocity: Optional[str] = None
-    vx: float = 1.0
-    vy: float = 1.0
-    body: str = "smooth"
+    vx: Optional[float] = None           # translation advection only; None -> 1
+    vy: Optional[float] = None           # translation advection only; None -> 1
+    body: Optional[str] = None           # solid_body_rotation only; None -> smooth
     limiter: str = "mcl.cs"
     system_limiter: str = "sequential"
     cfl: float = 0.5

@@ -25,7 +25,8 @@ A model whose flux is linear in the state, f(u) = u v(x), also has
 for every state u and time t. Its wave speed across c is then |k| / |c|,
 which reads neither the states nor t: the element assembly forms no flux
 tensor and no wave speed, and a scheme takes the viscosity d^e = max_i
-|k_i| and the CFL bound that follows from it once and keeps them. Models
+|k_i|, the bar-state weights 1/2 - k_i / (2 d^e) and the CFL bound that
+follows from d^e once and keeps them. Models
 without the method are assembled through ``flux`` and ``max_wave_speed``.
 """
 

@@ -13,11 +13,13 @@ assembly it makes, and the bound itself, are reused by the next
 ``rhs``/``step`` call at the same ``(u, t)``, so the first stage of an SSP
 step assembles nothing new and FCT's CFL check recomputes nothing. On a
 model with a linear flux (``flux_coefficients``, linear advection) the
-scheme builds the coefficients k (E, 3) and the viscosity d^e = max_i
-|k_i| at construction (``assembly.linear_flux``), read-only, and every
-assembly takes them; it also keeps the bound of its first CFL
-computation, which holds for every state: ``dt_bound`` then returns it
-without assembling, and FCT's CFL check compares against it.
+scheme builds at construction the read-only ``assembly.LinearFlux``: the
+coefficients k (E, 3), the viscosity d^e = max_i |k_i|, the bar-state
+weights w (E, 3) and the boundary coefficients. Every assembly takes it,
+so an MCL stage forms its bar states as u_i + w_i (ubar - u_i). The
+scheme also keeps the bound of its first CFL computation, which holds for
+every state: ``dt_bound`` then returns it without assembling, and FCT's
+CFL check compares against it.
 The driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
 states, which only its assemblies form, and ``fct.*`` from the low-order
 predictor over each DOF's nodal stencil.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble, linear_flux
+from .assembly import LinearFlux, assemble, linear_flux
 from .limiting import (limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
 from .mesh import MeshSystem, Workspace, scratch
@@ -85,11 +87,9 @@ class SpatialScheme:
     # (u copy, t, work, bwork, dt bound) of the last dt_bound, for one use
     # only
     _memo: tuple | None = field(default=None, init=False, repr=False)
-    # on a model with a linear flux: the read-only flux coefficients k
-    # (E, 3) and viscosity d^e (E,), built at construction, and the first
-    # CFL bound, all kept for the scheme's life
-    _k: np.ndarray | None = field(default=None, init=False, repr=False)
-    _d: np.ndarray | None = field(default=None, init=False, repr=False)
+    # on a model with a linear flux: its read-only LinearFlux, built at
+    # construction, and the first CFL bound, both kept for the scheme's life
+    _lin: LinearFlux | None = field(default=None, init=False, repr=False)
     _dt: float | None = field(default=None, init=False, repr=False)
     # element-sized buffers and their views, reused by every stage (see
     # mesh.scratch)
@@ -101,9 +101,7 @@ class SpatialScheme:
         if self.system not in SYSTEM_MODES:
             raise ValueError(f"unknown system limiter {self.system!r}; "
                              f"valid: {', '.join(SYSTEM_MODES)}")
-        self._k, self._d = linear_flux(self.ms, self.model)
-        if self._k is not None:
-            self._k.flags.writeable = self._d.flags.writeable = False
+        self._lin = linear_flux(self.ms, self.model)
 
     def dt_bound(self, u: np.ndarray, t: float = 0.0) -> float:
         """max dt with 2 dt/m_i * sum_e d^e (+ boundary viscosity) <= 1.
@@ -122,7 +120,7 @@ class SpatialScheme:
     def _fresh_assembly(self, u, t):
         return assemble(self.ms, self.model, u, t, self.bc,
                         with_antidiffusion=self.driver != "low", ws=self.ws,
-                        d=self._d, k=self._k,
+                        lin=self._lin,
                         with_bar_states=self.driver == "mcl")
 
     def _assemble(self, u, t):
@@ -150,7 +148,7 @@ class SpatialScheme:
         else:
             mask = denom > 0
             dt = float((self.ms.lumped_mass[mask] / denom[mask]).min())
-        if self._k is not None:
+        if self._lin is not None:
             # a linear flux: d^e and the boundary lambda |n_i| read no
             # state, so the bound holds for every state
             self._dt = dt

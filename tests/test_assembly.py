@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idpfem.assembly import assemble, boundary_terms, element_average
+from idpfem.assembly import assemble, boundary_terms, element_average, \
+    linear_flux
 from idpfem.mesh import Workspace, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model, \
     translation_velocity
 
-from conftest import perfbench_workloads, random_euler_states, \
+from conftest import NO_SHRINK, perfbench_workloads, random_euler_states, \
     random_triangle, single_triangle_system
 from reference import reference_assembly, relative_error, residual_split
 
@@ -233,12 +238,24 @@ class TestBoundaryTerms:
         assert bwork.dofs.shape[0] == ms.boundary_dofs.shape[0]
 
 
+def _right_half_translation(x):
+    """Translation to the right, at speed x - 1/2 in the right half of the
+    unit square, and standing still in its left half."""
+    v = np.zeros(np.shape(x))
+    v[..., 0] = np.maximum(x[..., 0] - 0.5, 0.0)
+    return v
+
+
 def _model(name):
     """``seed<n>``: translation in the direction of seed n of the advect
-    workloads; ``rotation``, ``burgers`` and ``euler`` as named."""
+    workloads; ``half``: advection standing still in the left half of the
+    square (d^e = 0 there); ``rotation``, ``burgers`` and ``euler`` as
+    named."""
     if name.startswith("seed"):
         vx, vy = perfbench_workloads().advect_velocity(int(name[4:]))
         return make_model("advection", velocity="translation", vx=vx, vy=vy)
+    if name == "half":
+        return LinearAdvection(velocity=_right_half_translation)
     if name == "rotation":
         return make_model("advection", velocity="rotation")
     return make_model(name)
@@ -271,8 +288,10 @@ class TestCoefficientForm:
     """Linear advection is assembled from k_i = v(x_e) . c_i alone, without
     its flux. What it assembles equals the flux formulas of
     ``reference.reference_assembly`` to rounding, and bit for bit for
-    v = (1, 1) on the structured mesh, whose c_i are dyadic. Burgers and
-    Euler, assembled through their fluxes, match the same reference."""
+    v = (1, 1) on the structured mesh, whose c_i are dyadic, except for
+    the bar states, which take the weight form u_i + w_i (ubar - u_i)
+    instead of the flux formula. Burgers and Euler, assembled through
+    their fluxes, match the same reference."""
 
     @pytest.mark.parametrize("model_name", ["seed1", "seed2", "seed3",
                                             "rotation", "burgers", "euler"])
@@ -291,8 +310,12 @@ class TestCoefficientForm:
         ref = reference_assembly(ms, model, u, 0.1, bc)
         work, _ = assemble(ms, model, u, 0.1, bc, ws=Workspace())
         for name in COEFFICIENT_FIELDS:
-            assert getattr(work, name).tobytes() == \
-                getattr(ref, name).tobytes(), name
+            if name == "bar_states":
+                assert relative_error(work.bar_states,
+                                      ref.bar_states) <= 1e-13
+            else:
+                assert getattr(work, name).tobytes() == \
+                    getattr(ref, name).tobytes(), name
 
     @pytest.mark.parametrize("model_name", ["seed1", "rotation"])
     def test_advection_assembly_evaluates_no_flux(self, monkeypatch,
@@ -312,3 +335,71 @@ class TestCoefficientForm:
                     getattr(ref, name).tobytes(), name
         if not periodic:
             assert bwork.flux_term.tobytes() == ref_b.flux_term.tobytes()
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "bounded"])
+@pytest.mark.parametrize("model_name", ["seed0", "seed1", "seed2", "seed3",
+                                        "rotation", "half"])
+class TestBarStateWeights:
+    """A linear flux forms its bar states as u_i + w_i (ubar - u_i), with
+    the kept weights w_i = 1/2 - k_i / (2 d^e)."""
+
+    def test_weights_are_read_only_in_the_unit_interval(self, model_name,
+                                                         periodic):
+        ms, model, _, _ = _coefficient_problem(model_name, periodic)
+        lin = linear_flux(ms, model)
+        assert lin.w.shape == (ms.n_elements, 3)
+        for f in dataclasses.fields(lin):
+            a = getattr(lin, f.name)
+            assert (a is None) == (periodic and f.name.endswith("_b"))
+            assert a is None or not a.flags.writeable, f.name
+        with pytest.raises(ValueError):
+            lin.w[0, 0] = 0.5
+        assert 0.0 <= lin.w.min() and lin.w.max() <= 1.0
+        still = lin.d == 0.0
+        assert still.any() == (model_name == "half")
+        assert np.all(lin.w[still] == 0.5)
+        if model_name == "seed0":
+            # v = (1, 1) on the structured mesh: k_i / d^e is 0 or +-1
+            assert set(np.unique(lin.w)) <= {0.0, 0.5, 1.0}
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 1e-3, 1e6]))
+    def test_bar_states_lie_between_node_and_mean(self, model_name, periodic,
+                                                  seed, scale):
+        ms, model, _, bc = _coefficient_problem(model_name, periodic)
+        u = scale * np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                        (ms.n_dofs, 1))
+        work, _ = assemble(ms, model, u, 0.1, bc, ws=Workspace())
+        u_loc, ubar = work.u_loc, work.ubar[:, None, :]
+        # a few ulps of the larger of |u_i| and |ubar|
+        tol = 4.0 * np.spacing(np.maximum(np.abs(u_loc), np.abs(ubar)))
+        bars = work.bar_states
+        assert np.all(bars >= np.minimum(u_loc, ubar) - tol)
+        assert np.all(bars <= np.maximum(u_loc, ubar) + tol)
+        still = work.d == 0.0
+        mean = 0.5 * (u_loc + ubar)
+        assert np.abs(bars - mean)[still].max(initial=0.0) <= \
+            tol[still].max(initial=0.0)
+
+
+@pytest.mark.parametrize("model_name", ["seed1", "rotation", "half"])
+def test_kept_boundary_coefficients_change_no_bit(monkeypatch, model_name):
+    """The boundary terms of a linear flux from its ``LinearFlux`` have the
+    bits of those formed through the model, which they no longer call."""
+    ms, model, u, bc = _coefficient_problem(model_name, False)
+    lin = linear_flux(ms, model)
+    ref = boundary_terms(ms, model, u, 0.1, bc)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("the model was called")
+
+    for name in ("max_wave_speed", "normal_flux", "flux_coefficients"):
+        monkeypatch.setattr(LinearAdvection, name, no_call)
+    got = boundary_terms(ms, model, u, 0.1, bc, lin)
+    for f in dataclasses.fields(ref):
+        assert getattr(got, f.name).tobytes() == \
+            getattr(ref, f.name).tobytes(), f.name

@@ -7,7 +7,7 @@ from idpfem.config import ConfigError, RunConfig
 from idpfem.mesh import build_system
 from idpfem.models import Euler
 
-from conftest import random_euler_states
+from conftest import perfbench_workloads, random_euler_states
 
 
 def rankine_hugoniot_residuals(model, pre, post, mach, direction):
@@ -191,6 +191,44 @@ class TestRegistry:
     def test_model_and_velocity_the_benchmark_runs_accepted(self, keys):
         assert make_benchmark(RunConfig(h=1 / 4, **keys)).id == \
             keys["benchmark"]
+
+    @pytest.mark.parametrize("keys, key", [
+        (dict(benchmark="advected_gaussian", velocity="rotation", vx=5.0),
+         "vx"),
+        (dict(benchmark="advected_gaussian", velocity="rotation", vy=-3.0),
+         "vy"),
+        (dict(benchmark="solid_body_rotation", vx=1.0), "vx"),
+        (dict(benchmark="constant", velocity="rotation", vy=1.0), "vy"),
+        (dict(benchmark="constant", model="euler", vx=1.0), "vx"),
+        (dict(benchmark="dmr", body="slotted", vx=3.0), "vx"),
+        (dict(benchmark="dmr", body="slotted"), "body"),
+        (dict(benchmark="burgers_riemann", vy=0.5), "vy"),
+        (dict(benchmark="advected_gaussian", body="smooth"), "body"),
+        (dict(benchmark="constant", body="slotted"), "body")])
+    def test_key_the_benchmark_does_not_read_rejected(self, keys, key):
+        with pytest.raises(ConfigError, match=f"does not read {key}$"):
+            make_benchmark(RunConfig(h=1 / 4, **keys))
+
+    @pytest.mark.parametrize("keys", [
+        dict(benchmark="advected_gaussian", vx=0.5, vy=-1.0),
+        dict(benchmark="advected_gaussian", velocity="translation", vx=2.0),
+        dict(benchmark="constant", vy=0.0),
+        dict(benchmark="solid_body_rotation", body="slotted")])
+    def test_key_the_benchmark_reads_accepted(self, keys):
+        assert make_benchmark(RunConfig(h=1 / 4, **keys)).id == \
+            keys["benchmark"]
+
+    def test_unset_translation_moves_along_the_diagonal(self):
+        bench = make_benchmark(RunConfig(benchmark="advected_gaussian",
+                                         h=1 / 4))
+        assert bench.model.velocity(None).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_benchmark_workload_configs_accepted(self, seed, smoke):
+        for workload in perfbench_workloads().WORKLOADS.values():
+            cfg = RunConfig(**workload.config(seed, smoke))
+            assert make_benchmark(cfg).id == cfg.benchmark
 
     def test_euler_constant_variant(self):
         cfg = RunConfig(benchmark="constant", model="euler", h=1 / 4)

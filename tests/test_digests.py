@@ -16,7 +16,7 @@ from idpfem.config import RunConfig
 from idpfem.runner import run
 
 DIGESTS = {
-    "advect-mcl": "2c243af32eb17ba2/803e6341dcf16bd1",
+    "advect-mcl": "8132b5c723b57dea/087b188df8f98bf6",
     "advect-fct": "58d8e7a7b4b74c06/14b4ae7db9cd79f9",
     "dmr-mcl": "db9a27e3aa5041b8/f7b29a09376eaa98",
 }

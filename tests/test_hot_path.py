@@ -818,10 +818,19 @@ def test_assembly_without_bar_states_keeps_every_other_bit(
 @pytest.mark.parametrize("model_name", ["translation", "euler"])
 def test_bar_states_assembled_only_for_their_readers(
         monkeypatch, model_name, limiter, reads):
+    """Only an MCL stage has its assembly form the element bar states,
+    whichever way they are formed: the weight form of a linear flux or
+    ``bar_states`` from the fluxes."""
     calls = []
-    original = assembly_mod.bar_states
-    monkeypatch.setattr(assembly_mod, "bar_states",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    original = schemes_mod.assemble
+
+    def spy(*args, **kwargs):
+        work, bwork = original(*args, **kwargs)
+        if work.bar_states is not None:
+            calls.append(1)
+        return work, bwork
+
+    monkeypatch.setattr(schemes_mod, "assemble", spy)
     ms, model, bc, u = _problem(model_name, "bounded")
     scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
     dt = 0.5 * scheme.dt_bound(u, 0.1)
@@ -935,7 +944,7 @@ def test_linear_viscosity_is_max_abs_k_and_the_wave_speed_one(velocity,
     else:
         model = make_model("advection", velocity=velocity)
     scheme = SpatialScheme(ms=ms, model=model, limiter="mcl.cs")
-    k, d = scheme._k, scheme._d
+    k, d = scheme._lin.k, scheme._lin.d
     assert d.tobytes() == np.abs(k).max(axis=1).tobytes()
     u = np.random.default_rng(3).uniform(0.0, 1.0, (ms.n_dofs, 1))
     u_loc = ms.gather(u)
@@ -994,7 +1003,7 @@ def test_kept_viscosity_is_a_read_only_copy_of_the_first():
     ms, model, bc, u = _problem("rotation", "bounded")
     scheme = SpatialScheme(ms=ms, model=model, limiter="fct.cs", bc=bc)
     scheme.step(u, 0.1, 0.5 * scheme.dt_bound(u, 0.1))
-    kept = scheme._d
+    kept = scheme._lin.d
     assert kept.shape == (ms.n_elements,)
     assert not kept.flags.writeable
     with pytest.raises(ValueError):
@@ -1018,17 +1027,17 @@ def test_kept_flux_coefficients_are_read_only_and_made_once(
         _count(monkeypatch, LinearAdvection, "flux_coefficients", made)
     original = schemes_mod.assemble
     monkeypatch.setattr(schemes_mod, "assemble", lambda *a, **kw: (
-        given.append(kw["k"]) or original(*a, **kw)))
+        given.append(kw["lin"]) or original(*a, **kw)))
     scheme = SpatialScheme(ms=ms, model=model, limiter=limiter, bc=bc)
     for _ in _ssp2_steps(scheme, u, 0.0, 3):
         pass
-    kept = scheme._k
     assert len(given) == 6
     if model_name == "burgers":
-        assert kept is None and given == [None] * 6
+        assert scheme._lin is None and given == [None] * 6
         return
+    kept = scheme._lin.k
     assert len(made) == 1
-    assert all(k is kept for k in given)
+    assert all(lin is scheme._lin for lin in given)
     assert kept.shape == (ms.n_elements, 3)
     assert not kept.flags.writeable
     with pytest.raises(ValueError):
