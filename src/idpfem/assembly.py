@@ -41,11 +41,9 @@ class ElementWork:
     """
 
     u_loc: np.ndarray         # (E, 3, m) gathered nodal states
-    ubar: np.ndarray          # (E, m) element averages
     d: np.ndarray             # (E,) Rusanov viscosity
     bar_states: Optional[np.ndarray]        # (E, 3, m)
-    r_rusanov: np.ndarray     # (E, 3, m) closed-form low-order residual
-    residual: np.ndarray      # (n_dofs, m) assembled r_rusanov + boundary terms
+    residual: np.ndarray      # (n_dofs, m) Rusanov residual + boundary terms
     udot: np.ndarray          # (n_dofs, m) lumped time-derivative approximation
     f_anti: Optional[np.ndarray] = None     # (E, 3, m) antidiffusive contributions
 
@@ -183,7 +181,6 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
              bc: Optional[Callable] = None,
              with_antidiffusion: bool = True, ws: Optional[Workspace] = None,
              with_bar_states: bool = True,
-             d: Optional[np.ndarray] = None,
              lin: Optional[LinearFlux] = None) -> tuple:
     """Compute the element quantities for the global state u (n_dofs, m).
 
@@ -193,11 +190,6 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     element bar states (and, for a flux model, f(u_i) . c_i, which only
     they read); the other blocks keep their bits either way. Boundary bar
     states are always formed.
-
-    ``d`` (E,) is the Rusanov viscosity when the caller already has it:
-    it is then not computed, ``d`` itself is the returned ``work.d`` and
-    every other block keeps its bits. Without it a model with a linear flux
-    takes it from its ``LinearFlux`` and any other from its wave speeds.
 
     A model with a linear flux is assembled in coefficient form, from the
     ``LinearFlux`` ``lin`` of ``linear_flux``, formed here unless the
@@ -222,38 +214,36 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         lin = linear_flux(ms, model)
     bars = None
     if lin is not None:
-        d = lin.d if d is None else d
+        d = lin.d
         # ubar - u_i, in the buffer of the viscous term d (ubar - u_i)
         diff = np.subtract(ubar[:, None, :], u_loc, out=tmp)
         if with_bar_states:
             bars = np.multiply(lin.w[:, :, None], diff, out=buf("bars"))
             bars += u_loc
         visc = np.multiply(diff, d[:, None, None], out=diff)
-        # f(ubar) . c_i goes where r_rusanov, formed from it, goes
+        # f(ubar) . c_i goes where r_rus, formed from it, goes
         fbar_c = np.multiply(ubar[:, None, :], lin.k[:, :, None],
                              out=buf("r_rus"))
     else:
         # What the fluxes and the wave speeds share (the Euler pressure),
-        # in the buffers of f_anti and r_rusanov until those are formed
+        # in the buffers of f_anti and r_rus until those are formed
         aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
                             tmp=buf("tmp", blk[:2]))
         aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
                             tmp=buf("tmp", (n_e,)))
-        if d is None:
-            # the wave speeds go where the bar states (if formed) go later,
-            # their intermediates where f(u_i) goes
-            lam = wave_speeds(model, ms, u_loc, ubar,
-                              out=buf("bars", blk[:2]), aux_loc=aux_loc,
-                              aux_bar=aux_bar,
-                              tmp=buf("flux_loc", blk[:2] + (2,)))
-            d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
-                                  tmp=buf("tmp", blk[:2]))
+        # the wave speeds go where the bar states (if formed) go later,
+        # their intermediates where f(u_i) goes
+        lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
+                          aux_loc=aux_loc, aux_bar=aux_bar,
+                          tmp=buf("flux_loc", blk[:2] + (2,)))
+        d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
+                              tmp=buf("tmp", blk[:2]))
         x_bar = geom.centroid
         flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
                               aux=aux_bar)
         flux_loc = model.flux(u_loc, x_bar[:, None, :],
                               out=buf("flux_loc", blk + (2,)), aux=aux_loc)
-        # f(ubar) . c_i goes where r_rusanov, formed from it, goes
+        # f(ubar) . c_i goes where r_rus, formed from it, goes
         fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
         if with_bar_states:
             # f(u_i) . c_i is read only by the bar states; f_anti
@@ -280,8 +270,8 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         residual[bwork.dofs] += bwork.flux_term
     udot = residual / ms.lumped_mass[:, None]
 
-    work = ElementWork(u_loc=u_loc, ubar=ubar, d=d, bar_states=bars,
-                       r_rusanov=r_rus, residual=residual, udot=udot)
+    work = ElementWork(u_loc=u_loc, d=d, bar_states=bars, residual=residual,
+                       udot=udot)
     if not with_antidiffusion:
         return work, bwork
 
@@ -294,7 +284,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     mass *= geom.m_off[:, None, None]
 
     # direct antidiffusion formula: f_anti = mass + f(ubar) . c_i - sum_j
-    # f(u_j) . c_i / 3 - visc, which is mass - r_rusanov - (sum_j f(u_j) /
+    # f(u_j) . c_i / 3 - visc, which is mass - r_rus - (sum_j f(u_j) /
     # 3) . c_i; in coefficient form the flux part is zero, so mass - visc
     if lin is not None:
         f_anti = np.subtract(mass, visc, out=buf("f_anti"))

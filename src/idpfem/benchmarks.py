@@ -175,11 +175,17 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
         return u0(_rotated_back(x, t))
 
     velocity = model.velocity
+    # The inflow mask depends on the positions and normals alone, which the
+    # assembly passes as the same arrays every time: it is made once per
+    # pair of arrays.
+    seen = {}
 
     def bc(x, t, u_in, nhat):
         # zero inflow, copy at outflow
-        inflow = np.sum(velocity(x) * nhat, axis=-1) < 0.0
-        return np.where(inflow[:, None], 0.0, u_in)
+        if seen.get("x") is not x or seen.get("nhat") is not nhat:
+            inflow = np.sum(velocity(x) * nhat, axis=-1) < 0.0
+            seen.update(x=x, nhat=nhat, inflow=inflow[:, None])
+        return np.where(seen["inflow"], 0.0, u_in)
 
     return Benchmark(id="solid_body_rotation", model=model, mesh=mesh, u0=u0,
                      bc=bc, exact=exact, t_end=cfg.t_end or 1.0)

@@ -64,9 +64,9 @@ def _node_factors(f, fmin, fmax, tmp=None, out=None):
 def scaling_limiter(f, fmin, fmax, ws=None, out=None):
     """Single per-element factor alpha = min_i alpha_i applied to all f_i.
 
-    Returns (f_star, alpha_elem, alpha_nodes). Shapes: f, fmin, fmax (E, 3)
-    or (E, 3, k), one factor per element and component. f_star goes into
-    ``out`` (which may be ``f``) when given.
+    Returns (f_star, alpha_elem). Shapes: f, fmin, fmax (E, 3) or (E, 3,
+    k), one factor per element and component. f_star goes into ``out``
+    (which may be ``f``) when given.
     """
     alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.tmp", f.shape),
                             scratch(ws, "scale.alpha_i", f.shape))
@@ -75,7 +75,7 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
     if out is None:
         out = scratch(ws, "scale.f_star", f.shape)
     f_star = np.multiply(alpha, f, out=out)
-    return f_star, alpha[:, 0], alpha_i
+    return f_star, alpha[:, 0]
 
 
 def clip_and_scale(f, fmin, fmax, ws=None, out=None):
@@ -120,7 +120,7 @@ def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
     """The scalar limiter ``kind`` ("scale" or "cs"): (f_star, the
     per-element factors (E,) or (E, k), or None for "cs")."""
     if kind == "scale":
-        return scaling_limiter(f, fmin, fmax, ws, out)[:2]
+        return scaling_limiter(f, fmin, fmax, ws, out)
     if kind == "cs":
         return clip_and_scale(f, fmin, fmax, ws, out), None
     raise ValueError(f"unknown scalar limiter {kind!r}")

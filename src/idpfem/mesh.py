@@ -162,12 +162,10 @@ class ElementGeometry:
     c[e, i] is the integral of -grad(phi_i) over element e. The element
     mass matrix has |K|/6 on its diagonal and ``m_off`` = |K|/12 off it, so
     its rows sum to ``m_elem`` = |K|/3.
-    ``grad``, ``c``, ``c_norm``, ``c_hat`` and ``centroid`` are stored with
-    the element index fastest, the order of the blocks that read them.
+    ``c``, ``c_norm``, ``c_hat`` and ``centroid`` are stored with the
+    element index fastest, the order of the blocks that read them.
     """
 
-    area: np.ndarray                        # (E,)
-    grad: np.ndarray                        # (E, 3, 2)
     c: np.ndarray                           # (E, 3, 2)
     c_norm: np.ndarray                      # (E, 3)  |c_i^e|
     c_hat: np.ndarray                       # (E, 3, 2)  c_i^e / |c_i^e|
@@ -196,9 +194,8 @@ def element_geometry(mesh: Mesh) -> ElementGeometry:
     m_elem = area / 3.0
     m_off = area / 12.0
     centroid = np.asfortranarray(p.mean(axis=1))
-    return ElementGeometry(area=area, grad=grad, c=c, c_norm=c_norm,
-                           c_hat=c_hat, m_elem=m_elem, m_off=m_off,
-                           centroid=centroid)
+    return ElementGeometry(c=c, c_norm=c_norm, c_hat=c_hat, m_elem=m_elem,
+                           m_off=m_off, centroid=centroid)
 
 
 def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
@@ -234,10 +231,9 @@ class MeshSystem:
     elem_dofs: np.ndarray                   # (E, 3), element index fastest
     lumped_mass: np.ndarray                 # (n_dofs,)
     dof_coords: np.ndarray                  # (n_dofs, 2) representative coordinates
-    boundary_normal: np.ndarray             # (n_dofs, 2)  n_i = -sum_e c_i^e
     boundary_dofs: np.ndarray               # (B,) indices with |n_i| > 0
     # The fixed data of the boundary terms, at boundary_dofs:
-    boundary_n: np.ndarray                  # (B, 2)  n_i
+    boundary_n: np.ndarray                  # (B, 2)  n_i = -sum_e c_i^e
     boundary_nlen: np.ndarray               # (B,)  |n_i|
     boundary_nhat: np.ndarray               # (B, 2)  n_i / |n_i|
     boundary_x: np.ndarray                  # (B, 2)  dof coordinates
@@ -369,8 +365,6 @@ def build_system(mesh: Mesh) -> MeshSystem:
     scale = np.sqrt(lumped.mean()) if n_dofs else 1.0
     nrm = np.linalg.norm(normal, axis=1)
     boundary_dofs = np.nonzero(nrm > 1e-12 * scale)[0]
-    interior = nrm <= 1e-12 * scale
-    normal[interior] = 0.0
 
     b_n = normal[boundary_dofs]
     b_nlen = np.linalg.norm(b_n, axis=-1)
@@ -380,7 +374,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
         mesh=mesh, geometry=geom,
         dof_of_node=dof_of_node, n_dofs=n_dofs, elem_dofs=elem_dofs,
         lumped_mass=lumped, dof_coords=dof_coords,
-        boundary_normal=normal, boundary_dofs=boundary_dofs,
+        boundary_dofs=boundary_dofs,
         boundary_n=b_n, boundary_nlen=b_nlen, boundary_nhat=b_nhat,
         boundary_x=dof_coords[boundary_dofs],
         dof_table=dof_table, dof_pad=dof_pad,

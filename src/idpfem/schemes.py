@@ -182,7 +182,7 @@ class SpatialScheme:
         if self.driver == "low":
             return work.udot
         # Every driver adds its scattered correction to the residual, which
-        # holds the scattered r_rusanov and the boundary terms already.
+        # holds the scattered Rusanov residual and the boundary terms already.
         if self.driver == "none":
             corr = work.f_anti
         elif self.driver == "mcl":

@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 from .mesh import MeshSystem
+from .models import Euler
 
 SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 HEADER = b"# vtk DataFile Version 3.0\nidpfem state\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
@@ -51,7 +52,7 @@ def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None,
     m = nodal.shape[1]
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
     fields = {name: nodal[:, k] for k, name in enumerate(names)}
-    if model is not None and getattr(model, "kind", "") == "euler":
+    if isinstance(model, Euler):
         rho, v, p, _ = model.primitives(nodal)
         fields["pressure"] = p
         fields["vel_x"] = v[:, 0]

@@ -11,7 +11,8 @@ import pytest
 import idpfem.schemes as schemes_mod
 from idpfem.config import RunConfig
 from idpfem.diagnostics import audit_step, csv_header, error_norms
-from idpfem.limiting import LimitResult, clip_and_scale, scaling_limiter
+from idpfem.limiting import LimitResult, _node_factors, clip_and_scale, \
+    scaling_limiter
 from idpfem.mesh import Mesh, build_system, structured_rect
 from idpfem.models import Burgers2D, Euler, make_model
 from idpfem.runner import integrate, run, setup
@@ -59,7 +60,7 @@ def test_criterion_01_element_geometry_oracle(rng):
         p = ms.mesh.nodes[ms.mesh.triangles[e]]
         A = np.column_stack([np.ones(3), p])
         grads = np.linalg.solve(A, np.eye(3))[1:].T        # analytic oracle
-        c_ref = -g.area[e] * grads
+        c_ref = -3.0 * g.m_elem[e] * grads
         ok &= np.allclose(g.c[e], c_ref, rtol=1e-13, atol=1e-13 * np.abs(c_ref).max())
         scale = np.abs(g.c[e]).max()
         ok &= np.abs(g.c[e].sum(axis=0)).max() <= 1e-14 * scale
@@ -110,8 +111,9 @@ def test_criterion_03_limiter_unit_suite(rng):
     f = np.array([[3.0, -1.0, -2.0]])
     fmax = np.array([[1.0, 2.0, 2.0]])
     fmin = np.array([[-2.0, -2.0, -1.0]])
-    fs, alpha, ai = scaling_limiter(f, fmin, fmax)
-    ok &= np.allclose(ai, [[1 / 3, 1.0, 0.5]], atol=1e-14)
+    fs, alpha = scaling_limiter(f, fmin, fmax)
+    ok &= np.allclose(_node_factors(f, fmin, fmax), [[1 / 3, 1.0, 0.5]],
+                      atol=1e-14)
     ok &= abs(alpha[0] - 1 / 3) < 1e-14
     ok &= np.allclose(fs, [[1.0, -1 / 3, -2 / 3]], atol=1e-14)
     ok &= np.allclose(clip_and_scale(f, fmin, fmax), [[1.0, -0.5, -0.5]],

@@ -276,3 +276,30 @@ class TestExactSolutions:
         # velocity at (0.75, 0) is (pi, ...) with v_y = 2 pi (0.25) > 0,
         # so flow enters through the bottom -> prescribed zero
         assert out[0, 0] == 0.0
+
+    def test_sbr_bc_follows_its_position_array(self):
+        """The rotation inflow mask is made once per position array: calls
+        with the same arrays, with a shuffled copy of them and back with the
+        first ones give the exterior states of the mask formed on every
+        call."""
+        cfg = RunConfig(benchmark="solid_body_rotation", h=1 / 8)
+        bench = make_benchmark(cfg)
+        ms = build_system(bench.mesh)
+        velocity = bench.model.velocity
+
+        def reference(x, t, u_in, nhat):
+            inflow = np.sum(velocity(x) * nhat, axis=-1) < 0.0
+            return np.where(inflow[:, None], 0.0, u_in)
+
+        rng = np.random.default_rng(3)
+        x, nhat = ms.boundary_x, ms.boundary_nhat
+        # shuffled, not reversed: the inflow mask reads the same backwards
+        order = rng.permutation(len(x))
+        shuffled = (x[order], nhat[order])
+        inflow = reference(x, 0.0, np.ones((len(x), 1)), nhat) == 0.0
+        assert inflow.any() and not inflow.all()
+        for t, (xx, nn) in zip([0.0, 0.01, 0.02, 0.03],
+                               [(x, nhat), (x, nhat), shuffled, (x, nhat)]):
+            u_in = rng.uniform(0.1, 1.0, (len(xx), 1))
+            got = bench.bc(xx, t, u_in, nn)
+            assert got.tobytes() == reference(xx, t, u_in, nn).tobytes()

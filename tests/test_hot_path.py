@@ -3,28 +3,34 @@ each SSP stage assembles once, the assembly that ``dt_bound`` leaves behind
 is only reused for the same state, a model with a linear flux has its
 coefficients, viscosity and CFL bound computed once per scheme and no wave
 speed at all, element blocks stored with the element
-index fastest give the same bits as C-ordered ones, and a step reuses the
-scheme's buffers instead of allocating element-sized temporaries."""
+index fastest give the same bits as C-ordered ones, a step reuses the
+scheme's buffers instead of allocating element-sized temporaries, and the
+records it passes along carry no field that the package does not read."""
 
+import ast
 import contextlib
 import dataclasses
 import gc
+import pathlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import idpfem
 import idpfem.assembly as assembly_mod
 import idpfem.limiting as limiting_mod
 import idpfem.schemes as schemes_mod
 from conftest import perfbench_workloads, random_euler_states
-from idpfem.assembly import (BoundaryWork, assemble, linear_flux,
-                             rusanov_viscosity, wave_speeds)
+from idpfem.assembly import (BoundaryWork, ElementWork, LinearFlux,
+                             assemble, linear_flux, rusanov_viscosity,
+                             wave_speeds)
 from idpfem.config import RunConfig
 from idpfem.limiting import local_bounds
-from idpfem.mesh import (Mesh, MeshSystem, Workspace, build_system,
-                         read_mesh, scratch, structured_rect, write_mesh)
+from idpfem.mesh import (ElementGeometry, Mesh, MeshSystem, Workspace,
+                         build_system, read_mesh, scratch, structured_rect,
+                         write_mesh)
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model
 from idpfem.runner import integrate, setup
 from idpfem.schemes import SCHEME_KEYS, CFLError, SpatialScheme
@@ -1048,23 +1054,17 @@ def test_kept_flux_coefficients_are_read_only_and_made_once(
     assert not any(np.shares_memory(kept, buf) for buf in scheme.ws.values())
 
 
-@pytest.mark.parametrize("with_ws", [False, True])
-@pytest.mark.parametrize("model_name", ["rotation", "euler"])
-def test_assemble_with_given_viscosity_keeps_every_bit(monkeypatch,
-                                                       model_name, with_ws):
-    ms, model, bc, u = _problem(model_name, "bounded")
-    ref, ref_b = assemble(ms, model, u, 0.1, bc)
-    d = ref.d.copy()
-    calls = []
-    _count(monkeypatch, assembly_mod, "wave_speeds", calls)
-    _count(monkeypatch, assembly_mod, "rusanov_viscosity", calls)
-    work, bwork = assemble(ms, model, u, 0.1, bc, d=d,
-                           ws=Workspace() if with_ws else None)
-    assert calls == []
-    assert work.d is d
-    for f in dataclasses.fields(work):
-        assert getattr(work, f.name).tobytes() == \
-            getattr(ref, f.name).tobytes(), f.name
-    for f in dataclasses.fields(bwork):
-        assert getattr(bwork, f.name).tobytes() == \
-            getattr(ref_b, f.name).tobytes(), f.name
+@pytest.mark.parametrize("record", [ElementWork, BoundaryWork, LinearFlux,
+                                    MeshSystem, ElementGeometry],
+                         ids=lambda record: record.__name__)
+def test_every_record_field_is_read_by_the_package(record):
+    """Each field of the records the hot path builds is read as an
+    attribute somewhere in the package: a value only the tests read is
+    recomputed there from what the package keeps."""
+    package = pathlib.Path(idpfem.__file__).parent
+    read = {node.attr for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in dataclasses.fields(record)
+            if f.name not in read] == []

@@ -26,9 +26,9 @@ class TestWorkedExamples:
     FMIN = np.array([[-2.0, -2.0, -1.0]])
 
     def test_scaling_limiter_example(self):
-        f_star, alpha, alpha_nodes = scaling_limiter(self.F, self.FMIN,
-                                                     self.FMAX)
-        assert np.allclose(alpha_nodes, [[1 / 3, 1.0, 1 / 2]], atol=1e-14)
+        f_star, alpha = scaling_limiter(self.F, self.FMIN, self.FMAX)
+        alpha_i = limiting_mod._node_factors(self.F, self.FMIN, self.FMAX)
+        assert np.allclose(alpha_i, [[1 / 3, 1.0, 1 / 2]], atol=1e-14)
         assert alpha[0] == pytest.approx(1 / 3, abs=1e-14)
         assert np.allclose(f_star, [[1.0, -1 / 3, -2 / 3]], atol=1e-14)
 
@@ -46,14 +46,14 @@ class TestWorkedExamples:
     def test_within_bounds_passthrough(self):
         f = np.array([[0.5, -0.2, -0.3]])
         wide = np.full((1, 3), 5.0)
-        f1, alpha, _ = scaling_limiter(f, -wide, wide)
+        f1, alpha = scaling_limiter(f, -wide, wide)
         assert alpha[0] == 1.0
         assert np.allclose(f1, f)
         assert np.allclose(clip_and_scale(f, -wide, wide), f)
 
     def test_zero_input(self):
         z = np.zeros((1, 3))
-        f1, alpha, _ = scaling_limiter(z, -np.ones((1, 3)), np.ones((1, 3)))
+        f1, alpha = scaling_limiter(z, -np.ones((1, 3)), np.ones((1, 3)))
         assert alpha[0] == 1.0 and np.all(f1 == 0)
         assert np.all(clip_and_scale(z, -np.ones((1, 3)),
                                      np.ones((1, 3))) == 0)
@@ -62,7 +62,7 @@ class TestWorkedExamples:
         f = np.array([[1.0, -1.0, 0.0]])
         fmin = np.array([[0.0, -2.0, -2.0]])
         fmax = np.array([[0.0, 2.0, 2.0]])
-        f1, alpha, _ = scaling_limiter(f, fmin, fmax)
+        f1, alpha = scaling_limiter(f, fmin, fmax)
         assert alpha[0] == 0.0
         assert np.all(f1 == 0)
         f2 = clip_and_scale(f, fmin, fmax)

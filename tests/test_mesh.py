@@ -28,7 +28,7 @@ def barycentric_gradients(p):
 class TestElementGeometry:
     def test_unit_right_triangle_values(self, unit_triangle):
         g = unit_triangle.geometry
-        assert g.area[0] == pytest.approx(0.5, abs=1e-15)
+        assert 3.0 * g.m_elem[0] == pytest.approx(0.5, abs=1e-15)
         c = g.c[0]
         assert np.allclose(c[0], [0.5, 0.5], atol=1e-15)
         assert np.allclose(c[1], [-0.5, 0.0], atol=1e-15)
@@ -41,9 +41,8 @@ class TestElementGeometry:
             ms = single_triangle_system(p)
             g = ms.geometry
             grads = barycentric_gradients(p)
-            assert np.allclose(g.grad[0], grads, rtol=1e-13, atol=1e-13)
-            assert np.allclose(g.c[0], -g.area[0] * grads, rtol=1e-13,
-                               atol=1e-13)
+            assert np.allclose(-g.c[0] / (3.0 * g.m_elem[0]), grads,
+                               rtol=1e-13, atol=1e-13)
 
     def test_c_vectors_sum_to_zero(self, rng):
         for _ in range(50):
@@ -57,7 +56,7 @@ class TestElementGeometry:
         mp = p1_mass_matrix(p)
         assert np.allclose(np.diag(mp), 2.0 * g.m_off[0])
         assert np.allclose(mp[~np.eye(3, dtype=bool)], g.m_off[0])
-        assert g.m_off[0] == g.area[0] / 12.0
+        assert 4.0 * g.m_off[0] == pytest.approx(g.m_elem[0], rel=1e-15)
         # row sums give the lumped element mass
         assert np.allclose(mp.sum(axis=1), g.m_elem[0])
 
@@ -67,7 +66,9 @@ class TestElementGeometry:
         p = random_triangle(rng)
         ms = single_triangle_system(p)
         u = a + b0 * p[:, 0] + b1 * p[:, 1]
-        gu = (u[:, None] * ms.geometry.grad[0]).sum(axis=0)
+        g = ms.geometry
+        grad = -g.c[0] / (3.0 * g.m_elem[0])
+        gu = (u[:, None] * grad).sum(axis=0)
         assert np.allclose(gu, [b0, b1], atol=1e-12)
 
 
@@ -195,8 +196,7 @@ class TestStructuredRect:
 
     def test_boundary_normals_point_outward(self):
         ms = build_system(structured_rect(4, 4))
-        n = ms.boundary_normal[ms.boundary_dofs]
-        x = ms.dof_coords[ms.boundary_dofs]
+        n, x = ms.boundary_n, ms.boundary_x
         # outward means positive dot product with (x - center)
         assert np.all(np.sum(n * (x - 0.5), axis=1) > 0)
 
@@ -226,10 +226,10 @@ def test_geometry_identities_hold_for_random_triangles(seed):
     g = ms.geometry
     scale = max(np.abs(g.c).max(), 1e-30)
     assert np.abs(g.c[0].sum(axis=0)).max() < 1e-13 * scale
-    assert np.allclose(g.grad[0], barycentric_gradients(p), rtol=1e-11,
-                       atol=1e-11)
+    assert np.allclose(-g.c[0] / (3.0 * g.m_elem[0]),
+                       barycentric_gradients(p), rtol=1e-11, atol=1e-11)
     # the mass matrix (2 m_off on the diagonal, m_off off it) sums to |K|
-    assert 12.0 * g.m_off[0] == pytest.approx(g.area[0], rel=1e-13)
+    assert 12.0 * g.m_off[0] == pytest.approx(3.0 * g.m_elem[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -239,7 +239,10 @@ def test_boundary_data_is_the_normal_at_the_boundary_dofs(periodic):
     ms = build_system(structured_rect(5, 4, periodic=periodic))
     dofs = ms.boundary_dofs
     assert (dofs.size == 0) == periodic
-    n = ms.boundary_normal[dofs]
+    # n_i = -sum_e c_i^e, in element order
+    normal = np.zeros((ms.n_dofs, 2))
+    np.add.at(normal, ms.elem_dofs, -ms.geometry.c)
+    n = normal[dofs]
     nlen = np.linalg.norm(n, axis=-1)
     assert ms.boundary_n.tobytes() == n.tobytes()
     assert ms.boundary_nlen.tobytes() == nlen.tobytes()
