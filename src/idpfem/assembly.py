@@ -113,16 +113,12 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearFlux:
-    """What the assembly of a model with a linear flux reads of its mesh and
-    velocity alone; every array is read-only. The boundary arrays are None
-    on a mesh without boundary DOFs."""
+    """What the element assembly of a model with a linear flux reads of its
+    mesh and velocity alone; every array is read-only."""
 
     k: np.ndarray                  # (E, 3) k_i = v(x_e) . c_i
     d: np.ndarray                  # (E,) viscosity d^e = max_i |k_i|
     w: np.ndarray                  # (E, 3) bar-state weights
-    k_b: Optional[np.ndarray]      # (B,) v(x_i) . n_i at the boundary DOFs
-    lam_b: Optional[np.ndarray]    # (B,) wave speed across n_i
-    visc_b: Optional[np.ndarray]   # (B,) lambda |n_i|
 
 
 def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
@@ -130,8 +126,7 @@ def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
     any other. k_i takes the velocity at the element centroid, d^e =
     max_i |k_i| is max_i lambda_i |c_i| because lambda_i = |v(x_e) .
     c_hat_i|, and w_i = 1/2 - k_i / (2 max(d^e, TINY)) lies in [0, 1]
-    (|k_i| <= d^e) and is 1/2 where d^e = 0 (every k_i is 0 there). The
-    boundary arrays come from the calls ``boundary_terms`` would make."""
+    (|k_i| <= d^e) and is 1/2 where d^e = 0 (every k_i is 0 there)."""
     coefficients = getattr(model, "flux_coefficients", None)
     if coefficients is None:
         return None
@@ -142,18 +137,9 @@ def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
     den *= 2.0
     w = np.divide(k, den[:, None])
     w = np.subtract(0.5, w, out=w)
-    k_b = lam_b = visc_b = None
-    if ms.boundary_dofs.size:
-        x = ms.boundary_x
-        k_b = coefficients(ms.boundary_n, x)
-        # the wave speed reads no state: any state of the right shape will do
-        u = np.zeros((ms.boundary_dofs.size, model.m))
-        lam_b = model.max_wave_speed(u, u, ms.boundary_nhat, x)
-        visc_b = lam_b * ms.boundary_nlen
-    lin = LinearFlux(k=k, d=d, w=w, k_b=k_b, lam_b=lam_b, visc_b=visc_b)
+    lin = LinearFlux(k=k, d=d, w=w)
     for a in vars(lin).values():
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return lin
 
 
@@ -263,7 +249,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
     r_rus = np.subtract(visc, fbar_c, out=fbar_c)
 
-    bwork = None if bc is None else boundary_terms(ms, model, u, t, bc, lin)
+    bwork = None if bc is None else boundary_terms(ms, model, u, t, bc)
 
     residual = ms.scatter_add(r_rus, ws)
     if bwork is not None:
@@ -296,17 +282,16 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
 
 
 def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
-                   bc: Callable,
-                   lin: Optional[LinearFlux] = None) -> Optional[BoundaryWork]:
+                   bc: Callable) -> Optional[BoundaryWork]:
     """Weak Rusanov flux through the boundary, one face term per boundary dof.
 
     ``bc(x, t, u_in, n_hat)`` returns the exterior states. The term
     pairs with the closed-form interior assembly: for a free-stream state it
     cancels the deficit f(u_i) . n_i exactly, and its bar-state form keeps
     the forward-Euler update a convex combination of admissible states.
-    The fluxes are ``model.normal_flux``, no flux tensor; with the
-    ``LinearFlux`` ``lin`` of a linear flux they are u k_b, and the wave
-    speed and the viscosity are the kept ones.
+    For every model the fluxes are ``model.normal_flux``, no flux tensor,
+    and the wave speed is ``model.max_wave_speed`` of the interior and
+    exterior states.
     """
     dofs = ms.boundary_dofs
     if dofs.size == 0:
@@ -315,17 +300,12 @@ def boundary_terms(ms: MeshSystem, model, u: np.ndarray, t: float,
     x = ms.boundary_x
     u_in = u[dofs]
     u_ext = bc(x, t, u_in, nhat)
-    if lin is not None:
-        lam, visc = lin.lam_b, lin.visc_b
-        f_in = u_in * lin.k_b[:, None]
-        f_ext = u_ext * lin.k_b[:, None]
-    else:
-        aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)
-        lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
-                                   aux_r=aux_ext)
-        visc = lam * nlen
-        f_in = model.normal_flux(u_in, n, x, aux_in)
-        f_ext = model.normal_flux(u_ext, n, x, aux_ext)
+    aux_in, aux_ext = model.aux(u_in), model.aux(u_ext)
+    lam = model.max_wave_speed(u_in, u_ext, nhat, x, aux_l=aux_in,
+                               aux_r=aux_ext)
+    visc = lam * nlen
+    f_in = model.normal_flux(u_in, n, x, aux_in)
+    f_ext = model.normal_flux(u_ext, n, x, aux_ext)
 
     # bar state: 0.5 (u_in + u_ext) - (f_ext - f_in) . n_i / |n_i| / (2
     # lambda), the mean where lambda |n_i| = 0; |n_i| > 0 at every

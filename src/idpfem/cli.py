@@ -122,6 +122,10 @@ def _cmd_norms(args) -> int:
         return 1
     from .vtk_io import SCALAR_NAMES
     names = SCALAR_NAMES.get(model.m, [f"u{k}" for k in range(model.m)])
+    missing = [n for n in names if n not in fields]
+    if missing:
+        print(f"error: snapshot has no field {missing[0]!r}", file=sys.stderr)
+        return 1
     nodal = np.column_stack([fields[n] for n in names])
     u = np.zeros((ms.n_dofs, model.m))
     u[ms.dof_of_node] = nodal

@@ -116,16 +116,6 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     return neg_part
 
 
-def limit_scalar(kind: str, f, fmin, fmax, ws=None, out=None):
-    """The scalar limiter ``kind`` ("scale" or "cs"): (f_star, the
-    per-element factors (E,) or (E, k), or None for "cs")."""
-    if kind == "scale":
-        return scaling_limiter(f, fmin, fmax, ws, out)
-    if kind == "cs":
-        return clip_and_scale(f, fmin, fmax, ws, out), None
-    raise ValueError(f"unknown scalar limiter {kind!r}")
-
-
 def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
                  bwork=None, ws=None):
     """Per-DOF admissible range of one scalar quantity, or of every
@@ -182,16 +172,21 @@ def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
 def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
                                kind: str, ws=None, out=None,
                                gaps=None) -> LimitResult:
-    """Scalar-model limiting by the scalar limiter ``kind``: f, base are
-    (E, 3), gamma (E, 3) or (E, 1); lo, hi per DOF. ``gaps`` are the bound
-    gaps gamma (lo - base) and gamma (hi - base), (E, 3) each, when the
-    caller has formed them. f_star goes into ``out`` when given, else into
-    the lower bound gap, which the limiter has used up."""
+    """The one entry of scalar limiting, by the limiter ``kind`` ("scale"
+    or "cs"): f, base are (E, 3), or (E, 3, k) blocks as the product rule
+    passes them; gamma broadcasts against base; lo, hi are per DOF.
+    ``gaps`` are the bound gaps gamma (lo - base) and gamma (hi - base),
+    shaped like f, when the caller has formed them. f_star goes into
+    ``out`` when given, else into the lower bound gap, which the limiter
+    has used up; alpha is None for "cs"."""
     fmin, fmax = (_bound_gaps(ms, lo, hi, base, gamma, ws) if gaps is None
                   else gaps)
-    f_star, alpha = limit_scalar(kind, f, fmin, fmax, ws,
-                                 fmin if out is None else out)
-    return LimitResult(f_star=f_star, alpha=alpha)
+    out = fmin if out is None else out
+    if kind == "scale":
+        return LimitResult(*scaling_limiter(f, fmin, fmax, ws, out))
+    if kind == "cs":
+        return LimitResult(clip_and_scale(f, fmin, fmax, ws, out), None)
+    raise ValueError(f"unknown scalar limiter {kind!r}")
 
 
 def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
@@ -248,8 +243,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     # phibar (used up)
     g_rho = np.multiply(gamma, rho_bar_star, out=buf(
         "phibar", rho_bar_star.shape))[..., None]
-    gmin, gmax = _bound_gaps(ms, phi_lo, phi_hi, phi, g_rho, ws)
-    g_star = limit_scalar(kind, g, gmin, gmax, ws, out=g)[0]
+    g_star = limit_scalar_contributions(ms, g, phi, g_rho, phi_lo, phi_hi,
+                                        kind, ws, out=g).f_star
     g_star += rs
     return g_star, phi_lo, phi_hi
 

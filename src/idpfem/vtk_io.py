@@ -72,7 +72,9 @@ def read_vtk_point_data(path):
     """Read back node coordinates and POINT_DATA scalars of a file written
     by write_vtk. Returns (points (N, 2), fields dict).
 
-    Raises ValueError for any other format, such as an ASCII legacy file.
+    Raises ValueError for any other format, such as an ASCII legacy file,
+    and for a BINARY file without POINTS or with a LOOKUP_TABLE before its
+    POINTS or SCALARS.
     """
     data = pathlib.Path(path).read_bytes()
     head = data.split(b"\n", 3)
@@ -80,7 +82,7 @@ def read_vtk_point_data(path):
     if fmt != "BINARY":
         raise ValueError(f"{path}: legacy VTK format {fmt!r}, only BINARY "
                          "snapshots can be read")
-    points, fields, pos = None, {}, 0
+    points, name, fields, pos = None, None, {}, 0
     while pos < len(data):
         end = data.index(b"\n", pos)
         key, *args = data[pos:end].split() or [b""]
@@ -95,6 +97,11 @@ def read_vtk_point_data(path):
         elif key == b"SCALARS":
             name = args[0].decode()
         elif key == b"LOOKUP_TABLE":
+            if points is None or name is None:
+                raise ValueError(f"{path}: LOOKUP_TABLE before POINTS or "
+                                 "SCALARS")
             fields[name] = np.frombuffer(data, ">f8", n, pos).astype(float)
             pos += 8 * n + 1
+    if points is None:
+        raise ValueError(f"{path}: no POINTS")
     return points.astype(float), fields

@@ -392,6 +392,30 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "BINARY" in err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"", "no POINTS"),
+        (b"POINT_DATA 3\nSCALARS u double 1\nLOOKUP_TABLE default\n",
+         "LOOKUP_TABLE before POINTS or SCALARS")],
+        ids=["header-only", "no-points"])
+    def test_norms_rejects_malformed_binary_snapshot(self, tmp_path, capsys,
+                                                     body, message):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG)
+        snap = tmp_path / "bad.vtk"
+        snap.write_bytes(vtk_mod.HEADER + body)
+        assert main(["norms", str(cfgfile), str(snap), "--t", "0.2"]) == 1
+        assert capsys.readouterr().err == f"error: {snap}: {message}\n"
+
+    def test_norms_rejects_snapshot_of_another_model(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG + f"out = {tmp_path / 'o'}\n")
+        assert main(["solve", str(cfgfile), "--quiet"]) == 0
+        snap = sorted((tmp_path / "o").glob("state_*.vtk"))[-1]
+        cfgfile.write_text(CONSTANT_CFG + "model = euler\n")
+        assert main(["norms", str(cfgfile), str(snap), "--t", "0.2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: snapshot has no field 'rho'\n"
+
     def test_audit_every_override(self, tmp_path):
         cfgfile = tmp_path / "c.txt"
         cfgfile.write_text(CONSTANT_CFG + f"out = {tmp_path / 'o'}\n")

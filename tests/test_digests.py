@@ -31,3 +31,43 @@ def test_workload_digest(tmp_path, name):
     csv = hashlib.sha256((tmp_path / "diagnostics.csv").read_bytes())
     assert result.steps == STEPS[name]
     assert f"{state}/{csv.hexdigest()[:16]}" == DIGESTS[name]
+
+
+# Short runs of the paths that no workload takes: the boundary terms of a
+# linear flux (solid-body rotation), ``low``, Burgers and the synchronized
+# system limiter. Each row: (RunConfig keywords, steps, state/CSV digest).
+PATH_PINS = {
+    "rotation-slotted-mcl": (
+        {"benchmark": "solid_body_rotation", "body": "slotted", "h": 1 / 16,
+         "t_end": 0.05, "limiter": "mcl.cs"},
+        63, "208675d1f6e58405/a6a92154a29011c3"),
+    "rotation-slotted-fct": (
+        {"benchmark": "solid_body_rotation", "body": "slotted", "h": 1 / 16,
+         "t_end": 0.05, "limiter": "fct.cs"},
+        63, "9a971e939f550869/78f4dd280c8b1fb5"),
+    "rotation-low": (
+        {"benchmark": "solid_body_rotation", "h": 1 / 16, "t_end": 0.05,
+         "limiter": "low"},
+        63, "497a3c0a5a0b0bbb/6ca6b77b9051a22c"),
+    "burgers-mcl": (
+        {"benchmark": "burgers_riemann", "h": 1 / 16, "t_end": 0.05,
+         "limiter": "mcl.cs"},
+        8, "6ce60e5d20a19e6a/316336ed404128b8"),
+    "dmr-fct-synchronized": (
+        {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
+         "limiter": "fct.scale", "system_limiter": "synchronized"},
+        13, "8052c49b4bd5649b/6143bd4f3c5fba17"),
+}
+
+
+def _digest(cfg, out_dir):
+    result = run(cfg, out_dir=out_dir)
+    state = hashlib.sha256(result.u.tobytes()).hexdigest()[:16]
+    csv = hashlib.sha256((out_dir / "diagnostics.csv").read_bytes())
+    return result.steps, f"{state}/{csv.hexdigest()[:16]}"
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PINS))
+def test_path_digest(tmp_path, name):
+    kwargs, steps, digest = PATH_PINS[name]
+    assert _digest(RunConfig(**kwargs), tmp_path) == (steps, digest)

@@ -402,8 +402,9 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
     """Every block ``MeshSystem.gather`` hands the limiters (the gathered
     bounds and bound candidates) is stored with the element index fastest.
     A system model's bounds are gathered once for all components, by the
-    system limiter, and the product rule gathers its own bounds on the
-    specific values."""
+    system limiter, and the product rule's bounds on the specific values
+    inside the ``limit_scalar_contributions`` call that limits its
+    remainder."""
     inside = {"limit_scalar_contributions", "limit_system_contributions",
               "product_rule_cs"}
     seen = []
@@ -438,7 +439,7 @@ def test_gathered_bounds_are_element_fastest(monkeypatch, model_name, limiter):
         scheme.step(u, 0.0, 0.5 * dt)
     else:
         scheme.rhs(u, 0.0)
-    expected = ({"limit_system_contributions", "product_rule_cs"}
+    expected = ({"limit_system_contributions", "limit_scalar_contributions"}
                 if model.m > 1 else {"limit_scalar_contributions"})
     assert {name for name, _ in seen} == expected
     for name, a in seen:
