@@ -18,7 +18,9 @@ and neither a flux tensor nor a wave speed is formed.
 
 Every per-element array is stored with the element index fastest (see
 ``MeshSystem``); numpy keeps that order through elementwise operations, so
-the code below reads as if it were C-ordered.
+the code below reads as if it were C-ordered. One value per element, such
+as the mean ubar of ``mesh.node_sum``, keeps the node axis with length 1,
+(E, 1, ...), and so broadcasts against the (E, 3, ...) blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import MeshSystem, Workspace, scratch
+from .mesh import MeshSystem, Workspace, node_max, node_sum, scratch
 from .models import TINY
 
 
@@ -56,43 +58,6 @@ class BoundaryWork:
     flux_term: np.ndarray     # (B, m) contribution to m_i du_i/dt
     visc: np.ndarray          # (B,) lambda * |n_i|, enters the CFL condition
     bar_states: np.ndarray    # (B, m) boundary bar states (IDP audit / bounds)
-
-
-def _node_sum(a: np.ndarray, out=None) -> np.ndarray:
-    """Sum over the three element nodes (axis 1 of (E, 3, ...)). Written out,
-    because numpy's reduce over a length-3 axis costs several times more."""
-    s = np.add(a[:, 0], a[:, 1], out=out)
-    s += a[:, 2]
-    return s
-
-
-def element_average(u_loc: np.ndarray, out=None) -> np.ndarray:
-    """Arithmetic mean of the three nodal states."""
-    s = _node_sum(u_loc, out)
-    s /= 3.0
-    return s
-
-
-def wave_speeds(model, ms: MeshSystem, u_loc, ubar, out=None, aux_loc=None,
-                aux_bar=None, tmp=None) -> np.ndarray:
-    """Directional wave-speed bound between ubar and each node, (E, 3).
-    ``aux_loc`` and ``aux_bar`` are ``model.aux`` of u_loc and ubar when
-    the caller has them; ``tmp`` (E, 3, 2) takes the intermediates when
-    given."""
-    geom = ms.geometry
-    if aux_bar is not None:
-        aux_bar = aux_bar[:, None]
-    return model.max_wave_speed(ubar[:, None, :], u_loc, geom.c_hat,
-                                geom.centroid[:, None, :], out=out,
-                                aux_l=aux_bar, aux_r=aux_loc, tmp=tmp)
-
-
-def rusanov_viscosity(lam: np.ndarray, c_norm: np.ndarray, out=None,
-                      tmp=None) -> np.ndarray:
-    """d^e = max_i lambda_i |c_i|."""
-    a = np.multiply(lam, c_norm, out=tmp)
-    d = np.maximum(a[:, 0], a[:, 1], out=out)
-    return np.maximum(d, a[:, 2], out=d)
 
 
 def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -146,9 +111,10 @@ def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
 def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
                tmp=None) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
-    f(u_i) . c_i; arithmetic mean where d = 0. ``out`` takes the result and
-    ``tmp`` (same shape) an intermediate when given; neither may be an
-    input."""
+    f(u_i) . c_i (E, 3, m), the nodal states u_loc (E, 3, m), their mean
+    ubar (E, 1, m) and d (E,); arithmetic mean where d = 0. ``out`` takes
+    the result and ``tmp`` (same shape) an intermediate when given;
+    neither may be an input."""
     df = np.subtract(fbar_c, fi_c, out=tmp)
     # 2 max(d, TINY) in the first column of out, until the mean goes there
     den = np.maximum(d, TINY, out=None if out is None else out[:, 0, 0])
@@ -158,7 +124,7 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
     # which is rarely needed, so that the subtraction runs unmasked
     if not d.min() > 0:
         np.copyto(df, 0.0, where=(d <= 0)[:, None, None])
-    mean = np.add(ubar[:, None, :], u_loc, out=out)
+    mean = np.add(ubar, u_loc, out=out)
     mean *= 0.5
     return np.subtract(mean, df, out=mean)
 
@@ -195,42 +161,44 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
 
     tmp = buf("tmp")
     u_loc = ms.gather(u, out=buf("u_loc"))
-    ubar = element_average(u_loc, out=buf("ubar", (n_e, m)))
+    ubar = node_sum(u_loc, out=buf("ubar", (n_e, 1, m)))
+    ubar /= 3.0
     if lin is None:
         lin = linear_flux(ms, model)
     bars = None
     if lin is not None:
         d = lin.d
         # ubar - u_i, in the buffer of the viscous term d (ubar - u_i)
-        diff = np.subtract(ubar[:, None, :], u_loc, out=tmp)
+        diff = np.subtract(ubar, u_loc, out=tmp)
         if with_bar_states:
             bars = np.multiply(lin.w[:, :, None], diff, out=buf("bars"))
             bars += u_loc
         visc = np.multiply(diff, d[:, None, None], out=diff)
         # f(ubar) . c_i goes where r_rus, formed from it, goes
-        fbar_c = np.multiply(ubar[:, None, :], lin.k[:, :, None],
-                             out=buf("r_rus"))
+        fbar_c = np.multiply(ubar, lin.k[:, :, None], out=buf("r_rus"))
     else:
         # What the fluxes and the wave speeds share (the Euler pressure),
         # in the buffers of f_anti and r_rus until those are formed
         aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
                             tmp=buf("tmp", blk[:2]))
-        aux_bar = model.aux(ubar, out=buf("r_rus", (n_e,)),
-                            tmp=buf("tmp", (n_e,)))
-        # the wave speeds go where the bar states (if formed) go later,
-        # their intermediates where f(u_i) goes
-        lam = wave_speeds(model, ms, u_loc, ubar, out=buf("bars", blk[:2]),
-                          aux_loc=aux_loc, aux_bar=aux_bar,
-                          tmp=buf("flux_loc", blk[:2] + (2,)))
-        d = rusanov_viscosity(lam, geom.c_norm, out=buf("d", (n_e,)),
-                              tmp=buf("tmp", blk[:2]))
-        x_bar = geom.centroid
-        flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, m, 2)),
+        aux_bar = model.aux(ubar, out=buf("r_rus", (n_e, 1)),
+                            tmp=buf("tmp", (n_e, 1)))
+        x_bar = geom.centroid[:, None, :]
+        # the wave speeds between ubar and each node go where the bar
+        # states (if formed) go later, their intermediates where f(u_i)
+        # goes; d^e = max_i lambda_i |c_i|
+        lam = model.max_wave_speed(ubar, u_loc, geom.c_hat, x_bar,
+                                   out=buf("bars", blk[:2]), aux_l=aux_bar,
+                                   aux_r=aux_loc,
+                                   tmp=buf("flux_loc", blk[:2] + (2,)))
+        lam *= geom.c_norm
+        d = node_max(lam, out=buf("d", (n_e, 1)))[:, 0]
+        flux_bar = model.flux(ubar, x_bar, out=buf("flux_bar", (n_e, 1, m, 2)),
                               aux=aux_bar)
-        flux_loc = model.flux(u_loc, x_bar[:, None, :],
-                              out=buf("flux_loc", blk + (2,)), aux=aux_loc)
+        flux_loc = model.flux(u_loc, x_bar, out=buf("flux_loc", blk + (2,)),
+                              aux=aux_loc)
         # f(ubar) . c_i goes where r_rus, formed from it, goes
-        fbar_c = _dot(flux_bar[:, None], geom.c, out=buf("r_rus"), tmp=tmp)
+        fbar_c = _dot(flux_bar, geom.c, out=buf("r_rus"), tmp=tmp)
         if with_bar_states:
             # f(u_i) . c_i is read only by the bar states; f_anti
             # overwrites it
@@ -239,11 +207,10 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
                               tmp=tmp)
         if with_antidiffusion:
             # (sum_j f(u_j) / 3) . c_i, completed to f_anti below
-            sum_flux = _node_sum(flux_loc, out=flux_bar)  # (E, m, 2)
+            sum_flux = node_sum(flux_loc, out=flux_bar)  # (E, 1, m, 2)
             sum_flux /= 3.0
-            f_anti = _dot(sum_flux[:, None], geom.c, out=buf("f_anti"),
-                          tmp=tmp)
-        visc = np.subtract(ubar[:, None, :], u_loc, out=tmp)
+            f_anti = _dot(sum_flux, geom.c, out=buf("f_anti"), tmp=tmp)
+        visc = np.subtract(ubar, u_loc, out=tmp)
         visc *= d[:, None, None]
 
     # Closed-form Rusanov residual: d (ubar - u_i) - f(ubar) . c_i
@@ -264,9 +231,9 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
     # formed in the gathered udot, in the buffers of the used-up fluxes
     mass = ms.gather(udot, out=buf("flux_loc"))
-    udot_sum = _node_sum(mass, out=buf("flux_bar", (n_e, m)))
+    udot_sum = node_sum(mass, out=buf("flux_bar", (n_e, 1, m)))
     mass *= 3.0
-    mass -= udot_sum[:, None, :]
+    mass -= udot_sum
     mass *= geom.m_off[:, None, None]
 
     # direct antidiffusion formula: f_anti = mass + f(ubar) . c_i - sum_j

@@ -85,7 +85,10 @@ def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
         if not read and getattr(cfg, key) is not None:
             raise ConfigError(f"benchmark {name} with model = {model} and "
                               f"velocity = {velocity} does not read {key}")
-    return maker(cfg, mesh)
+    vparams = dict(zip(("vx", "vy"), _translation(cfg))) \
+        if velocity == "translation" else {}
+    return maker(cfg, mesh, make_model(model, gamma=cfg.gamma,
+                                       velocity=velocity, **vparams))
 
 
 def _translation(cfg: RunConfig) -> tuple:
@@ -93,18 +96,7 @@ def _translation(cfg: RunConfig) -> tuple:
     return tuple(1.0 if v is None else v for v in (cfg.vx, cfg.vy))
 
 
-def _advection_model(cfg: RunConfig):
-    vel = cfg.velocity or "translation"
-    if vel == "translation":
-        vx, vy = _translation(cfg)
-        return make_model("advection", velocity=vel, vx=vx, vy=vy)
-    return make_model("advection", velocity=vel)
-
-
-def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
-    model_name = cfg.model or "advection"
-    model = _advection_model(cfg) if model_name == "advection" \
-        else make_model(model_name, gamma=cfg.gamma)
+def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
     h = cfg.h or 1 / 16
     if mesh is None:
         n = _cells(h, 1.0)
@@ -126,9 +118,9 @@ def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
                      exact=exact, t_end=cfg.t_end or 1.0)
 
 
-def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
+def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh],
+                             model) -> Benchmark:
     vel = cfg.velocity or "translation"
-    model = _advection_model(cfg)
     h = cfg.h or 1 / 32
     if mesh is None:
         n = _cells(h, 1.0)
@@ -151,8 +143,8 @@ def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
                      exact=exact, t_end=cfg.t_end or 1.0)
 
 
-def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
-    model = make_model("advection", velocity="rotation")
+def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh],
+                               model) -> Benchmark:
     h = cfg.h or 1 / 32
     if mesh is None:
         n = _cells(h, 1.0)
@@ -191,8 +183,8 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmar
                      bc=bc, exact=exact, t_end=cfg.t_end or 1.0)
 
 
-def _bench_burgers_riemann(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
-    model = make_model("burgers")
+def _bench_burgers_riemann(cfg: RunConfig, mesh: Optional[Mesh],
+                           model) -> Benchmark:
     h = cfg.h or 1 / 32
     if mesh is None:
         n = _cells(h, 1.0)
@@ -230,8 +222,7 @@ def dmr_shock_indicator(x: np.ndarray, t: float) -> np.ndarray:
         + 10.0 * t
 
 
-def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
-    model = Euler(gamma=cfg.gamma)
+def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
     pre, post = dmr_states(model)
     h = cfg.h or 1 / 32
     if mesh is None:
@@ -280,8 +271,9 @@ def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh]) -> Benchmark:
                      t_end=cfg.t_end or 0.2)
 
 
-# name -> (maker, the model and the velocity field it runs; None where the
-# config chooses, and no velocity field but for advection)
+# name -> (maker(cfg, mesh, model), the model and the velocity field it
+# runs; None where the config chooses, and no velocity field but for
+# advection). ``make_benchmark`` builds the model and hands it to the maker.
 _REGISTRY = {
     "constant": (_bench_constant, None, None),
     "advected_gaussian": (_bench_advected_gaussian, "advection", None),

@@ -3,7 +3,8 @@
 All limiters enforce the two-sided nodal constraints together with the
 per-element zero-sum condition. Array layouts: per-element-node values are
 (E, 3) for scalars and (E, 3, m) for systems, stored with the element index
-fastest; bounds live per DOF and are gathered with ``ms.gather``.
+fastest, and one value per element is (E, 1, ...), as ``mesh.node_sum`` and
+``mesh.node_min`` leave it; bounds live per DOF, gathered by ``ms.gather``.
 """
 
 from __future__ import annotations
@@ -12,23 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshSystem, scratch
+from .mesh import MeshSystem, node_min, node_sum, scratch
 from .models import TINY, AdmissibilityError
-
-
-# Reductions over the three nodes of an element (axis 1 of an (E, 3) or
-# (E, 3, k) block) are written out: numpy's reduce over a length-3 axis costs
-# several times more. Both keep the node axis, with length 1.
-
-def _sum3(a, out=None):
-    s = np.add(a[:, :1], a[:, 1:2], out=out)
-    s += a[:, 2:]
-    return s
-
-
-def _min3(a, out=None):
-    m = np.minimum(a[:, :1], a[:, 1:2], out=out)
-    return np.minimum(m, a[:, 2:], out=m)
 
 
 def _one_per_element(shape):
@@ -70,8 +56,8 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
     """
     alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.tmp", f.shape),
                             scratch(ws, "scale.alpha_i", f.shape))
-    alpha = _min3(alpha_i, scratch(ws, "scale.alpha",
-                                   _one_per_element(f.shape)))
+    alpha = node_min(alpha_i, scratch(ws, "scale.alpha",
+                                      _one_per_element(f.shape)))
     if out is None:
         out = scratch(ws, "scale.f_star", f.shape)
     f_star = np.multiply(alpha, f, out=out)
@@ -102,8 +88,8 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     def buf(name):
         return scratch(ws, "cs." + name, _one_per_element(f.shape))
 
-    pos = _sum3(part, buf("pos"))
-    neg = _sum3(neg_part, buf("neg"))
+    pos = node_sum(part, buf("pos"))
+    neg = node_sum(neg_part, buf("neg"))
     np.negative(neg, out=neg)                 # the size of the negative part
     q, kept = buf("q"), buf("kept")
     for side, this, other in ((part, pos, neg), (neg_part, neg, pos)):
@@ -222,8 +208,8 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     gam, rho = gamma[..., None], rho_bar_star[..., None]
     # phibar (E, 1, m - 1); the density sums go where rs goes next
     per_element = _one_per_element(f_k.shape)
-    phibar = _sum3(base_k, buf("phibar", per_element))
-    phibar /= _sum3(base_rho, buf("rs", per_element[:2]))[..., None]
+    phibar = node_sum(base_k, buf("phibar", per_element))
+    phibar /= node_sum(base_rho, buf("rs", per_element[:2]))[..., None]
     rs = np.multiply(phibar, f_rho_star[..., None], out=buf("rs"))
     # bmin <= 0 <= bmax, because the bounds hold the base
     bmin, bmax = (_bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
@@ -231,7 +217,7 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     # R_S: its per-element factor goes into the buffer of phibar (used up);
     # the buffers of g and phi_eL are free until they are written below
     phi = buf("phi_eL")
-    rs *= _min3(_node_factors(rs, bmin, bmax, out, phi), phibar)
+    rs *= node_min(_node_factors(rs, bmin, bmax, out, phi), phibar)
 
     g = np.subtract(f_k, rs, out=out)
     phi = np.divide(rs, gam, out=phi)
@@ -324,7 +310,7 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     elif system == "synchronized":
         # the smallest scaling factor of all components; f_star's buffer
         # takes an intermediate
-        alpha = _min3(_node_factors(f, fmin, fmax, f_star, scratch(
+        alpha = node_min(_node_factors(f, fmin, fmax, f_star, scratch(
             ws, "scale.alpha_i", f.shape)), scratch(
                 ws, "scale.alpha", _one_per_element(f.shape)))
         alpha = np.min(alpha, axis=2, keepdims=True, out=scratch(

@@ -55,6 +55,27 @@ def scratch(ws: Workspace | None, name: str, shape: tuple):
     return view
 
 
+# Reductions over the three nodes of an element (axis 1 of an (E, 3, ...)
+# block) into ``out`` when given, written out: numpy's reduce over a
+# length-3 axis costs several times more. Each keeps the node axis with
+# length 1, so the (E, 1, ...) result broadcasts against the block.
+
+def node_sum(a, out=None):
+    s = np.add(a[:, :1], a[:, 1:2], out=out)
+    s += a[:, 2:]
+    return s
+
+
+def node_min(a, out=None):
+    m = np.minimum(a[:, :1], a[:, 1:2], out=out)
+    return np.minimum(m, a[:, 2:], out=m)
+
+
+def node_max(a, out=None):
+    m = np.maximum(a[:, :1], a[:, 1:2], out=out)
+    return np.maximum(m, a[:, 2:], out=m)
+
+
 class MeshError(Exception):
     """Raised for parse errors, non-conforming meshes or degenerate triangles."""
 
@@ -509,8 +530,8 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     lower-left/upper-right diagonal (interior nodes touch 6 elements).
 
     With ``periodic=True`` opposite boundary nodes are paired for wraparound.
-    The mesh is valid by construction, so it is not run through
-    :meth:`Mesh.validate`; the arguments are checked instead.
+    The arguments are checked here, so that bad ones fail with a message
+    about them; ``build_system`` validates the mesh like any other.
     """
     w, h = x1 - x0, y1 - y0
     # the degenerate-triangle test of Mesh.validate on the signed area,

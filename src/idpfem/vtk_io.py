@@ -68,13 +68,19 @@ def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None,
     pathlib.Path(path).write_bytes(vtk_bytes(ms, u, model, grid))
 
 
+# The argument that the reader takes of each header line it reads: a name
+# for SCALARS, the count of values in the data block after the others.
+_READ_ARG = {"POINTS": 0, "CELLS": -1, "CELL_TYPES": -1, "SCALARS": 0}
+
+
 def read_vtk_point_data(path):
     """Read back node coordinates and POINT_DATA scalars of a file written
     by write_vtk. Returns (points (N, 2), fields dict).
 
-    Raises ValueError for any other format, such as an ASCII legacy file,
-    and for a BINARY file without POINTS or with a LOOKUP_TABLE before its
-    POINTS or SCALARS.
+    Raises ValueError naming the file for any other format, such as an
+    ASCII legacy file, and for a BINARY file without POINTS, with a
+    LOOKUP_TABLE before its POINTS or SCALARS, with a header line that
+    lacks its name or count, or with a data block cut short.
     """
     data = pathlib.Path(path).read_bytes()
     head = data.split(b"\n", 3)
@@ -83,25 +89,41 @@ def read_vtk_point_data(path):
         raise ValueError(f"{path}: legacy VTK format {fmt!r}, only BINARY "
                          "snapshots can be read")
     points, name, fields, pos = None, None, {}, 0
+
+    def block(dtype, count):
+        """The ``count`` values of ``dtype`` at pos, which moves past them
+        and the newline that follows each data block."""
+        nonlocal pos
+        size = np.dtype(dtype).itemsize * count
+        if pos + size > len(data):
+            raise ValueError(f"{path}: data block after {line!r} is cut "
+                             "short")
+        vals = np.frombuffer(data, dtype, count, pos)
+        pos += size + 1
+        return vals
+
     while pos < len(data):
-        end = data.index(b"\n", pos)
-        key, *args = data[pos:end].split() or [b""]
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        line = data[pos:end].decode(errors="replace")
+        key, *args = line.split() or [""]
         pos = end + 1
-        # Each data block is followed by a newline.
-        if key == b"POINTS":
-            n = int(args[0])
-            points = np.frombuffer(data, ">f8", 3 * n, pos).reshape(n, 3)[:, :2]
-            pos += 24 * n + 1
-        elif key in (b"CELLS", b"CELL_TYPES"):
-            pos += 4 * int(args[-1]) + 1      # int32 values, skipped
-        elif key == b"SCALARS":
-            name = args[0].decode()
-        elif key == b"LOOKUP_TABLE":
+        if key in _READ_ARG:
+            arg = args[_READ_ARG[key]] if args else ""
+            if not arg or key != "SCALARS" and not arg.isdecimal():
+                raise ValueError(f"{path}: malformed line {line!r}")
+        if key == "POINTS":
+            n = int(arg)
+            points = block(">f8", 3 * n).reshape(n, 3)[:, :2]
+        elif key in ("CELLS", "CELL_TYPES"):
+            block(">i4", int(arg))            # int32 values, skipped
+        elif key == "SCALARS":
+            name = arg
+        elif key == "LOOKUP_TABLE":
             if points is None or name is None:
                 raise ValueError(f"{path}: LOOKUP_TABLE before POINTS or "
                                  "SCALARS")
-            fields[name] = np.frombuffer(data, ">f8", n, pos).astype(float)
-            pos += 8 * n + 1
+            fields[name] = block(">f8", n).astype(float)
     if points is None:
         raise ValueError(f"{path}: no POINTS")
     return points.astype(float), fields

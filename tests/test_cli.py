@@ -395,8 +395,15 @@ class TestCliCommands:
     @pytest.mark.parametrize("body, message", [
         (b"", "no POINTS"),
         (b"POINT_DATA 3\nSCALARS u double 1\nLOOKUP_TABLE default\n",
-         "LOOKUP_TABLE before POINTS or SCALARS")],
-        ids=["header-only", "no-points"])
+         "LOOKUP_TABLE before POINTS or SCALARS"),
+        (b"SCALARS\n", "malformed line 'SCALARS'"),
+        (b"POINTS\n", "malformed line 'POINTS'"),
+        (b"CELLS\n", "malformed line 'CELLS'"),
+        (b"POINTS 3.5 double\n", "malformed line 'POINTS 3.5 double'"),
+        (b"POINTS 3 double\n" + bytes(40),
+         "data block after 'POINTS 3 double' is cut short")],
+        ids=["header-only", "no-points", "bare-scalars", "bare-points",
+             "bare-cells", "non-integer-count", "truncated-block"])
     def test_norms_rejects_malformed_binary_snapshot(self, tmp_path, capsys,
                                                      body, message):
         cfgfile = tmp_path / "c.txt"

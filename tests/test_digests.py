@@ -34,8 +34,10 @@ def test_workload_digest(tmp_path, name):
 
 
 # Short runs of the paths that no workload takes: the boundary terms of a
-# linear flux (solid-body rotation), ``low``, Burgers and the synchronized
-# system limiter. Each row: (RunConfig keywords, steps, state/CSV digest).
+# linear flux (solid-body rotation), ``low``, Burgers (``mcl.cs``, ``fct.cs``
+# and ``none``, antidiffusion without bar states), and the synchronized and
+# the sequential ``.scale`` system limiters. Each row: (RunConfig keywords,
+# steps, state/CSV digest).
 PATH_PINS = {
     "rotation-slotted-mcl": (
         {"benchmark": "solid_body_rotation", "body": "slotted", "h": 1 / 16,
@@ -57,6 +59,18 @@ PATH_PINS = {
         {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
          "limiter": "fct.scale", "system_limiter": "synchronized"},
         13, "8052c49b4bd5649b/6143bd4f3c5fba17"),
+    "burgers-none": (
+        {"benchmark": "burgers_riemann", "h": 1 / 16, "t_end": 0.05,
+         "limiter": "none"},
+        8, "23ad14dbbe1b84ea/40fd7b1de9052ae4"),
+    "burgers-fct": (
+        {"benchmark": "burgers_riemann", "h": 1 / 16, "t_end": 0.05,
+         "limiter": "fct.cs"},
+        8, "8ef95ad2fcbfb044/39f0995842522bf8"),
+    "dmr-mcl-scale": (
+        {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
+         "limiter": "mcl.scale"},
+        13, "c70c2cbfffc38891/6b8798fe05e406e1"),
 }
 
 

@@ -24,8 +24,7 @@ import idpfem.limiting as limiting_mod
 import idpfem.schemes as schemes_mod
 from conftest import perfbench_workloads, random_euler_states
 from idpfem.assembly import (BoundaryWork, ElementWork, LinearFlux,
-                             assemble, linear_flux, rusanov_viscosity,
-                             wave_speeds)
+                             assemble, linear_flux)
 from idpfem.config import RunConfig
 from idpfem.limiting import local_bounds
 from idpfem.mesh import (ElementGeometry, Mesh, MeshSystem, Workspace,
@@ -955,8 +954,10 @@ def test_linear_viscosity_is_max_abs_k_and_the_wave_speed_one(velocity,
     assert d.tobytes() == np.abs(k).max(axis=1).tobytes()
     u = np.random.default_rng(3).uniform(0.0, 1.0, (ms.n_dofs, 1))
     u_loc = ms.gather(u)
-    lam = wave_speeds(model, ms, u_loc, u_loc.mean(axis=1))
-    ref = rusanov_viscosity(lam, ms.geometry.c_norm)
+    geom = ms.geometry
+    lam = model.max_wave_speed(u_loc.mean(axis=1, keepdims=True), u_loc,
+                               geom.c_hat, geom.centroid[:, None, :])
+    ref = (lam * geom.c_norm).max(axis=1)
     assert np.abs(d - ref).max() <= 1e-15 * np.abs(ref).max()
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from idpfem.config import RunConfig
 from idpfem.mesh import (Mesh, MeshError, build_system, canonical_pairs,
-                         element_geometry, read_mesh, structured_rect,
-                         write_mesh)
+                         element_geometry, node_max, node_min, node_sum,
+                         read_mesh, structured_rect, write_mesh)
 from idpfem.runner import setup
 
 from conftest import p1_mass_matrix, random_triangle, single_triangle_system
@@ -247,3 +247,26 @@ def test_boundary_data_is_the_normal_at_the_boundary_dofs(periodic):
     assert ms.boundary_n.tobytes() == n.tobytes()
     assert ms.boundary_nlen.tobytes() == nlen.tobytes()
     assert ms.boundary_x.tobytes() == ms.dof_coords[dofs].tobytes()
+
+
+@pytest.mark.parametrize("reduce, oracle", [(node_sum, np.sum),
+                                            (node_min, np.min),
+                                            (node_max, np.max)],
+                         ids=["sum", "min", "max"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("tail", [(), (4,), (4, 2)],
+                         ids=["E3", "E3k", "E3k2"])
+def test_node_reductions_equal_numpy_bit_for_bit(reduce, oracle, order,
+                                                 tail):
+    """The written-out reductions over an element's three nodes give the
+    bytes of numpy's reduce over axis 1, NaNs included, and keep the node
+    axis with length 1, into ``out`` or a fresh array."""
+    a = np.random.default_rng(5).normal(size=(7, 3) + tail)
+    a.flat[::5] = np.nan
+    a = np.asarray(a, order=order)
+    ref = oracle(a, axis=1, keepdims=True)
+    out = np.empty(ref.shape, order=order)
+    for res in (reduce(a), reduce(a, out=out)):
+        assert res.shape == (7, 1) + tail
+        assert res.tobytes() == ref.tobytes()
+    assert reduce(a, out=out) is out
