@@ -69,7 +69,8 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         if args.command == "norms":
             return _cmd_norms(args)
-    except SOLVER_ERRORS as exc:
+    # as does an OSError: a file that cannot be read or written
+    except (*SOLVER_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2
@@ -173,6 +174,9 @@ def _cmd_check(args) -> int:
     product_rule, defects = limiting.product_rule_cs, []
 
     def checked(*args, **kwargs):
+        # the product rule limits f_k in place; the defects are relative to
+        # the unlimited f_k
+        args = args[:3] + (args[3].copy(),) + args[4:]
         result = product_rule(*args, **kwargs)
         defects.append(product_rule_defects(args, result))
         return result

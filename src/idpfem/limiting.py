@@ -25,8 +25,14 @@ def _one_per_element(shape):
 # Every function below that takes ``ws`` writes its element-sized
 # temporaries and its element-sized result into buffers of that
 # ``Workspace`` (``mesh.scratch``); without one they are fresh arrays.
-# Inputs are never written. A result that lives in ``ws`` is valid until
-# the next limiting call with the same ``ws``.
+# Inputs are not written, except the bound gaps a caller hands over,
+# which are used up, and the contributions of the system limiter, which
+# it limits in place. Temporaries borrow the buffers of the assembly's
+# element blocks that are spent once ``f_anti`` is formed (``asm.r_rus``,
+# ``asm.tmp``, ``asm.flux_loc``, ``asm.flux_bar`` and ``asm.ubar``; the
+# table in ``schemes`` lists what each holds when), so no input may live
+# in one of those. A result that lives in ``ws`` is valid until the next
+# limiting call or assembly with the same ``ws``.
 
 def _node_factors(f, fmin, fmax, tmp=None, out=None):
     """Per-node factors alpha_i in [0, 1]: fmax / f where f exceeds fmax,
@@ -82,7 +88,9 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     # np.clip in two passes, which together cost about half of one np.clip
     ft = np.maximum(f, fmin, out=out)
     np.minimum(ft, fmax, out=ft)
-    part = np.maximum(ft, 0.0, out=scratch(ws, "cs.part", f.shape))
+    # the positive part goes into the buffer of the assembly's f(u_i) (used
+    # up)
+    part = np.maximum(ft, 0.0, out=scratch(ws, "asm.flux_loc", f.shape))
     neg_part = np.minimum(ft, 0.0, out=ft)
 
     def buf(name):
@@ -145,9 +153,11 @@ class LimitResult:
 def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
     """gamma (lo - base) and gamma (hi - base) at the element nodes, for
     per-DOF lo, hi (n_dofs,) or (n_dofs, k) and base (E, 3) or (E, 3, k);
-    gamma broadcasts against base."""
+    gamma broadcasts against base. The lower gap goes into the buffer of
+    the Rusanov residual, scattered by then, and the upper one into that of
+    the viscous term, read last by f_anti."""
     gaps = []
-    for bound, name in ((lo, "gaps.fmin"), (hi, "gaps.fmax")):
+    for bound, name in ((lo, "asm.r_rus"), (hi, "asm.tmp")):
         g = ms.gather(bound, out=scratch(ws, name, base.shape))
         g -= base
         g *= gamma
@@ -198,26 +208,30 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     node, as those of both drivers do. ``gaps`` are the bound gaps gamma
     (lo_k - base_k) and gamma (hi_k - base_k), (E, 3, m - 1) each, when the
     caller has formed them; they are used up. Returns
-    (f_k_star, phi_lo, phi_hi): f_k_star in ``out`` when given, and the
-    per-DOF bounds (n_dofs, m - 1) on the specific values, stored with the
-    DOF index fastest.
+    (f_k_star, phi_lo, phi_hi): f_k_star in ``out`` when given, which may
+    be ``f_k`` itself, and the per-DOF bounds (n_dofs, m - 1) on the
+    specific values, stored with the DOF index fastest.
     """
     def buf(name, shape=f_k.shape):
-        return scratch(ws, "product." + name, shape)
+        return scratch(ws, name, shape)
 
     gam, rho = gamma[..., None], rho_bar_star[..., None]
-    # phibar (E, 1, m - 1); the density sums go where rs goes next
+    # phibar (E, 1, m - 1); the density sums go where rs goes next, into
+    # the buffer of the assembly's f(ubar) (used up)
     per_element = _one_per_element(f_k.shape)
-    phibar = node_sum(base_k, buf("phibar", per_element))
-    phibar /= node_sum(base_rho, buf("rs", per_element[:2]))[..., None]
-    rs = np.multiply(phibar, f_rho_star[..., None], out=buf("rs"))
+    phibar = node_sum(base_k, buf("product.phibar", per_element))
+    phibar /= node_sum(base_rho,
+                       buf("asm.flux_bar", per_element[:2]))[..., None]
+    rs = np.multiply(phibar, f_rho_star[..., None], out=buf("asm.flux_bar"))
     # bmin <= 0 <= bmax, because the bounds hold the base
     bmin, bmax = (_bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
                   if gaps is None else gaps)
-    # R_S: its per-element factor goes into the buffer of phibar (used up);
-    # the buffers of g and phi_eL are free until they are written below
-    phi = buf("phi_eL")
-    rs *= node_min(_node_factors(rs, bmin, bmax, out, phi), phibar)
+    # R_S: its per-element factor goes into the buffer of phibar (used up),
+    # its node factors into that of phi_eL, free until phi_eL is written
+    # below, and their intermediate into bmin, which they use up. phi_eL
+    # goes into the buffer of the assembly's f(u_i) (used up).
+    phi = buf("asm.flux_loc")
+    rs *= node_min(_node_factors(rs, bmin, bmax, bmin, phi), phibar)
 
     g = np.subtract(f_k, rs, out=out)
     phi = np.divide(rs, gam, out=phi)
@@ -228,7 +242,7 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     # gap buffers (used up); gamma rho_bar_star goes into the buffer of
     # phibar (used up)
     g_rho = np.multiply(gamma, rho_bar_star, out=buf(
-        "phibar", rho_bar_star.shape))[..., None]
+        "product.phibar", rho_bar_star.shape))[..., None]
     g_star = limit_scalar_contributions(ms, g, phi, g_rho, phi_lo, phi_hi,
                                         kind, ws, out=g).f_star
     g_star += rs
@@ -239,13 +253,14 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
     """Largest per-element alpha in a bisection family keeping all candidate
     states base + alpha f_star / gamma admissible. base: (E, 3, m). The
     factors (E,) go into ``ws`` when given."""
-    # the admissibility test's intermediates go into the buffer of the lower
-    # bound gap and the candidate states into that of the upper one, which
-    # the limiters before the fix have used up
-    tmp = scratch(ws, "gaps.fmin", base.shape[:2] + (2,))
+    # the admissibility test's intermediates go into the buffer of the
+    # Rusanov residual and the candidate states into that of the viscous
+    # term, where the bound gaps were, which the limiters before the fix
+    # have used up
+    tmp = scratch(ws, "asm.r_rus", base.shape[:2] + (2,))
     if not np.all(model.admissible(base, 0.0, tmp)):
         raise AdmissibilityError("idp_fix called with inadmissible base states")
-    cand = scratch(ws, "gaps.fmax", base.shape)
+    cand = scratch(ws, "asm.tmp", base.shape)
     gam = gamma[..., None]
 
     def ok(alpha=None):
@@ -285,41 +300,41 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     correction.
 
     f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
-    each (n_dofs, m). The bound gaps of all components are formed in one
-    pass; the sequential limiter takes the density's, then the products'.
+    each (n_dofs, m). ``f`` is limited in place: the result's ``f_star``
+    is ``f``, which a stage hands over to be used up. The bound gaps of all
+    components are formed in one pass; the sequential limiter takes the
+    density's, then the products'.
     """
     lo, hi = bounds
-    f_star = scratch(ws, "system.f_star", f.shape)
-    if f_star is None:
-        f_star = np.empty_like(f)
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
     if system == "sequential":
         f_rho_star = limit_scalar_contributions(
             ms, f[..., 0], base[..., 0], gamma, lo[:, 0], hi[:, 0], kind, ws,
-            out=f_star[..., 0], gaps=(fmin[..., 0], fmax[..., 0])).f_star
+            out=f[..., 0], gaps=(fmin[..., 0], fmax[..., 0])).f_star
+        # in the buffer of ubar (used up)
         rho_bar_star = np.divide(f_rho_star, gamma, out=scratch(
-            ws, "system.rho_bar_star", f_rho_star.shape))
+            ws, "asm.ubar", f_rho_star.shape))
         rho_bar_star = np.add(base[..., 0], rho_bar_star, out=rho_bar_star)
         if np.fmin.reduce(rho_bar_star, axis=None) <= 0:  # skips NaN
             raise AdmissibilityError(
                 "nonpositive intermediate density in product rule")
         product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
                         base[..., 0], base[..., 1:], gamma, lo[:, 1:],
-                        hi[:, 1:], kind, ws, out=f_star[..., 1:],
+                        hi[:, 1:], kind, ws, out=f[..., 1:],
                         gaps=(fmin[..., 1:], fmax[..., 1:]))
     elif system == "synchronized":
-        # the smallest scaling factor of all components; f_star's buffer
-        # takes an intermediate
-        alpha = node_min(_node_factors(f, fmin, fmax, f_star, scratch(
+        # the smallest scaling factor of all components; the node factors'
+        # intermediate goes into fmin, which they use up
+        alpha = node_min(_node_factors(f, fmin, fmax, fmin, scratch(
             ws, "scale.alpha_i", f.shape)), scratch(
                 ws, "scale.alpha", _one_per_element(f.shape)))
         alpha = np.min(alpha, axis=2, keepdims=True, out=scratch(
             ws, "system.alpha", alpha.shape[:2] + (1,)))
-        f_star = np.multiply(alpha, f, out=f_star)
+        np.multiply(alpha, f, out=f)
     else:
         raise ValueError(f"unknown system limiter {system!r}")
 
-    alpha_phi = idp_fix(model, base, f_star, gamma, ws=ws)
+    alpha_phi = idp_fix(model, base, f, gamma, ws=ws)
     if alpha_phi.min() < 1.0:                 # some element was limited
-        f_star *= alpha_phi[:, None, None]
-    return LimitResult(f_star=f_star, alpha=alpha_phi)
+        f *= alpha_phi[:, None, None]
+    return LimitResult(f_star=f, alpha=alpha_phi)

@@ -30,6 +30,29 @@ element blocks there, so the time loop allocates only per-DOF arrays
 and the IDP fix's boolean admissibility masks (see README, Performance).
 ``rhs`` and ``step`` return fresh arrays; ``last_alpha`` and
 ``last_bounds`` hold until the scheme's next stage.
+
+Once the assembly has formed ``f_anti``, only its ``u_loc``, ``bars``,
+``d`` and ``f_anti`` hold what the stage reads again: ``u_loc`` takes the
+FCT base (the gathered predictor), ``bars`` is the MCL base, and the system
+limiter limits ``f_anti`` in place. The CFL bound, the bound gaps, the
+limiters and the IDP fix keep their element temporaries in the other
+assembly buffers; gamma has one of its own. What each shared buffer
+holds, in stage order:
+
+============  ======================  ======================  ===============
+buffer        assembly                dt, gaps, limiters      IDP fix
+============  ======================  ======================  ===============
+asm.r_rus     Euler aux of ubar,      lower gaps; a scalar    admissibility
+              f(ubar) . c_i, r_rus    f_star                  intermediates
+asm.tmp       _dot and bar-state      2 d^e, then upper gaps  candidate
+              intermediates, visc                             states
+asm.flux_loc  wave-speed              clip-and-scale parts;   -
+              intermediates, f(u_i),  R_S node factors, then
+              mass term               phi_eL
+asm.flux_bar  f(ubar), sum of f(u_j)  product-rule density    -
+              / 3, sum of udot        sums, then rs
+asm.ubar      ubar                    rho_bar_star            -
+============  ======================  ======================  ===============
 """
 
 from __future__ import annotations
@@ -133,12 +156,19 @@ class SpatialScheme:
         return self._fresh_assembly(u, t) + (self._dt,)
 
     def _gamma_buffer(self):
-        """The (E, 1) buffer of gamma: that of dt's 2 d^e, used up by then."""
-        return scratch(self.ws, "scheme.d2", (self.ms.n_elements, 1))
+        """The (E, 1) buffer of gamma, the scheme's own: the limiters and
+        the IDP fix read gamma to the end of the stage, while their
+        temporaries take the spent assembly buffers."""
+        return scratch(self.ws, "scheme.gamma", (self.ms.n_elements, 1))
 
     def _dt_from_work(self, work, bwork) -> float:
-        d2 = np.multiply(2.0, work.d[:, None], out=scratch(
-            self.ws, "scheme.d2", self.ms.elem_dofs.shape))
+        # 2 d^e at the element nodes, in the buffer of the viscous term,
+        # read last by f_anti
+        shape = self.ms.elem_dofs.shape
+        d2 = scratch(self.ws, "asm.tmp", shape)
+        if d2 is None:
+            d2 = np.empty(shape, order="F")
+        np.multiply(2.0, work.d[:, None], out=d2)
         denom = self.ms.scatter_add(d2, self.ws)
         if bwork is not None:
             denom[bwork.dofs] += bwork.visc
@@ -156,7 +186,8 @@ class SpatialScheme:
     def _limit(self, f, base, gamma, bounds):
         """Limit the antidiffusive contributions ``f`` (E, 3, m) so that every
         ``base + f / gamma`` stays within the per-DOF ``bounds`` (lo, hi),
-        each (n_dofs, m)."""
+        each (n_dofs, m). ``f`` is used up: a system model limits it in
+        place."""
         lo, hi = self.last_bounds = bounds
         if self.model.m == 1:
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],

@@ -278,6 +278,29 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith("error: " + message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+        (["solve", "mesh.cfg"], "No such file or directory: 'missing.msh'"),
+        (["norms", "c.cfg", "missing.vtk", "--t", "0"],
+         "No such file or directory: 'missing.vtk'"),
+        (["mesh-gen", "--nx", "2", "--ny", "2", "--out", "nodir/x.msh"],
+         "No such file or directory: 'nodir/x.msh'"),
+        (["solve", "c.cfg", "--out", "c.cfg", "--quiet"],
+         "File exists: 'c.cfg'"),
+        (["solve", "."], "Is a directory: '.'")],
+        ids=["missing-config", "missing-mesh", "missing-snapshot",
+             "mesh-gen-missing-dir", "out-is-a-file", "config-is-a-dir"])
+    def test_file_error_exit_one(self, tmp_path, monkeypatch, capsys, argv,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(CONSTANT_CFG)
+        (tmp_path / "mesh.cfg").write_text(CONSTANT_CFG
+                                           + "mesh = missing.msh\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ")
+        assert err.endswith(f"] {message}\n")
+
     def test_mesh_gen_and_reuse(self, tmp_path, capsys):
         meshfile = tmp_path / "m.mesh"
         code = main(["mesh-gen", "--nx", "4", "--ny", "4", "--periodic",

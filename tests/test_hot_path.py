@@ -532,11 +532,14 @@ STEP_ALLOCATION_LIMIT = {"advect-mcl": 0.35e6, "advect-fct": 0.45e6,
                          "dmr-mcl": 1.5e6, "rotation-mcl": 0.35e6}
 # Largest size of the scheme's workspace after a warm step, in bytes. It was
 # 3.44, 4.03 and 14.98 MB while the assembly kept f(u_i) . c_i, the mass
-# term and the wave speeds in buffers of their own, and 3.28 MB on
-# advect-fct (now 2.92) while the stencil bounds kept a gathered field and
-# element candidates in two (E, 3) buffers.
-WORKSPACE_LIMIT = {"advect-mcl": 2.9e6, "advect-fct": 3.0e6,
-                   "dmr-mcl": 13.3e6, "rotation-mcl": 2.9e6}
+# term and the wave speeds in buffers of their own, 3.28 MB on advect-fct
+# while the stencil bounds kept a gathered field and element candidates in
+# two (E, 3) buffers, and 2.56, 2.39, 12.74 and 2.56 MB (advect-mcl,
+# advect-fct, dmr-mcl, rotation-mcl; now 1.84, 1.67, 8.35 and 1.84) while
+# the CFL bound, the bound gaps and the limiters kept their element
+# temporaries and the system limiter its result in buffers of their own.
+WORKSPACE_LIMIT = {"advect-mcl": 1.9e6, "advect-fct": 1.75e6,
+                   "dmr-mcl": 8.6e6, "rotation-mcl": 1.9e6}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))

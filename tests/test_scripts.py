@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts on tiny inputs."""
 
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -9,7 +10,8 @@ import pytest
 from idpfem.schemes import SCHEME_KEYS
 from idpfem.vtk_io import read_vtk_point_data
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -62,3 +64,21 @@ def test_run_dmr_rejects_an_unknown_limiter(tmp_path, capsys):
     assert exc.value.code == 2                 # argparse's usage error
     assert "invalid choice: 'mcl.banana'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workload", ["advect-mcl", "advect-fct", "dmr-mcl"])
+def test_ab_run_of_one_checkout_against_itself(capsys, workload):
+    main = load_script("ab_run").main
+    assert main(["--parent", str(ROOT), "--change", str(ROOT), "--workload",
+                 workload, "--smoke", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in lines[:-1]] == [["pair", "1"],
+                                                     ["pair", "2"]]
+    summary = json.loads(lines[-1])
+    assert summary["workload"] == workload and summary["pairs"] == 2
+    assert summary["states_equal"] is True
+    for side in ("parent", "change"):
+        assert summary[f"{side}_ms_per_step_median"] > 0.0
+        assert len(summary[f"{side}_ms_per_step_quartiles"]) == 3
+    assert summary["median_ratio"] > 0.0
+    assert summary["change_wins"] in ("0/2", "1/2", "2/2")
