@@ -16,11 +16,12 @@ Usage, from the root of the repository:
 
 Prints one line per pair with each side's ms per step (the wall time of
 the whole ``runner.run`` call, set-up and output included, over its
-steps) and their ratio, then one JSON line: per side the median and the
-quartiles of ms per step, the median of the per-pair change/parent
-ratios, the pairs the change won, and whether the two sides' final states
-were byte-equal in every pair. ``--smoke`` runs the workload's tiny-mesh
-configuration.
+steps) and their ratio, and each side's set-up time (its ``runner.setup``
+call inside that run), then one JSON line: per side the median and the
+quartiles of ms per step and of set-up ms, the median of the per-pair
+change/parent ratios of each, the pairs the change won on each, and
+whether the two sides' final states were byte-equal in every pair.
+``--smoke`` runs the workload's tiny-mesh configuration.
 """
 
 import argparse
@@ -41,6 +42,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SIDES = ("parent", "change")
+# Each timing, with the prefix of its ratio and wins keys in the summary.
+METRICS = {"ms_per_step": "", "setup_ms": "setup_"}
 
 
 def load_package(checkout, name: str):
@@ -61,7 +64,8 @@ def load_package(checkout, name: str):
 
 
 class Side:
-    """One checkout: its ``runner.run`` on the workload's configuration."""
+    """One checkout: its ``runner.run`` on the workload's configuration,
+    with the ``runner.setup`` that the run looks up wrapped in a timer."""
 
     def __init__(self, name: str, checkout, config: dict, out_dir):
         package = load_package(checkout, f"idpfem_{name}").__name__
@@ -69,13 +73,25 @@ class Side:
         run_config = importlib.import_module(package + ".config").RunConfig
         self.cfg = run_config(**config)
         self.out = pathlib.Path(out_dir) / name
+        self.setup_s = 0.0
+        setup = self.runner.setup
+
+        def timed_setup(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return setup(*args, **kwargs)
+            finally:
+                self.setup_s = time.perf_counter() - start
+
+        self.runner.setup = timed_setup
 
     def run(self) -> tuple:
-        """(ms per step, sha256 of the final state) of one whole run."""
+        """(ms per step, set-up ms, sha256 of the final state) of one whole
+        run."""
         start = time.perf_counter()
         result = self.runner.run(self.cfg, out_dir=self.out)
         elapsed = time.perf_counter() - start
-        return (1e3 * elapsed / result.steps,
+        return (1e3 * elapsed / result.steps, 1e3 * self.setup_s,
                 hashlib.sha256(result.u.tobytes()).hexdigest())
 
 
@@ -104,8 +120,8 @@ def main(argv=None) -> int:
                  f"{', '.join(sorted(WORKLOADS))}")
     config = WORKLOADS[args.workload].config(0, smoke=args.smoke)
 
-    ms = {side: [] for side in SIDES}
-    ratios, equal = [], True
+    times = {(metric, side): [] for metric in METRICS for side in SIDES}
+    equal = True
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: Side(side, getattr(args, side), config, tmp)
                  for side in SIDES}
@@ -115,21 +131,31 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 else SIDES[::-1]
             digests = {}
             for side in order:
-                ms_per_step, digests[side] = sides[side].run()
-                ms[side].append(ms_per_step)
+                *values, digests[side] = sides[side].run()
+                for metric, value in zip(METRICS, values):
+                    times[metric, side].append(value)
             equal &= digests["parent"] == digests["change"]
-            ratios.append(ms["change"][-1] / ms["parent"][-1])
-            print(f"pair {k:3d}  parent {ms['parent'][-1]:9.3f} ms  "
-                  f"change {ms['change'][-1]:9.3f} ms  "
-                  f"ratio {ratios[-1]:.4f}", flush=True)
+            ms, setup = ({side: times[metric, side][-1] for side in SIDES}
+                         for metric in METRICS)
+            print(f"pair {k:3d}  parent {ms['parent']:9.3f} ms  "
+                  f"change {ms['change']:9.3f} ms  "
+                  f"ratio {ms['change'] / ms['parent']:.4f}  "
+                  f"setup {setup['parent']:7.3f} / {setup['change']:7.3f} ms",
+                  flush=True)
 
     summary = {"workload": args.workload, "smoke": args.smoke,
                "pairs": args.pairs}
-    for side in SIDES:
-        summary[f"{side}_ms_per_step_median"] = statistics.median(ms[side])
-        summary[f"{side}_ms_per_step_quartiles"] = quartiles(ms[side])
-    summary["median_ratio"] = statistics.median(ratios)
-    summary["change_wins"] = f"{sum(r < 1.0 for r in ratios)}/{args.pairs}"
+    for metric, prefix in METRICS.items():
+        for side in SIDES:
+            summary[f"{side}_{metric}_median"] = statistics.median(
+                times[metric, side])
+            summary[f"{side}_{metric}_quartiles"] = quartiles(
+                times[metric, side])
+        ratios = [c / p for p, c in zip(times[metric, "parent"],
+                                        times[metric, "change"])]
+        summary[f"{prefix}median_ratio"] = statistics.median(ratios)
+        summary[f"{prefix}change_wins"] = \
+            f"{sum(r < 1.0 for r in ratios)}/{args.pairs}"
     summary["states_equal"] = equal
     print(json.dumps(summary))
     return 0

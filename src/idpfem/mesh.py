@@ -106,20 +106,29 @@ class Mesh:
         return self.triangles.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        a = p[:, 1] - p[:, 0]
-        b = p[:, 2] - p[:, 0]
-        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        return _signed_areas(_corners(self.nodes, self.triangles))
 
     def edges(self):
         """Yield each undirected edge (sorted node pair) with its multiplicity."""
         tri = self.triangles
         a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
         # One int64 key per pair sorts like the rows (lo, hi) lexicographically.
-        n = int(hi.max()) + 1 if hi.size else 1
-        keys, counts = np.unique(lo.astype(np.int64) * n + hi, return_counts=True)
-        uniq = np.stack([keys // n, keys % n], axis=1).astype(tri.dtype, copy=False)
+        n = int(b.max()) + 1 if b.size else 1
+        keys = np.minimum(a, b).astype(np.int64, copy=False)
+        keys *= n
+        keys += np.maximum(a, b, out=b)
+        keys.sort()
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        counts = np.empty_like(first)           # the run lengths
+        np.subtract(first[1:], first[:-1], out=counts[:-1])
+        counts[-1:] = keys.size - first[-1:]
+        keys = keys[first]
+        uniq = np.empty((first.size, 2), dtype=tri.dtype)
+        lo = np.floor_divide(keys, n, out=uniq[:, 0])   # (np.divmod costs more)
+        np.subtract(keys, lo * n, out=uniq[:, 1])
         return uniq, counts
 
     def validate(self) -> "Mesh":
@@ -127,28 +136,52 @@ class Mesh:
 
         Returns self for chaining. Raises :class:`MeshError` on any violation.
         """
+        self._validated()
+        return self
+
+    def _validated(self) -> tuple:
+        """:meth:`validate`, returning what its checks formed for
+        :func:`build_system`: the node coordinates of the reoriented
+        triangles, (E, 3, 2) with the element index fastest, and their
+        areas (E,)."""
         nodes = np.asarray(self.nodes, dtype=float)
-        tri = np.asarray(self.triangles, dtype=np.int64)
+        tri = np.asarray(self.triangles)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError("nodes must be an (N, 2) array")
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise MeshError("triangles must be an (E, 3) array")
+        # the extent of each coordinate, NaN or inf if any coordinate is
+        span = np.array([np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1])]) \
+            if nodes.size else np.zeros(2)
+        if not np.isfinite(span).all():
+            bad = int(np.argmin(np.isfinite(nodes).all(axis=1)))
+            raise MeshError(f"node {bad} has a non-finite coordinate "
+                            f"({nodes[bad, 0]:g}, {nodes[bad, 1]:g})")
         if tri.size and (tri.min() < 0 or tri.max() >= nodes.shape[0]):
             bad = int(np.argmax((tri < 0) | (tri >= nodes.shape[0])))
             raise MeshError(
                 f"triangle {bad // 3} references node index out of range "
                 f"(have {nodes.shape[0]} nodes)"
             )
+        if tri.dtype.kind == "f":
+            whole = tri == np.floor(tri)    # False for NaN, which min/max let by
+            if not whole.all():
+                bad = int(np.argmin(whole))
+                raise MeshError(f"triangle {bad // 3} has a non-integer node "
+                                f"index {tri.flat[bad]:g}")
+        tri = tri.astype(np.int64, copy=False)
         self.nodes = nodes
         self.triangles = tri
 
-        # Reorient clockwise triangles, then reject degenerate ones.
-        areas = self.signed_areas()
+        # Reorient clockwise triangles, then reject degenerate ones. A
+        # flipped triangle's area is the exact negative of its old one.
+        p = _corners(nodes, tri)
+        areas = _signed_areas(p)
         flip = areas < 0
         if flip.any():
             tri[flip] = tri[flip][:, [0, 2, 1]]
-            areas = np.abs(areas)
-        span = nodes.max(axis=0) - nodes.min(axis=0) if nodes.size else np.zeros(2)
+            p[flip] = p[flip][:, [0, 2, 1]]
+            np.abs(areas, out=areas)
         scale2 = max(float(span @ span), 1.0)
         if tri.size and areas.min() <= DEGENERATE_REL * scale2:
             e = int(np.argmin(areas))
@@ -163,7 +196,8 @@ class Mesh:
             if not isinstance(tag, str):
                 raise MeshError(f"boundary tag for edge ({i}, {j}) is not a string")
 
-        boundary_nodes = set(uniq[counts == 1].ravel().tolist())
+        if self.periodic_pairs:
+            boundary_nodes = set(uniq[counts == 1].ravel().tolist())
         for a, b in self.periodic_pairs.items():
             if a == b:
                 raise MeshError(f"node {a} periodically paired with itself")
@@ -173,7 +207,22 @@ class Mesh:
                 raise MeshError(f"inconsistent periodic pairing at node {a}")
             if a not in boundary_nodes or b not in boundary_nodes:
                 raise MeshError(f"periodic pair ({a}, {b}) involves a non-boundary node")
-        return self
+        return p, areas
+
+
+def _corners(nodes, tri) -> np.ndarray:
+    """The coordinates of the triangles' nodes, (E, 3, 2) with the element
+    index fastest."""
+    return np.asarray(nodes).T.take(np.asarray(tri).T, axis=1).T
+
+
+def _signed_areas(p) -> np.ndarray:
+    a = p[:, 1] - p[:, 0]
+    b = p[:, 2] - p[:, 0]
+    area = a[:, 0] * b[:, 1]
+    area -= a[:, 1] * b[:, 0]
+    area *= 0.5
+    return area
 
 
 @dataclass
@@ -196,36 +245,45 @@ class ElementGeometry:
 
 
 def element_geometry(mesh: Mesh) -> ElementGeometry:
-    p = mesh.nodes[mesh.triangles]          # (E, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    p = _corners(mesh.nodes, mesh.triangles)
+    area = _signed_areas(p)
     if area.size and area.min() <= 0:
         raise MeshError("element_geometry requires CCW-oriented, nondegenerate triangles")
+    return _geometry(p, area)
+
+
+def _geometry(p, area) -> ElementGeometry:
+    """The geometry of the elements with node coordinates ``p`` (E, 3, 2)
+    and positive areas ``area`` (E,)."""
     # grad(phi_i) = ((y_j - y_k), (x_k - x_j)) / (2 |K|), (i, j, k) cyclic
-    grad = np.empty((mesh.n_elements, 3, 2), order="F")
+    grad = np.empty((area.size, 3, 2), order="F")
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         grad[:, i, 0] = p[:, j, 1] - p[:, k, 1]
         grad[:, i, 1] = p[:, k, 0] - p[:, j, 0]
     grad /= (2.0 * area)[:, None, None]
     c = -area[:, None, None] * grad
-    c_norm = np.linalg.norm(c, axis=-1)
+    # the bits of np.linalg.norm(c, axis=-1) and of p.mean(axis=1)
+    c_norm = c[..., 0] * c[..., 0]
+    c_norm += c[..., 1] * c[..., 1]
+    np.sqrt(c_norm, out=c_norm)
     c_hat = c / np.maximum(c_norm, TINY)[..., None]
-    m_elem = area / 3.0
-    m_off = area / 12.0
-    centroid = np.asfortranarray(p.mean(axis=1))
-    return ElementGeometry(c=c, c_norm=c_norm, c_hat=c_hat, m_elem=m_elem,
-                           m_off=m_off, centroid=centroid)
+    centroid = np.add(p[:, 0], p[:, 1], out=np.empty((area.size, 2), order="F"))
+    centroid += p[:, 2]
+    centroid /= 3.0
+    return ElementGeometry(c=c, c_norm=c_norm, c_hat=c_hat, m_elem=area / 3.0,
+                           m_off=area / 12.0, centroid=centroid)
 
 
-def _dof_map(mesh: Mesh) -> tuple[np.ndarray, int]:
-    """Collapse periodically paired nodes onto shared degrees of freedom."""
-    rep = np.arange(mesh.n_nodes)           # smallest node of each group
+def _dof_map(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse periodically paired nodes onto shared degrees of freedom:
+    the dof of each node, and the lowest node of each dof's group."""
+    node = np.arange(mesh.n_nodes)
+    rep = node.copy()                       # smallest node of each group
     pairs = canonical_pairs(mesh.periodic_pairs.items())
     rep[list(pairs)] = list(pairs.values())
-    reps, dof_of_node = np.unique(rep, return_inverse=True)
-    return dof_of_node, len(reps)
+    first = rep == node
+    return (np.cumsum(first) - 1)[rep], np.flatnonzero(first)
 
 
 @dataclass
@@ -356,9 +414,13 @@ class MeshSystem:
 
 
 def build_system(mesh: Mesh) -> MeshSystem:
-    mesh.validate()
-    geom = element_geometry(mesh)
-    dof_of_node, n_dofs = _dof_map(mesh)
+    """Validate ``mesh`` (reorienting it in place) and form its system.
+
+    The element coordinates are gathered once, by the validation, whose
+    areas the geometry takes."""
+    geom = _geometry(*mesh._validated())
+    dof_of_node, first_node = _dof_map(mesh)
+    n_dofs = first_node.size
     elem_c = dof_of_node[mesh.triangles]
     elem_dofs = np.asfortranarray(elem_c)
 
@@ -378,17 +440,16 @@ def build_system(mesh: Mesh) -> MeshSystem:
     dof_pad = np.flatnonzero(slot >= valence)
 
     # Representative = lowest-index node of each identified group.
-    _, first_node = np.unique(dof_of_node, return_index=True)
     dof_coords = mesh.nodes[first_node]
 
     normal = np.stack([np.bincount(flat, weights=-geom.c[..., k].ravel(),
                                    minlength=n_dofs) for k in range(2)], axis=1)
     scale = np.sqrt(lumped.mean()) if n_dofs else 1.0
-    nrm = np.linalg.norm(normal, axis=1)
+    nrm = np.sqrt(normal[:, 0] * normal[:, 0] + normal[:, 1] * normal[:, 1])
     boundary_dofs = np.nonzero(nrm > 1e-12 * scale)[0]
 
     b_n = normal[boundary_dofs]
-    b_nlen = np.linalg.norm(b_n, axis=-1)
+    b_nlen = nrm[boundary_dofs]
     b_nhat = b_n / np.maximum(b_nlen, TINY)[:, None]
 
     return MeshSystem(

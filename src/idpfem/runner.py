@@ -52,10 +52,13 @@ def integrate(scheme: SpatialScheme, u: np.ndarray, controls: TimeControls,
 
     Every step takes ``controls.cfl`` times the IDP bound of ``scheme``,
     capped by ``controls.dt_max`` and by the time left. ``on_step(u, t, dt,
-    step)`` is called after each step. Returns ``(u, t, steps)``.
+    step)`` is called after each step. Returns ``(u, t, steps)``. The state
+    is stored with the DOF index fastest from the first step on, like every
+    per-DOF result it is combined with.
     """
     t_end = controls.t_end
     stage = scheme.stage_map()
+    u = np.asfortranarray(u)
     steps = 0
     while t < t_end - 1e-14 * max(t_end, 1.0):
         dt = compute_dt(scheme.dt_bound(u, t), controls.cfl, t, t_end,

@@ -136,7 +136,7 @@ class SpatialScheme:
             return self._dt
         work, bwork = self._fresh_assembly(u, t)
         dt = self._dt_from_work(work, bwork)
-        self._memo = (u.copy(), t, work, bwork, dt)
+        self._memo = (u.copy(order="K"), t, work, bwork, dt)
         return dt
 
     def _fresh_assembly(self, u, t):

@@ -313,6 +313,24 @@ class TestCliCommands:
                            f"t_end = 0.1\nout = {tmp_path / 'o'}\n")
         assert main(["solve", str(cfgfile), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("bench", ["constant", "advected_gaussian"])
+    def test_solve_non_finite_mesh_exit_one(self, tmp_path, capsys, bench):
+        meshfile = tmp_path / "m.mesh"
+        assert main(["mesh-gen", "--nx", "2", "--ny", "2", "--periodic",
+                     "--out", str(meshfile)]) == 0
+        lines = meshfile.read_text().splitlines()
+        lines[1 + 4] = "nan 0.5"                # node 4, the centre
+        meshfile.write_text("\n".join(lines) + "\n")
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(f"benchmark = {bench}\nmesh = {meshfile}\n"
+                           f"t_end = 0.1\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["solve", str(cfgfile), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            "error: node 4 has a non-finite coordinate (nan, 0.5)\n"
+
     @pytest.mark.parametrize("extent", [["--x0", "0.5", "--x1", "0.5"],
                                         ["--y0", "1", "--y1", "1"]])
     def test_mesh_gen_rejects_zero_extent(self, tmp_path, capsys, extent):

@@ -11,6 +11,7 @@ from idpfem.diagnostics import (AuditError, audit_step, csv_header,
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler, make_model
 from idpfem.schemes import SpatialScheme
+from idpfem.timestepping import TimeControls
 from reference import rd_weights
 
 
@@ -170,19 +171,22 @@ class TestAuditLayout:
 
     def test_fortran_ordered_run_writes_the_same_report(self, tmp_path,
                                                          monkeypatch):
-        """A DMR run started from a Fortran-ordered state keeps that order
-        and writes the bytes of a C-ordered run."""
+        """DMR runs set up with a C-ordered and with a Fortran-ordered
+        state write the same bytes; the time loop stores either state with
+        the DOF index fastest."""
         cfg = RunConfig(benchmark="dmr", h=1 / 8, t_end=0.004, audit_every=1)
-        c_run = runner.run(cfg, out_dir=tmp_path / "c")
         original = runner.setup
+        runs = {}
+        for side, order in (("c", np.ascontiguousarray),
+                            ("f", np.asfortranarray)):
+            def ordered_setup(cfg, order=order):
+                *rest, u0 = original(cfg)
+                return (*rest, order(u0))
 
-        def fortran_setup(cfg):
-            *rest, u0 = original(cfg)
-            return (*rest, np.asfortranarray(u0))
-
-        monkeypatch.setattr(runner, "setup", fortran_setup)
-        f_run = runner.run(cfg, out_dir=tmp_path / "f")
-        assert f_run.u.flags.f_contiguous and c_run.u.flags.c_contiguous
+            monkeypatch.setattr(runner, "setup", ordered_setup)
+            runs[side] = runner.run(cfg, out_dir=tmp_path / side)
+        f_run, c_run = runs["f"], runs["c"]
+        assert f_run.u.flags.f_contiguous and c_run.u.flags.f_contiguous
         assert c_run.steps > 2
         assert f_run.u.tobytes() == c_run.u.tobytes()
         for name in ("diagnostics.csv", "summary.txt"):
@@ -191,6 +195,19 @@ class TestAuditLayout:
                           if not line.startswith("wall_time_s")]
                          for side in ("f", "c")]
             assert got == want, name
+
+    def test_dmr_state_stays_dof_fastest_through_its_steps(self):
+        """The time loop stores the state as every per-DOF result is
+        stored, with the DOF index fastest, from a C-ordered start on."""
+        cfg = RunConfig(benchmark="dmr", h=1 / 8, t_end=0.004)
+        _, ms, _, scheme, u0 = runner.setup(cfg)
+        assert u0.flags.c_contiguous and not u0.flags.f_contiguous
+        orders = []
+        u, _, steps = runner.integrate(
+            scheme, u0, TimeControls(t_end=0.004),
+            on_step=lambda u, t, dt, step: orders.append(u.flags.f_contiguous))
+        assert steps > 2 and orders == [True] * steps
+        assert u.shape == (ms.n_dofs, 4) and u.flags.f_contiguous
 
 
 class TestErrorNorms:

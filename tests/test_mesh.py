@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +101,38 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="non-conforming"):
             Mesh(nodes=nodes, triangles=tris).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        nodes[2, 1] = bad
+        mesh = Mesh(nodes=nodes, triangles=np.array([[0, 1, 3], [0, 3, 2]]))
+        with pytest.raises(MeshError,
+                           match=rf"^node 2 has a non-finite coordinate "
+                                 rf"\(0, {bad:g}\)$"):
+            mesh.validate()
+
+    def test_non_finite_coordinate_in_a_mesh_file_rejected(self):
+        with pytest.raises(MeshError, match="node 1 has a non-finite"):
+            read_mesh("nodes 3\n0 0\nnan 0\n0 1\ntriangles 1\n0 1 2\n")
+
+    @pytest.mark.parametrize("index, message", [
+        (2.7, "triangle 0 has a non-integer node index 2.7"),
+        (np.nan, "triangle 0 has a non-integer node index nan"),
+        (np.inf, "triangle 0 references node index out of range")],
+        ids=["fraction", "nan", "inf"])
+    def test_non_integer_node_index_rejected(self, index, message):
+        mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    triangles=[[0, 1, index]])
+        with pytest.raises(MeshError, match=f"^{message}"):
+            mesh.validate()
+
+    def test_whole_number_float_indices_accepted(self):
+        mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    triangles=[[0.0, 2.0, 1.0]])
+        assert mesh.validate() is mesh
+        assert mesh.triangles.dtype == np.int64
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+
     def test_self_paired_periodic_node_rejected(self):
         mesh = structured_rect(2, 2)
         mesh.periodic_pairs = {0: 0}
@@ -182,9 +217,11 @@ class TestStructuredRect:
             structured_rect(3, 4, *extent)
 
     def test_setup_validates_each_mesh_once(self, monkeypatch):
+        # Mesh.validate and build_system both run the checks of
+        # Mesh._validated
         calls = []
-        original = Mesh.validate
-        monkeypatch.setattr(Mesh, "validate", lambda self: calls.append(1)
+        original = Mesh._validated
+        monkeypatch.setattr(Mesh, "_validated", lambda self: calls.append(1)
                             or original(self))
         setup(RunConfig(benchmark="advected_gaussian", h=1 / 8))
         assert len(calls) == 1
@@ -270,3 +307,95 @@ def test_node_reductions_equal_numpy_bit_for_bit(reduce, oracle, order,
         assert res.shape == (7, 1) + tail
         assert res.tobytes() == ref.tobytes()
     assert reduce(a, out=out) is out
+
+
+# A 3 x 2 rectangle read from text: two of its triangles (the first and the
+# last) are clockwise, and its periodic pairs are a chain over the four
+# corners (0-3, 11-3, 8-11) plus two side pairs, so reading it runs the
+# union-find of ``canonical_pairs`` and validating it reorients.
+PINNED_MESH_TEXT = """\
+nodes 12
+0 0
+1 0
+2 0
+3 0
+0 1
+1 1.25
+2 1
+3 1
+0 2
+1 2
+2 2
+3 2
+triangles 12
+0 5 1
+0 5 4
+1 2 6
+1 6 5
+2 3 7
+2 7 6
+4 5 9
+4 9 8
+5 6 10
+5 10 9
+6 7 11
+6 10 11
+periodic 5
+0 3
+11 3
+8 11
+4 7
+1 9
+"""
+
+
+def _mesh_system_digest(ms):
+    """sha256 prefix over every array of a MeshSystem and of its geometry:
+    each one's name, dtype, shape, memory order and bytes."""
+    h = hashlib.sha256()
+    arrays = {"nodes": ms.mesh.nodes, "triangles": ms.mesh.triangles}
+    arrays.update((f.name, getattr(ms.geometry, f.name))
+                  for f in dataclasses.fields(ms.geometry))
+    arrays.update((f.name, getattr(ms, f.name)) for f in dataclasses.fields(ms)
+                  if isinstance(getattr(ms, f.name), np.ndarray))
+    for name, a in arrays.items():
+        order = "C" if a.flags.c_contiguous else "F" if a.flags.f_contiguous \
+            else "-"
+        h.update(f"{name} {a.dtype.str} {a.shape} {order}\n".encode())
+        h.update(a.tobytes(order="A"))
+    h.update(str(ms.n_dofs).encode())
+    return h.hexdigest()[:16]
+
+
+# The mesh systems of the two benchmark meshes, a small periodic one and one
+# read from text, pinned byte for byte: a change to how set-up forms them
+# must leave every bit, dtype and memory order as it was.
+MESH_PINS = {
+    "advect-64x64-periodic": (
+        lambda: structured_rect(64, 64, periodic=True), "a6f263604468bf28"),
+    "dmr-128x32": (
+        lambda: structured_rect(128, 32, 0.0, 4.0, 0.0, 1.0),
+        "0baf25d6b42c2b61"),
+    "rect-7x5-periodic": (
+        lambda: structured_rect(7, 5, periodic=True), "769a419481e58e7f"),
+    "read-clockwise-corner-chain": (
+        lambda: read_mesh(PINNED_MESH_TEXT), "e1794298ca36bbab"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_PINS))
+def test_mesh_system_bytes_are_pinned(name):
+    make, digest = MESH_PINS[name]
+    assert _mesh_system_digest(build_system(make())) == digest
+
+
+@pytest.mark.parametrize("name", sorted(MESH_PINS))
+def test_element_geometry_equals_the_system_geometry(name):
+    # element_geometry(mesh) gathers the coordinates itself; on a validated
+    # mesh it gives the bits build_system forms from the validation's gather
+    ms = build_system(MESH_PINS[name][0]())
+    geom = element_geometry(ms.mesh)
+    for f in dataclasses.fields(geom):
+        a, b = getattr(geom, f.name), getattr(ms.geometry, f.name)
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+        assert a.tobytes(order="A") == b.tobytes(order="A")

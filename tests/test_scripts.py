@@ -78,7 +78,14 @@ def test_ab_run_of_one_checkout_against_itself(capsys, workload):
     assert summary["workload"] == workload and summary["pairs"] == 2
     assert summary["states_equal"] is True
     for side in ("parent", "change"):
-        assert summary[f"{side}_ms_per_step_median"] > 0.0
-        assert len(summary[f"{side}_ms_per_step_quartiles"]) == 3
-    assert summary["median_ratio"] > 0.0
-    assert summary["change_wins"] in ("0/2", "1/2", "2/2")
+        for metric in ("ms_per_step", "setup_ms"):
+            assert summary[f"{side}_{metric}_median"] > 0.0
+            assert len(summary[f"{side}_{metric}_quartiles"]) == 3
+    for prefix in ("", "setup_"):
+        assert summary[f"{prefix}median_ratio"] > 0.0
+        assert summary[f"{prefix}change_wins"] in ("0/2", "1/2", "2/2")
+    # each pair line ends with both sides' set-up times
+    for line in lines[:-1]:
+        setup = line.split("setup")[1].split()
+        assert setup[1] == "/" and setup[3] == "ms"
+        assert float(setup[0]) > 0.0 and float(setup[2]) > 0.0
