@@ -113,8 +113,9 @@ def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
     """Riemann-averaged intermediate states from f(ubar) . c_i and
     f(u_i) . c_i (E, 3, m), the nodal states u_loc (E, 3, m), their mean
     ubar (E, 1, m) and d (E,); arithmetic mean where d = 0. ``out`` takes
-    the result and ``tmp`` (same shape) an intermediate when given;
-    neither may be an input."""
+    the result and ``tmp`` (same shape) an intermediate when given; ``tmp``
+    may be no input, and ``out`` no input but ``fi_c``, which is read
+    before ``out`` is written."""
     df = np.subtract(fbar_c, fi_c, out=tmp)
     # 2 max(d, TINY) in the first column of out, until the mean goes there
     den = np.maximum(d, TINY, out=None if out is None else out[:, 0, 0])
@@ -178,11 +179,12 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         fbar_c = np.multiply(ubar, lin.k[:, :, None], out=buf("r_rus"))
     else:
         # What the fluxes and the wave speeds share (the Euler pressure),
-        # in the buffers of f_anti and r_rus until those are formed
-        aux_loc = model.aux(u_loc, out=buf("f_anti", blk[:2]),
-                            tmp=buf("tmp", blk[:2]))
+        # in the buffers of tmp and r_rus until those are formed, with
+        # their intermediates where the wave speeds go next
+        aux_loc = model.aux(u_loc, out=buf("tmp", blk[:2]),
+                            tmp=buf("bars", blk[:2]))
         aux_bar = model.aux(ubar, out=buf("r_rus", (n_e, 1)),
-                            tmp=buf("tmp", (n_e, 1)))
+                            tmp=buf("bars", (n_e, 1)))
         x_bar = geom.centroid[:, None, :]
         # the wave speeds between ubar and each node go where the bar
         # states (if formed) go later, their intermediates where f(u_i)
@@ -200,16 +202,21 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
         # f(ubar) . c_i goes where r_rus, formed from it, goes
         fbar_c = _dot(flux_bar, geom.c, out=buf("r_rus"), tmp=tmp)
         if with_bar_states:
-            # f(u_i) . c_i is read only by the bar states; f_anti
-            # overwrites it
-            fi_c = _dot(flux_loc, geom.c, out=buf("f_anti"), tmp=tmp)
-            bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=buf("bars"),
+            # f(u_i) . c_i is read only by the bar states, which overwrite
+            # it
+            fi_c = _dot(flux_loc, geom.c, out=buf("bars"), tmp=tmp)
+            bars = bar_states(fbar_c, fi_c, u_loc, ubar, d, out=fi_c,
                               tmp=tmp)
         if with_antidiffusion:
-            # (sum_j f(u_j) / 3) . c_i, completed to f_anti below
+            # (sum_j f(u_j) / 3) . c_i, completed to f_anti below, in the
+            # second half of the flux tensor's buffer, spent once summed
+            # (the mass term takes the first); without a workspace a
+            # fresh array
             sum_flux = node_sum(flux_loc, out=flux_bar)  # (E, 1, m, 2)
             sum_flux /= 3.0
-            f_anti = _dot(sum_flux, geom.c, out=buf("f_anti"), tmp=tmp)
+            f_anti = _dot(sum_flux, geom.c,
+                          out=None if ws is None else flux_loc[..., 1],
+                          tmp=tmp)
         visc = np.subtract(ubar, u_loc, out=tmp)
         visc *= d[:, None, None]
 
@@ -230,6 +237,7 @@ def assemble(ms: MeshSystem, model, u: np.ndarray, t: float = 0.0,
 
     # Element mass term: sum_j m_ij (udot_i - udot_j) = (|K|/12)(3 udot_i - sum_j udot_j),
     # formed in the gathered udot, in the buffers of the used-up fluxes
+    # (the first half of the flux tensor's)
     mass = ms.gather(udot, out=buf("flux_loc"))
     udot_sum = node_sum(mass, out=buf("flux_bar", (n_e, 1, m)))
     mass *= 3.0

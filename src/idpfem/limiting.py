@@ -29,10 +29,12 @@ def _one_per_element(shape):
 # which are used up, and the contributions of the system limiter, which
 # it limits in place. Temporaries borrow the buffers of the assembly's
 # element blocks that are spent once ``f_anti`` is formed (``asm.r_rus``,
-# ``asm.tmp``, ``asm.flux_loc``, ``asm.flux_bar`` and ``asm.ubar``; the
-# table in ``schemes`` lists what each holds when), so no input may live
-# in one of those. A result that lives in ``ws`` is valid until the next
-# limiting call or assembly with the same ``ws``.
+# ``asm.tmp``, the first half of ``asm.flux_loc``, ``asm.flux_bar``,
+# ``asm.ubar`` and ``asm.u_loc``; the table in ``schemes`` lists what each
+# holds when), so no input may live in one of those. The per-element sums
+# of clip-and-scale and of the product rule go into ``asm.u_loc``, which
+# the bases of both drivers leave free. A result that lives in ``ws`` is
+# valid until the next limiting call or assembly with the same ``ws``.
 
 def _node_factors(f, fmin, fmax, tmp=None, out=None):
     """Per-node factors alpha_i in [0, 1]: fmax / f where f exceeds fmax,
@@ -58,10 +60,13 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
 
     Returns (f_star, alpha_elem). Shapes: f, fmin, fmax (E, 3) or (E, 3,
     k), one factor per element and component. f_star goes into ``out``
-    (which may be ``f``) when given.
+    (which may be ``f`` or ``fmin``) when given. With a workspace ``ws``
+    the bound gaps are used up, as everywhere in a stage: the node factors
+    go into ``fmax`` and their intermediate into ``fmin``. Without one
+    they are fresh and the gaps are not written.
     """
-    alpha_i = _node_factors(f, fmin, fmax, scratch(ws, "scale.tmp", f.shape),
-                            scratch(ws, "scale.alpha_i", f.shape))
+    alpha_i = _node_factors(f, fmin, fmax, *(
+        (None, None) if ws is None else (fmin, fmax)))
     alpha = node_min(alpha_i, scratch(ws, "scale.alpha",
                                       _one_per_element(f.shape)))
     if out is None:
@@ -89,17 +94,15 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     ft = np.maximum(f, fmin, out=out)
     np.minimum(ft, fmax, out=ft)
     # the positive part goes into the buffer of the assembly's f(u_i) (used
-    # up)
+    # up), the four per-element sums into one view of that of u_i (used up)
     part = np.maximum(ft, 0.0, out=scratch(ws, "asm.flux_loc", f.shape))
     neg_part = np.minimum(ft, 0.0, out=ft)
-
-    def buf(name):
-        return scratch(ws, "cs." + name, _one_per_element(f.shape))
-
-    pos = node_sum(part, buf("pos"))
-    neg = node_sum(neg_part, buf("neg"))
+    sums = scratch(ws, "asm.u_loc", _one_per_element(f.shape) + (4,))
+    pos, neg, q, kept = (None if sums is None else sums[..., j]
+                         for j in range(4))
+    pos = node_sum(part, pos)
+    neg = node_sum(neg_part, neg)
     np.negative(neg, out=neg)                 # the size of the negative part
-    q, kept = buf("q"), buf("kept")
     for side, this, other in ((part, pos, neg), (neg_part, neg, pos)):
         q = np.maximum(this, TINY, out=q)
         np.divide(other, q, out=q)
@@ -152,14 +155,22 @@ class LimitResult:
 
 def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
     """gamma (lo - base) and gamma (hi - base) at the element nodes, for
-    per-DOF lo, hi (n_dofs,) or (n_dofs, k) and base (E, 3) or (E, 3, k);
-    gamma broadcasts against base. The lower gap goes into the buffer of
-    the Rusanov residual, scattered by then, and the upper one into that of
-    the viscous term, read last by f_anti."""
+    per-DOF lo, hi (n_dofs,) or (n_dofs, k) and base (E, 3) or (E, 3, k)
+    at the element nodes, or per DOF, shaped like lo; gamma broadcasts
+    against the gaps. A per-DOF base is subtracted before the gather:
+    each gap is the same subtraction of the same two numbers, so the bits
+    are those of a gathered base, which is not formed. The lower gap goes
+    into the buffer of the Rusanov residual, scattered by then, and the
+    upper one into that of the viscous term, read last by f_anti."""
+    shape = ms.elem_dofs.shape + lo.shape[1:]
     gaps = []
     for bound, name in ((lo, "asm.r_rus"), (hi, "asm.tmp")):
-        g = ms.gather(bound, out=scratch(ws, name, base.shape))
-        g -= base
+        out = scratch(ws, name, shape)
+        if base.ndim == bound.ndim:           # per DOF
+            g = ms.gather(bound - base, out=out)
+        else:
+            g = ms.gather(bound, out=out)
+            g -= base
         g *= gamma
         gaps.append(g)
     return gaps
@@ -169,12 +180,13 @@ def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
                                kind: str, ws=None, out=None,
                                gaps=None) -> LimitResult:
     """The one entry of scalar limiting, by the limiter ``kind`` ("scale"
-    or "cs"): f, base are (E, 3), or (E, 3, k) blocks as the product rule
-    passes them; gamma broadcasts against base; lo, hi are per DOF.
-    ``gaps`` are the bound gaps gamma (lo - base) and gamma (hi - base),
-    shaped like f, when the caller has formed them. f_star goes into
-    ``out`` when given, else into the lower bound gap, which the limiter
-    has used up; alpha is None for "cs"."""
+    or "cs"): f is (E, 3), or (E, 3, k) as the product rule passes it;
+    base is shaped like f, or per DOF like lo (see ``_bound_gaps``); gamma
+    broadcasts against f; lo, hi are per DOF. ``gaps`` are the bound gaps
+    gamma (lo - base) and gamma (hi - base), shaped like f, when the
+    caller has formed them; base is not read then. The limiter uses up the
+    gaps. f_star goes into ``out`` when given, else into the lower bound
+    gap; alpha is None for "cs"."""
     fmin, fmax = (_bound_gaps(ms, lo, hi, base, gamma, ws) if gaps is None
                   else gaps)
     out = fmin if out is None else out
@@ -216,10 +228,11 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
         return scratch(ws, name, shape)
 
     gam, rho = gamma[..., None], rho_bar_star[..., None]
-    # phibar (E, 1, m - 1); the density sums go where rs goes next, into
-    # the buffer of the assembly's f(ubar) (used up)
+    # phibar (E, 1, m - 1), in the buffer of the assembly's u_i (used up);
+    # the density sums go where rs goes next, into the buffer of the
+    # assembly's f(ubar) (used up)
     per_element = _one_per_element(f_k.shape)
-    phibar = node_sum(base_k, buf("product.phibar", per_element))
+    phibar = node_sum(base_k, buf("asm.u_loc", per_element))
     phibar /= node_sum(base_rho,
                        buf("asm.flux_bar", per_element[:2]))[..., None]
     rs = np.multiply(phibar, f_rho_star[..., None], out=buf("asm.flux_bar"))
@@ -240,9 +253,10 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phi_lo, phi_hi = ms.scatter_min_max(phi, ws)
     # g_min = gamma rho_bar_star (phi_lo - phi_eL) <= 0 and g_max >= 0, in the
     # gap buffers (used up); gamma rho_bar_star goes into the buffer of
-    # phibar (used up)
+    # phibar (used up), which the sums of the limiter take once the gaps
+    # are formed
     g_rho = np.multiply(gamma, rho_bar_star, out=buf(
-        "product.phibar", rho_bar_star.shape))[..., None]
+        "asm.u_loc", rho_bar_star.shape))[..., None]
     g_star = limit_scalar_contributions(ms, g, phi, g_rho, phi_lo, phi_hi,
                                         kind, ws, out=g).f_star
     g_star += rs
@@ -323,11 +337,10 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
                         hi[:, 1:], kind, ws, out=f[..., 1:],
                         gaps=(fmin[..., 1:], fmax[..., 1:]))
     elif system == "synchronized":
-        # the smallest scaling factor of all components; the node factors'
-        # intermediate goes into fmin, which they use up
-        alpha = node_min(_node_factors(f, fmin, fmax, fmin, scratch(
-            ws, "scale.alpha_i", f.shape)), scratch(
-                ws, "scale.alpha", _one_per_element(f.shape)))
+        # the smallest scaling factor of all components; the node factors
+        # go into fmax and their intermediate into fmin, which they use up
+        alpha = node_min(_node_factors(f, fmin, fmax, fmin, fmax), scratch(
+            ws, "scale.alpha", _one_per_element(f.shape)))
         alpha = np.min(alpha, axis=2, keepdims=True, out=scratch(
             ws, "system.alpha", alpha.shape[:2] + (1,)))
         np.multiply(alpha, f, out=f)

@@ -190,7 +190,8 @@ class Mesh:
         uniq, counts = self.edges()
         if counts.size and counts.max() > 2:
             e = uniq[np.argmax(counts)]
-            raise MeshError(f"non-conforming mesh: edge {tuple(e)} shared by >2 triangles")
+            raise MeshError(f"non-conforming mesh: edge {tuple(e.tolist())} "
+                            "shared by >2 triangles")
 
         for (i, j), tag in self.boundary_tags.items():
             if not isinstance(tag, str):
@@ -242,14 +243,6 @@ class ElementGeometry:
     m_elem: np.ndarray                      # (E,)  = area / 3
     m_off: np.ndarray                       # (E,)  = area / 12
     centroid: np.ndarray                    # (E, 2)
-
-
-def element_geometry(mesh: Mesh) -> ElementGeometry:
-    p = _corners(mesh.nodes, mesh.triangles)
-    area = _signed_areas(p)
-    if area.size and area.min() <= 0:
-        raise MeshError("element_geometry requires CCW-oriented, nondegenerate triangles")
-    return _geometry(p, area)
 
 
 def _geometry(p, area) -> ElementGeometry:
@@ -344,39 +337,64 @@ class MeshSystem:
         return x.T.take(self.elem_dofs.T, axis=-1, mode="clip",
                         out=None if out is None else out.T).T
 
-    def _rows(self, vals: np.ndarray, ws=None) -> np.ndarray:
-        """The C-ordered (m, V, n_dofs) block, or (V, n_dofs), whose column
-        d holds the (E, 3) or (E, 3, m) ``vals`` at DOF d, padding included:
-        one ``np.take``, into the workspace ``ws`` when given."""
+    def _components(self, vals: np.ndarray) -> np.ndarray:
+        """The (E, 3) or (E, 3, m) ``vals`` as (m, 3 E) rows (m = 1 for
+        (E, 3)) in the element-fastest flattening that ``dof_table``
+        indexes: a view of element-fastest values."""
         if vals.shape[:2] != self.elem_dofs.shape:
             raise ValueError(f"scatter takes an {self.elem_dofs.shape} element "
                              f"block, not {vals.shape[:2]}")
-        flat = vals.T.reshape(vals.shape[:1:-1] + (-1,))
-        rows = scratch(ws, "mesh.rows",
-                       self.dof_table.shape[::-1] + vals.shape[2:])
-        return flat.take(self.dof_table, axis=-1, mode="clip",
-                         out=None if rows is None else rows.T)
+        return vals.T.reshape(-1, vals.shape[0] * 3)
 
-    # Every reduction runs unmasked over the whole row block (a where= mask
-    # over it costs several times more) into fresh contiguous (m, n_dofs)
-    # rows, which are returned transposed: DOF-fastest, with no copy.
+    def _row_blocks(self, flat: np.ndarray, table: np.ndarray, ws=None):
+        """For each row of ``flat`` (m, n), one component, yield the
+        C-ordered (V, n_dofs) block whose column d holds the row's values
+        at the positions in column d of ``table`` (V, n_dofs): one
+        ``np.take`` per component, each into the one row block of the
+        workspace ``ws`` when given."""
+        rows = scratch(ws, "mesh.rows", table.shape[::-1])
+        for component in flat:
+            yield component.take(table, mode="clip",
+                                 out=None if rows is None else rows.T)
+
+    # Every reduction runs unmasked over a whole row block (a where= mask
+    # over it costs several times more) into a row of a fresh contiguous
+    # (m, n_dofs) result, which is returned transposed: DOF-fastest, with
+    # no copy. One component is reduced at a time, in the same order per
+    # DOF as over an (m, V, n_dofs) block, so the row block is (V, n_dofs).
 
     def scatter_add(self, vals: np.ndarray, ws=None) -> np.ndarray:
         """Sum (E, 3) or (E, 3, m) values onto the DOFs, in element order
         from 0.0."""
-        rows = self._rows(vals, ws)
-        if self.dof_pad.size:
-            # A sum from +0.0 is never -0.0, so adding +0.0 for each padding
-            # slot after the real entries changes no bit.
-            rows.reshape(rows.shape[:-2] + (-1,))[..., self.dof_pad] = 0.0
-        return np.add.reduce(rows, axis=-2, initial=0.0).T
+        flat = self._components(vals)
+        total = np.empty((len(flat), self.n_dofs))
+        for rows, out in zip(self._row_blocks(flat, self.dof_table, ws),
+                             total):
+            if self.dof_pad.size:
+                # A sum from +0.0 is never -0.0, so adding +0.0 for each
+                # padding slot after the real entries changes no bit.
+                rows.reshape(-1)[self.dof_pad] = 0.0
+            np.add.reduce(rows, axis=0, initial=0.0, out=out)
+        return total.T.reshape((self.n_dofs,) + vals.shape[2:])
+
+    def _min_max(self, flat: np.ndarray, table: np.ndarray, ws,
+                 shape: tuple) -> tuple:
+        """The smallest and the largest value of each component of
+        ``flat`` over each column of ``table`` (see ``_row_blocks``),
+        each shaped ``shape``, (n_dofs,) or (n_dofs, m)."""
+        lo = np.empty((len(flat), self.n_dofs))
+        hi = np.empty_like(lo)
+        for rows, lo_k, hi_k in zip(self._row_blocks(flat, table, ws), lo,
+                                    hi):
+            np.minimum.reduce(rows, axis=0, out=lo_k)
+            np.maximum.reduce(rows, axis=0, out=hi_k)
+        return lo.T.reshape(shape), hi.T.reshape(shape)
 
     def scatter_min_max(self, vals: np.ndarray, ws=None) -> tuple:
         """The smallest and the largest (E, 3) or (E, 3, m) value at each
-        DOF, from one row block."""
-        rows = self._rows(vals, ws)
-        return (np.minimum.reduce(rows, axis=-2).T,
-                np.maximum.reduce(rows, axis=-2).T)
+        DOF, from one row block per component."""
+        return self._min_max(self._components(vals), self.dof_table, ws,
+                             (self.n_dofs,) + vals.shape[2:])
 
     @cached_property
     def stencil_table(self) -> np.ndarray:
@@ -399,18 +417,15 @@ class MeshSystem:
     def stencil_min_max(self, x: np.ndarray, ws=None) -> tuple:
         """Smallest and largest per-DOF value ``x`` (n_dofs,) or (n_dofs,
         m) over each DOF's stencil (the DOFs it shares an element with,
-        itself included): one ``np.take`` through ``stencil_table`` into
-        the row block of the scatters, then one reduction each. Fresh
-        results shaped like ``x``, stored with the DOF index fastest."""
+        itself included): per component, one ``np.take`` through
+        ``stencil_table`` into the row block of the scatters, then one
+        reduction each. Fresh results shaped like ``x``, stored with the
+        DOF index fastest."""
         if x.shape[0] != self.n_dofs:
             raise ValueError(f"stencil_min_max takes {self.n_dofs} DOF "
                              f"values, not {x.shape[0]}")
-        table = self.stencil_table
-        rows = scratch(ws, "mesh.rows", table.shape[::-1] + x.shape[1:])
-        rows = x.T.take(table, axis=-1, mode="clip",
-                        out=None if rows is None else rows.T)
-        return (np.minimum.reduce(rows, axis=-2).T,
-                np.maximum.reduce(rows, axis=-2).T)
+        return self._min_max(x.T.reshape(-1, self.n_dofs),
+                             self.stencil_table, ws, x.shape)
 
 
 def build_system(mesh: Mesh) -> MeshSystem:

@@ -31,27 +31,43 @@ and the IDP fix's boolean admissibility masks (see README, Performance).
 ``rhs`` and ``step`` return fresh arrays; ``last_alpha`` and
 ``last_bounds`` hold until the scheme's next stage.
 
-Once the assembly has formed ``f_anti``, only its ``u_loc``, ``bars``,
-``d`` and ``f_anti`` hold what the stage reads again: ``u_loc`` takes the
-FCT base (the gathered predictor), ``bars`` is the MCL base, and the system
-limiter limits ``f_anti`` in place. The CFL bound, the bound gaps, the
-limiters and the IDP fix keep their element temporaries in the other
-assembly buffers; gamma has one of its own. What each shared buffer
-holds, in stage order:
+Once the assembly has formed ``f_anti``, only its ``bars``, ``d`` and
+``f_anti`` hold what the stage reads again: ``bars`` is the base (the MCL
+bar states, or the FCT predictor gathered there for a system model; a
+scalar FCT stage forms its bound gaps from the predictor per DOF and
+gathers no base), and the system limiter limits ``f_anti`` in place. On
+the flux path (every model without a linear flux) ``f_anti`` lives in the
+second half of ``asm.flux_loc``, whose first half holds the mass term; the
+limiters borrow views of at most (E, 3, m), the first half, so they never
+reach it. The CFL bound, the bound gaps, the limiters and the IDP fix keep
+their element temporaries in the other assembly buffers; gamma has one of
+its own. What each shared buffer holds, in stage order:
 
 ============  ======================  ======================  ===============
 buffer        assembly                dt, gaps, limiters      IDP fix
 ============  ======================  ======================  ===============
-asm.r_rus     Euler aux of ubar,      lower gaps; a scalar    admissibility
-              f(ubar) . c_i, r_rus    f_star                  intermediates
-asm.tmp       _dot and bar-state      2 d^e, then upper gaps  candidate
-              intermediates, visc                             states
-asm.flux_loc  wave-speed              clip-and-scale parts;   -
-              intermediates, f(u_i),  R_S node factors, then
-              mass term               phi_eL
+asm.r_rus     Euler aux of ubar,      lower gaps, then the    admissibility
+              f(ubar) . c_i, r_rus    node factors'           intermediates
+                                      intermediates; a scalar
+                                      f_star
+asm.tmp       Euler aux of u_i; _dot  2 d^e, then upper gaps, candidate
+              and bar-state           then the scaling        states
+              intermediates, visc     limiter's node factors
+asm.flux_loc  wave-speed              half 0: clip-and-scale  -
+              intermediates, f(u_i);  parts; R_S node
+              mass term in half 0,    factors, then phi_eL
+              f_anti in half 1
 asm.flux_bar  f(ubar), sum of f(u_j)  product-rule density    -
               / 3, sum of udot        sums, then rs
 asm.ubar      ubar                    rho_bar_star            -
+asm.u_loc     u_i                     clip-and-scale sums     -
+                                      (one (E, 1, k, 4)
+                                      view), phibar, gamma
+                                      rho_bar_star
+asm.bars      Euler aux               the base: MCL bar       base
+              intermediates, wave     states, FCT gathered
+              speeds, f(u_i) . c_i,   predictor
+              then the bar states
 ============  ======================  ======================  ===============
 """
 
@@ -186,8 +202,9 @@ class SpatialScheme:
     def _limit(self, f, base, gamma, bounds):
         """Limit the antidiffusive contributions ``f`` (E, 3, m) so that every
         ``base + f / gamma`` stays within the per-DOF ``bounds`` (lo, hi),
-        each (n_dofs, m). ``f`` is used up: a system model limits it in
-        place."""
+        each (n_dofs, m). ``base`` is (E, 3, m) at the element nodes, or
+        for a scalar model (n_dofs, 1) per DOF. ``f`` is used up: a system
+        model limits it in place."""
         lo, hi = self.last_bounds = bounds
         if self.model.m == 1:
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
@@ -252,8 +269,12 @@ class SpatialScheme:
                           out=self._gamma_buffer())             # (E, 1)
         bounds = local_bounds(ms, u_low, work.bar_states, "stencil", bwork,
                               self.ws)
-        # u_loc is not read again in this stage
-        base = ms.gather(u_low, out=work.u_loc)
+        # A scalar limiter forms its bound gaps from the predictor per DOF,
+        # without gathering it; the system limiter reads the base at the
+        # element nodes, gathered where an MCL stage keeps its bar states
+        # (FCT forms none), so that u_loc is free for the limiter's sums.
+        base = u_low if self.model.m == 1 else ms.gather(
+            u_low, out=scratch(self.ws, "asm.bars", work.u_loc.shape))
         f_star = self._limit(work.f_anti, base, gamma, bounds)
         corr = ms.scatter_add(f_star, self.ws)
         return u_low + dt * corr / ms.lumped_mass[:, None]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,38 @@ class TestVtk:
         data = vtk_bytes(ms, u, model, grid)
         assert data == vtk_bytes(ms, u, model)
         assert data.startswith(grid) and grid.endswith(b"POINT_DATA 16\n")
+
+    @pytest.mark.parametrize("euler", [False, True])
+    def test_write_vtk_writes_vtk_bytes(self, tmp_path, rng, euler):
+        """``write_vtk`` writes its parts to the file one by one; the file
+        holds exactly ``vtk_bytes``, with and without a kept grid, on a
+        periodic mesh (DOFs expanded to nodes)."""
+        ms = build_system(structured_rect(4, 3, periodic=True))
+        model = Euler() if euler else None
+        u = (model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
+                             rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
+                             rng.uniform(0.5, 2.0, ms.n_dofs)) if euler
+             else rng.uniform(size=(ms.n_dofs, 1)))
+        for grid in (None, vtk_grid(ms)):
+            path = tmp_path / "s.vtk"
+            write_vtk(path, ms, u, model, grid)
+            assert path.read_bytes() == vtk_bytes(ms, u, model)
+
+    def test_write_vtk_forms_no_joined_snapshot(self, tmp_path):
+        """The traced peak of a DMR snapshot write (h = 1/32, with the grid
+        a run keeps) stays below the size of the snapshot: no joined copy
+        of its bytes is formed."""
+        _, ms, model, _, u = runner_mod.setup(RunConfig(benchmark="dmr",
+                                                        h=1 / 32))
+        grid, path = vtk_grid(ms), tmp_path / "s.vtk"
+        write_vtk(path, ms, u, model, grid)
+        tracemalloc.start()
+        try:
+            write_vtk(path, ms, u, model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_run_forms_the_grid_once(self, tmp_path, monkeypatch):
         """Every snapshot of a run shares one ``vtk_grid`` and has the bytes

@@ -56,7 +56,7 @@ def _dof_fastest(a):
 
 
 @pytest.mark.parametrize("mesh", sorted(MESHES))
-@pytest.mark.parametrize("trailing", [(), (3,)])
+@pytest.mark.parametrize("trailing", [(), (1,), (3,), (4,)])
 class TestScatter:
     """Every scatter equals its ``ufunc.at`` form bit for bit, for both
     storage orders of the element values, and returns its per-DOF result
@@ -517,6 +517,10 @@ WORKLOAD_CONFIGS = {
     "dmr-mcl": dict(benchmark="dmr", h=1 / 32, limiter="mcl.cs",
                     system_limiter="sequential", t_end=0.002,
                     audit_every=50, output_every_t=0.0002),
+    # the scaling limiter in the same stage
+    "dmr-scale": dict(benchmark="dmr", h=1 / 32, limiter="mcl.scale",
+                      system_limiter="sequential", t_end=0.002,
+                      audit_every=50, output_every_t=0.0002),
     # a position-dependent velocity, evaluated only for the kept d^e and k
     "rotation-mcl": dict(benchmark="advected_gaussian", h=1 / 64,
                          limiter="mcl.cs", velocity="rotation", t_end=0.1,
@@ -529,17 +533,24 @@ WORKLOAD_CONFIGS = {
 # those of the limiters alone at 0.64, 0.67 and 2.46 MB, and the rotation
 # velocity at the centroids and its products with c_i at 0.36 MB.
 STEP_ALLOCATION_LIMIT = {"advect-mcl": 0.35e6, "advect-fct": 0.45e6,
-                         "dmr-mcl": 1.5e6, "rotation-mcl": 0.35e6}
+                         "dmr-mcl": 1.5e6, "dmr-scale": 1.5e6,
+                         "rotation-mcl": 0.35e6}
 # Largest size of the scheme's workspace after a warm step, in bytes. It was
 # 3.44, 4.03 and 14.98 MB while the assembly kept f(u_i) . c_i, the mass
 # term and the wave speeds in buffers of their own, 3.28 MB on advect-fct
 # while the stencil bounds kept a gathered field and element candidates in
 # two (E, 3) buffers, and 2.56, 2.39, 12.74 and 2.56 MB (advect-mcl,
-# advect-fct, dmr-mcl, rotation-mcl; now 1.84, 1.67, 8.35 and 1.84) while
-# the CFL bound, the bound gaps and the limiters kept their element
-# temporaries and the system limiter its result in buffers of their own.
-WORKSPACE_LIMIT = {"advect-mcl": 1.9e6, "advect-fct": 1.75e6,
-                   "dmr-mcl": 8.6e6, "rotation-mcl": 1.9e6}
+# advect-fct, dmr-mcl, rotation-mcl) while the CFL bound, the bound gaps
+# and the limiters kept their element temporaries and the system limiter
+# its result in buffers of their own, and 1.84, 1.67, 8.35, 8.94
+# (dmr-scale) and 1.84 MB (now 1.64, 1.47, 5.97, 6.17 and 1.64) while the
+# scatters took one row block of all components, the limiter's
+# per-element sums and the scaling limiter's node factors had buffers of
+# their own, the Euler f_anti had its own beside the spent flux tensor,
+# and FCT gathered its base (scalar FCT: at all).
+WORKSPACE_LIMIT = {"advect-mcl": 1.7e6, "advect-fct": 1.55e6,
+                   "dmr-mcl": 6.1e6, "dmr-scale": 6.29e6,
+                   "rotation-mcl": 1.7e6}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
