@@ -16,12 +16,16 @@ Usage, from the root of the repository:
 
 Prints one line per pair with each side's ms per step (the wall time of
 the whole ``runner.run`` call, set-up and output included, over its
-steps) and their ratio, and each side's set-up time (its ``runner.setup``
-call inside that run), then one JSON line: per side the median and the
-quartiles of ms per step and of set-up ms, the median of the per-pair
-change/parent ratios of each, the pairs the change won on each, and
-whether the two sides' final states were byte-equal in every pair.
-``--smoke`` runs the workload's tiny-mesh configuration.
+steps) and their ratio, each side's set-up time (its ``runner.setup``
+call inside that run), its CPU ms per step (``time.process_time``) and
+the minor page faults of its run (``resource.getrusage``). After the
+pairs each side makes one more run under ``tracemalloc``. Then one JSON
+line: per side the median and the quartiles of each of the four
+measures and the traced peak in MB; the median of the per-pair
+change/parent ratios of each time and of the per-pair change - parent
+differences of the faults (a run may make none); the pairs the change
+won on each; and whether the two sides' final states were byte-equal in
+every pair. ``--smoke`` runs the workload's tiny-mesh configuration.
 """
 
 import argparse
@@ -31,10 +35,12 @@ import importlib.util
 import json
 import os
 import pathlib
+import resource
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # One BLAS/OpenMP thread, as in perfbench/run.py; set before numpy is first
@@ -42,8 +48,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SIDES = ("parent", "change")
-# Each timing, with the prefix of its ratio and wins keys in the summary.
-METRICS = {"ms_per_step": "", "setup_ms": "setup_"}
+# Each measure of a run, with the prefix of its comparison and wins keys
+# in the summary; a count is compared by difference, a time by ratio.
+METRICS = {"ms_per_step": "", "setup_ms": "setup_",
+           "cpu_ms_per_step": "cpu_", "minor_faults": "faults_"}
+COUNTS = {"minor_faults"}
 
 
 def load_package(checkout, name: str):
@@ -86,13 +95,26 @@ class Side:
         self.runner.setup = timed_setup
 
     def run(self) -> tuple:
-        """(ms per step, set-up ms, sha256 of the final state) of one whole
-        run."""
-        start = time.perf_counter()
+        """(ms per step, set-up ms, CPU ms per step, minor faults, sha256 of
+        the final state) of one whole run."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start, cpu = time.perf_counter(), time.process_time()
         result = self.runner.run(self.cfg, out_dir=self.out)
         elapsed = time.perf_counter() - start
+        cpu = time.process_time() - cpu
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         return (1e3 * elapsed / result.steps, 1e3 * self.setup_s,
+                1e3 * cpu / result.steps, faults,
                 hashlib.sha256(result.u.tobytes()).hexdigest())
+
+    def traced_peak_mb(self) -> float:
+        """The ``tracemalloc`` peak of one whole run, in MB."""
+        tracemalloc.start()
+        try:
+            self.runner.run(self.cfg, out_dir=self.out)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
 
 
 def quartiles(values: list) -> list:
@@ -135,13 +157,17 @@ def main(argv=None) -> int:
                 for metric, value in zip(METRICS, values):
                     times[metric, side].append(value)
             equal &= digests["parent"] == digests["change"]
-            ms, setup = ({side: times[metric, side][-1] for side in SIDES}
-                         for metric in METRICS)
+            ms, setup, cpu, faults = (
+                {side: times[metric, side][-1] for side in SIDES}
+                for metric in METRICS)
             print(f"pair {k:3d}  parent {ms['parent']:9.3f} ms  "
                   f"change {ms['change']:9.3f} ms  "
                   f"ratio {ms['change'] / ms['parent']:.4f}  "
-                  f"setup {setup['parent']:7.3f} / {setup['change']:7.3f} ms",
+                  f"setup {setup['parent']:7.3f} / {setup['change']:7.3f} ms"
+                  f"  cpu {cpu['parent']:9.3f} / {cpu['change']:9.3f} ms"
+                  f"  faults {faults['parent']} / {faults['change']}",
                   flush=True)
+        peaks = {side: sides[side].traced_peak_mb() for side in SIDES}
 
     summary = {"workload": args.workload, "smoke": args.smoke,
                "pairs": args.pairs}
@@ -151,11 +177,17 @@ def main(argv=None) -> int:
                 times[metric, side])
             summary[f"{side}_{metric}_quartiles"] = quartiles(
                 times[metric, side])
-        ratios = [c / p for p, c in zip(times[metric, "parent"],
-                                        times[metric, "change"])]
-        summary[f"{prefix}median_ratio"] = statistics.median(ratios)
+        pairs = list(zip(times[metric, "parent"], times[metric, "change"]))
+        if metric in COUNTS:
+            summary[f"{prefix}median_difference"] = statistics.median(
+                c - p for p, c in pairs)
+        else:
+            summary[f"{prefix}median_ratio"] = statistics.median(
+                c / p for p, c in pairs)
         summary[f"{prefix}change_wins"] = \
-            f"{sum(r < 1.0 for r in ratios)}/{args.pairs}"
+            f"{sum(c < p for p, c in pairs)}/{args.pairs}"
+    for side in SIDES:
+        summary[f"{side}_traced_peak_mb"] = peaks[side]
     summary["states_equal"] = equal
     print(json.dumps(summary))
     return 0

@@ -26,6 +26,7 @@ as the mean ubar of ``mesh.node_sum``, keeps the node axis with length 1,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,30 +80,39 @@ def _dot(f: np.ndarray, c: np.ndarray, out=None, tmp=None) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearFlux:
     """What the element assembly of a model with a linear flux reads of its
-    mesh and velocity alone; every array is read-only."""
+    mesh and velocity alone; every array is read-only.
+
+    The bar-state weights ``w`` are formed from ``k`` and ``d`` on first
+    use: only an assembly with bar states (MCL) reads them."""
 
     k: np.ndarray                  # (E, 3) k_i = v(x_e) . c_i
     d: np.ndarray                  # (E,) viscosity d^e = max_i |k_i|
-    w: np.ndarray                  # (E, 3) bar-state weights
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """(E, 3) bar-state weights w_i = 1/2 - k_i / (2 max(d^e, TINY)),
+        in [0, 1] (|k_i| <= d^e) and 1/2 where d^e = 0 (every k_i is 0
+        there)."""
+        den = np.maximum(self.d, TINY)
+        den *= 2.0
+        w = np.divide(self.k, den[:, None])
+        w = np.subtract(0.5, w, out=w)
+        w.flags.writeable = False
+        return w
 
 
 def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
     """The ``LinearFlux`` of a model with ``flux_coefficients``, None for
-    any other. k_i takes the velocity at the element centroid, d^e =
+    any other. k_i takes the velocity at the element centroid, and d^e =
     max_i |k_i| is max_i lambda_i |c_i| because lambda_i = |v(x_e) .
-    c_hat_i|, and w_i = 1/2 - k_i / (2 max(d^e, TINY)) lies in [0, 1]
-    (|k_i| <= d^e) and is 1/2 where d^e = 0 (every k_i is 0 there)."""
+    c_hat_i|."""
     coefficients = getattr(model, "flux_coefficients", None)
     if coefficients is None:
         return None
     geom = ms.geometry
     k = coefficients(geom.c, geom.centroid[:, None, :])
     d = np.abs(k).max(axis=1)
-    den = np.maximum(d, TINY)
-    den *= 2.0
-    w = np.divide(k, den[:, None])
-    w = np.subtract(0.5, w, out=w)
-    lin = LinearFlux(k=k, d=d, w=w)
+    lin = LinearFlux(k=k, d=d)
     for a in vars(lin).values():
         a.flags.writeable = False
     return lin

@@ -81,6 +81,8 @@ def _cmd_solve(args) -> int:
 
     cfg = parse_config(pathlib.Path(args.config).read_text())
     if args.audit_every is not None:
+        if args.audit_every < 0:    # as parse_config rejects the key
+            raise ConfigError("audit_every must be >= 0")
         cfg.audit_every = args.audit_every
     result = run(cfg, out_dir=args.out, quiet=args.quiet)
     if not args.quiet:

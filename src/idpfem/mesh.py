@@ -150,6 +150,8 @@ class Mesh:
             raise MeshError("nodes must be an (N, 2) array")
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise MeshError("triangles must be an (E, 3) array")
+        if tri.shape[0] == 0:
+            raise MeshError("mesh has no triangles")
         # the extent of each coordinate, NaN or inf if any coordinate is
         span = np.array([np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1])]) \
             if nodes.size else np.zeros(2)
@@ -157,7 +159,7 @@ class Mesh:
             bad = int(np.argmin(np.isfinite(nodes).all(axis=1)))
             raise MeshError(f"node {bad} has a non-finite coordinate "
                             f"({nodes[bad, 0]:g}, {nodes[bad, 1]:g})")
-        if tri.size and (tri.min() < 0 or tri.max() >= nodes.shape[0]):
+        if tri.min() < 0 or tri.max() >= nodes.shape[0]:
             bad = int(np.argmax((tri < 0) | (tri >= nodes.shape[0])))
             raise MeshError(
                 f"triangle {bad // 3} references node index out of range "
@@ -183,12 +185,12 @@ class Mesh:
             p[flip] = p[flip][:, [0, 2, 1]]
             np.abs(areas, out=areas)
         scale2 = max(float(span @ span), 1.0)
-        if tri.size and areas.min() <= DEGENERATE_REL * scale2:
+        if areas.min() <= DEGENERATE_REL * scale2:
             e = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {e} (area {areas[e]:g})")
 
         uniq, counts = self.edges()
-        if counts.size and counts.max() > 2:
+        if counts.max() > 2:
             e = uniq[np.argmax(counts)]
             raise MeshError(f"non-conforming mesh: edge {tuple(e.tolist())} "
                             "shared by >2 triangles")
@@ -235,14 +237,28 @@ class ElementGeometry:
     its rows sum to ``m_elem`` = |K|/3.
     ``c``, ``c_norm``, ``c_hat`` and ``centroid`` are stored with the
     element index fastest, the order of the blocks that read them.
+    ``c_norm`` and ``c_hat`` are formed from ``c`` on first use: only the
+    wave speeds of a nonlinear flux read them, so a run with a linear flux
+    never forms them.
     """
 
     c: np.ndarray                           # (E, 3, 2)
-    c_norm: np.ndarray                      # (E, 3)  |c_i^e|
-    c_hat: np.ndarray                       # (E, 3, 2)  c_i^e / |c_i^e|
     m_elem: np.ndarray                      # (E,)  = area / 3
     m_off: np.ndarray                       # (E,)  = area / 12
     centroid: np.ndarray                    # (E, 2)
+
+    @cached_property
+    def c_norm(self) -> np.ndarray:
+        """(E, 3) |c_i^e|, with the bits of np.linalg.norm(c, axis=-1)."""
+        c = self.c
+        c_norm = c[..., 0] * c[..., 0]
+        c_norm += c[..., 1] * c[..., 1]
+        return np.sqrt(c_norm, out=c_norm)
+
+    @cached_property
+    def c_hat(self) -> np.ndarray:
+        """(E, 3, 2) c_i^e / |c_i^e|."""
+        return self.c / np.maximum(self.c_norm, TINY)[..., None]
 
 
 def _geometry(p, area) -> ElementGeometry:
@@ -256,16 +272,12 @@ def _geometry(p, area) -> ElementGeometry:
         grad[:, i, 1] = p[:, k, 0] - p[:, j, 0]
     grad /= (2.0 * area)[:, None, None]
     c = -area[:, None, None] * grad
-    # the bits of np.linalg.norm(c, axis=-1) and of p.mean(axis=1)
-    c_norm = c[..., 0] * c[..., 0]
-    c_norm += c[..., 1] * c[..., 1]
-    np.sqrt(c_norm, out=c_norm)
-    c_hat = c / np.maximum(c_norm, TINY)[..., None]
+    # the bits of p.mean(axis=1)
     centroid = np.add(p[:, 0], p[:, 1], out=np.empty((area.size, 2), order="F"))
     centroid += p[:, 2]
     centroid /= 3.0
-    return ElementGeometry(c=c, c_norm=c_norm, c_hat=c_hat, m_elem=area / 3.0,
-                           m_off=area / 12.0, centroid=centroid)
+    return ElementGeometry(c=c, m_elem=area / 3.0, m_off=area / 12.0,
+                           centroid=centroid)
 
 
 def _dof_map(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -401,11 +413,13 @@ class MeshSystem:
         """(W, n_dofs) table whose column d lists, once each and in
         ascending order, the DOFs that share an element with d, d included;
         a shorter column is padded with its own last entry. Built on first
-        use: only the stencil bounds read it."""
+        use, so in the first FCT stage of a run: only the stencil bounds
+        read it."""
         n, dofs = self.n_dofs, self.elem_dofs
         # every (d, neighbour) pair of every element, as one sortable key,
-        # each once
-        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        # each once; the block is flattened in its memory order (element
+        # fastest), with no copy, as the sort makes the order moot
+        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel(order="K")
         keys.sort()
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         d = keys // n
@@ -441,7 +455,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
 
     flat = elem_c.ravel()                   # element by element
     lumped = np.bincount(flat, weights=np.repeat(geom.m_elem, 3), minlength=n_dofs)
-    if lumped.size and lumped.min() <= 0:
+    if lumped.min() <= 0:
         raise MeshError("nonpositive lumped mass (isolated node?)")
     # Each DOF's entries of flat, in element order, padded to the largest
     # valence with its last entry and mapped to the element-fastest
@@ -459,7 +473,7 @@ def build_system(mesh: Mesh) -> MeshSystem:
 
     normal = np.stack([np.bincount(flat, weights=-geom.c[..., k].ravel(),
                                    minlength=n_dofs) for k in range(2)], axis=1)
-    scale = np.sqrt(lumped.mean()) if n_dofs else 1.0
+    scale = np.sqrt(lumped.mean())
     nrm = np.sqrt(normal[:, 0] * normal[:, 0] + normal[:, 1] * normal[:, 1])
     boundary_dofs = np.nonzero(nrm > 1e-12 * scale)[0]
 
@@ -507,7 +521,9 @@ def read_mesh(text: str) -> Mesh:
         try:
             count = int(toks[1])
         except ValueError:
-            raise MeshError(f"line {ln}: bad count {toks[1]!r}") from None
+            count = -1
+        if count < 0:
+            raise MeshError(f"line {ln}: bad count {toks[1]!r}")
         return toks[0], count, ln
 
     name, n, _ = expect_header({"nodes"})
@@ -552,7 +568,13 @@ def read_mesh(text: str) -> Mesh:
             else:
                 if toks is None or len(toks) != 2:
                     raise MeshError(f"line {ln}: expected 'i j'")
-                raw_pairs.append((int(toks[0]), int(toks[1])))
+                a, b = int(toks[0]), int(toks[1])
+                # canonical_pairs would drop the pair, and with it the
+                # validation's check of it
+                if a == b:
+                    raise MeshError(f"line {ln}: node {a} periodically "
+                                    "paired with itself")
+                raw_pairs.append((a, b))
 
     mesh = Mesh(nodes=nodes, triangles=tris,
                 boundary_tags=boundary_tags,

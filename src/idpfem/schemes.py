@@ -14,11 +14,12 @@ assembly it makes, and the bound itself, are reused by the next
 step assembles nothing new and FCT's CFL check recomputes nothing. On a
 model with a linear flux (``flux_coefficients``, linear advection) the
 scheme builds at construction the read-only ``assembly.LinearFlux``: the
-coefficients k (E, 3), the viscosity d^e = max_i |k_i| and the bar-state
-weights w (E, 3). Every assembly takes it, so an MCL stage forms its bar
-states as u_i + w_i (ubar - u_i). The scheme also keeps the bound of its
-first CFL computation, which holds for every state: ``dt_bound`` then
-returns it without assembling, and FCT's CFL check compares against it.
+coefficients k (E, 3) and the viscosity d^e = max_i |k_i|, and on first
+read the bar-state weights w (E, 3). Every assembly takes it, so an MCL
+stage forms its bar states as u_i + w_i (ubar - u_i); no other driver
+forms w. The scheme also keeps the bound of its first CFL computation,
+which holds for every state: ``dt_bound`` then returns it without
+assembling, and FCT's CFL check compares against it.
 The driver fixes the bounds: ``mcl.*`` takes them from u and the element bar
 states, which only its assemblies form, and ``fct.*`` from the low-order
 predictor over each DOF's nodal stencil.

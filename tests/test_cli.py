@@ -365,6 +365,19 @@ class TestCliCommands:
         assert capsys.readouterr().err == \
             "error: node 4 has a non-finite coordinate (nan, 0.5)\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 0\ntriangles 0\n", "mesh has no triangles"),
+        ("nodes -1\n", "line 1: bad count '-1'")], ids=["empty", "count"])
+    def test_solve_bad_mesh_file_exit_one(self, tmp_path, capsys, text,
+                                          message):
+        meshfile = tmp_path / "m.mesh"
+        meshfile.write_text(text)
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(f"benchmark = constant\nmesh = {meshfile}\n"
+                           f"t_end = 0.1\nout = {tmp_path / 'o'}\n")
+        assert main(["solve", str(cfgfile), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("extent", [["--x0", "0.5", "--x1", "0.5"],
                                         ["--y0", "1", "--y1", "1"]])
     def test_mesh_gen_rejects_zero_extent(self, tmp_path, capsys, extent):
@@ -505,6 +518,16 @@ class TestCliCommands:
                      "--audit-every", "0"]) == 0
         rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) == 2  # header + initial audit only
+
+    def test_negative_audit_every_override_rejected(self, tmp_path, capsys):
+        """The override is held to the rule of the config key."""
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG + f"out = {tmp_path / 'o'}\n")
+        assert main(["solve", str(cfgfile), "--quiet",
+                     "--audit-every", "-3"]) == 1
+        assert capsys.readouterr().err == \
+            "error: audit_every must be >= 0\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ import pytest
 import idpfem
 import idpfem.assembly as assembly_mod
 import idpfem.limiting as limiting_mod
+import idpfem.runner as runner_mod
 import idpfem.schemes as schemes_mod
 from conftest import perfbench_workloads, random_euler_states
 from idpfem.assembly import (BoundaryWork, ElementWork, LinearFlux,
@@ -329,7 +330,8 @@ def _c_order(monkeypatch, ms, model):
     C-ordered, a fancy-indexing gather and the plain f . c: the reference
     layout."""
     geom = dataclasses.replace(ms.geometry, **{
-        k: np.ascontiguousarray(v) for k, v in vars(ms.geometry).items()})
+        f.name: np.ascontiguousarray(getattr(ms.geometry, f.name))
+        for f in dataclasses.fields(ms.geometry)})
     twin = dataclasses.replace(ms, geometry=geom,
                                elem_dofs=np.ascontiguousarray(ms.elem_dofs))
     twin.gather = lambda x, out=None: _into(out, x[twin.elem_dofs])
@@ -600,6 +602,57 @@ def test_warm_step_makes_no_views_and_no_broadcasts(monkeypatch, name):
     assert calls == []
     assert scheme.ws.views.keys() == views.keys()
     assert all(scheme.ws.views[k] is v for k, v in views.items())
+
+
+# Largest traced peak of one warm runner.run, in bytes (measured 4.58 and
+# 4.26 MB on advect-fct and advect-mcl; 5.50 and 4.85 MB while every run
+# formed the wave-speed geometry c_norm and c_hat, and every linear run the
+# bar-state weights w).
+RUN_PEAK_LIMIT = {"advect-fct": 4.9e6, "advect-mcl": 4.5e6}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_PEAK_LIMIT))
+def test_warm_run_traced_peak(tmp_path, name):
+    cfg = RunConfig(rk="ssp2", cfl=0.5, **WORKLOAD_CONFIGS[name])
+    runner_mod.run(cfg, out_dir=tmp_path)            # the one-time costs
+    tracemalloc.start()
+    try:
+        result = runner_mod.run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ms.n_elements == 8192
+    assert peak <= RUN_PEAK_LIMIT[name]
+
+
+@pytest.mark.parametrize("bench, limiter", [
+    ("advected_gaussian", "mcl.cs"), ("advected_gaussian", "fct.cs"),
+    ("advected_gaussian", "low"), ("solid_body_rotation", "mcl.cs"),
+    ("solid_body_rotation", "fct.scale"), ("burgers_riemann", "fct.cs")])
+def test_linear_runs_form_only_what_they_read(monkeypatch, tmp_path,
+                                              bench, limiter):
+    """A run with a linear flux forms no wave-speed geometry (``c_norm``,
+    ``c_hat``), which only a nonlinear flux reads, and only an MCL run
+    forms the bar-state weights ``w`` of its ``LinearFlux``."""
+    schemes, original = [], runner_mod.setup
+
+    def kept(cfg):
+        made = original(cfg)
+        schemes.append(made[3])
+        return made
+
+    monkeypatch.setattr(runner_mod, "setup", kept)
+    result = runner_mod.run(RunConfig(benchmark=bench, h=1 / 8,
+                                      t_end=0.05, limiter=limiter),
+                            out_dir=tmp_path)
+    assert result.steps > 0
+    lin = schemes[0]._lin
+    formed = vars(result.ms.geometry).keys() & {"c_norm", "c_hat"}
+    if bench == "burgers_riemann":
+        assert lin is None and formed == {"c_norm", "c_hat"}
+        return
+    assert formed == set()
+    assert ("w" in vars(lin)) == limiter.startswith("mcl")
 
 
 def test_workspace_dies_with_its_scheme():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="paired with itself"):
             mesh.validate()
 
+    @pytest.mark.parametrize("n_nodes", [0, 3])
+    def test_mesh_without_triangles_rejected(self, n_nodes):
+        mesh = Mesh(nodes=np.zeros((n_nodes, 2)),
+                    triangles=np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(MeshError, match="^mesh has no triangles$"):
+            mesh.validate()
+
+
+# A one-triangle mesh file.
+TRIANGLE = "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
+
 
 class TestMeshIO:
     def test_roundtrip(self):
@@ -157,6 +169,21 @@ class TestMeshIO:
     def test_parse_error_reports_line(self):
         with pytest.raises(MeshError, match="line 3"):
             read_mesh("nodes 2\n0 0\nbroken line here\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes -1\n", "line 1: bad count '-1'"),
+        (TRIANGLE.replace("triangles 1", "triangles -2"),
+         "line 5: bad count '-2'"),
+        (TRIANGLE + "boundary -1\n", "line 7: bad count '-1'"),
+        (TRIANGLE + "periodic -1\n", "line 7: bad count '-1'"),
+        (TRIANGLE + "periodic 1\n0 0\n",
+         "line 8: node 0 periodically paired with itself"),
+        ("nodes 0\ntriangles 0\n", "mesh has no triangles")],
+        ids=["nodes", "triangles", "boundary", "periodic", "self-pair",
+             "empty"])
+    def test_bad_section_rejected(self, text, message):
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            read_mesh(text)
 
     def test_missing_triangles_section(self):
         with pytest.raises(MeshError, match="triangles"):
@@ -352,20 +379,30 @@ periodic 5
 """
 
 
+# The geometry arrays, by name: the fields and the ones formed on first
+# read, in the order the digests were recorded in.
+GEOMETRY_ARRAYS = ("c", "c_norm", "c_hat", "m_elem", "m_off", "centroid")
+
+
+def _update(h, name, a):
+    """Feed ``a``'s name, dtype, shape, memory order and bytes to ``h``."""
+    order = "C" if a.flags.c_contiguous else "F" if a.flags.f_contiguous \
+        else "-"
+    h.update(f"{name} {a.dtype.str} {a.shape} {order}\n".encode())
+    h.update(a.tobytes(order="A"))
+
+
 def _mesh_system_digest(ms):
     """sha256 prefix over every array of a MeshSystem and of its geometry:
     each one's name, dtype, shape, memory order and bytes."""
     h = hashlib.sha256()
     arrays = {"nodes": ms.mesh.nodes, "triangles": ms.mesh.triangles}
-    arrays.update((f.name, getattr(ms.geometry, f.name))
-                  for f in dataclasses.fields(ms.geometry))
+    arrays.update((name, getattr(ms.geometry, name))
+                  for name in GEOMETRY_ARRAYS)
     arrays.update((f.name, getattr(ms, f.name)) for f in dataclasses.fields(ms)
                   if isinstance(getattr(ms, f.name), np.ndarray))
     for name, a in arrays.items():
-        order = "C" if a.flags.c_contiguous else "F" if a.flags.f_contiguous \
-            else "-"
-        h.update(f"{name} {a.dtype.str} {a.shape} {order}\n".encode())
-        h.update(a.tobytes(order="A"))
+        _update(h, name, a)
     h.update(str(ms.n_dofs).encode())
     return h.hexdigest()[:16]
 
@@ -390,3 +427,19 @@ MESH_PINS = {
 def test_mesh_system_bytes_are_pinned(name):
     make, digest = MESH_PINS[name]
     assert _mesh_system_digest(build_system(make())) == digest
+
+
+# The stencil table of each pinned mesh (FCT's, formed on first read),
+# byte for byte as well.
+STENCIL_PINS = {"advect-64x64-periodic": "cb1376b87c72d693",
+                "dmr-128x32": "468d879bcb4fef87",
+                "rect-7x5-periodic": "d55058e3f13807a5",
+                "read-clockwise-corner-chain": "a7efb3244cfc102a"}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_PINS))
+def test_stencil_table_bytes_are_pinned(name):
+    h = hashlib.sha256()
+    table = build_system(MESH_PINS[name][0]()).stencil_table
+    _update(h, "stencil_table", table)
+    assert h.hexdigest()[:16] == STENCIL_PINS[name]

@@ -78,14 +78,27 @@ def test_ab_run_of_one_checkout_against_itself(capsys, workload):
     assert summary["workload"] == workload and summary["pairs"] == 2
     assert summary["states_equal"] is True
     for side in ("parent", "change"):
-        for metric in ("ms_per_step", "setup_ms"):
+        for metric in ("ms_per_step", "setup_ms", "cpu_ms_per_step"):
             assert summary[f"{side}_{metric}_median"] > 0.0
             assert len(summary[f"{side}_{metric}_quartiles"]) == 3
-    for prefix in ("", "setup_"):
+        # a warm run may make no page fault
+        assert summary[f"{side}_minor_faults_median"] >= 0
+        assert len(summary[f"{side}_minor_faults_quartiles"]) == 3
+        assert summary[f"{side}_traced_peak_mb"] > 0.0
+    for prefix in ("", "setup_", "cpu_"):
         assert summary[f"{prefix}median_ratio"] > 0.0
+    assert isinstance(summary["faults_median_difference"], (int, float))
+    for prefix in ("", "setup_", "cpu_", "faults_"):
         assert summary[f"{prefix}change_wins"] in ("0/2", "1/2", "2/2")
-    # each pair line ends with both sides' set-up times
+    # each pair line ends with both sides' set-up times, CPU times and
+    # minor faults
     for line in lines[:-1]:
         setup = line.split("setup")[1].split()
         assert setup[1] == "/" and setup[3] == "ms"
         assert float(setup[0]) > 0.0 and float(setup[2]) > 0.0
+        cpu = line.split(" cpu ")[1].split()
+        assert cpu[1] == "/" and cpu[3] == "ms"
+        assert float(cpu[0]) > 0.0 and float(cpu[2]) > 0.0
+        faults = line.split(" faults ")[1].split()
+        assert len(faults) == 3 and faults[1] == "/"
+        assert int(faults[0]) >= 0 and int(faults[2]) >= 0
