@@ -19,9 +19,9 @@ class Benchmark:
     model: object
     mesh: Mesh
     u0: Callable[[np.ndarray], np.ndarray]            # x (N, 2) -> (N, m)
-    bc: Optional[Callable] = None                     # see assembly.boundary_terms
-    exact: Optional[Callable] = None                  # (x, t) -> (N, m)
-    t_end: float = 1.0
+    bc: Optional[Callable]                            # see assembly.boundary_terms
+    exact: Optional[Callable]                         # (x, t) -> (N, m)
+    t_end: float
 
 
 def _cells(h: float, length: float) -> int:
@@ -63,15 +63,18 @@ def _rotated_back(x: np.ndarray, t: float) -> np.ndarray:
 
 def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
     """Instantiate a registered benchmark, honoring config overrides for the
-    model, velocity field and resolution. A ``model`` or ``velocity`` other
-    than the one the benchmark runs is a ``ConfigError``, and so is any
-    ``velocity`` for a model other than advection. So is a key that the
-    benchmark does not read: ``vx``/``vy`` are read only by translation
-    advection and ``body`` only by ``solid_body_rotation``."""
+    model, velocity field, resolution and end time. Without a ``mesh`` it
+    generates the benchmark's rectangle at cell size ``h``. A ``model`` or
+    ``velocity`` other than the one the benchmark runs is a
+    ``ConfigError``, and so is any ``velocity`` for a model other than
+    advection. So is a key that the benchmark does not read: ``vx``/``vy``
+    are read only by translation advection, ``body`` only by
+    ``solid_body_rotation`` and ``h`` only without a mesh."""
     name = cfg.benchmark
     if name not in _REGISTRY:
         raise ConfigError(f"unknown benchmark {name!r}")
-    maker, model, velocity = _REGISTRY[name]
+    maker, model, velocity, h, (width, height), periodic, t_end = \
+        _REGISTRY[name]
     model = model or cfg.model or "advection"
     velocity = (velocity or cfg.velocity or "translation") \
         if model == "advection" else "none"
@@ -85,23 +88,28 @@ def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:
         if not read and getattr(cfg, key) is not None:
             raise ConfigError(f"benchmark {name} with model = {model} and "
                               f"velocity = {velocity} does not read {key}")
-    vparams = dict(zip(("vx", "vy"), _translation(cfg))) \
-        if velocity == "translation" else {}
-    return maker(cfg, mesh, make_model(model, gamma=cfg.gamma,
-                                       velocity=velocity, **vparams))
-
-
-def _translation(cfg: RunConfig) -> tuple:
-    """(vx, vy) of a translation; each is 1 unless set."""
-    return tuple(1.0 if v is None else v for v in (cfg.vx, cfg.vy))
-
-
-def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
-    h = cfg.h or 1 / 16
     if mesh is None:
-        n = _cells(h, 1.0)
-        mesh = structured_rect(n, n, periodic=True)
+        h = h if cfg.h is None else cfg.h
+        mesh = structured_rect(_cells(h, width), _cells(h, height),
+                               0.0, width, 0.0, height, periodic=periodic)
+    elif cfg.h is not None:
+        raise ConfigError(f"benchmark {name} with a mesh file does not read h")
+    # a translation's (vx, vy), each 1 unless set
+    v = tuple(1.0 if c is None else c for c in (cfg.vx, cfg.vy)) \
+        if velocity == "translation" else None
+    model = make_model(model, gamma=cfg.gamma, velocity=velocity,
+                       **dict(zip(("vx", "vy"), v or ())))
+    u0, exact, bc = maker(model, v, cfg.body)
+    return Benchmark(id=name, model=model, mesh=mesh, u0=u0, bc=bc,
+                     exact=exact,
+                     t_end=t_end if cfg.t_end is None else cfg.t_end)
 
+
+# Each maker takes the model, the translation (vx, vy) or None and the
+# config's ``body``, and returns the initial data, the exact solution and
+# the boundary condition, each None if the benchmark has none.
+
+def _bench_constant(model, v, body):
     if model.m == 1:
         def u0(x):
             return np.ones(x.shape[:-1] + (1,))
@@ -114,43 +122,26 @@ def _bench_constant(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
     def exact(x, t):
         return u0(x)
 
-    return Benchmark(id="constant", model=model, mesh=mesh, u0=u0,
-                     exact=exact, t_end=cfg.t_end or 1.0)
+    return u0, exact, None
 
 
-def _bench_advected_gaussian(cfg: RunConfig, mesh: Optional[Mesh],
-                             model) -> Benchmark:
-    vel = cfg.velocity or "translation"
-    h = cfg.h or 1 / 32
-    if mesh is None:
-        n = _cells(h, 1.0)
-        mesh = structured_rect(n, n, periodic=True)
+def _bench_advected_gaussian(model, v, body):
+    u0 = _gaussian
 
-    def u0(x):
-        return _gaussian(x)
-
-    exact = None
-    if vel == "translation":
-        v = np.array(_translation(cfg))
+    if v is not None:
+        v = np.array(v)
 
         def exact(x, t):
             return u0(_wrap_unit(x - v * t))
-    elif vel == "rotation":
+    else:                                   # the rotation
         def exact(x, t):
             return u0(_rotated_back(x, t))
 
-    return Benchmark(id="advected_gaussian", model=model, mesh=mesh, u0=u0,
-                     exact=exact, t_end=cfg.t_end or 1.0)
+    return u0, exact, None
 
 
-def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh],
-                               model) -> Benchmark:
-    h = cfg.h or 1 / 32
-    if mesh is None:
-        n = _cells(h, 1.0)
-        mesh = structured_rect(n, n, periodic=False)
-
-    if cfg.body in (None, "smooth"):
+def _bench_solid_body_rotation(model, v, body):
+    if body in (None, "smooth"):
         def u0(x):
             r = np.sqrt((x[..., 0] - 0.5) ** 2 + (x[..., 1] - 0.75) ** 2)
             val = np.where(r < 0.15, 0.5 * (1.0 + np.cos(np.pi * r / 0.15)), 0.0)
@@ -179,24 +170,16 @@ def _bench_solid_body_rotation(cfg: RunConfig, mesh: Optional[Mesh],
             seen.update(x=x, nhat=nhat, inflow=inflow[:, None])
         return np.where(seen["inflow"], 0.0, u_in)
 
-    return Benchmark(id="solid_body_rotation", model=model, mesh=mesh, u0=u0,
-                     bc=bc, exact=exact, t_end=cfg.t_end or 1.0)
+    return u0, exact, bc
 
 
-def _bench_burgers_riemann(cfg: RunConfig, mesh: Optional[Mesh],
-                           model) -> Benchmark:
-    h = cfg.h or 1 / 32
-    if mesh is None:
-        n = _cells(h, 1.0)
-        mesh = structured_rect(n, n, periodic=True)
-
+def _bench_burgers_riemann(model, v, body):
     def u0(x):
         inside = ((np.abs(x[..., 0] - 0.5) < 0.25)
                   & (np.abs(x[..., 1] - 0.5) < 0.25))
         return np.where(inside, 0.8, -0.2)[..., None]
 
-    return Benchmark(id="burgers_riemann", model=model, mesh=mesh, u0=u0,
-                     t_end=cfg.t_end or 0.5)
+    return u0, None, None
 
 
 # Double Mach reflection: Mach-10 shock at 60 degrees over a reflecting wall
@@ -222,12 +205,8 @@ def dmr_shock_indicator(x: np.ndarray, t: float) -> np.ndarray:
         + 10.0 * t
 
 
-def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
+def _bench_dmr(model, v, body):
     pre, post = dmr_states(model)
-    h = cfg.h or 1 / 32
-    if mesh is None:
-        mesh = structured_rect(_cells(h, 4.0), _cells(h, 1.0),
-                               0.0, 4.0, 0.0, 1.0, periodic=False)
 
     def u0(x):
         ahead = dmr_shock_indicator(x, 0.0)
@@ -267,20 +246,23 @@ def _bench_dmr(cfg: RunConfig, mesh: Optional[Mesh], model) -> Benchmark:
         # right edge keeps u_ext = u_in (outflow)
         return u_ext
 
-    return Benchmark(id="dmr", model=model, mesh=mesh, u0=u0, bc=bc,
-                     t_end=cfg.t_end or 0.2)
+    return u0, None, bc
 
 
-# name -> (maker(cfg, mesh, model), the model and the velocity field it
-# runs; None where the config chooses, and no velocity field but for
-# advection). ``make_benchmark`` builds the model and hands it to the maker.
+# name -> (maker, the model and the velocity field it runs, the default
+# cell size h, the (width, height) of the generated rectangle [0, width] x
+# [0, height], whether it is periodic, and the default t_end). The model and
+# velocity are None where the config chooses, and there is no velocity
+# field but for advection.
 _REGISTRY = {
-    "constant": (_bench_constant, None, None),
-    "advected_gaussian": (_bench_advected_gaussian, "advection", None),
+    "constant": (_bench_constant, None, None, 1 / 16, (1.0, 1.0), True, 1.0),
+    "advected_gaussian": (_bench_advected_gaussian, "advection", None,
+                          1 / 32, (1.0, 1.0), True, 1.0),
     "solid_body_rotation": (_bench_solid_body_rotation, "advection",
-                            "rotation"),
-    "burgers_riemann": (_bench_burgers_riemann, "burgers", None),
-    "dmr": (_bench_dmr, "euler", None),
+                            "rotation", 1 / 32, (1.0, 1.0), False, 1.0),
+    "burgers_riemann": (_bench_burgers_riemann, "burgers", None, 1 / 32,
+                        (1.0, 1.0), True, 0.5),
+    "dmr": (_bench_dmr, "euler", None, 1 / 32, (4.0, 1.0), False, 0.2),
 }
 
 BENCHMARK_IDS = tuple(sorted(_REGISTRY))

@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .models import VELOCITY_FIELDS
 from .schemes import SCHEME_KEYS, SYSTEM_MODES
+from .timestepping import RK_SCHEMES
 
 
 class ConfigError(Exception):
@@ -15,10 +17,10 @@ class ConfigError(Exception):
 
 _ENUMS = {
     "model": ("advection", "burgers", "euler"),
-    "velocity": ("translation", "rotation"),
+    "velocity": tuple(VELOCITY_FIELDS),
     "limiter": SCHEME_KEYS,
     "system_limiter": SYSTEM_MODES,
-    "rk": ("euler", "ssp2", "ssp3"),
+    "rk": RK_SCHEMES,
     "benchmark": ("constant", "advected_gaussian", "solid_body_rotation",
                   "burgers_riemann", "dmr"),
     "body": ("smooth", "slotted"),

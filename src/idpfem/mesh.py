@@ -110,6 +110,13 @@ class Mesh:
 
     def edges(self):
         """Yield each undirected edge (sorted node pair) with its multiplicity."""
+        keys, counts, n = self._edge_keys()
+        return np.stack(np.divmod(keys, n), axis=1), counts
+
+    def _edge_keys(self):
+        """:meth:`edges` as the ascending keys ``lo * n + hi`` of the edges
+        (n exceeds every node index of the triangles), with ``counts`` and
+        ``n``."""
         tri = self.triangles
         a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         # One int64 key per pair sorts like the rows (lo, hi) lexicographically.
@@ -125,11 +132,7 @@ class Mesh:
         counts = np.empty_like(first)           # the run lengths
         np.subtract(first[1:], first[:-1], out=counts[:-1])
         counts[-1:] = keys.size - first[-1:]
-        keys = keys[first]
-        uniq = np.empty((first.size, 2), dtype=tri.dtype)
-        lo = np.floor_divide(keys, n, out=uniq[:, 0])   # (np.divmod costs more)
-        np.subtract(keys, lo * n, out=uniq[:, 1])
-        return uniq, counts
+        return keys[first], counts, n
 
     def validate(self) -> "Mesh":
         """Check all mesh invariants in place and reorient triangles CCW.
@@ -189,18 +192,30 @@ class Mesh:
             e = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {e} (area {areas[e]:g})")
 
-        uniq, counts = self.edges()
+        keys, counts, n = self._edge_keys()
         if counts.max() > 2:
-            e = uniq[np.argmax(counts)]
-            raise MeshError(f"non-conforming mesh: edge {tuple(e.tolist())} "
-                            "shared by >2 triangles")
+            e = divmod(int(keys[np.argmax(counts)]), n)
+            raise MeshError(f"non-conforming mesh: edge {e} shared by >2 "
+                            "triangles")
 
         for (i, j), tag in self.boundary_tags.items():
             if not isinstance(tag, str):
                 raise MeshError(f"boundary tag for edge ({i}, {j}) is not a string")
+        if self.boundary_tags:
+            # a tagged pair is an edge if its nodes are in range and its key
+            # is among the edge keys
+            pairs = np.array(list(self.boundary_tags), dtype=np.int64)
+            tag_keys = pairs[:, 0] * n + pairs[:, 1]
+            at = np.searchsorted(keys, tag_keys).clip(max=keys.size - 1)
+            edge = (keys[at] == tag_keys) & ((pairs >= 0) & (pairs < n)).all(1)
+            if not edge.all():
+                i, j = pairs[np.argmin(edge)].tolist()
+                raise MeshError(f"boundary tag on ({i}, {j}), which is not "
+                                "an edge of the mesh")
 
         if self.periodic_pairs:
-            boundary_nodes = set(uniq[counts == 1].ravel().tolist())
+            boundary_nodes = set(
+                np.concatenate(np.divmod(keys[counts == 1], n)).tolist())
         for a, b in self.periodic_pairs.items():
             if a == b:
                 raise MeshError(f"node {a} periodically paired with itself")
@@ -492,6 +507,15 @@ def build_system(mesh: Mesh) -> MeshSystem:
     )
 
 
+def _integer(token: str, low: int = -2 ** 63) -> int:
+    """``token`` as an integer in [low, 2**63), which int64 holds, else
+    ValueError."""
+    value = int(token)
+    if not low <= value < 2 ** 63:
+        raise ValueError(token)
+    return value
+
+
 def read_mesh(text: str) -> Mesh:
     """Parse the ASCII mesh format.
 
@@ -500,81 +524,61 @@ def read_mesh(text: str) -> Mesh:
     ``periodic P`` (``i j`` lines). ``#`` starts a comment.
     """
     lines = text.splitlines()
-    idx = 0
+    # (line number, tokens) of each line that has data
+    data = ((ln, body.split()) for ln, raw in enumerate(lines, start=1)
+            if (body := raw.split("#", 1)[0].strip()))
 
-    def next_tokens():
-        nonlocal idx
-        while idx < len(lines):
-            raw = lines[idx]
-            idx += 1
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                return body.split(), idx
-        return None, idx
+    def read(types, expected, bad, line=None):
+        """The number of ``line`` (by default the next data line) and its
+        tokens, each converted by its entry of ``types``; MeshError ``line
+        N: expected ...`` for another number of tokens, ``bad ...`` for one
+        that does not convert."""
+        ln, toks = line or next(data, (len(lines), ()))
+        if len(toks) != len(types):
+            raise MeshError(f"line {ln}: expected {expected}")
+        try:
+            return ln, [convert(t) for convert, t in zip(types, toks)]
+        except ValueError:
+            raise MeshError(f"line {ln}: bad {bad}") from None
 
-    def expect_header(names):
-        toks, ln = next_tokens()
+    def header(names, missing=None):
+        """The next section header as (name, count). Past the last data
+        line, a MeshError ``missing`` if it is given, else None."""
+        ln, toks = next(data, (0, None))
         if toks is None:
-            return None, 0, ln
-        if len(toks) != 2 or toks[0] not in names:
-            raise MeshError(f"line {ln}: expected section header, got {' '.join(toks)!r}")
-        try:
-            count = int(toks[1])
-        except ValueError:
-            count = -1
-        if count < 0:
-            raise MeshError(f"line {ln}: bad count {toks[1]!r}")
-        return toks[0], count, ln
+            if missing:
+                raise MeshError(missing)
+            return None
+        got = f"section header, got {' '.join(toks)!r}"
+        if toks[0] not in names:
+            raise MeshError(f"line {ln}: expected {got}")
+        return read((str, lambda t: _integer(t, 0)), got,
+                    f"count {toks[-1]!r}", (ln, toks))[1]
 
-    name, n, _ = expect_header({"nodes"})
-    if name is None:
-        raise MeshError("empty mesh file")
-    nodes = np.zeros((n, 2))
-    for a in range(n):
-        toks, ln = next_tokens()
-        if toks is None or len(toks) != 2:
-            raise MeshError(f"line {ln}: expected 'x y' for node {a}")
-        try:
-            nodes[a] = [float(toks[0]), float(toks[1])]
-        except ValueError:
-            raise MeshError(f"line {ln}: bad coordinate") from None
-
-    name, e, _ = expect_header({"triangles"})
-    if name is None:
-        raise MeshError("missing 'triangles' section")
-    tris = np.zeros((e, 3), dtype=np.int64)
-    for a in range(e):
-        toks, ln = next_tokens()
-        if toks is None or len(toks) != 3:
-            raise MeshError(f"line {ln}: expected 'i j k' for triangle {a}")
-        try:
-            tris[a] = [int(toks[0]), int(toks[1]), int(toks[2])]
-        except ValueError:
-            raise MeshError(f"line {ln}: bad node index") from None
+    n = header({"nodes"}, "empty mesh file")[1]
+    nodes = np.array([read((float, float), f"'x y' for node {a}",
+                           "coordinate")[1] for a in range(n)]).reshape(n, 2)
+    e = header({"triangles"}, "missing 'triangles' section")[1]
+    tris = np.array([read((_integer,) * 3, f"'i j k' for triangle {a}",
+                          "node index")[1] for a in range(e)],
+                    dtype=np.int64).reshape(e, 3)
 
     boundary_tags: dict = {}
     raw_pairs: list = []
-    while True:
-        name, cnt, ln = expect_header({"boundary", "periodic"})
-        if name is None:
-            break
-        for _ in range(cnt):
-            toks, ln = next_tokens()
+    for name, count in iter(lambda: header({"boundary", "periodic"}), None):
+        for _ in range(count):
             if name == "boundary":
-                if toks is None or len(toks) != 3:
-                    raise MeshError(f"line {ln}: expected 'i j tag'")
-                i, j = int(toks[0]), int(toks[1])
-                boundary_tags[(min(i, j), max(i, j))] = toks[2]
-            else:
-                if toks is None or len(toks) != 2:
-                    raise MeshError(f"line {ln}: expected 'i j'")
-                a, b = int(toks[0]), int(toks[1])
-                # canonical_pairs would drop the pair, and with it the
-                # validation's check of it
-                if a == b:
-                    raise MeshError(f"line {ln}: node {a} periodically "
-                                    "paired with itself")
-                raw_pairs.append((a, b))
+                i, j, tag = read((_integer, _integer, str), "'i j tag'",
+                                 "node index")[1]
+                boundary_tags[(min(i, j), max(i, j))] = tag
+                continue
+            ln, (a, b) = read((_integer,) * 2, "'i j'", "node index")
+            # canonical_pairs would drop the pair, and with it the
+            # validation's check of it
+            if a == b:
+                raise MeshError(f"line {ln}: node {a} periodically "
+                                "paired with itself")
+            raw_pairs.append((a, b))
 
     mesh = Mesh(nodes=nodes, triangles=tris,
                 boundary_tags=boundary_tags,

@@ -88,8 +88,7 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     (out / "config.txt").write_text(cfg.effective_text())
 
     bench, ms, model, scheme, u = setup(cfg)
-    t_end = cfg.t_end if cfg.t_end is not None else bench.t_end
-    controls = TimeControls(cfl=cfg.cfl, t_end=t_end, scheme=cfg.rk,
+    controls = TimeControls(cfl=cfg.cfl, t_end=bench.t_end, scheme=cfg.rk,
                             dt_max=cfg.dt_max)
 
     # Without boundary terms no flux leaves the domain, so the lumped

@@ -17,17 +17,20 @@ class TimeSteppingError(Exception):
     pass
 
 
+RK_SCHEMES = ("euler", "ssp2", "ssp3")
+
+
 @dataclass
 class TimeControls:
     cfl: float = 0.5
     t_end: float = 1.0
-    scheme: str = "ssp2"          # "euler" | "ssp2" | "ssp3"
+    scheme: str = "ssp2"          # one of RK_SCHEMES
     dt_max: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise TimeSteppingError("cfl must lie in (0, 1]")
-        if self.scheme not in ("euler", "ssp2", "ssp3"):
+        if self.scheme not in RK_SCHEMES:
             raise TimeSteppingError(f"unknown rk scheme {self.scheme!r}")
 
 

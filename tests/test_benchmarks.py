@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from idpfem.benchmarks import (BENCHMARK_IDS, dmr_shock_indicator, dmr_states,
                                make_benchmark, moving_shock_state)
 from idpfem.config import ConfigError, RunConfig
-from idpfem.mesh import build_system
+from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler
 
 from conftest import perfbench_workloads, random_euler_states
@@ -235,6 +237,13 @@ class TestRegistry:
         bench = make_benchmark(cfg)
         assert bench.model.m == 4
 
+    def test_h_with_a_mesh_rejected(self):
+        mesh = structured_rect(4, 4, periodic=True)
+        with pytest.raises(ConfigError, match="^benchmark constant with a "
+                           "mesh file does not read h$"):
+            make_benchmark(RunConfig(h=1 / 4), mesh)
+        assert make_benchmark(RunConfig(), mesh).mesh is mesh
+
     def test_h_controls_resolution(self):
         small = make_benchmark(RunConfig(benchmark="constant", h=1 / 4)).mesh
         large = make_benchmark(RunConfig(benchmark="constant", h=1 / 8)).mesh
@@ -303,3 +312,84 @@ class TestExactSolutions:
             u_in = rng.uniform(0.1, 1.0, (len(xx), 1))
             got = bench.bc(xx, t, u_in, nn)
             assert got.tobytes() == reference(xx, t, u_in, nn).tobytes()
+
+
+def _setup_digest(bench):
+    """sha256 prefix over what set-up takes from a benchmark: the model
+    class (and its gamma or velocity at the DOFs), the resolved t_end, the
+    mesh arrays, boundary tags and periodic pairs, u0 at the DOF
+    coordinates, the exact solution at t = 0.3 and the boundary states at
+    two times."""
+    ms = build_system(bench.mesh)
+    mesh, x = bench.mesh, ms.dof_coords
+    model = bench.model
+    h = hashlib.sha256()
+    h.update(f"{type(model).__name__} {getattr(model, 'gamma', None)!r} "
+             f"t_end = {bench.t_end!r}\n".encode())
+    h.update(repr(sorted((int(i), int(j), str(tag)) for (i, j), tag
+                         in mesh.boundary_tags.items())).encode())
+    h.update(repr(sorted((int(a), int(b)) for a, b
+                         in mesh.periodic_pairs.items())).encode())
+    arrays = [mesh.nodes, mesh.triangles, bench.u0(x)]
+    if hasattr(model, "velocity"):
+        arrays.append(model.velocity(x))
+    if bench.exact is not None:
+        arrays.append(bench.exact(x, 0.3))
+    if bench.bc is not None:
+        xb, nb = ms.boundary_x, ms.boundary_nhat
+        u_in = bench.u0(xb)
+        arrays += [bench.bc(xb, t, u_in, nb) for t in (0.0, 0.1)]
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str} {a.shape}\n".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# What make_benchmark hands to set-up, pinned for every benchmark at its
+# defaults, at h = 1/8 and at t_end = 0.3, and for the variants of model,
+# velocity, translation and body: a change to how the benchmarks resolve
+# their defaults must leave every bit as it was.
+SETUP_CONFIGS = {
+    **{f"{name}": dict(benchmark=name) for name in BENCHMARK_IDS},
+    **{f"{name}-h": dict(benchmark=name, h=1 / 8) for name in BENCHMARK_IDS},
+    **{f"{name}-t_end": dict(benchmark=name, t_end=0.3)
+       for name in BENCHMARK_IDS},
+    "constant-euler": dict(benchmark="constant", model="euler"),
+    "constant-burgers": dict(benchmark="constant", model="burgers"),
+    "constant-rotation": dict(benchmark="constant", velocity="rotation"),
+    "advected_gaussian-rotation": dict(benchmark="advected_gaussian",
+                                       velocity="rotation"),
+    "advected_gaussian-vx-vy": dict(benchmark="advected_gaussian", vx=0.5,
+                                    vy=-1.0),
+    "solid_body_rotation-slotted": dict(benchmark="solid_body_rotation",
+                                        body="slotted"),
+}
+SETUP_PINS = {
+    "advected_gaussian": "7d23cf56a5459b70",
+    "burgers_riemann": "b7cbe0a39b48c40e",
+    "constant": "0d0b79c964e5ab88",
+    "dmr": "d9ba7346307c4c1e",
+    "solid_body_rotation": "7f1991236689b57e",
+    "advected_gaussian-h": "8e686f63f755a477",
+    "burgers_riemann-h": "9a9157e023cb04f1",
+    "constant-h": "d8955f32b4d96486",
+    "dmr-h": "9ee64454ac2c119d",
+    "solid_body_rotation-h": "a38298109ebdf95e",
+    "advected_gaussian-t_end": "0ee32932b9f2b854",
+    "burgers_riemann-t_end": "adb4426289dd5326",
+    "constant-t_end": "d864f5432e0c8689",
+    "dmr-t_end": "de2828fe49d853ce",
+    "solid_body_rotation-t_end": "42e34d5f81f55f10",
+    "constant-euler": "0ee61fd7a8d5865d",
+    "constant-burgers": "4d1c7ddf279fa1f3",
+    "constant-rotation": "e219335aa149f110",
+    "advected_gaussian-rotation": "dc21bc32755c7bfa",
+    "advected_gaussian-vx-vy": "189cd40b5cd07b26",
+    "solid_body_rotation-slotted": "045a9a41e028cc1d",
+}
+
+
+@pytest.mark.parametrize("name", SETUP_CONFIGS)
+def test_setup_bytes_are_pinned(name):
+    bench = make_benchmark(RunConfig(**SETUP_CONFIGS[name]))
+    assert _setup_digest(bench) == SETUP_PINS[name]

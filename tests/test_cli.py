@@ -367,7 +367,10 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("text, message", [
         ("nodes 0\ntriangles 0\n", "mesh has no triangles"),
-        ("nodes -1\n", "line 1: bad count '-1'")], ids=["empty", "count"])
+        ("nodes -1\n", "line 1: bad count '-1'"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 1\n"
+         "0 x top\n", "line 8: bad node index")],
+        ids=["empty", "count", "index"])
     def test_solve_bad_mesh_file_exit_one(self, tmp_path, capsys, text,
                                           message):
         meshfile = tmp_path / "m.mesh"

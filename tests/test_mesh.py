@@ -137,6 +137,17 @@ class TestMeshValidation:
         assert mesh.triangles.dtype == np.int64
         assert mesh.triangles.tolist() == [[0, 1, 2]]
 
+    @pytest.mark.parametrize("pair", [(1, 2), (-1, 0), (3, 4)])
+    def test_tag_on_no_edge_rejected(self, pair):
+        """A boundary tag names an edge: a pair of nodes that no triangle
+        joins (here the square's second diagonal), or one with a node out
+        of range, is rejected with the pair."""
+        mesh = structured_rect(1, 1)
+        mesh.boundary_tags[pair] = "top"
+        with pytest.raises(MeshError, match=rf"^boundary tag on \({pair[0]}, "
+                           rf"{pair[1]}\), which is not an edge of the mesh$"):
+            mesh.validate()
+
     def test_self_paired_periodic_node_rejected(self):
         mesh = structured_rect(2, 2)
         mesh.periodic_pairs = {0: 0}
@@ -178,9 +189,18 @@ class TestMeshIO:
         (TRIANGLE + "periodic -1\n", "line 7: bad count '-1'"),
         (TRIANGLE + "periodic 1\n0 0\n",
          "line 8: node 0 periodically paired with itself"),
+        (TRIANGLE + "boundary 1\n0 x top\n", "line 8: bad node index"),
+        (TRIANGLE + "periodic 1\n0 y\n", "line 8: bad node index"),
+        (TRIANGLE + "boundary 1\n0 7 top\n",
+         "boundary tag on (0, 7), which is not an edge of the mesh"),
+        (TRIANGLE + f"boundary 1\n0 {2 ** 63} top\n",
+         "line 8: bad node index"),
+        (TRIANGLE.replace("0 1 2", f"0 1 {2 ** 64}"),
+         "line 6: bad node index"),
         ("nodes 0\ntriangles 0\n", "mesh has no triangles")],
         ids=["nodes", "triangles", "boundary", "periodic", "self-pair",
-             "empty"])
+             "boundary-index", "periodic-index", "tag-off-the-mesh",
+             "tag-beyond-int64", "triangle-beyond-int64", "empty"])
     def test_bad_section_rejected(self, text, message):
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
             read_mesh(text)
