@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import RunConfig, ConfigError
+from .config import BENCHMARK_IDS, ConfigError, RunConfig
 from .mesh import Mesh, structured_rect
 from .models import Euler, make_model
 
@@ -265,4 +265,4 @@ _REGISTRY = {
     "dmr": (_bench_dmr, "euler", None, 1 / 32, (4.0, 1.0), False, 0.2),
 }
 
-BENCHMARK_IDS = tuple(sorted(_REGISTRY))
+assert tuple(_REGISTRY) == BENCHMARK_IDS    # config owns ids and order

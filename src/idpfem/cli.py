@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .diagnostics import AuditError, error_norms, product_rule_defects
+from .diagnostics import AuditError, error_norms, stage_defects
 from .mesh import MeshError, structured_rect, write_mesh
 from .models import AdmissibilityError
 from .schemes import SCHEME_KEYS, CFLError
@@ -161,56 +161,39 @@ CHECK_CASES = (
 def _cmd_check(args) -> int:
     """Trial k runs case k mod the number of cases, audited at every step;
     the advected Gaussian moves in a direction drawn from ``args.seed``.
-    Every product-rule call the runs make is checked as well: both of its
-    ``diagnostics.product_rule_defects`` must stay below 1e-12."""
-    from . import limiting
+    Every limited stage the runs make is checked as well: both of its
+    ``diagnostics.stage_defects`` must stay below 1e-12."""
     from .runner import run
 
-    failures = []
+    failures, defects = [], []
 
     def report(name, error=None):
         print(f"PASS  {name}" if error is None else f"FAIL  {name}: {error}")
         if error is not None:
             failures.append(name)
 
-    product_rule, defects = limiting.product_rule_cs, []
-
-    def checked(*args, **kwargs):
-        # the product rule limits f_k in place; the defects are relative to
-        # the unlimited f_k
-        args = args[:3] + (args[3].copy(),) + args[4:]
-        result = product_rule(*args, **kwargs)
-        defects.append(product_rule_defects(args, result))
-        return result
-
     rng = np.random.default_rng(args.seed)
-    # limit_system_contributions finds product_rule_cs in its module, so
-    # the runs call the checked one until it is put back
-    limiting.product_rule_cs = checked
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for trial in range(args.trials):
-                case = CHECK_CASES[trial % len(CHECK_CASES)]
-                name = " ".join(str(v) for key, v in case.items()
-                                if key not in ("h", "t_end"))
-                cfg = RunConfig(**case, audit_every=1)
-                if cfg.benchmark == "advected_gaussian":
-                    angle = rng.uniform(0.0, 2.0 * np.pi)
-                    cfg.vx, cfg.vy = np.cos(angle), np.sin(angle)
-                try:
-                    run(cfg, out_dir=pathlib.Path(tmp) / str(trial))
-                except Exception as exc:      # report it, run the next case
-                    report(name, f"{type(exc).__name__}: {exc}")
-                else:
-                    report(name)
-    finally:
-        limiting.product_rule_cs = product_rule
-    for k, what in enumerate(("keeps the element zero sum",
-                              "respects its bounds")):
-        if defects:
-            worst = np.max([d[k] for d in defects])    # NaN fails
-            report(f"product rule {what}",
-                   None if worst < 1e-12 else f"relative defect {worst:.2e}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for trial in range(args.trials):
+            case = CHECK_CASES[trial % len(CHECK_CASES)]
+            name = " ".join(str(v) for key, v in case.items()
+                            if key not in ("h", "t_end"))
+            cfg = RunConfig(**case, audit_every=1)
+            if cfg.benchmark == "advected_gaussian":
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                cfg.vx, cfg.vy = np.cos(angle), np.sin(angle)
+            try:
+                run(cfg, out_dir=pathlib.Path(tmp) / str(trial),
+                    on_stage=lambda rec: defects.append(stage_defects(rec)))
+            except Exception as exc:          # report it, run the next case
+                report(name, f"{type(exc).__name__}: {exc}")
+            else:
+                report(name)
+    worst = np.max(defects, axis=0) if defects else ()    # NaN fails
+    for what, w in zip(("keep the element zero sum", "respect their bounds"),
+                       worst):
+        report(f"limited stages {what}",
+               None if w < 1e-12 else f"relative defect {w:.2e}")
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .models import VELOCITY_FIELDS
+from .models import MODEL_NAMES, VELOCITY_FIELDS
 from .schemes import SCHEME_KEYS, SYSTEM_MODES
 from .timestepping import RK_SCHEMES
 
@@ -15,14 +15,15 @@ class ConfigError(Exception):
     pass
 
 
+BENCHMARK_IDS = ("constant", "advected_gaussian", "solid_body_rotation",
+                 "burgers_riemann", "dmr")
 _ENUMS = {
-    "model": ("advection", "burgers", "euler"),
+    "model": MODEL_NAMES,
     "velocity": tuple(VELOCITY_FIELDS),
     "limiter": SCHEME_KEYS,
     "system_limiter": SYSTEM_MODES,
     "rk": RK_SCHEMES,
-    "benchmark": ("constant", "advected_gaussian", "solid_body_rotation",
-                  "burgers_riemann", "dmr"),
+    "benchmark": BENCHMARK_IDS,
     "body": ("smooth", "slotted"),
 }
 

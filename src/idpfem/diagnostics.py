@@ -1,5 +1,5 @@
-"""Auditing and diagnostics: invariant checks per step, product-rule
-defects, error norms and the CSV trace.
+"""Auditing and diagnostics: invariant checks per step, the defects of a
+limited stage, error norms and the CSV trace.
 
 Audits recompute everything from the state; they never read scheme internals,
 so running them cannot perturb the solver trajectory.
@@ -33,7 +33,6 @@ class StepReport:
     zerosum_element: int
     admissible: bool
     alpha_mean: float
-    alpha_min: float
 
     def csv_row(self) -> str:
         # Python floats format faster than numpy scalars, to the same text.
@@ -100,13 +99,12 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
     admissible = bool(np.all(model.admissible(u, bound_tol)))
 
     alpha_mean = float(np.mean(alpha)) if alpha is not None else float("nan")
-    alpha_min = float(np.min(alpha)) if alpha is not None else float("nan")
 
     report = StepReport(t=t, dt=dt, comp_min=u.min(axis=0), comp_max=u.max(axis=0),
                         totals=totals, bound_violation=worst_violation,
                         bound_node=worst_node, zerosum_defect=worst_zerosum,
                         zerosum_element=worst_elem, admissible=admissible,
-                        alpha_mean=alpha_mean, alpha_min=alpha_min)
+                        alpha_mean=alpha_mean)
 
     if raise_on_failure:
         if worst_violation > bound_tol:
@@ -124,21 +122,28 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
     return report
 
 
-def product_rule_defects(args, result):
-    """(zero-sum defect, bound defect) of one ``limiting.product_rule_cs``
-    call, from its positional arguments and its result, each relative: the
-    largest element sum of f_k_star over max(|f_k|, 1), and the largest
-    distance of ``base_k + f_k_star / gamma`` outside ``[rho_bar_star
-    phi_lo, rho_bar_star phi_hi]`` over the largest ``|base_k|`` of its
-    component. Both are 0 up to rounding."""
-    ms, _, rho_bar_star, f_k, _, base_k, gamma = args[:7]
-    f_k_star, phi_lo, phi_hi = result
-    zero_sum = np.abs(f_k_star.sum(axis=1)).max() / max(np.abs(f_k).max(), 1.0)
-    state = base_k + f_k_star / gamma[..., None]
-    lo = rho_bar_star[..., None] * ms.gather(phi_lo)
-    hi = rho_bar_star[..., None] * ms.gather(phi_hi)
-    outside = np.maximum(np.maximum(lo - state, state - hi), 0.0)
-    scale = np.maximum(np.abs(base_k).max(axis=(0, 1)), TINY)
+def stage_defects(record):
+    """(zero-sum defect, bound defect) of a ``schemes.StageRecord``, each
+    relative and 0 up to rounding: the largest element sum of f_star over
+    max(|f_star|, 1); the largest distance of a candidate ``base + f_star /
+    gamma`` outside its bounds over the largest |base| of its component.
+    The bounds are [lo, hi]; for a sequential product rho phi, rho [phi_lo,
+    phi_hi], taking in phi(base) over the DOF's elements where alpha < 1."""
+    ms, f = record.ms, record.f_star
+    zero_sum = np.abs(f.sum(axis=1)).max() / max(np.abs(f).max(), 1.0)
+    base = record.base if record.base.ndim == 3 else ms.gather(record.base)
+    cand = base + f / record.gamma[..., None]
+    lo, hi = (ms.gather(b) for b in record.bounds)
+    if record.phi_lo is not None:
+        fixed = (record.alpha < 1.0)[:, None, None]
+        phi_base = ms.scatter_min_max(base[..., 1:] / base[..., :1])
+        for b, phi, kept, hull in zip((lo, hi), (record.phi_lo, record.phi_hi),
+                                      phi_base, (np.minimum, np.maximum)):
+            phi = ms.gather(phi)
+            hull(phi, ms.gather(kept), out=phi, where=fixed)
+            b[..., 1:] = cand[..., :1] * phi
+    outside = np.maximum(np.maximum(lo - cand, cand - hi), 0.0)
+    scale = np.maximum(np.abs(base).max(axis=(0, 1)), TINY)
     return zero_sum, (outside / scale).max()
 
 

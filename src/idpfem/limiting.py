@@ -151,6 +151,8 @@ def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
 class LimitResult:
     f_star: np.ndarray            # (E, 3) or (E, 3, m)
     alpha: np.ndarray | None      # per-element factors where defined
+    phi_lo: np.ndarray | None = None  # sequential: the product rule's
+    phi_hi: np.ndarray | None = None  # (n_dofs, m - 1) bounds
 
 
 def _bound_gaps(ms: MeshSystem, lo, hi, base, gamma, ws):
@@ -315,12 +317,13 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
 
     f, base: (E, 3, m); gamma: (E, 3) or (E, 1); bounds: per-DOF (lo, hi),
     each (n_dofs, m). ``f`` is limited in place: the result's ``f_star``
-    is ``f``, which a stage hands over to be used up. The bound gaps of all
-    components are formed in one pass; the sequential limiter takes the
-    density's, then the products'.
+    is ``f``, which a stage hands over to be used up; ``alpha`` holds the
+    IDP fix's factors. The bound gaps of all components are formed in one
+    pass; the sequential limiter takes the density's, then the products'.
     """
     lo, hi = bounds
     fmin, fmax = _bound_gaps(ms, lo, hi, base, gamma[..., None], ws)
+    phi = ()
     if system == "sequential":
         f_rho_star = limit_scalar_contributions(
             ms, f[..., 0], base[..., 0], gamma, lo[:, 0], hi[:, 0], kind, ws,
@@ -332,10 +335,10 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
         if np.fmin.reduce(rho_bar_star, axis=None) <= 0:  # skips NaN
             raise AdmissibilityError(
                 "nonpositive intermediate density in product rule")
-        product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
-                        base[..., 0], base[..., 1:], gamma, lo[:, 1:],
-                        hi[:, 1:], kind, ws, out=f[..., 1:],
-                        gaps=(fmin[..., 1:], fmax[..., 1:]))
+        phi = product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
+                              base[..., 0], base[..., 1:], gamma, lo[:, 1:],
+                              hi[:, 1:], kind, ws, out=f[..., 1:],
+                              gaps=(fmin[..., 1:], fmax[..., 1:]))[1:]
     elif system == "synchronized":
         # the smallest scaling factor of all components; the node factors
         # go into fmax and their intermediate into fmin, which they use up
@@ -350,4 +353,4 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
     alpha_phi = idp_fix(model, base, f, gamma, ws=ws)
     if alpha_phi.min() < 1.0:                 # some element was limited
         f *= alpha_phi[:, None, None]
-    return LimitResult(f_star=f, alpha=alpha_phi)
+    return LimitResult(f, alpha_phi, *phi)

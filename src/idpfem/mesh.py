@@ -105,18 +105,9 @@ class Mesh:
     def n_elements(self) -> int:
         return self.triangles.shape[0]
 
-    def signed_areas(self) -> np.ndarray:
-        return _signed_areas(_corners(self.nodes, self.triangles))
-
-    def edges(self):
-        """Yield each undirected edge (sorted node pair) with its multiplicity."""
-        keys, counts, n = self._edge_keys()
-        return np.stack(np.divmod(keys, n), axis=1), counts
-
     def _edge_keys(self):
-        """:meth:`edges` as the ascending keys ``lo * n + hi`` of the edges
-        (n exceeds every node index of the triangles), with ``counts`` and
-        ``n``."""
+        """The ascending keys ``lo * n + hi`` of the edges (node pairs lo <
+        hi; n exceeds every node index), their ``counts`` and ``n``."""
         tri = self.triangles
         a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         # One int64 key per pair sorts like the rows (lo, hi) lexicographically.

@@ -310,6 +310,7 @@ VELOCITY_FIELDS = {
     "translation": translation_velocity,
     "rotation": rotation_velocity,
 }
+MODEL_NAMES = ("advection", "burgers", "euler")
 
 
 def make_model(name: str, gamma: float = 1.4,
@@ -320,10 +321,10 @@ def make_model(name: str, gamma: float = 1.4,
         if factory is None:
             raise ValueError(
                 f"unknown velocity field {velocity!r}; "
-                f"valid: {sorted(VELOCITY_FIELDS)}")
+                f"valid: {', '.join(VELOCITY_FIELDS)}")
         return LinearAdvection(velocity=factory(**vparams))
     if name == "burgers":
         return Burgers2D()
     if name == "euler":
         return Euler(gamma=gamma)
-    raise ValueError(f"unknown model {name!r}; valid: advection, burgers, euler")
+    raise ValueError(f"unknown model {name!r}; valid: {', '.join(MODEL_NAMES)}")

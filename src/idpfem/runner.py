@@ -47,23 +47,27 @@ def setup(cfg: RunConfig):
 
 
 def integrate(scheme: SpatialScheme, u: np.ndarray, controls: TimeControls,
-              t: float = 0.0, on_step: Optional[Callable] = None):
+              t: float = 0.0, on_step: Optional[Callable] = None,
+              on_stage: Optional[Callable] = None):
     """Advance ``u`` from ``t`` to ``controls.t_end`` with adaptive SSP steps.
 
     Every step takes ``controls.cfl`` times the IDP bound of ``scheme``,
     capped by ``controls.dt_max`` and by the time left. ``on_step(u, t, dt,
-    step)`` is called after each step. Returns ``(u, t, steps)``. The state
-    is stored with the DOF index fastest from the first step on, like every
-    per-DOF result it is combined with.
+    step)`` is called after each step and, if the scheme limits,
+    ``on_stage(scheme.record)`` after each stage. Returns ``(u, t, steps)``.
+    The state is stored with the DOF index fastest from the first step on,
+    like every per-DOF result it is combined with.
     """
     t_end = controls.t_end
     stage = scheme.stage_map()
+    limits = on_stage is not None and scheme.driver in ("fct", "mcl")
+    hook = (lambda _: on_stage(scheme.record)) if limits else None
     u = np.asfortranarray(u)
     steps = 0
     while t < t_end - 1e-14 * max(t_end, 1.0):
         dt = compute_dt(scheme.dt_bound(u, t), controls.cfl, t, t_end,
                         controls.dt_max)
-        u = ssp_rk_step(controls.scheme, stage, u, t, dt)
+        u = ssp_rk_step(controls.scheme, stage, u, t, dt, on_stage=hook)
         t += dt
         steps += 1
         if on_step is not None:
@@ -79,7 +83,8 @@ def _global_bounds(model, m: int):
     return [(np.array(model.u_min), np.array(model.u_max))]
 
 
-def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
+def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
+        on_stage: Optional[Callable] = None) -> RunResult:
     """Execute the configured run and write VTK, CSV and summary artifacts."""
     from .vtk_io import vtk_grid, write_vtk
 
@@ -104,7 +109,7 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     def audit(u, t, dt):
         report = audit_step(
             ms, model, u, t, dt, bounds=gbounds,
-            alpha=scheme.last_alpha,
+            alpha=None if scheme.record is None else scheme.record.alpha,
             bound_tol=cfg.audit_bound_tol,
             conservation_ref=totals0 if bench.bc is None else None,
             conservation_tol=cfg.audit_cons_tol,
@@ -136,7 +141,8 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunResult:
     t0_wall = time.perf_counter()
     audit(u, 0.0, 0.0)
     snapshot(u, 0.0)
-    u, t, step = integrate(scheme, u, controls, on_step=on_step)
+    u, t, step = integrate(scheme, u, controls, on_step=on_step,
+                           on_stage=on_stage)
     wall = time.perf_counter() - t0_wall
 
     if snap_t != t:               # the final state, unless a cadence wrote it

@@ -29,8 +29,8 @@ views, made on first use and reused by every later stage (see
 ``mesh.scratch``): the assembly, the bounds and the limiters write their
 element blocks there, so the time loop allocates only per-DOF arrays
 and the IDP fix's boolean admissibility masks (see README, Performance).
-``rhs`` and ``step`` return fresh arrays; ``last_alpha`` and
-``last_bounds`` hold until the scheme's next stage.
+``rhs`` and ``step`` return fresh arrays; the views in a limited stage's
+``StageRecord`` (``record``) hold until the next stage or ``dt_bound``.
 
 Once the assembly has formed ``f_anti``, only its ``bars``, ``d`` and
 ``f_anti`` hold what the stage reads again: ``bars`` is the base (the MCL
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LinearFlux, assemble, linear_flux
-from .limiting import (limit_scalar_contributions,
+from .limiting import (LimitResult, limit_scalar_contributions,
                        limit_system_contributions, local_bounds)
 from .mesh import MeshSystem, Workspace, scratch
 from .models import TINY
@@ -112,6 +112,17 @@ def _zero_inactive(a, d):
     return a
 
 
+@dataclass(kw_only=True)
+class StageRecord(LimitResult):
+    """The limiter's result of one stage, its ``f_star`` (E, 3, m) after
+    the IDP fix, and what bounds its candidates ``base + f_star / gamma``."""
+
+    ms: MeshSystem
+    base: np.ndarray              # (E, 3, m), or (n_dofs, 1) for scalar FCT
+    gamma: np.ndarray             # (E, 1)
+    bounds: tuple                 # per-DOF (lo, hi), each (n_dofs, m)
+
+
 @dataclass
 class SpatialScheme:
     """One configured spatial operator over a fixed mesh system."""
@@ -121,8 +132,7 @@ class SpatialScheme:
     limiter: str = "mcl.cs"
     system: str = "sequential"    # system models: one of SYSTEM_MODES
     bc: object = None             # callable or None (periodic / closed)
-    last_alpha: np.ndarray | None = None
-    last_bounds: tuple | None = None  # per-DOF (lo, hi), each (n_dofs, m)
+    record: StageRecord | None = field(default=None, init=False, repr=False)
     # (u copy, t, work, bwork, dt bound) of the last dt_bound, for one use
     # only
     _memo: tuple | None = field(default=None, init=False, repr=False)
@@ -205,20 +215,20 @@ class SpatialScheme:
         ``base + f / gamma`` stays within the per-DOF ``bounds`` (lo, hi),
         each (n_dofs, m). ``base`` is (E, 3, m) at the element nodes, or
         for a scalar model (n_dofs, 1) per DOF. ``f`` is used up: a system
-        model limits it in place."""
-        lo, hi = self.last_bounds = bounds
+        model limits it in place. Keeps the stage's ``record``."""
+        lo, hi = bounds
         if self.model.m == 1:
             res = limit_scalar_contributions(self.ms, f[..., 0], base[..., 0],
                                              gamma, lo[:, 0], hi[:, 0],
                                              self.kind, self.ws)
-            f_star = res.f_star[..., None]
+            res.f_star = res.f_star[..., None]
         else:
             res = limit_system_contributions(self.ms, self.model, f, base,
                                              gamma, bounds, self.kind,
                                              self.system, self.ws)
-            f_star = res.f_star
-        self.last_alpha = res.alpha
-        return f_star
+        self.record = StageRecord(**vars(res), ms=self.ms, base=base,
+                                  gamma=gamma, bounds=bounds)
+        return res.f_star
 
     # --- semi-discrete operators -----------------------------------------
 

@@ -171,7 +171,8 @@ def _scalar_idp_trace(limiter, steps=200):
         t += dt
         worst[0] = max(worst[0], float(-u.min()), float(u.max() - 1.0))
         rep = audit_step(ms, model, u, t, dt, bounds=bounds,
-                         alpha=scheme.last_alpha, raise_on_failure=False)
+                         alpha=None if scheme.record is None
+                         else scheme.record.alpha, raise_on_failure=False)
         rows.append(rep.csv_row())
     return worst[0], "\n".join(rows) + "\n"
 

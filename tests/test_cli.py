@@ -231,7 +231,8 @@ class TestRunner:
         calls, per_step = [], []
         original = runner_mod.integrate
 
-        def integrate(scheme, u, controls, t=0.0, on_step=None):
+        def integrate(scheme, u, controls, t=0.0, on_step=None,
+                      on_stage=None):
             model = scheme.model
             check = model.admissible
 
@@ -251,7 +252,7 @@ class TestRunner:
                 finally:
                     per_step.append(len(calls) - before)
 
-            return original(scheme, u, controls, t, inject)
+            return original(scheme, u, controls, t, inject, on_stage)
 
         monkeypatch.setattr(runner_mod, "integrate", integrate)
         cfg = RunConfig(benchmark="constant", h=1 / 8, t_end=0.2,
@@ -396,13 +397,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
-        assert "PASS  product rule keeps the element zero sum" in out
-        assert "PASS  product rule respects its bounds" in out
+        assert "PASS  limited stages keep the element zero sum" in out
+        assert "PASS  limited stages respect their bounds" in out
 
     def test_check_reports_every_failing_case(self, monkeypatch, capsys):
         """An unclipped clip-and-scale limiter fails the audited runs that
-        use it and the product-rule bounds, and the cases after a failure
-        still run."""
+        use it and the bounds of the limited stages, and the cases after a
+        failure still run."""
 
         def unclipped(f, fmin, fmax, ws=None, out=None):
             if out is None:
@@ -421,8 +422,8 @@ class TestCliCommands:
             in captured.out
         assert "FAIL  dmr mcl.cs sequential: AdmissibilityError: " \
             in captured.out
-        assert "FAIL  product rule respects its bounds: " in captured.out
-        assert "PASS  product rule keeps the element zero sum" in lines
+        assert "FAIL  limited stages respect their bounds: " in captured.out
+        assert "PASS  limited stages keep the element zero sum" in lines
         assert [ln for ln in lines if ln.endswith(" low")] == [
             "PASS  advected_gaussian low",
             "PASS  solid_body_rotation slotted low",
@@ -432,7 +433,7 @@ class TestCliCommands:
 
     def test_check_reports_any_exception_and_goes_on(self, monkeypatch,
                                                      capsys):
-        def run(cfg, out_dir=None, quiet=True):
+        def run(cfg, out_dir=None, quiet=True, on_stage=None):
             if cfg.limiter == "low":
                 raise ValueError("broken scheme")
 

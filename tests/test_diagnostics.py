@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from conftest import random_euler_states
 from idpfem import runner
 from idpfem.config import RunConfig
 from idpfem.diagnostics import (AuditError, audit_step, csv_header,
-                                error_norms, lumped_totals)
+                                error_norms, lumped_totals, stage_defects)
 from idpfem.mesh import build_system, structured_rect
 from idpfem.models import Euler, make_model
 from idpfem.schemes import SpatialScheme
+from idpfem.runner import integrate
 from idpfem.timestepping import TimeControls
 from reference import rd_weights
 
@@ -247,3 +250,97 @@ class TestErrorNorms:
         norms = error_norms(ms, u, exact, 0.0)
         assert norms["linf"][0] == pytest.approx(0.1)
         assert np.all(norms["linf"][1:] == 0)
+
+
+def _double_rarefaction(limiter, system):
+    """A scheme and the initial state of a periodic double rarefaction on
+    32 x 32 cells: rho = 1, p = 0.1, v_x = +2 on 1/4 <= x < 3/4 and -2
+    elsewhere. The gas streams apart at x = 1/4, so the density there
+    falls towards vacuum and the IDP fix acts."""
+    ms = build_system(structured_rect(32, 32, periodic=True))
+    model = Euler()
+    x = ms.dof_coords[:, 0]
+    vx = np.where((x >= 0.25) & (x < 0.75), 2.0, -2.0)
+    u = model.conserved(np.ones(ms.n_dofs),
+                        np.stack([vx, np.zeros_like(vx)], axis=1),
+                        np.full(ms.n_dofs, 0.1))
+    model.set_global_bounds(u)
+    return SpatialScheme(ms=ms, model=model, limiter=limiter,
+                         system=system), u
+
+
+def _record(model_name):
+    """The stage record of one ``mcl.cs`` stage: of the advected Gaussian
+    at t = 0, or of the double rarefaction in the sequential mode at t =
+    0.01, where the IDP fix acts and the specific values of the base
+    reach beyond the product rule's range."""
+    t = 0.0
+    if model_name == "advection":
+        _, _, _, scheme, u = runner.setup(
+            RunConfig(benchmark="advected_gaussian", h=1 / 16))
+    else:
+        scheme, u = _double_rarefaction("mcl.cs", "sequential")
+        u, t, _ = integrate(scheme, u, TimeControls(cfl=0.5, t_end=0.01,
+                                                    scheme="ssp2"))
+    scheme.stage_map()(u, t, 0.5 * scheme.dt_bound(u, t))
+    record = scheme.record
+    assert max(stage_defects(record)) < 1e-12
+    return record
+
+
+class TestStageDefects:
+    @pytest.mark.parametrize("limiter, system", [
+        ("mcl.cs", "sequential"), ("mcl.scale", "sequential"),
+        ("mcl.scale", "synchronized")])
+    def test_stages_the_idp_fix_scales_stay_in_bounds(self, limiter,
+                                                       system):
+        """Where the fix scales an element (alpha < 1), the sequential
+        mode's specific values leave the product rule's range, but not its
+        hull with those of the base."""
+        scheme, u = _double_rarefaction(limiter, system)
+        defects, fixed = [], []
+
+        def on_stage(record):
+            defects.append(stage_defects(record))
+            fixed.append(np.count_nonzero(record.alpha < 1.0))
+
+        u, _, _ = integrate(scheme, u, TimeControls(cfl=0.5, t_end=0.05,
+                                                    scheme="ssp2"),
+                            on_stage=on_stage)
+        rho, _, p, _ = scheme.model.primitives(u)
+        assert sum(fixed) > 0
+        assert rho.min() > 0 and p.min() > 0
+        assert np.max(defects) < 1e-12
+
+    @pytest.mark.parametrize("model_name, k", [
+        ("advection", 0), ("euler", 0), ("euler", 1), ("euler", 3)])
+    def test_a_contribution_past_its_bound_is_reported(self, model_name, k):
+        """One node of an element the IDP fix left alone gets the final
+        contribution that puts its candidate 1e-8 relative above its
+        bound: for a product, rho phi_hi at the candidate density. That
+        node is where phi(base) reaches furthest above phi_hi, so the push
+        stays inside the hull that only elements with alpha < 1 take."""
+        record = _record(model_name)
+        ms, base, gamma = record.ms, record.base, record.gamma
+        f = record.f_star.copy()
+        if k == 0:
+            e, i = 0, 0
+            hi = ms.gather(record.bounds[1])[e, i, 0]
+        else:
+            phi_hi = ms.gather(record.phi_hi)[..., k - 1]
+            _, base_hi = ms.scatter_min_max(base[..., k] / base[..., 0])
+            gap = np.where((record.alpha == 1.0)[:, None],
+                           ms.gather(base_hi) - phi_hi, -np.inf)
+            e, i = np.unravel_index(np.argmax(gap), gap.shape)
+            assert gap[e, i] > 1e-6
+            hi = (base[e, i, 0] + f[e, i, 0] / gamma[e, 0]) * phi_hi[e, i]
+        hi += 1e-8 * np.abs(base[..., k]).max()
+        f[e, i, k] = (hi - base[e, i, k]) * gamma[e, 0]
+        assert stage_defects(replace(record, f_star=f))[1] >= 1e-9
+
+    @pytest.mark.parametrize("model_name", ["advection", "euler"])
+    def test_a_broken_zero_sum_is_reported(self, model_name):
+        record = _record(model_name)
+        f = record.f_star.copy()
+        f[0, 0, -1] += 1e-8 * max(np.abs(f).max(), 1.0)
+        assert stage_defects(replace(record, f_star=f))[0] >= 1e-9

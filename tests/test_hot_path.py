@@ -258,7 +258,8 @@ def _edges_reference(mesh):
 ])
 def test_edges_match_unique_rows(make):
     mesh = make()
-    uniq, counts = mesh.edges()
+    keys, counts, n = mesh._edge_keys()
+    uniq = np.stack(np.divmod(keys, n), axis=1)
     ref_uniq, ref_counts = _edges_reference(mesh)
     assert uniq.dtype == ref_uniq.dtype
     assert np.array_equal(uniq, ref_uniq)
@@ -975,15 +976,16 @@ class _FreshBound(SpatialScheme):
 
 
 def _ssp2_steps(scheme, u, t, n):
-    """``n`` SSP2 steps at cfl 0.5; yields the bits of (dt, u, last_bounds,
-    last_alpha) after each."""
+    """``n`` SSP2 steps at cfl 0.5; yields the bits of (dt, u, and the
+    bounds and alpha of the stage record) after each."""
     stage = scheme.stage_map()
     for _ in range(n):
         dt = 0.5 * scheme.dt_bound(u, t)
         u = ssp_rk_step("ssp2", stage, u, t, dt)
         t += dt
-        bounds = scheme.last_bounds or ()
-        alpha = scheme.last_alpha
+        record = scheme.record
+        bounds = () if record is None else record.bounds
+        alpha = None if record is None else record.alpha
         yield (dt, u.tobytes(), [b.tobytes() for b in bounds],
                None if alpha is None else alpha.tobytes())
 

@@ -15,6 +15,7 @@ from idpfem.limiting import (clip_and_scale, idp_fix,
                              product_rule_cs, scaling_limiter)
 from idpfem.models import TINY, AdmissibilityError, Euler
 from idpfem.runner import integrate, setup
+from idpfem.schemes import StageRecord
 from idpfem.timestepping import TimeControls
 
 from conftest import random_euler_states
@@ -430,48 +431,41 @@ class TestProductRule:
         assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
 
 
-@pytest.fixture
-def product_rule_defects(monkeypatch):
-    """Defects of every product-rule call the system limiter makes, taken
-    at once (its result lives in buffers that later stages overwrite)."""
-    defects = []
-    original = limiting_mod.product_rule_cs
-
-    def checked(*args, **kwargs):
-        result = original(*args, **kwargs)
-        defects.append(diagnostics.product_rule_defects(args, result))
-        return result
-
-    monkeypatch.setattr(limiting_mod, "product_rule_cs", checked)
-    return defects
-
-
 @pytest.mark.parametrize("kind", ["cs", "scale"])
 class TestSequentialLimiterBounds:
-    """The sequential system limiter's product components sum to zero per
-    element and keep every candidate state inside the product-rule bounds,
-    with no repair step."""
+    """The sequential system limiter's components sum to zero per element
+    and keep every candidate state inside its bounds, the products inside
+    the product-rule bounds, with no repair step."""
 
     def _check(self, defects):
         assert defects
         assert max(z for z, _ in defects) < 1e-12
         assert max(b for _, b in defects) < 1e-12
 
-    def test_random_euler_data(self, rng, periodic8, kind,
-                               product_rule_defects):
+    def test_random_euler_data(self, rng, periodic8, kind):
+        defects = []
         for _ in range(5):
             model, work, f, gamma, bounds = _euler_element_data(rng, periodic8)
-            limit_system_contributions(periodic8, model, f, work.bar_states,
-                                       gamma, bounds, kind, "sequential")
-        self._check(product_rule_defects)
+            res = limit_system_contributions(periodic8, model, f,
+                                             work.bar_states, gamma, bounds,
+                                             kind, "sequential")
+            defects.append(diagnostics.stage_defects(StageRecord(
+                res.f_star, res.alpha, res.phi_lo, res.phi_hi, ms=periodic8,
+                base=work.bar_states, gamma=gamma, bounds=bounds)))
+        self._check(defects)
 
-    def test_dmr_stages(self, kind, product_rule_defects):
+    def test_dmr_stages(self, kind):
         cfg = RunConfig(benchmark="dmr", h=1 / 16, limiter=f"mcl.{kind}")
         _, _, _, scheme, u = setup(cfg)
-        _, _, steps = integrate(scheme, u, TimeControls(cfl=0.5, t_end=0.002,
-                                                        scheme="ssp2"))
-        assert len(product_rule_defects) == 2 * steps
-        self._check(product_rule_defects)
+        # each record is read at once: its views live in buffers that the
+        # next stage overwrites
+        defects = []
+        _, _, steps = integrate(
+            scheme, u, TimeControls(cfl=0.5, t_end=0.002, scheme="ssp2"),
+            on_stage=lambda record: defects.append(
+                diagnostics.stage_defects(record)))
+        assert len(defects) == 2 * steps
+        self._check(defects)
 
 
 class TestIdpFix:

@@ -76,7 +76,7 @@ def test_stage_matches_the_reference(key, model_name, mesh, seed, sparse,
     assert got.shape == u.shape
     assert relative_error(got, ref.u) <= 1e-12
 
-    alpha = scheme.last_alpha if key.endswith(".scale") else None
+    alpha = scheme.record.alpha if key.endswith(".scale") else None
     assert (alpha is None) == (ref.alpha is None)
     if alpha is not None:
         reach = np.abs(ref.f_anti).max(axis=(1, 2))

@@ -192,8 +192,9 @@ class TestMcl:
         u = model.conserved(rho, v, p)
         scheme = make_scheme(ms, model, "mcl.cs")
         scheme.rhs(u, 0.0)
-        assert scheme.last_alpha is not None
-        assert np.all((scheme.last_alpha >= 0) & (scheme.last_alpha <= 1))
+        alpha = scheme.record.alpha
+        assert alpha is not None
+        assert np.all((alpha >= 0) & (alpha <= 1))
 
 
 class TestDegenerateCases:
