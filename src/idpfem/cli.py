@@ -84,7 +84,9 @@ def _cmd_solve(args) -> int:
         if args.audit_every < 0:    # as parse_config rejects the key
             raise ConfigError("audit_every must be >= 0")
         cfg.audit_every = args.audit_every
-    result = run(cfg, out_dir=args.out, quiet=args.quiet)
+    if args.out is not None:
+        cfg.out = args.out
+    result = run(cfg, quiet=args.quiet)
     if not args.quiet:
         print(f"{result.bench.id}: {result.steps} steps to t = {result.t:g} "
               f"in {result.wall_time:.2f} s")

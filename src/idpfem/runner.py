@@ -75,14 +75,6 @@ def integrate(scheme: SpatialScheme, u: np.ndarray, controls: TimeControls,
     return u, t, steps
 
 
-def _global_bounds(model, m: int):
-    """Audit bounds of a scalar model: its global interval as one pair of
-    0-d arrays, which broadcast against every DOF."""
-    if m != 1:
-        return None
-    return [(np.array(model.u_min), np.array(model.u_max))]
-
-
 def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
         on_stage: Optional[Callable] = None) -> RunResult:
     """Execute the configured run and write VTK, CSV and summary artifacts."""
@@ -99,16 +91,15 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
     # Without boundary terms no flux leaves the domain, so the lumped
     # totals are conserved.
     totals0 = lumped_totals(ms, u)
-    # The unlimited Galerkin scheme makes no invariant-domain claim, so it
-    # is not audited against bounds and its inadmissible states are not fatal.
+    # The unlimited Galerkin scheme makes no invariant-domain claim, so its
+    # bound violations are reported but not fatal.
     idp_claim = cfg.limiter != "none"
-    gbounds = _global_bounds(model, model.m) if idp_claim else None
 
     reports: list[StepReport] = []
 
     def audit(u, t, dt):
         report = audit_step(
-            ms, model, u, t, dt, bounds=gbounds,
+            ms, model, u, t, dt,
             alpha=None if scheme.record is None else scheme.record.alpha,
             bound_tol=cfg.audit_bound_tol,
             conservation_ref=totals0 if bench.bc is None else None,

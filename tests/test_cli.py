@@ -227,20 +227,21 @@ class TestRunner:
                                                       audit_every):
         """A state made inadmissible after step 2 stops the run, on an
         audited step (audit_every = 1) and on an unaudited one; every step
-        makes one admissibility pass."""
+        makes one pass over the constraint values."""
         calls, per_step = [], []
         original = runner_mod.integrate
 
         def integrate(scheme, u, controls, t=0.0, on_step=None,
                       on_stage=None):
             model = scheme.model
-            check = model.admissible
+            phi_values = model.phi_values
 
-            def counted(v, slack=0.0):
+            def counted(v):
                 calls.append(v.shape)
-                return check(v, slack)
+                return phi_values(v)
 
-            model.admissible = counted
+            # the audit and the scalar admissibility check both pass here
+            model.phi_values = counted
 
             def inject(v, t, dt, step):
                 if step == 2:
@@ -262,6 +263,19 @@ class TestRunner:
         assert per_step == [1, 1]
         if audit_every != 1:
             assert "inadmissible state after step 2" in str(err.value)
+        else:
+            assert "bound violation 1 at node 0" in str(err.value)
+
+    def test_unlimited_run_reports_its_overshoot(self, tmp_path):
+        """``none`` makes no invariant-domain claim: its overshoot is in
+        the CSV, and the run does not fail on it."""
+        cfg = RunConfig(benchmark="burgers_riemann", h=1 / 16, t_end=0.05,
+                        limiter="none", out=str(tmp_path / "out"))
+        result = run(cfg)
+        assert result.t == pytest.approx(0.05)
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        col = rows[0].split(",").index("bound_violation")
+        assert max(float(r.split(",")[col]) for r in rows[1:]) > 0.05
 
     def test_output_cadence(self, tmp_path):
         cfg = RunConfig(benchmark="constant", h=1 / 8, t_end=0.2,
@@ -522,6 +536,16 @@ class TestCliCommands:
                      "--audit-every", "0"]) == 0
         rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) == 2  # header + initial audit only
+
+    def test_out_override_recorded_in_config(self, tmp_path):
+        """The effective config records the output directory it ran in."""
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG + f"out = {tmp_path / 'cfg'}\n")
+        assert main(["solve", str(cfgfile), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "config.txt").read_text().splitlines()
+        assert f"out = {tmp_path / 'o'}" in lines
+        assert not (tmp_path / "cfg").exists()
 
     def test_negative_audit_every_override_rejected(self, tmp_path, capsys):
         """The override is held to the rule of the config key."""

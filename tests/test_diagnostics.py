@@ -69,8 +69,7 @@ class TestAuditStep:
         ms, model = adv_setup
         u = np.full((ms.n_dofs, 1), 0.25)
         model.set_global_bounds(u)
-        bounds = [(np.full(ms.n_dofs, 0.25), np.full(ms.n_dofs, 0.25))]
-        rep = audit_step(ms, model, u, 0.0, 0.1, bounds=bounds)
+        rep = audit_step(ms, model, u, 0.0, 0.1)
         assert rep.bound_violation == 0.0
         assert rep.admissible
         assert rep.totals[0] == pytest.approx(0.25 * 1.0, rel=1e-13)
@@ -80,11 +79,9 @@ class TestAuditStep:
         u = np.full((ms.n_dofs, 1), 0.5)
         model.set_global_bounds(u)
         u[17, 0] += 1e-3
-        bounds = [(np.full(ms.n_dofs, 0.5), np.full(ms.n_dofs, 0.5))]
         with pytest.raises(AuditError, match="node 17"):
-            audit_step(ms, model, u, 0.0, 0.1, bounds=bounds)
-        rep = audit_step(ms, model, u, 0.0, 0.1, bounds=bounds,
-                         raise_on_failure=False)
+            audit_step(ms, model, u, 0.0, 0.1)
+        rep = audit_step(ms, model, u, 0.0, 0.1, raise_on_failure=False)
         assert rep.bound_violation == pytest.approx(1e-3)
         assert rep.bound_node == 17
 
@@ -95,8 +92,7 @@ class TestAuditStep:
         scheme = SpatialScheme(ms=ms, model=model, limiter="low")
         dt = 0.9 * scheme.dt_bound(u)
         u2 = u + dt * scheme.rhs(u, 0.0)
-        bounds = [(np.full(ms.n_dofs, 0.0), np.full(ms.n_dofs, 1.0))]
-        rep = audit_step(ms, model, u2, dt, dt, bounds=bounds,
+        rep = audit_step(ms, model, u2, dt, dt,
                          conservation_ref=(ms.lumped_mass[:, None]
                                            * u).sum(axis=0))
         assert rep.bound_violation <= 1e-12
@@ -120,19 +116,25 @@ class TestAuditStep:
         u = rng.uniform(0.0, 1.0, (ms.n_dofs, 1))
         model.set_global_bounds(u)
         before = u.copy()
-        audit_step(ms, model, u, 0.0, 0.1,
-                   bounds=[(np.zeros(ms.n_dofs), np.ones(ms.n_dofs))])
+        audit_step(ms, model, u, 0.0, 0.1)
         assert np.array_equal(u, before)
 
-    def test_zero_sum_defect_reported(self, adv_setup):
-        ms, model = adv_setup
-        u = np.full((ms.n_dofs, 1), 0.5)
-        f = np.zeros((ms.n_elements, 3, 1))
-        f[3, 0, 0] = 1e-4
-        rep = audit_step(ms, model, u, 0.0, 0.1, f_star=f,
-                         raise_on_failure=False)
-        assert rep.zerosum_defect == pytest.approx(1e-4)
-        assert rep.zerosum_element == 3
+    def test_euler_internal_energy_fault_located(self):
+        """Euler states are checked on rho and rho e, and a failing audit
+        names the node."""
+        ms = build_system(structured_rect(8, 8, periodic=True))
+        model = Euler()
+        u = model.conserved(np.ones(ms.n_dofs), np.zeros((ms.n_dofs, 2)),
+                            np.ones(ms.n_dofs))
+        rep = audit_step(ms, model, u, 0.0, 0.1)
+        assert rep.admissible and rep.bound_violation == 0.0
+        u[23, 3] = -1e-3            # at rest, so rho e = E
+        with pytest.raises(AuditError,
+                           match=r"bound violation 0\.001 at node 23,"):
+            audit_step(ms, model, u, 0.0, 0.1)
+        rep = audit_step(ms, model, u, 0.0, 0.1, raise_on_failure=False)
+        assert rep.bound_violation == 1e-3
+        assert rep.bound_node == 23 and not rep.admissible
 
     def test_csv_row_matches_header_width(self, adv_setup):
         ms, model = adv_setup
@@ -140,7 +142,7 @@ class TestAuditStep:
         model.set_global_bounds(u)
         rep = audit_step(ms, model, u, 0.0, 0.1)
         assert len(rep.csv_row().split(",")) == len(csv_header(1).split(","))
-        assert len(csv_header(4).split(",")) == 2 + 3 * 4 + 3
+        assert len(csv_header(4).split(",")) == 2 + 3 * 4 + 2
 
 
 class TestAuditLayout:
