@@ -157,18 +157,10 @@ def _bench_solid_body_rotation(model, v, body):
     def exact(x, t):
         return u0(_rotated_back(x, t))
 
-    velocity = model.velocity
-    # The inflow mask depends on the positions and normals alone, which the
-    # assembly passes as the same arrays every time: it is made once per
-    # pair of arrays.
-    seen = {}
-
     def bc(x, t, u_in, nhat):
         # zero inflow, copy at outflow
-        if seen.get("x") is not x or seen.get("nhat") is not nhat:
-            inflow = np.sum(velocity(x) * nhat, axis=-1) < 0.0
-            seen.update(x=x, nhat=nhat, inflow=inflow[:, None])
-        return np.where(seen["inflow"], 0.0, u_in)
+        inflow = np.sum(model.velocity(x) * nhat, axis=-1) < 0.0
+        return np.where(inflow[:, None], 0.0, u_in)
 
     return u0, exact, bc
 

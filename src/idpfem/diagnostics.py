@@ -29,8 +29,6 @@ class StepReport:
     comp_max: np.ndarray
     totals: np.ndarray            # sum_i m_i u_i per component
     bound_violation: float
-    bound_node: int
-    admissible: bool
     alpha_mean: float
 
     def csv_row(self) -> str:
@@ -60,16 +58,16 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
                bound_tol: float = 1e-10,
                conservation_ref: Optional[np.ndarray] = None,
                conservation_tol: float = 1e-10,
-               raise_on_failure: bool = True,
                check_admissibility: bool = True) -> StepReport:
     """Recompute all audited quantities from the state and optional context.
 
     The state is checked against the model's invariant set: the bound
     violation is how far the smallest of ``model.phi_values`` falls below
     zero (the global interval of a scalar model; density and internal
-    energy density for Euler), and the state is admissible if that is at
-    most ``bound_tol``. ``conservation_ref`` triggers a relative drift check
-    of the totals. The report is the same for a C- and a Fortran-ordered
+    energy density for Euler). With ``check_admissibility`` a violation
+    above ``bound_tol`` raises ``AuditError``, naming the node;
+    ``conservation_ref`` adds a relative drift check of the totals, which
+    raises as well. The report is the same for a C- and a Fortran-ordered
     ``u``: every reduction runs over its C-ordered form.
     """
     u = np.ascontiguousarray(u)
@@ -79,29 +77,22 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
 
     phi = model.phi_values(u)
     worst = int(np.argmin(phi))
-    worst_node = worst // phi.shape[-1]
     worst_violation = max(0.0, -float(phi.flat[worst]))
-    admissible = worst_violation <= bound_tol
+    if check_admissibility and worst_violation > bound_tol:
+        raise AuditError(f"bound violation {worst_violation:g} at node "
+                         f"{worst // phi.shape[-1]}, t = {t:g}")
+    if conservation_ref is not None:
+        scale = np.maximum(np.abs(conservation_ref), 1e-300)
+        drift = np.abs(totals - conservation_ref) / scale
+        if drift.max() > conservation_tol:
+            k = int(np.argmax(drift))
+            raise AuditError(
+                f"conservation drift {drift[k]:g} in component {k}, t = {t:g}")
 
     alpha_mean = float(np.mean(alpha)) if alpha is not None else float("nan")
-
-    report = StepReport(t=t, dt=dt, comp_min=u.min(axis=0), comp_max=u.max(axis=0),
-                        totals=totals, bound_violation=worst_violation,
-                        bound_node=worst_node, admissible=admissible,
-                        alpha_mean=alpha_mean)
-
-    if raise_on_failure:
-        if check_admissibility and not admissible:
-            raise AuditError(
-                f"bound violation {worst_violation:g} at node {worst_node}, t = {t:g}")
-        if conservation_ref is not None:
-            scale = np.maximum(np.abs(conservation_ref), 1e-300)
-            drift = np.abs(totals - conservation_ref) / scale
-            if drift.max() > conservation_tol:
-                k = int(np.argmax(drift))
-                raise AuditError(
-                    f"conservation drift {drift[k]:g} in component {k}, t = {t:g}")
-    return report
+    return StepReport(t=t, dt=dt, comp_min=u.min(axis=0), comp_max=u.max(axis=0),
+                      totals=totals, bound_violation=worst_violation,
+                      alpha_mean=alpha_mean)
 
 
 def stage_defects(record):

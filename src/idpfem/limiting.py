@@ -113,33 +113,32 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     return neg_part
 
 
-def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, mode: str,
-                 bwork=None, ws=None):
+def local_bounds(ms: MeshSystem, field: np.ndarray, elem_vals, bwork=None,
+                 ws=None):
     """Per-DOF admissible range of one scalar quantity, or of every
     component at once.
 
     ``field`` (n_dofs,) or (n_dofs, m) is the per-DOF reference (u for MCL,
-    the low-order predictor for FCT). Mode "barstate" takes the range of
-    ``field`` and of the per-element-node candidates ``elem_vals`` (E, 3)
-    or (E, 3, m), the bar states, at each DOF. Mode "stencil" takes the
-    range of ``field`` over each DOF's nodal stencil, the DOFs it shares an
-    element with, in one take through ``ms.stencil_table``
-    (``MeshSystem.stencil_min_max``); it reads no ``elem_vals``, which may
-    be None. ``bwork`` (an ``assembly.BoundaryWork``, or None) widens the
-    range at its ``dofs`` to its ``bar_states``, (B,) or (B, m).
+    the low-order predictor for FCT). With ``elem_vals``, per-element-node
+    candidates (E, 3) or (E, 3, m) such as MCL's bar states, the range is
+    that of ``field`` and of the candidates at each DOF. With ``elem_vals``
+    None (FCT, whose assembly forms no bar states) it is the range of
+    ``field`` over each DOF's nodal stencil, the DOFs it shares an element
+    with, in one take through ``ms.stencil_table``
+    (``MeshSystem.stencil_min_max``). ``bwork`` (an
+    ``assembly.BoundaryWork``, or None) widens the range at its ``dofs`` to
+    its ``bar_states``, (B,) or (B, m).
     Returns fresh (lo, hi) shaped like ``field``, stored with the DOF index
     fastest. As with the scatters, a tie between -0.0 and +0.0 may keep
     either sign.
     """
-    if mode == "barstate":
-        lo, hi = ms.scatter_min_max(elem_vals, ws)
-        np.minimum(field, lo, out=lo)
-        np.maximum(field, hi, out=hi)
-    elif mode == "stencil":
+    if elem_vals is None:
         # each DOF is in its own stencil, so the range holds field already
         lo, hi = ms.stencil_min_max(field, ws)
     else:
-        raise ValueError(f"unknown bounds mode {mode!r}")
+        lo, hi = ms.scatter_min_max(elem_vals, ws)
+        np.minimum(field, lo, out=lo)
+        np.maximum(field, hi, out=hi)
     if bwork is not None:
         # boundary dofs are unique, so plain fancy indexing suffices
         lo[bwork.dofs] = np.minimum(lo[bwork.dofs], bwork.bar_states)
@@ -265,10 +264,10 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     return g_star, phi_lo, phi_hi
 
 
-def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
-    """Largest per-element alpha in a bisection family keeping all candidate
-    states base + alpha f_star / gamma admissible. base: (E, 3, m). The
-    factors (E,) go into ``ws`` when given."""
+def idp_fix(model, base, f_star, gamma, ws=None):
+    """Largest per-element alpha, to 30 bisection passes, keeping all
+    candidate states base + alpha f_star / gamma admissible. base: (E, 3,
+    m). The factors (E,) go into ``ws`` when given."""
     # the admissibility test's intermediates go into the buffer of the
     # Rusanov residual and the candidate states into that of the viscous
     # term, where the bound gaps were, which the limiters before the fix
@@ -299,7 +298,7 @@ def idp_fix(model, base, f_star, gamma, iters: int = 30, ws=None):
         return alpha
     lo = np.zeros(n_e)
     hi = np.ones(n_e)
-    for _ in range(iters):
+    for _ in range(30):
         mid = 0.5 * (lo + hi)
         good_mid = ok(mid)
         np.copyto(lo, mid, where=search & good_mid)

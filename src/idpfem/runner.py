@@ -11,8 +11,8 @@ import numpy as np
 
 from .benchmarks import Benchmark, make_benchmark
 from .config import RunConfig
-from .diagnostics import (AuditError, StepReport, audit_step, csv_header,
-                          error_norms, lumped_totals)
+from .diagnostics import (AuditError, audit_step, csv_header, error_norms,
+                          lumped_totals)
 from .mesh import MeshSystem, build_system, read_mesh
 from .schemes import SpatialScheme
 from .timestepping import TimeControls, compute_dt, ssp_rk_step
@@ -28,7 +28,6 @@ class RunResult:
     model: object
     bench: Benchmark
     norms: Optional[dict]
-    reports: list
 
 
 def setup(cfg: RunConfig):
@@ -95,17 +94,16 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
     # bound violations are reported but not fatal.
     idp_claim = cfg.limiter != "none"
 
-    reports: list[StepReport] = []
+    csv_lines = [csv_header(model.m)]
 
     def audit(u, t, dt):
-        report = audit_step(
+        csv_lines.append(audit_step(
             ms, model, u, t, dt,
             alpha=None if scheme.record is None else scheme.record.alpha,
             bound_tol=cfg.audit_bound_tol,
             conservation_ref=totals0 if bench.bc is None else None,
             conservation_tol=cfg.audit_cons_tol,
-            check_admissibility=idp_claim)
-        reports.append(report)
+            check_admissibility=idp_claim).csv_row())
 
     # the state-free part of the snapshots, formed once per run
     snap, snap_t, grid = 0, None, vtk_grid(ms)
@@ -138,8 +136,6 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
 
     if snap_t != t:               # the final state, unless a cadence wrote it
         snapshot(u, t)
-    # Rows are formatted here in one go, which is cheaper than one per audit.
-    csv_lines = [csv_header(model.m)] + [r.csv_row() for r in reports]
     (out / "diagnostics.csv").write_text("\n".join(csv_lines) + "\n")
 
     norms = None
@@ -159,4 +155,4 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
 
     return RunResult(u=u, t=t, steps=step, wall_time=wall, ms=ms, model=model,
-                     bench=bench, norms=norms, reports=reports)
+                     bench=bench, norms=norms)

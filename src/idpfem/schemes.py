@@ -250,8 +250,7 @@ class SpatialScheme:
             gamma = np.maximum(work.d[:, None], TINY,
                                out=self._gamma_buffer())
             gamma *= 2.0                                          # (E, 1)
-            bounds = local_bounds(ms, u, work.bar_states, "barstate", bwork,
-                                  self.ws)
+            bounds = local_bounds(ms, u, work.bar_states, bwork, self.ws)
             f = _zero_inactive(work.f_anti, work.d)
             corr = _zero_inactive(
                 self._limit(f, work.bar_states, gamma, bounds), work.d)
@@ -278,8 +277,7 @@ class SpatialScheme:
         # FCT: the low-order predictor as base, gamma = m^e / dt.
         gamma = np.divide(ms.geometry.m_elem[:, None], dt,
                           out=self._gamma_buffer())             # (E, 1)
-        bounds = local_bounds(ms, u_low, work.bar_states, "stencil", bwork,
-                              self.ws)
+        bounds = local_bounds(ms, u_low, None, bwork, self.ws)
         # A scalar limiter forms its bound gaps from the predictor per DOF,
         # without gathering it; the system limiter reads the base at the
         # element nodes, gathered where an MCL stage keeps its bar states

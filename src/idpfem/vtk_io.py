@@ -38,10 +38,17 @@ def vtk_grid(ms: MeshSystem) -> bytes:
     ])
 
 
-def _vtk_parts(ms: MeshSystem, u: np.ndarray, model, grid: bytes | None):
-    """The bytes of a snapshot, part by part: the grid, then each field's
-    header line, its big-endian data block (as an array) and newline."""
-    yield vtk_grid(ms) if grid is None else grid
+def write_vtk(path, ms: MeshSystem, u: np.ndarray, model,
+              grid: bytes) -> None:
+    """Write the state to ``path`` as a legacy VTK unstructured grid
+    (triangles, type 5), after ``grid``, the ``vtk_grid(ms)`` a run keeps
+    for its snapshots.
+
+    Periodically identified DOFs are expanded back to mesh nodes. For Euler
+    models the derived pressure and velocity fields are appended. Each
+    field's header line, big-endian data block and newline are written one
+    by one, so that no joined copy of the snapshot is formed.
+    """
     nodal = u[ms.dof_of_node]                 # (N, m)
     m = nodal.shape[1]
     names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
@@ -51,31 +58,13 @@ def _vtk_parts(ms: MeshSystem, u: np.ndarray, model, grid: bytes | None):
         fields["pressure"] = p
         fields["vel_x"] = v[:, 0]
         fields["vel_y"] = v[:, 1]
-    for name, vals in fields.items():
-        yield f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode()
-        yield np.ascontiguousarray(vals, ">f8")
-        yield b"\n"
-
-
-def vtk_bytes(ms: MeshSystem, u: np.ndarray, model=None,
-              grid: bytes | None = None) -> bytes:
-    """Render the state as a legacy VTK unstructured grid (triangles, type 5).
-
-    Periodically identified DOFs are expanded back to mesh nodes. For Euler
-    models the derived pressure and velocity fields are appended. ``grid``
-    is ``vtk_grid(ms)`` when the caller keeps it for its snapshots; it is
-    formed here otherwise.
-    """
-    return b"".join(_vtk_parts(ms, u, model, grid))
-
-
-def write_vtk(path, ms: MeshSystem, u: np.ndarray, model=None,
-              grid: bytes | None = None) -> None:
-    """Write the bytes of ``vtk_bytes`` to ``path``, part by part, so that
-    no joined copy of the snapshot is formed."""
     with open(path, "wb") as f:
-        for part in _vtk_parts(ms, u, model, grid):
-            f.write(part)
+        f.write(grid)
+        for name, vals in fields.items():
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                    .encode())
+            f.write(np.ascontiguousarray(vals, ">f8"))
+            f.write(b"\n")
 
 
 # The argument that the reader takes of each header line it reads: a name

@@ -171,7 +171,8 @@ def _scalar_idp_trace(limiter, steps=200):
         worst[0] = max(worst[0], float(-u.min()), float(u.max() - 1.0))
         rep = audit_step(ms, model, u, t, dt,
                          alpha=None if scheme.record is None
-                         else scheme.record.alpha, raise_on_failure=False)
+                         else scheme.record.alpha,
+                         check_admissibility=False)
         rows.append(rep.csv_row())
     return worst[0], "\n".join(rows) + "\n"
 
@@ -252,7 +253,7 @@ def test_criterion_06_scheme_recovery(monkeypatch):
                                             limiter="none"))
     with monkeypatch.context() as mp:
         mp.setattr(schemes_mod, "local_bounds",
-                   lambda ms_, f, ev, mode, bw, ws: (
+                   lambda ms_, f, ev, bw, ws: (
                        np.full(f.shape, -np.inf), np.full(f.shape, np.inf)))
         got_mcl = trajectory(SpatialScheme(ms=ms, model=model,
                                            limiter="mcl.cs"))

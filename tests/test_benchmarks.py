@@ -287,10 +287,10 @@ class TestExactSolutions:
         assert out[0, 0] == 0.0
 
     def test_sbr_bc_follows_its_position_array(self):
-        """The rotation inflow mask is made once per position array: calls
-        with the same arrays, with a shuffled copy of them and back with the
-        first ones give the exterior states of the mask formed on every
-        call."""
+        """The rotation inflow mask follows the positions and normals it is
+        given: calls with the same arrays, with a shuffled copy of them and
+        back with the first ones give the exterior states of the mask
+        formed from each call's arrays."""
         cfg = RunConfig(benchmark="solid_body_rotation", h=1 / 8)
         bench = make_benchmark(cfg)
         ms = build_system(bench.mesh)

@@ -13,7 +13,7 @@ from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import AdmissibilityError, Euler
 from idpfem.runner import run
 from idpfem.timestepping import TimeControls
-from idpfem.vtk_io import read_vtk_point_data, vtk_bytes, vtk_grid, write_vtk
+from idpfem.vtk_io import read_vtk_point_data, vtk_grid, write_vtk
 
 from conftest import single_triangle_system
 
@@ -60,10 +60,17 @@ def binary_block(data, header, dtype, count):
     return values
 
 
+def snapshot_bytes(tmp_path, ms, u, model=None):
+    """The bytes of a snapshot of ``u`` written with a grid of its own."""
+    path = tmp_path / "snapshot.vtk"
+    write_vtk(path, ms, u, model, vtk_grid(ms))
+    return path.read_bytes()
+
+
 class TestVtk:
-    def test_single_triangle_format(self):
+    def test_single_triangle_format(self, tmp_path):
         ms = single_triangle_system([[0, 0], [1, 0], [0, 1]])
-        data = vtk_bytes(ms, np.array([[0.1], [0.2], [0.3]]))
+        data = snapshot_bytes(tmp_path, ms, np.array([[0.1], [0.2], [0.3]]))
         assert data.startswith(b"# vtk DataFile Version 3.0\nidpfem state\n"
                                b"BINARY\nDATASET UNSTRUCTURED_GRID\n"
                                b"POINTS 3 double\n")
@@ -75,10 +82,10 @@ class TestVtk:
         assert np.array_equal(u, [0.1, 0.2, 0.3])
         assert data.endswith(u.tobytes() + b"\n")
 
-    def test_grid_blocks_decode(self):
+    def test_grid_blocks_decode(self, tmp_path):
         ms = build_system(structured_rect(3, 3))
         mesh = ms.mesh
-        data = vtk_bytes(ms, np.zeros((ms.n_dofs, 1)))
+        data = snapshot_bytes(tmp_path, ms, np.zeros((ms.n_dofs, 1)))
         n, n_el = mesh.n_nodes, mesh.n_elements
         cells = binary_block(data, b"CELLS %d %d" % (n_el, 4 * n_el), ">i4",
                              4 * n_el).reshape(n_el, 4)
@@ -99,7 +106,7 @@ class TestVtk:
                             rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
                             rng.uniform(0.5, 2.0, ms.n_dofs))
         path = tmp_path / "s.vtk"
-        write_vtk(path, ms, u, model)
+        write_vtk(path, ms, u, model, vtk_grid(ms))
         data = path.read_bytes()
         offsets = [data.index(f"SCALARS {name} double 1\n".encode())
                    for name in EULER_NAMES]
@@ -113,37 +120,50 @@ class TestVtk:
             assert np.array_equal(fields[name], want), name
         assert np.array_equal(points, ms.mesh.nodes)
 
-    def test_byte_stable(self, rng):
+    def test_byte_stable(self, tmp_path, rng):
         ms = build_system(structured_rect(3, 3))
         u = rng.uniform(size=(ms.n_dofs, 1))
-        assert vtk_bytes(ms, u) == vtk_bytes(ms, u.copy())
+        assert snapshot_bytes(tmp_path, ms, u) == snapshot_bytes(
+            tmp_path, ms, u.copy())
 
-    def test_kept_grid_changes_no_byte(self, rng):
+    def test_kept_grid_changes_no_byte(self, tmp_path, rng):
+        """A grid kept over several snapshots writes the bytes of a grid
+        formed for each of them."""
         ms = build_system(structured_rect(3, 3))
         model = Euler()
-        u = model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
-                            rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
-                            rng.uniform(0.5, 2.0, ms.n_dofs))
-        grid = vtk_grid(ms)
-        data = vtk_bytes(ms, u, model, grid)
-        assert data == vtk_bytes(ms, u, model)
+        grid, path = vtk_grid(ms), tmp_path / "s.vtk"
+        for _ in range(2):
+            u = model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
+                                rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
+                                rng.uniform(0.5, 2.0, ms.n_dofs))
+            write_vtk(path, ms, u, model, grid)
+            data = path.read_bytes()
+            assert data == snapshot_bytes(tmp_path, ms, u, model)
         assert data.startswith(grid) and grid.endswith(b"POINT_DATA 16\n")
 
     @pytest.mark.parametrize("euler", [False, True])
     def test_write_vtk_writes_vtk_bytes(self, tmp_path, rng, euler):
-        """``write_vtk`` writes its parts to the file one by one; the file
-        holds exactly ``vtk_bytes``, with and without a kept grid, on a
-        periodic mesh (DOFs expanded to nodes)."""
+        """``write_vtk`` writes the grid, then each field's header line,
+        big-endian data block and newline, on a periodic mesh (DOFs
+        expanded to nodes, Euler's derived fields appended)."""
         ms = build_system(structured_rect(4, 3, periodic=True))
         model = Euler() if euler else None
         u = (model.conserved(rng.uniform(0.5, 2.0, ms.n_dofs),
                              rng.uniform(-1.0, 1.0, (ms.n_dofs, 2)),
                              rng.uniform(0.5, 2.0, ms.n_dofs)) if euler
              else rng.uniform(size=(ms.n_dofs, 1)))
-        for grid in (None, vtk_grid(ms)):
-            path = tmp_path / "s.vtk"
-            write_vtk(path, ms, u, model, grid)
-            assert path.read_bytes() == vtk_bytes(ms, u, model)
+        nodal = u[ms.dof_of_node]
+        assert len(nodal) > ms.n_dofs
+        fields = list(nodal.T)
+        if euler:
+            _, v, p, _ = model.primitives(nodal)
+            fields += [p, v[:, 0], v[:, 1]]
+        grid, path = vtk_grid(ms), tmp_path / "s.vtk"
+        write_vtk(path, ms, u, model, grid)
+        assert path.read_bytes() == grid + b"".join(
+            b"SCALARS %s double 1\nLOOKUP_TABLE default\n" % name.encode()
+            + vals.astype(">f8").tobytes() + b"\n"
+            for name, vals in zip(EULER_NAMES if euler else ["u"], fields))
 
     def test_write_vtk_forms_no_joined_snapshot(self, tmp_path):
         """The traced peak of a DMR snapshot write (h = 1/32, with the grid
@@ -176,14 +196,14 @@ class TestVtk:
                                output_every_t=0.001), out_dir=tmp_path)
         snapshots = sorted(tmp_path.glob("state_*.vtk"))
         assert len(snapshots) >= 4 and len(calls) == 1
-        assert snapshots[-1].read_bytes() == vtk_bytes(
-            result.ms, result.u, result.model)
+        assert snapshots[-1].read_bytes() == snapshot_bytes(
+            tmp_path, result.ms, result.u, result.model)
 
     def test_roundtrip_through_reader(self, tmp_path, rng):
         ms = build_system(structured_rect(3, 3))
         u = rng.uniform(size=(ms.n_dofs, 1))
         path = tmp_path / "s.vtk"
-        write_vtk(path, ms, u)
+        write_vtk(path, ms, u, None, vtk_grid(ms))
         points, fields = read_vtk_point_data(path)
         assert np.array_equal(points, ms.mesh.nodes)
         assert np.array_equal(fields["u"], u[ms.dof_of_node, 0])
@@ -209,8 +229,8 @@ class TestRunner:
         rows = (out / "diagnostics.csv").read_text().splitlines()
         assert rows[0].startswith("t,dt,min_u0")
         assert len(rows) == result.steps + 2  # header + initial + per step
-        for rep in result.reports:
-            assert rep.bound_violation <= 1e-10
+        col = rows[0].split(",").index("bound_violation")
+        assert all(float(row.split(",")[col]) <= 1e-10 for row in rows[1:])
 
     def test_low_order_less_accurate_than_mcl(self, tmp_path):
         norms = {}

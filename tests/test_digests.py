@@ -38,8 +38,9 @@ def test_workload_digest(tmp_path, name):
 # Short runs of the paths that no workload takes: the boundary terms of a
 # linear flux (solid-body rotation), ``low``, Burgers (``mcl.cs``, ``fct.cs``
 # and ``none``, antidiffusion without bar states), and the synchronized and
-# the sequential ``.scale`` system limiters. Each row: (RunConfig keywords,
-# steps, state/CSV digest).
+# the sequential ``.scale`` system limiters, Euler ``fct.cs`` with its
+# stencil bounds of all components, and ``mcl.cs`` synchronized. Each row:
+# (RunConfig keywords, steps, state/CSV digest).
 PATH_PINS = {
     "rotation-slotted-mcl": (
         {"benchmark": "solid_body_rotation", "body": "slotted", "h": 1 / 16,
@@ -73,6 +74,14 @@ PATH_PINS = {
         {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
          "limiter": "mcl.scale"},
         13, "c70c2cbfffc38891/efbb2673a281c60f"),
+    "dmr-fct": (
+        {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
+         "limiter": "fct.cs"},
+        13, "cd2e55d3b6624112/05e2657c84fe2542"),
+    "dmr-mcl-synchronized": (
+        {"benchmark": "dmr", "h": 1 / 8, "t_end": 0.005,
+         "limiter": "mcl.cs", "system_limiter": "synchronized"},
+        13, "743aaa9da401598d/cd7610b51b8b8fbb"),
 }
 
 

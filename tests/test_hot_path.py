@@ -27,13 +27,15 @@ from conftest import perfbench_workloads, random_euler_states
 from idpfem.assembly import (BoundaryWork, ElementWork, LinearFlux,
                              assemble, linear_flux)
 from idpfem.config import RunConfig
-from idpfem.limiting import local_bounds
+from idpfem.benchmarks import Benchmark
+from idpfem.diagnostics import StepReport
+from idpfem.limiting import LimitResult, local_bounds
 from idpfem.mesh import (ElementGeometry, Mesh, MeshSystem, Workspace,
                          build_system, read_mesh, scratch, structured_rect,
                          write_mesh)
 from idpfem.models import Burgers2D, Euler, LinearAdvection, make_model
-from idpfem.runner import integrate, setup
-from idpfem.schemes import SCHEME_KEYS, CFLError, SpatialScheme
+from idpfem.runner import RunResult, integrate, setup
+from idpfem.schemes import SCHEME_KEYS, CFLError, SpatialScheme, StageRecord
 from idpfem.timestepping import TimeControls, compute_dt, ssp_rk_step
 
 def _dmr_system():
@@ -477,14 +479,14 @@ def test_assembly_computes_each_euler_pressure_once(monkeypatch):
 
 # --- bounds of all components in one pass ------------------------------------
 
-def _bounds_per_component(ms, field, work, bwork, mode):
+def _bounds_per_component(ms, field, elem_vals, bwork):
     """The reference: one ``local_bounds`` call per component."""
     out = []
     for k in range(field.shape[1]):
         bwork_k = None if bwork is None else dataclasses.replace(
             bwork, bar_states=bwork.bar_states[:, k])
-        out.append(local_bounds(ms, field[:, k], work.bar_states[..., k], mode,
-                                bwork_k))
+        out.append(local_bounds(ms, field[:, k], None if elem_vals is None
+                                else elem_vals[..., k], bwork_k))
     return out
 
 
@@ -498,8 +500,10 @@ def test_component_bounds_bit_equal_to_per_component_loop(
     ms, model, bc, u = _problem(model_name, mesh_kind)
     work, bwork = assemble(ms, model, u, 0.1, bc, ws=ws)
     assert (bwork is not None) == (mesh_kind == "bounded")
-    lo, hi = local_bounds(ms, u, work.bar_states, mode, bwork, ws)
-    ref = _bounds_per_component(ms, u, work, bwork, mode)
+    # bar-state bounds take the element values, stencil bounds none
+    elem_vals = work.bar_states if mode == "barstate" else None
+    lo, hi = local_bounds(ms, u, elem_vals, bwork, ws)
+    ref = _bounds_per_component(ms, u, elem_vals, bwork)
     assert lo.shape == hi.shape == (ms.n_dofs, model.m)
     assert len(ref) == model.m
     for k, (lo_ref, hi_ref) in enumerate(ref):
@@ -855,7 +859,7 @@ def test_stencil_bounds_bit_equal_to_element_scatter(mesh, trailing, extras,
     space = Workspace() if ws else None
     for field in fields + [np.asfortranarray(fields[0])]:
         for _ in range(2):                     # a warm workspace as well
-            lo, hi = local_bounds(ms, field, None, "stencil", bwork, space)
+            lo, hi = local_bounds(ms, field, None, bwork, space)
             ref_lo, ref_hi = _stencil_bounds_reference(ms, field, bwork)
             assert lo.shape == hi.shape == field.shape
             assert lo.tobytes() == ref_lo.tobytes()
@@ -1126,14 +1130,20 @@ def test_kept_flux_coefficients_are_read_only_and_made_once(
 
 
 @pytest.mark.parametrize("record", [ElementWork, BoundaryWork, LinearFlux,
-                                    MeshSystem, ElementGeometry],
+                                    MeshSystem, ElementGeometry, StepReport,
+                                    RunResult, StageRecord, LimitResult,
+                                    Benchmark, TimeControls],
                          ids=lambda record: record.__name__)
 def test_every_record_field_is_read_by_the_package(record):
-    """Each field of the records the hot path builds is read as an
-    attribute somewhere in the package: a value only the tests read is
-    recomputed there from what the package keeps."""
+    """Each field of the records the package builds is read as an
+    attribute somewhere in the package, its scripts or its benchmark: a
+    value only the tests read is recomputed there from what the package
+    keeps."""
     package = pathlib.Path(idpfem.__file__).parent
-    read = {node.attr for path in package.glob("*.py")
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    sources = [*package.glob("*.py"), *(repo / "scripts").glob("*.py"),
+               *(repo / "perfbench").glob("*.py")]
+    read = {node.attr for path in sources
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}

@@ -324,15 +324,15 @@ class TestLocalBounds:
         ms = periodic8
         field = np.full(ms.n_dofs, 0.3)
         ev = np.full((ms.n_elements, 3), 0.3)
-        for mode in ("barstate", "stencil"):
-            lo, hi = local_bounds(ms, field, ev, mode)
+        for elem_vals in (ev, None):              # bar states, stencil
+            lo, hi = local_bounds(ms, field, elem_vals)
             assert np.all(lo == 0.3) and np.all(hi == 0.3)
 
     def test_barstate_bounds_contain_bar_states(self, rng, periodic8):
         ms = periodic8
         field = rng.uniform(0.0, 1.0, ms.n_dofs)
         bars = rng.uniform(0.0, 1.0, (ms.n_elements, 3))
-        lo, hi = local_bounds(ms, field, bars, "barstate")
+        lo, hi = local_bounds(ms, field, bars)
         lo_g, hi_g = lo[ms.elem_dofs], hi[ms.elem_dofs]
         assert np.all(bars >= lo_g) and np.all(bars <= hi_g)
         assert np.all(lo <= field) and np.all(hi >= field)
@@ -344,17 +344,10 @@ class TestLocalBounds:
         from idpfem.models import Burgers2D
         u = rng.uniform(-1.0, 1.0, (ms.n_dofs, 1))
         work, _ = assemble(ms, Burgers2D(), u)
-        lo_b, hi_b = local_bounds(ms, u[:, 0], work.bar_states[..., 0],
-                                  "barstate")
-        lo_s, hi_s = local_bounds(ms, u[:, 0], work.bar_states[..., 0],
-                                  "stencil")
+        lo_b, hi_b = local_bounds(ms, u[:, 0], work.bar_states[..., 0])
+        lo_s, hi_s = local_bounds(ms, u[:, 0], None)
         assert np.all(lo_s <= lo_b + 1e-12)
         assert np.all(hi_s >= hi_b - 1e-12)
-
-    def test_unknown_mode_rejected(self, periodic8):
-        with pytest.raises(ValueError):
-            local_bounds(periodic8, np.zeros(periodic8.n_dofs),
-                         np.zeros((periodic8.n_elements, 3)), "banana")
 
 
 class TestScalarContributionLimiting:
@@ -380,7 +373,7 @@ def _euler_element_data(rng, ms):
     work, _ = assemble(ms, model, u)
     gamma = 2.0 * np.maximum(work.d, TINY)[:, None] * np.ones((1, 3))
     f = np.where((work.d > 0)[:, None, None], work.f_anti, 0.0)
-    bounds = local_bounds(ms, u, work.bar_states, "barstate")
+    bounds = local_bounds(ms, u, work.bar_states)
     return model, work, f, gamma, bounds
 
 

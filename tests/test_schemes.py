@@ -155,7 +155,7 @@ class TestMcl:
         ms, model, scheme, u = _scalar_setup("mcl.cs")
         galerkin = make_scheme(ms, model, "none")
 
-        def wide_bounds(ms_, field_dof, elem_vals, mode, bwork, ws):
+        def wide_bounds(ms_, field_dof, elem_vals, bwork, ws):
             return (np.full(field_dof.shape, -np.inf),
                     np.full(field_dof.shape, np.inf))
 
