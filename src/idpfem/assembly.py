@@ -118,17 +118,16 @@ def linear_flux(ms: MeshSystem, model) -> Optional[LinearFlux]:
     return lin
 
 
-def bar_states(fbar_c, fi_c, u_loc, ubar, d, out=None,
-               tmp=None) -> np.ndarray:
+def bar_states(fbar_c, fi_c, u_loc, ubar, d, out, tmp) -> np.ndarray:
     """Riemann-averaged intermediate states from f(ubar) . c_i and
     f(u_i) . c_i (E, 3, m), the nodal states u_loc (E, 3, m), their mean
     ubar (E, 1, m) and d (E,); arithmetic mean where d = 0. ``out`` takes
-    the result and ``tmp`` (same shape) an intermediate when given; ``tmp``
-    may be no input, and ``out`` no input but ``fi_c``, which is read
-    before ``out`` is written."""
+    the result and ``tmp`` (same shape, or None for a fresh array) an
+    intermediate; ``tmp`` may be no input, and ``out`` no input but
+    ``fi_c``, which is read before ``out`` is written."""
     df = np.subtract(fbar_c, fi_c, out=tmp)
     # 2 max(d, TINY) in the first column of out, until the mean goes there
-    den = np.maximum(d, TINY, out=None if out is None else out[:, 0, 0])
+    den = np.maximum(d, TINY, out=out[:, 0, 0])
     den *= 2.0
     df /= den[:, None, None]
     # where d = 0 the mean is kept: df (maybe inf or nan there) is zeroed,

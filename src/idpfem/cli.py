@@ -107,7 +107,7 @@ def _cmd_mesh_gen(args) -> int:
 
 def _cmd_norms(args) -> int:
     from .runner import setup
-    from .vtk_io import read_vtk_point_data
+    from .vtk_io import SCALAR_NAMES, read_vtk_point_data
 
     cfg = parse_config(pathlib.Path(args.config).read_text())
     bench, ms, model, _, _ = setup(cfg)
@@ -125,8 +125,7 @@ def _cmd_norms(args) -> int:
         print("error: snapshot nodes do not match the configured mesh",
               file=sys.stderr)
         return 1
-    from .vtk_io import SCALAR_NAMES
-    names = SCALAR_NAMES.get(model.m, [f"u{k}" for k in range(model.m)])
+    names = SCALAR_NAMES[model.m]
     missing = [n for n in names if n not in fields]
     if missing:
         print(f"error: snapshot has no field {missing[0]!r}", file=sys.stderr)
@@ -201,7 +200,3 @@ def _cmd_check(args) -> int:
         return 1
     print("all checks passed")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,8 +23,8 @@ def _one_per_element(shape):
 
 
 # Every function below that takes ``ws`` writes its element-sized
-# temporaries and its element-sized result into buffers of that
-# ``Workspace`` (``mesh.scratch``); without one they are fresh arrays.
+# temporaries into buffers of that ``Workspace`` (``mesh.scratch``), and
+# its result too unless it takes an ``out``; without one they are fresh.
 # Inputs are not written, except the bound gaps a caller hands over,
 # which are used up, and the contributions of the system limiter, which
 # it limits in place. Temporaries borrow the buffers of the assembly's
@@ -69,8 +69,6 @@ def scaling_limiter(f, fmin, fmax, ws=None, out=None):
         (None, None) if ws is None else (fmin, fmax)))
     alpha = node_min(alpha_i, scratch(ws, "scale.alpha",
                                       _one_per_element(f.shape)))
-    if out is None:
-        out = scratch(ws, "scale.f_star", f.shape)
     f_star = np.multiply(alpha, f, out=out)
     return f_star, alpha[:, 0]
 
@@ -88,8 +86,6 @@ def clip_and_scale(f, fmin, fmax, ws=None, out=None):
     and 1 elsewhere. That selection is a maximum with ``this <= other``
     taken as 0.0 or 1.0: the ratio alone is below 1 also where
     ``0 < this <= other < TINY``."""
-    if out is None:
-        out = scratch(ws, "cs.f_star", f.shape)
     # np.clip in two passes, which together cost about half of one np.clip
     ft = np.maximum(f, fmin, out=out)
     np.minimum(ft, fmax, out=ft)
@@ -199,28 +195,27 @@ def limit_scalar_contributions(ms: MeshSystem, f, base, gamma, lo, hi,
 
 
 def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
-                    base_k, gamma, lo_k, hi_k, kind: str, ws=None,
-                    out=None, gaps=None):
+                    base_k, gamma, gaps, kind: str, ws=None, out=None):
     """Sequential limiting of all product components rho*phi at once, given
     the limited density contributions ``f_rho_star``.
 
     One specific value per element and component, ``phibar = sum_i base_k_i
     / sum_i base_rho_i``, predicts ``phibar f_rho_star``, which sums to zero
     because ``f_rho_star`` does. R_S scales it (scaling keeps the zero sum)
-    so that ``base_k + rs / gamma`` stays within ``lo_k``/``hi_k``. The
-    remainder ``g = f_k - rs`` is limited by ``kind`` against the
-    per-DOF range [phi_lo, phi_hi] of ``phi_eL = (base_k + rs / gamma) /
-    rho_bar_star``; these bounds straddle zero, so ``f_k_star = rs +
-    g_star`` sums to zero and keeps ``base_k + f_k_star / gamma`` within
-    [rho_bar_star phi_lo, rho_bar_star phi_hi], with no repair step.
+    so that ``base_k + rs / gamma`` stays within the products' per-DOF
+    bounds [lo_k, hi_k], given by the ``gaps`` gamma (lo_k - base_k) and
+    gamma (hi_k - base_k). The remainder ``g = f_k - rs`` is limited by
+    ``kind`` against the per-DOF range [phi_lo, phi_hi] of ``phi_eL =
+    (base_k + rs / gamma) / rho_bar_star``; these bounds straddle zero, so
+    ``f_k_star = rs + g_star`` sums to zero and keeps ``base_k + f_k_star
+    / gamma`` within [rho_bar_star phi_lo, rho_bar_star phi_hi], with no
+    repair step.
 
-    f_k, base_k: (E, 3, m - 1); f_rho_star, rho_bar_star, base_rho: (E, 3);
-    gamma: (E, 3) or (E, 1); lo_k, hi_k: (n_dofs, m - 1). ``rho_bar_star``
-    must be positive (``limit_system_contributions`` checks it), and the
-    bounds must hold the base, ``lo_k <= base_k <= hi_k`` at every element
-    node, as those of both drivers do. ``gaps`` are the bound gaps gamma
-    (lo_k - base_k) and gamma (hi_k - base_k), (E, 3, m - 1) each, when the
-    caller has formed them; they are used up. Returns
+    f_k, base_k and each gap: (E, 3, m - 1); f_rho_star, rho_bar_star,
+    base_rho: (E, 3); gamma: (E, 3) or (E, 1). ``rho_bar_star`` must be
+    positive (``limit_system_contributions`` checks it), and the bounds
+    must hold the base, ``lo_k <= base_k <= hi_k`` at every element node,
+    as those of both drivers do. The gaps are used up. Returns
     (f_k_star, phi_lo, phi_hi): f_k_star in ``out`` when given, which may
     be ``f_k`` itself, and the per-DOF bounds (n_dofs, m - 1) on the
     specific values, stored with the DOF index fastest.
@@ -238,8 +233,7 @@ def product_rule_cs(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
                        buf("asm.flux_bar", per_element[:2]))[..., None]
     rs = np.multiply(phibar, f_rho_star[..., None], out=buf("asm.flux_bar"))
     # bmin <= 0 <= bmax, because the bounds hold the base
-    bmin, bmax = (_bound_gaps(ms, lo_k, hi_k, base_k, gam, ws)
-                  if gaps is None else gaps)
+    bmin, bmax = gaps
     # R_S: its per-element factor goes into the buffer of phibar (used up),
     # its node factors into that of phi_eL, free until phi_eL is written
     # below, and their intermediate into bmin, which they use up. phi_eL
@@ -335,9 +329,9 @@ def limit_system_contributions(ms: MeshSystem, model, f, base, gamma,
             raise AdmissibilityError(
                 "nonpositive intermediate density in product rule")
         phi = product_rule_cs(ms, f_rho_star, rho_bar_star, f[..., 1:],
-                              base[..., 0], base[..., 1:], gamma, lo[:, 1:],
-                              hi[:, 1:], kind, ws, out=f[..., 1:],
-                              gaps=(fmin[..., 1:], fmax[..., 1:]))[1:]
+                              base[..., 0], base[..., 1:], gamma,
+                              (fmin[..., 1:], fmax[..., 1:]), kind, ws,
+                              out=f[..., 1:])[1:]
     elif system == "synchronized":
         # the smallest scaling factor of all components; the node factors
         # go into fmax and their intermediate into fmin, which they use up

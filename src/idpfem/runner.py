@@ -119,8 +119,11 @@ def run(cfg: RunConfig, out_dir=None, quiet: bool = True,
         nonlocal next_out
         if cfg.audit_every and step % cfg.audit_every == 0:
             audit(u, t, dt)       # checks admissibility with the same slack
-        elif idp_claim and not np.all(model.admissible(u, cfg.audit_bound_tol)):
-            raise AuditError(f"inadmissible state after step {step}, t = {t:g}")
+        elif idp_claim and not np.all(
+                ok := model.admissible(u, cfg.audit_bound_tol)):
+            # the first inadmissible node, from the one pass made
+            raise AuditError(f"inadmissible state after step {step} at "
+                             f"node {int(np.argmin(ok))}, t = {t:g}")
         if next_out is not None and t >= next_out - 1e-14:
             snapshot(u, t)
             next_out += cfg.output_every_t

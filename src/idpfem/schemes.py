@@ -246,14 +246,14 @@ class SpatialScheme:
         elif self.driver == "mcl":
             # MCL: bar states as base, gamma = 2 d^e. The stage is the only
             # reader of its assembly (``_assemble`` drops the memo), so
-            # f_anti is zeroed in place where d^e = 0.
+            # f_anti is zeroed in place where d^e = 0; the limiters and the
+            # IDP fix keep it at +-0 there.
             gamma = np.maximum(work.d[:, None], TINY,
                                out=self._gamma_buffer())
             gamma *= 2.0                                          # (E, 1)
             bounds = local_bounds(ms, u, work.bar_states, bwork, self.ws)
             f = _zero_inactive(work.f_anti, work.d)
-            corr = _zero_inactive(
-                self._limit(f, work.bar_states, gamma, bounds), work.d)
+            corr = self._limit(f, work.bar_states, gamma, bounds)
         total = ms.scatter_add(corr, self.ws)
         total += work.residual
         total /= ms.lumped_mass[:, None]

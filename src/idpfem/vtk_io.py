@@ -15,6 +15,7 @@ import numpy as np
 from .mesh import MeshSystem
 from .models import Euler
 
+# Field names by the width of the state: scalar models and Euler.
 SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 HEADER = b"# vtk DataFile Version 3.0\nidpfem state\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
 
@@ -50,9 +51,8 @@ def write_vtk(path, ms: MeshSystem, u: np.ndarray, model,
     by one, so that no joined copy of the snapshot is formed.
     """
     nodal = u[ms.dof_of_node]                 # (N, m)
-    m = nodal.shape[1]
-    names = SCALAR_NAMES.get(m, [f"u{k}" for k in range(m)])
-    fields = {name: nodal[:, k] for k, name in enumerate(names)}
+    fields = {name: nodal[:, k]
+              for k, name in enumerate(SCALAR_NAMES[nodal.shape[1]])}
     if isinstance(model, Euler):
         rho, v, p, _ = model.primitives(nodal)
         fields["pressure"] = p

@@ -263,13 +263,15 @@ def _limit(kind: str, f, fmin, fmax):
 
 
 def product_rule(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
-                 base_k, gamma, lo_k, hi_k, kind: str) -> tuple:
+                 base_k, gamma, gaps, kind: str) -> tuple:
     """(f_k_star, phi_lo, phi_hi) of ``limiting.product_rule_cs`` with the
     same arguments, from the formulas of its docstring:
 
     * phibar = sum_i base_k_i / sum_i base_rho_i per element and component;
     * rs = phibar f_rho_star, scaled by the scaling limiter (R_S) so that
-      base_k + rs / gamma stays within [lo_k, hi_k];
+      base_k + rs / gamma stays within [lo_k, hi_k], whose ``gaps`` gamma
+      (lo_k - base_k) and gamma (hi_k - base_k) are given (and not
+      written);
     * phi_eL = (base_k + rs / gamma) / rho_bar_star, and [phi_lo, phi_hi]
       its range at each DOF;
     * f_k_star = rs + g*, with g* the limiter ``kind`` applied to f_k - rs
@@ -280,8 +282,7 @@ def product_rule(ms: MeshSystem, f_rho_star, rho_bar_star, f_k, base_rho,
     phibar = base_k.sum(axis=1, keepdims=True) \
         / base_rho.sum(axis=1, keepdims=True)[..., None]
     rs = phibar * f_rho_star[..., None]
-    rs = _limit("scale", rs, gam * (lo_k[ms.elem_dofs] - base_k),
-                gam * (hi_k[ms.elem_dofs] - base_k))[0]
+    rs = _limit("scale", rs, *gaps)[0]
     phi = (base_k + rs / gam) / rho
     phi_lo, phi_hi = _min_at(ms, phi), _max_at(ms, phi)
     g_star = _limit(kind, f_k - rs, gam * rho * (phi_lo[ms.elem_dofs] - phi),
@@ -302,7 +303,8 @@ def sequential_limiter(ms: MeshSystem, f, base, gamma, lo, hi,
                    gaps[1][..., :1])[0][..., 0]
     rho_bar_star = base[..., 0] + f_rho / gamma
     f_k = product_rule(ms, f_rho, rho_bar_star, f[..., 1:], base[..., 0],
-                       base[..., 1:], gamma, lo[:, 1:], hi[:, 1:], kind)[0]
+                       base[..., 1:], gamma,
+                       (gaps[0][..., 1:], gaps[1][..., 1:]), kind)[0]
     return np.concatenate([f_rho[..., None], f_k], axis=-1)
 
 

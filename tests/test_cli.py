@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +20,8 @@ from idpfem.timestepping import TimeControls
 from idpfem.vtk_io import read_vtk_point_data, vtk_grid, write_vtk
 
 from conftest import single_triangle_system
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 CONSTANT_CFG = """\
@@ -282,7 +288,8 @@ class TestRunner:
             run(cfg)
         assert per_step == [1, 1]
         if audit_every != 1:
-            assert "inadmissible state after step 2" in str(err.value)
+            assert "inadmissible state after step 2 at node 0" \
+                in str(err.value)
         else:
             assert "bound violation 1 at node 0" in str(err.value)
 
@@ -369,6 +376,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ")
         assert err.endswith(f"] {message}\n")
+
+    def test_python_m_idpfem_runs_the_cli(self, tmp_path):
+        """``python -m idpfem`` is the same command line as ``idpfem``."""
+        out = tmp_path / "m.mesh"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "idpfem", "mesh-gen", "--nx", "2", "--ny",
+             "2", "--out", str(out)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {out}: 9 nodes, 8 triangles\n"
+        assert read_mesh(out.read_text()).n_elements == 8
 
     def test_mesh_gen_and_reuse(self, tmp_path, capsys):
         meshfile = tmp_path / "m.mesh"

@@ -13,7 +13,8 @@ from idpfem.limiting import (clip_and_scale, idp_fix,
                              limit_scalar_contributions,
                              limit_system_contributions, local_bounds,
                              product_rule_cs, scaling_limiter)
-from idpfem.models import TINY, AdmissibilityError, Euler
+from idpfem.mesh import Workspace
+from idpfem.models import TINY, AdmissibilityError, Burgers2D, Euler
 from idpfem.runner import integrate, setup
 from idpfem.schemes import StageRecord
 from idpfem.timestepping import TimeControls
@@ -377,6 +378,11 @@ def _euler_element_data(rng, ms):
     return model, work, f, gamma, bounds
 
 
+def _unbounded_gaps(f_k):
+    """The bound gaps of products with the bounds -inf and inf."""
+    return np.full(f_k.shape, -np.inf), np.full(f_k.shape, np.inf)
+
+
 class TestProductRule:
     def test_constant_ratio_fixed_point(self, rng, periodic8):
         ms = periodic8
@@ -390,10 +396,9 @@ class TestProductRule:
         f_rho *= 0.1
         rho_bar_star = base_rho + f_rho / gamma
         f_k = phi0 * np.repeat(f_rho[..., None], 3, axis=-1)
-        lo = np.full((ms.n_dofs, 3), -np.inf)
-        hi = np.full((ms.n_dofs, 3), np.inf)
         out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f_k, base_rho,
-                                    base_k, gamma, lo, hi, "cs")
+                                    base_k, gamma, _unbounded_gaps(f_k),
+                                    "cs")
         phi_final = (base_k + out / gamma[..., None]) / rho_bar_star[..., None]
         assert np.allclose(phi_final, phi0, atol=1e-12)
 
@@ -402,11 +407,11 @@ class TestProductRule:
         base_rho = np.ones((ms.n_elements, 3))
         zeros = np.zeros((ms.n_elements, 3))
         gamma = np.ones((ms.n_elements, 3))
-        lo = np.full((ms.n_dofs, 3), -np.inf)
-        hi = np.full((ms.n_dofs, 3), np.inf)
+        f_k = np.zeros((ms.n_elements, 3, 3))
         out, _, _ = product_rule_cs(
-            ms, zeros, base_rho, np.zeros((ms.n_elements, 3, 3)), base_rho,
-            np.full((ms.n_elements, 3, 3), 0.5), gamma, lo, hi, "cs")
+            ms, zeros, base_rho, f_k, base_rho,
+            np.full((ms.n_elements, 3, 3), 0.5), gamma, _unbounded_gaps(f_k),
+            "cs")
         assert np.all(out == 0)
 
     def test_random_zero_sum_and_bounds(self, rng, periodic8):
@@ -418,9 +423,12 @@ class TestProductRule:
                                            lo[:, 0], hi[:, 0], "cs").f_star
         rho_bar_star = base[..., 0] + f_rho / gamma
         scale = max(np.abs(f).max(), 1.0)
+        gam = gamma[..., None]
+        gaps = (gam * (lo[ms.elem_dofs, 1:] - base[..., 1:]),
+                gam * (hi[ms.elem_dofs, 1:] - base[..., 1:]))
         out, _, _ = product_rule_cs(ms, f_rho, rho_bar_star, f[..., 1:],
-                                    base[..., 0], base[..., 1:], gamma,
-                                    lo[:, 1:], hi[:, 1:], "cs")
+                                    base[..., 0], base[..., 1:], gamma, gaps,
+                                    "cs")
         assert np.abs(out.sum(axis=1)).max() < 1e-12 * scale
 
 
@@ -535,3 +543,53 @@ class TestSystemLimiting:
         with pytest.raises(ValueError):
             limit_system_contributions(periodic8, model, f, work.bar_states,
                                        gamma, bounds, "cs", "banana")
+
+
+class TestZeroContributionStaysZero:
+    """Where d^e = 0, ``SpatialScheme.rhs`` hands the limiters f = 0 with
+    gamma = 2 TINY. Every limiter, the IDP fix included, keeps such a
+    contribution at +-0, which is why the stage zeroes f_anti before
+    limiting only. The other elements carry random contributions, with and
+    without a workspace."""
+
+    @staticmethod
+    def _idle_data(rng, ms, model, u):
+        """(work, f, gamma, bounds, idle) of an MCL stage at u, with f and
+        gamma as on elements with d^e = 0 at a random quarter of them."""
+        work, _ = assemble(ms, model, u)
+        idle = rng.random(ms.n_elements) < 0.25
+        f = np.where((idle | (work.d <= 0))[:, None, None], 0.0,
+                     work.f_anti)
+        gamma = 2.0 * np.maximum(work.d, TINY)[:, None]
+        gamma[idle] = 2.0 * TINY
+        bounds = local_bounds(ms, u, work.bar_states)
+        return work, f, gamma, bounds, idle
+
+    @pytest.mark.parametrize("with_ws", [False, True])
+    @pytest.mark.parametrize("kind", ["scale", "cs"])
+    def test_scalar(self, rng, periodic8, kind, with_ws):
+        ms = periodic8
+        model = Burgers2D()
+        u = rng.uniform(-1.0, 1.0, (ms.n_dofs, 1))
+        work, f, gamma, (lo, hi), idle = self._idle_data(rng, ms, model, u)
+        res = limit_scalar_contributions(
+            ms, f[..., 0], work.bar_states[..., 0], gamma, lo[:, 0],
+            hi[:, 0], kind, Workspace() if with_ws else None)
+        assert np.all(res.f_star[idle] == 0.0)
+        assert np.all(np.isfinite(res.f_star))
+
+    @pytest.mark.parametrize("with_ws", [False, True])
+    @pytest.mark.parametrize("kind, system", [
+        ("cs", "sequential"), ("scale", "sequential"),
+        ("scale", "synchronized")])
+    def test_euler_with_idp_fix(self, rng, periodic8, kind, system, with_ws):
+        ms = periodic8
+        model = Euler()
+        u = random_euler_states(rng, model, (ms.n_dofs,))
+        work, f, gamma, bounds, idle = self._idle_data(rng, ms, model, u)
+        res = limit_system_contributions(
+            ms, model, f, work.bar_states, gamma, bounds, kind, system,
+            Workspace() if with_ws else None)
+        assert np.all(res.f_star[idle] == 0.0)
+        assert np.all(np.isfinite(res.f_star))
+        assert np.all(res.alpha[idle] == 1.0)

@@ -129,6 +129,72 @@ class TestEuler:
                            0.4 * model.internal_energy_density(u))
 
 
+def exact_fan_speed(model, ul, ur, n):
+    """max(-S_L, S_R, 0) of the exact Riemann fan between the states ul
+    (left) and ur (right) along the unit normal n. The star pressure p*
+    solves f_L(p) + f_R(p) + u_R - u_L = 0 (Toro, Sec. 4.2), by bisection;
+    S_L is the left shock speed where p* > p_L, else the rarefaction head
+    u_L - c_L, and S_R likewise."""
+    g = model.gamma
+    (rl, vl, pl, cl), (rr, vr, pr, cr) = (model.primitives(u)
+                                          for u in (ul, ur))
+    unl, unr = (vl * n).sum(axis=-1), (vr * n).sum(axis=-1)
+
+    def f(p, rho, pk, c):
+        shock = (p - pk) * np.sqrt(2.0 / ((g + 1.0) * rho)
+                                   / (p + (g - 1.0) / (g + 1.0) * pk))
+        fan = 2.0 * c / (g - 1.0) * ((p / pk) ** ((g - 1.0) / (2.0 * g))
+                                     - 1.0)
+        return np.where(p > pk, shock, fan)
+
+    def rises(p):
+        return f(p, rl, pl, cl) + f(p, rr, pr, cr) + unr - unl >= 0.0
+
+    lo, hi = np.zeros_like(pl), np.maximum(pl, pr)
+    while not np.all(rises(hi)):
+        hi = np.where(rises(hi), hi, 2.0 * hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = rises(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+
+    def speed(c, pk):
+        return c * np.sqrt(1.0 + (g + 1.0) / (2.0 * g)
+                           * np.maximum(hi / pk - 1.0, 0.0))
+
+    return np.maximum(np.maximum(speed(cl, pl) - unl, unr + speed(cr, pr)),
+                      0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1 (finding (a)): max(|v.n| + c) of "
+                          "the two states is below the exact fan speed")
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+def test_wave_speed_bounds_the_exact_riemann_fan(gamma):
+    """``Euler.max_wave_speed`` at (E, 3) shape, as the assembly calls it,
+    is at least the fastest wave of the exact Riemann solution of every
+    random pair of states, up to rounding."""
+    model = Euler(gamma=gamma)
+    rng = np.random.default_rng(3)
+    shape = (400, 3)
+
+    def states():
+        return model.conserved(10.0 ** rng.uniform(-1.0, 1.0, shape),
+                               rng.normal(0.0, 2.0, shape + (2,)),
+                               10.0 ** rng.uniform(-2.0, 2.0, shape))
+
+    ul, ur = states(), states()
+    ang = rng.uniform(0.0, 2.0 * np.pi, shape)
+    n = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    lam = model.max_wave_speed(ul, ur, n)
+    assert lam.shape == shape
+    exact = exact_fan_speed(model, ul, ur, n)
+    below = lam < exact * (1.0 - 1e-12)
+    assert not below.any(), (
+        f"{below.sum()} of {below.size} pairs below the exact fan speed, "
+        f"worst by {np.max(exact / lam):.2f}x")
+
+
 @pytest.mark.parametrize("model", [
     LinearAdvection(velocity=rotation_velocity()), Burgers2D(), Euler()],
     ids=["advection", "burgers", "euler"])

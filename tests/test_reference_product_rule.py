@@ -51,7 +51,11 @@ def _stage(scheme, u, t, frac):
 
 
 def _copies(args):
-    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    """The arguments with every array copied, also those in a tuple (the
+    bound gaps), which the call uses up."""
+    return [a.copy() if isinstance(a, np.ndarray)
+            else tuple(_copies(a)) if isinstance(a, tuple) else a
+            for a in args]
 
 
 @pytest.mark.parametrize("mesh", ["periodic", "bounded"])
@@ -95,7 +99,7 @@ def test_sequential_limiter_matches_the_reference(key, mesh, seed, rho_min,
 
     assert len(calls) == len(product_calls) == len(before_fix) == 1
     args, (f_k_star, phi_lo, phi_hi) = product_calls[0]
-    ref = product_rule(*args[:10])
+    ref = product_rule(*args[:9])
     assert relative_error(f_k_star, ref[0]) <= 1e-12
     assert relative_error(phi_lo, ref[1]) <= 1e-12
     assert relative_error(phi_hi, ref[2]) <= 1e-12
