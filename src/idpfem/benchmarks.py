@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import BENCHMARK_IDS, ConfigError, RunConfig
 from .mesh import Mesh, structured_rect
-from .models import Euler, make_model
+from .models import ROTATION_CENTRE, ROTATION_OMEGA, Euler, make_model
 
 
 @dataclass
@@ -53,12 +53,12 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
 
 
 def _rotated_back(x: np.ndarray, t: float) -> np.ndarray:
-    """The points that the rotation by 2 pi t about (0.5, 0.5) takes to x."""
-    ang = -2.0 * np.pi * t
+    """The points that ``models.rotation_velocity`` takes to x in time t."""
+    ang = -ROTATION_OMEGA * t
     c, s = np.cos(ang), np.sin(ang)
-    dx = x - 0.5
+    dx = x - ROTATION_CENTRE
     return np.stack([c * dx[..., 0] - s * dx[..., 1],
-                     s * dx[..., 0] + c * dx[..., 1]], axis=-1) + 0.5
+                     s * dx[..., 0] + c * dx[..., 1]], axis=-1) + ROTATION_CENTRE
 
 
 def make_benchmark(cfg: RunConfig, mesh: Optional[Mesh] = None) -> Benchmark:

@@ -66,9 +66,10 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
     zero (the global interval of a scalar model; density and internal
     energy density for Euler). With ``check_admissibility`` a violation
     above ``bound_tol`` raises ``AuditError``, naming the node;
-    ``conservation_ref`` adds a relative drift check of the totals, which
-    raises as well. The report is the same for a C- and a Fortran-ordered
-    ``u``: every reduction runs over its C-ordered form.
+    ``conservation_ref`` adds a check of the totals' drift relative to the
+    lumped L1 norm of ``u`` (which a zero total does not void), raising as
+    well. The report is the same for a C- and a Fortran-ordered ``u``:
+    every reduction runs over its C-ordered form.
     """
     u = np.ascontiguousarray(u)
     if not np.all(np.isfinite(u)):
@@ -82,7 +83,7 @@ def audit_step(ms: MeshSystem, model, u: np.ndarray, t: float, dt: float,
         raise AuditError(f"bound violation {worst_violation:g} at node "
                          f"{worst // phi.shape[-1]}, t = {t:g}")
     if conservation_ref is not None:
-        scale = np.maximum(np.abs(conservation_ref), 1e-300)
+        scale = np.maximum(lumped_totals(ms, np.abs(u)), 1e-300)
         drift = np.abs(totals - conservation_ref) / scale
         if drift.max() > conservation_tol:
             k = int(np.argmax(drift))

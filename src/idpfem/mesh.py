@@ -87,14 +87,13 @@ DEGENERATE_REL = 1e-14
 
 @dataclass
 class Mesh:
-    """A conforming triangular mesh with optional boundary tags and periodic pairs.
+    """A conforming triangular mesh with optional periodic pairs.
 
     Triangles are stored counterclockwise; :func:`validate` reorients on demand.
     """
 
     nodes: np.ndarray                       # (N, 2) float
     triangles: np.ndarray                   # (E, 3) int
-    boundary_tags: dict = field(default_factory=dict)   # (i, j) sorted pair -> tag
     periodic_pairs: dict = field(default_factory=dict)  # node -> partner node
 
     @property
@@ -188,21 +187,6 @@ class Mesh:
             e = divmod(int(keys[np.argmax(counts)]), n)
             raise MeshError(f"non-conforming mesh: edge {e} shared by >2 "
                             "triangles")
-
-        for (i, j), tag in self.boundary_tags.items():
-            if not isinstance(tag, str):
-                raise MeshError(f"boundary tag for edge ({i}, {j}) is not a string")
-        if self.boundary_tags:
-            # a tagged pair is an edge if its nodes are in range and its key
-            # is among the edge keys
-            pairs = np.array(list(self.boundary_tags), dtype=np.int64)
-            tag_keys = pairs[:, 0] * n + pairs[:, 1]
-            at = np.searchsorted(keys, tag_keys).clip(max=keys.size - 1)
-            edge = (keys[at] == tag_keys) & ((pairs >= 0) & (pairs < n)).all(1)
-            if not edge.all():
-                i, j = pairs[np.argmin(edge)].tolist()
-                raise MeshError(f"boundary tag on ({i}, {j}), which is not "
-                                "an edge of the mesh")
 
         if self.periodic_pairs:
             boundary_nodes = set(
@@ -511,8 +495,9 @@ def read_mesh(text: str) -> Mesh:
     """Parse the ASCII mesh format.
 
     Sections: ``nodes N`` followed by N ``x y`` lines, ``triangles E`` followed
-    by E ``i j k`` lines, optional ``boundary B`` (``i j tag`` lines) and
-    ``periodic P`` (``i j`` lines). ``#`` starts a comment.
+    by E ``i j k`` lines, optional ``boundary B`` (``i j tag`` lines, checked
+    and dropped: no boundary condition reads a tag) and ``periodic P``
+    (``i j`` lines). ``#`` starts a comment.
     """
     lines = text.splitlines()
     # (line number, tokens) of each line that has data
@@ -554,14 +539,11 @@ def read_mesh(text: str) -> Mesh:
                           "node index")[1] for a in range(e)],
                     dtype=np.int64).reshape(e, 3)
 
-    boundary_tags: dict = {}
     raw_pairs: list = []
     for name, count in iter(lambda: header({"boundary", "periodic"}), None):
         for _ in range(count):
             if name == "boundary":
-                i, j, tag = read((_integer, _integer, str), "'i j tag'",
-                                 "node index")[1]
-                boundary_tags[(min(i, j), max(i, j))] = tag
+                read((_integer, _integer, str), "'i j tag'", "node index")
                 continue
             ln, (a, b) = read((_integer,) * 2, "'i j'", "node index")
             # canonical_pairs would drop the pair, and with it the
@@ -572,7 +554,6 @@ def read_mesh(text: str) -> Mesh:
             raw_pairs.append((a, b))
 
     mesh = Mesh(nodes=nodes, triangles=tris,
-                boundary_tags=boundary_tags,
                 periodic_pairs=canonical_pairs(raw_pairs))
     return mesh.validate()
 
@@ -605,10 +586,6 @@ def write_mesh(mesh: Mesh) -> str:
     out += [f"{x:.17g} {y:.17g}" for x, y in mesh.nodes]
     out.append(f"triangles {mesh.n_elements}")
     out += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    if mesh.boundary_tags:
-        out.append(f"boundary {len(mesh.boundary_tags)}")
-        for (i, j), tag in sorted(mesh.boundary_tags.items()):
-            out.append(f"{i} {j} {tag}")
     if mesh.periodic_pairs:
         pairs = sorted({(min(a, b), max(a, b)) for a, b in mesh.periodic_pairs.items()})
         out.append(f"periodic {len(pairs)}")
@@ -622,9 +599,10 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     """Uniform triangulation of a rectangle: nx*ny cells, each split by the
     lower-left/upper-right diagonal (interior nodes touch 6 elements).
 
-    With ``periodic=True`` opposite boundary nodes are paired for wraparound.
-    The arguments are checked here, so that bad ones fail with a message
-    about them; ``build_system`` validates the mesh like any other.
+    With ``periodic=True`` opposite boundary nodes are paired for wraparound;
+    no boundary edge is labelled. The arguments are checked here, so that
+    bad ones fail with a message about them; ``build_system`` validates the
+    mesh like any other.
     """
     w, h = x1 - x0, y1 - y0
     # the degenerate-triangle test of Mesh.validate on the signed area,
@@ -644,14 +622,6 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     b, c, d = a + 1, a + row + 1, a + row
     tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
 
-    ix, iy = np.arange(nx), np.arange(ny)
-    bottom = np.stack([ix, ix + 1], axis=1)
-    left = np.stack([iy * row, (iy + 1) * row], axis=1)
-    edges = np.concatenate([np.stack([bottom, bottom + ny * row], axis=1),
-                            np.stack([left, left + nx], axis=1)]).reshape(-1, 2)
-    names = ["bottom", "top"] * nx + ["left", "right"] * ny
-    tags = dict(zip(map(tuple, edges.tolist()), names))
-
     periodic_pairs: dict = {}
     if periodic:
         # Canonical mapping: wrap right->left and top->bottom; all four
@@ -661,5 +631,4 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
         rep = ((gy % ny) * row + gx % nx).ravel()
         moved = node != rep
         periodic_pairs = dict(zip(node[moved].tolist(), rep[moved].tolist()))
-    return Mesh(nodes=nodes, triangles=tris,
-                boundary_tags=tags, periodic_pairs=periodic_pairs)
+    return Mesh(nodes=nodes, triangles=tris, periodic_pairs=periodic_pairs)

@@ -294,13 +294,17 @@ def translation_velocity(vx: float = 1.0, vy: float = 1.0):
     return field_fn
 
 
-def rotation_velocity(cx: float = 0.5, cy: float = 0.5, omega: float = 2.0 * np.pi):
-    """Rigid rotation about (cx, cy); one full turn takes 2*pi/omega."""
+ROTATION_CENTRE = (0.5, 0.5)
+ROTATION_OMEGA = 2.0 * np.pi                # one turn per unit time
+
+
+def rotation_velocity():
+    """Rigid rotation about ``ROTATION_CENTRE`` at ``ROTATION_OMEGA``."""
 
     def field_fn(x):
         out = np.empty(x.shape, order="F")
-        out[..., 0] = -omega * (x[..., 1] - cy)
-        out[..., 1] = omega * (x[..., 0] - cx)
+        out[..., 0] = -ROTATION_OMEGA * (x[..., 1] - ROTATION_CENTRE[1])
+        out[..., 1] = ROTATION_OMEGA * (x[..., 0] - ROTATION_CENTRE[0])
         return out
 
     return field_fn

@@ -394,7 +394,9 @@ class TestCliCommands:
         code = main(["mesh-gen", "--nx", "4", "--ny", "4", "--periodic",
                      "--out", str(meshfile)])
         assert code == 0
-        mesh = read_mesh(meshfile.read_text())
+        text = meshfile.read_text()
+        assert "boundary" not in text
+        mesh = read_mesh(text)
         assert mesh.n_elements == 32
         cfgfile = tmp_path / "c.txt"
         cfgfile.write_text(f"benchmark = constant\nmesh = {meshfile}\n"

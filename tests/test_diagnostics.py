@@ -103,6 +103,41 @@ class TestAuditStep:
         with pytest.raises(AuditError, match="conservation"):
             audit_step(ms, model, u, 0.0, 0.1, conservation_ref=ref)
 
+    @staticmethod
+    def _zero_momentum_run():
+        """A periodic Euler run, ``mcl.cs``, whose y-momentum is zero and
+        whose x-momentum sums to zero: its mesh, model, scheme and state."""
+        ms = build_system(structured_rect(16, 16, periodic=True))
+        model = Euler()
+        x, y = ms.dof_coords.T
+        v = np.stack([0.3 * np.sin(2 * np.pi * y), np.zeros_like(y)], axis=1)
+        u = model.conserved(1.0 + 0.2 * np.sin(2 * np.pi * x), v,
+                            np.ones_like(x))
+        model.set_global_bounds(u)
+        return ms, model, SpatialScheme(ms=ms, model=model,
+                                        limiter="mcl.cs"), u
+
+    def test_zero_total_is_audited_against_the_l1_norm(self):
+        """A component whose total is zero is conserved to rounding, which
+        the drift relative to the lumped L1 norm lets by (relative to the
+        total it was 1e281)."""
+        ms, model, scheme, u = self._zero_momentum_run()
+        ref = lumped_totals(ms, u)
+        assert np.abs(ref[1:3]).max() < 1e-15
+        audits = []
+        integrate(scheme, u, TimeControls(t_end=0.05), on_step=(
+            lambda u, t, dt, step: audits.append(audit_step(
+                ms, model, u, t, dt, conservation_ref=ref))))
+        assert len(audits) > 20
+
+    def test_drift_in_a_zero_total_is_detected(self):
+        ms, model, _, u = self._zero_momentum_run()
+        ref = lumped_totals(ms, u)
+        # shift the x-momentum's total by 1e-8 of its L1 norm
+        u[:, 1] += 1e-8 * lumped_totals(ms, np.abs(u))[1] / ms.lumped_mass.sum()
+        with pytest.raises(AuditError, match="drift 1e-08 in component 1"):
+            audit_step(ms, model, u, 0.0, 0.1, conservation_ref=ref)
+
     def test_nonfinite_state_rejected(self, adv_setup):
         ms, model = adv_setup
         u = np.full((ms.n_dofs, 1), np.nan)

@@ -1130,9 +1130,10 @@ def test_kept_flux_coefficients_are_read_only_and_made_once(
 
 
 @pytest.mark.parametrize("record", [ElementWork, BoundaryWork, LinearFlux,
-                                    MeshSystem, ElementGeometry, StepReport,
-                                    RunResult, StageRecord, LimitResult,
-                                    Benchmark, TimeControls],
+                                    Mesh, MeshSystem, ElementGeometry,
+                                    StepReport, RunResult, StageRecord,
+                                    LimitResult, Benchmark, TimeControls,
+                                    RunConfig],
                          ids=lambda record: record.__name__)
 def test_every_record_field_is_read_by_the_package(record):
     """Each field of the records the package builds is read as an

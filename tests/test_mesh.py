@@ -137,17 +137,6 @@ class TestMeshValidation:
         assert mesh.triangles.dtype == np.int64
         assert mesh.triangles.tolist() == [[0, 1, 2]]
 
-    @pytest.mark.parametrize("pair", [(1, 2), (-1, 0), (3, 4)])
-    def test_tag_on_no_edge_rejected(self, pair):
-        """A boundary tag names an edge: a pair of nodes that no triangle
-        joins (here the square's second diagonal), or one with a node out
-        of range, is rejected with the pair."""
-        mesh = structured_rect(1, 1)
-        mesh.boundary_tags[pair] = "top"
-        with pytest.raises(MeshError, match=rf"^boundary tag on \({pair[0]}, "
-                           rf"{pair[1]}\), which is not an edge of the mesh$"):
-            mesh.validate()
-
     def test_self_paired_periodic_node_rejected(self):
         mesh = structured_rect(2, 2)
         mesh.periodic_pairs = {0: 0}
@@ -173,7 +162,6 @@ class TestMeshIO:
         back = read_mesh(text)
         assert np.allclose(back.nodes, mesh.nodes)
         assert np.array_equal(back.triangles, mesh.triangles)
-        assert back.boundary_tags == mesh.boundary_tags
         # both describe the same identification, possibly different encodings
         assert build_system(back).n_dofs == build_system(mesh).n_dofs
 
@@ -191,19 +179,44 @@ class TestMeshIO:
          "line 8: node 0 periodically paired with itself"),
         (TRIANGLE + "boundary 1\n0 x top\n", "line 8: bad node index"),
         (TRIANGLE + "periodic 1\n0 y\n", "line 8: bad node index"),
-        (TRIANGLE + "boundary 1\n0 7 top\n",
-         "boundary tag on (0, 7), which is not an edge of the mesh"),
         (TRIANGLE + f"boundary 1\n0 {2 ** 63} top\n",
          "line 8: bad node index"),
         (TRIANGLE.replace("0 1 2", f"0 1 {2 ** 64}"),
          "line 6: bad node index"),
         ("nodes 0\ntriangles 0\n", "mesh has no triangles")],
         ids=["nodes", "triangles", "boundary", "periodic", "self-pair",
-             "boundary-index", "periodic-index", "tag-off-the-mesh",
-             "tag-beyond-int64", "triangle-beyond-int64", "empty"])
+             "boundary-index", "periodic-index", "tag-beyond-int64", "triangle-beyond-int64", "empty"])
     def test_bad_section_rejected(self, text, message):
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
             read_mesh(text)
+
+    def test_boundary_section_is_read_and_dropped(self):
+        """A file with a valid ``boundary`` section, as earlier versions of
+        ``write_mesh`` wrote one for every edge on the rectangle's sides,
+        gives the same system, bit for bit, as the file without it."""
+        nx, ny, row = 3, 2, 4
+        sides = [(i, i + 1, "bottom") for i in range(nx)] \
+            + [(ny * row + i, ny * row + i + 1, "top") for i in range(nx)] \
+            + [(j * row, (j + 1) * row, "left") for j in range(ny)] \
+            + [(j * row + nx, (j + 1) * row + nx, "right") for j in range(ny)]
+        plain = write_mesh(structured_rect(nx, ny, periodic=True))
+        head, periodic = plain.split("periodic")
+        tagged = head + f"boundary {len(sides)}\n" + "".join(
+            f"{i} {j} {tag}\n" for i, j, tag in sides) + "periodic" + periodic
+        systems = [build_system(read_mesh(text)) for text in (plain, tagged)]
+        for ms in systems:
+            ms.geometry.c_hat               # formed on first use
+        got, want = ({k: v for k, v in {**vars(ms), **vars(ms.geometry),
+                                        **vars(ms.mesh)}.items()
+                      if isinstance(v, np.ndarray)} for ms in systems)
+        assert len(want) == 19 and got.keys() == want.keys()
+        assert systems[0].mesh.periodic_pairs == systems[1].mesh.periodic_pairs
+        for k, a in want.items():
+            assert got[k].dtype == a.dtype and got[k].shape == a.shape, k
+            assert got[k].tobytes() == a.tobytes(), k
+
+    def test_written_files_have_no_boundary_section(self):
+        assert "boundary" not in write_mesh(structured_rect(4, 3))
 
     def test_missing_triangles_section(self):
         with pytest.raises(MeshError, match="triangles"):
@@ -275,11 +288,6 @@ class TestStructuredRect:
                             or original(self))
         setup(RunConfig(benchmark="advected_gaussian", h=1 / 8))
         assert len(calls) == 1
-
-    def test_boundary_tags_cover_all_sides(self):
-        mesh = structured_rect(3, 3)
-        tags = set(mesh.boundary_tags.values())
-        assert tags == {"bottom", "top", "left", "right"}
 
     def test_boundary_normals_point_outward(self):
         ms = build_system(structured_rect(4, 4))

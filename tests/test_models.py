@@ -35,7 +35,7 @@ class TestLinearAdvection:
         assert not model.admissible(np.array([[1.0]]))[0]
 
     def test_rotation_field_is_divergence_free_rigid_motion(self):
-        vel = rotation_velocity(0.5, 0.5)
+        vel = rotation_velocity()
         x = np.array([[0.5, 0.75]])
         v = vel(x)
         # speed omega * r, direction tangential
