@@ -185,7 +185,8 @@ class TestMeshIO:
          "line 6: bad node index"),
         ("nodes 0\ntriangles 0\n", "mesh has no triangles")],
         ids=["nodes", "triangles", "boundary", "periodic", "self-pair",
-             "boundary-index", "periodic-index", "tag-beyond-int64", "triangle-beyond-int64", "empty"])
+             "boundary-index", "periodic-index", "tag-beyond-int64",
+             "triangle-beyond-int64", "empty"])
     def test_bad_section_rejected(self, text, message):
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
             read_mesh(text)
