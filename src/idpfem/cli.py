@@ -15,10 +15,11 @@ from .mesh import MeshError, structured_rect, write_mesh
 from .models import AdmissibilityError
 from .schemes import SCHEME_KEYS, CFLError
 from .timestepping import TimeSteppingError
+from .vtk_io import SCALAR_NAMES, VtkError, read_vtk_point_data
 
 # Errors that end a command with "error: ..." and exit 1.
 SOLVER_ERRORS = (ConfigError, MeshError, AuditError, AdmissibilityError,
-                 CFLError, TimeSteppingError)
+                 CFLError, TimeSteppingError, VtkError)
 
 
 def main(argv=None) -> int:
@@ -34,6 +35,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("--audit-every", type=int, default=None,
                          help="audit cadence override (0 disables)")
     p_solve.add_argument("--quiet", action="store_true")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_mesh = sub.add_parser("mesh-gen", help="generate a structured mesh file")
     p_mesh.add_argument("--nx", type=int, required=True)
@@ -44,11 +46,13 @@ def main(argv=None) -> int:
     p_mesh.add_argument("--y1", type=float, default=1.0)
     p_mesh.add_argument("--periodic", action="store_true")
     p_mesh.add_argument("--out", required=True, help="output mesh file")
+    p_mesh.set_defaults(handler=_cmd_mesh_gen)
 
     p_check = sub.add_parser("check", help="run every scheme for a few audited "
                              "steps on a coarse mesh of each benchmark")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=len(CHECK_CASES))
+    p_check.set_defaults(handler=_cmd_check)
 
     p_norms = sub.add_parser("norms",
                              help="recompute error norms from a VTK snapshot")
@@ -56,24 +60,17 @@ def main(argv=None) -> int:
     p_norms.add_argument("snapshot", help="VTK file written by solve")
     p_norms.add_argument("--t", type=float, required=True,
                          help="time the snapshot corresponds to")
+    p_norms.set_defaults(handler=_cmd_norms)
 
     args = parser.parse_args(argv)
     if args.command == "check" and args.trials < 1:
         parser.error("--trials must be at least 1")
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "mesh-gen":
-            return _cmd_mesh_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "norms":
-            return _cmd_norms(args)
+        return args.handler(args)
     # as does an OSError: a file that cannot be read or written
     except (*SOLVER_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def _cmd_solve(args) -> int:
@@ -107,29 +104,19 @@ def _cmd_mesh_gen(args) -> int:
 
 def _cmd_norms(args) -> int:
     from .runner import setup
-    from .vtk_io import SCALAR_NAMES, read_vtk_point_data
 
     cfg = parse_config(pathlib.Path(args.config).read_text())
     bench, ms, model, _, _ = setup(cfg)
     if bench.exact is None:
-        print(f"error: benchmark {bench.id!r} has no exact solution",
-              file=sys.stderr)
-        return 1
-    try:
-        points, fields = read_vtk_point_data(args.snapshot)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"benchmark {bench.id!r} has no exact solution")
+    points, fields = read_vtk_point_data(args.snapshot)
     if points.shape[0] != ms.mesh.n_nodes or \
             not np.allclose(points, ms.mesh.nodes):
-        print("error: snapshot nodes do not match the configured mesh",
-              file=sys.stderr)
-        return 1
+        raise VtkError("snapshot nodes do not match the configured mesh")
     names = SCALAR_NAMES[model.m]
     missing = [n for n in names if n not in fields]
     if missing:
-        print(f"error: snapshot has no field {missing[0]!r}", file=sys.stderr)
-        return 1
+        raise VtkError(f"snapshot has no field {missing[0]!r}")
     nodal = np.column_stack([fields[n] for n in names])
     u = np.zeros((ms.n_dofs, model.m))
     u[ms.dof_of_node] = nodal

@@ -87,9 +87,10 @@ DEGENERATE_REL = 1e-14
 
 @dataclass
 class Mesh:
-    """A conforming triangular mesh with optional periodic pairs.
+    """A triangular mesh, checked and reoriented CCW by :func:`build_system`.
 
-    Triangles are stored counterclockwise; :func:`validate` reorients on demand.
+    ``periodic_pairs`` maps each paired node to the smallest node of its
+    group, which is itself unpaired (the form of :func:`canonical_pairs`).
     """
 
     nodes: np.ndarray                       # (N, 2) float
@@ -124,19 +125,11 @@ class Mesh:
         counts[-1:] = keys.size - first[-1:]
         return keys[first], counts, n
 
-    def validate(self) -> "Mesh":
-        """Check all mesh invariants in place and reorient triangles CCW.
-
-        Returns self for chaining. Raises :class:`MeshError` on any violation.
-        """
-        self._validated()
-        return self
-
     def _validated(self) -> tuple:
-        """:meth:`validate`, returning what its checks formed for
-        :func:`build_system`: the node coordinates of the reoriented
-        triangles, (E, 3, 2) with the element index fastest, and their
-        areas (E,)."""
+        """Check every mesh invariant (:class:`MeshError`), reorienting
+        clockwise triangles in place. Returns for :func:`build_system` the
+        node coordinates of the reoriented triangles, (E, 3, 2) with the
+        element index fastest, and their areas (E,)."""
         nodes = np.asarray(self.nodes, dtype=float)
         tri = np.asarray(self.triangles)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -194,9 +187,8 @@ class Mesh:
         for a, b in self.periodic_pairs.items():
             if a == b:
                 raise MeshError(f"node {a} periodically paired with itself")
-            # Either a symmetric pair (involution) or a canonical node->representative
-            # entry; the latter is needed to merge all four corners of a torus.
-            if b in self.periodic_pairs and self.periodic_pairs[b] != a:
+            # the canonical form: a representative is smaller and unpaired
+            if b > a or b in self.periodic_pairs:
                 raise MeshError(f"inconsistent periodic pairing at node {a}")
             if a not in boundary_nodes or b not in boundary_nodes:
                 raise MeshError(f"periodic pair ({a}, {b}) involves a non-boundary node")
@@ -275,8 +267,7 @@ def _dof_map(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     the dof of each node, and the lowest node of each dof's group."""
     node = np.arange(mesh.n_nodes)
     rep = node.copy()                       # smallest node of each group
-    pairs = canonical_pairs(mesh.periodic_pairs.items())
-    rep[list(pairs)] = list(pairs.values())
+    rep[list(mesh.periodic_pairs)] = list(mesh.periodic_pairs.values())
     first = rep == node
     return (np.cumsum(first) - 1)[rep], np.flatnonzero(first)
 
@@ -435,8 +426,9 @@ class MeshSystem:
 def build_system(mesh: Mesh) -> MeshSystem:
     """Validate ``mesh`` (reorienting it in place) and form its system.
 
-    The element coordinates are gathered once, by the validation, whose
-    areas the geometry takes."""
+    This is a mesh's one validation, of the canonical form of its periodic
+    pairs too. The element coordinates are gathered once, by the
+    validation, whose areas the geometry takes."""
     geom = _geometry(*mesh._validated())
     dof_of_node, first_node = _dof_map(mesh)
     n_dofs = first_node.size
@@ -497,7 +489,9 @@ def read_mesh(text: str) -> Mesh:
     Sections: ``nodes N`` followed by N ``x y`` lines, ``triangles E`` followed
     by E ``i j k`` lines, optional ``boundary B`` (``i j tag`` lines, checked
     and dropped: no boundary condition reads a tag) and ``periodic P``
-    (``i j`` lines). ``#`` starts a comment.
+    (``i j`` lines in any direction, returned in canonical form). ``#``
+    starts a comment. Only the lines are checked here; :func:`build_system`
+    checks the mesh.
     """
     lines = text.splitlines()
     # (line number, tokens) of each line that has data
@@ -553,17 +547,15 @@ def read_mesh(text: str) -> Mesh:
                                 "paired with itself")
             raw_pairs.append((a, b))
 
-    mesh = Mesh(nodes=nodes, triangles=tris,
+    return Mesh(nodes=nodes, triangles=tris,
                 periodic_pairs=canonical_pairs(raw_pairs))
-    return mesh.validate()
 
 
 def canonical_pairs(pairs) -> dict:
-    """Turn identification edges into a canonical node->representative map.
-
-    The representative of each identified group is its smallest node index;
-    groups of any size are allowed (torus corners merge four nodes).
-    """
+    """Turn identification edges into the canonical node->representative
+    map that :class:`Mesh` holds: each group's representative is its
+    smallest node and no key. Groups of any size are allowed (torus corners
+    merge four nodes)."""
     parent: dict = {}
 
     def find(a):
@@ -587,7 +579,7 @@ def write_mesh(mesh: Mesh) -> str:
     out.append(f"triangles {mesh.n_elements}")
     out += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
     if mesh.periodic_pairs:
-        pairs = sorted({(min(a, b), max(a, b)) for a, b in mesh.periodic_pairs.items()})
+        pairs = sorted((b, a) for a, b in mesh.periodic_pairs.items())
         out.append(f"periodic {len(pairs)}")
         out += [f"{a} {b}" for a, b in pairs]
     return "\n".join(out) + "\n"
@@ -605,7 +597,7 @@ def structured_rect(nx: int, ny: int, x0: float = 0.0, x1: float = 1.0,
     mesh like any other.
     """
     w, h = x1 - x0, y1 - y0
-    # the degenerate-triangle test of Mesh.validate on the signed area,
+    # the degenerate-triangle test of Mesh._validated on the signed area,
     # which a zero, non-finite or (in one direction) inverted extent fails
     if nx < 1 or ny < 1 or not (w * h / (2 * nx * ny)
                                 > DEGENERATE_REL * max(w * w + h * h, 1.0)):

@@ -20,6 +20,10 @@ SCALAR_NAMES = {1: ["u"], 4: ["rho", "mom_x", "mom_y", "E"]}
 HEADER = b"# vtk DataFile Version 3.0\nidpfem state\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
 
 
+class VtkError(ValueError):
+    """Raised for a snapshot that cannot be read, or does not fit its run."""
+
+
 def vtk_grid(ms: MeshSystem) -> bytes:
     """The state-free part of every snapshot of ``ms``: the header, points,
     cells and cell types, up to the POINT_DATA line."""
@@ -76,7 +80,7 @@ def read_vtk_point_data(path):
     """Read back node coordinates and POINT_DATA scalars of a file written
     by write_vtk. Returns (points (N, 2), fields dict).
 
-    Raises ValueError naming the file for any other format, such as an
+    Raises VtkError naming the file for any other format, such as an
     ASCII legacy file, and for a BINARY file without POINTS, with a
     LOOKUP_TABLE before its POINTS or SCALARS, with a header line that
     lacks its name or count, or with a data block cut short.
@@ -85,8 +89,8 @@ def read_vtk_point_data(path):
     head = data.split(b"\n", 3)
     fmt = head[2].strip().decode(errors="replace") if len(head) > 3 else "?"
     if fmt != "BINARY":
-        raise ValueError(f"{path}: legacy VTK format {fmt!r}, only BINARY "
-                         "snapshots can be read")
+        raise VtkError(f"{path}: legacy VTK format {fmt!r}, only BINARY "
+                       "snapshots can be read")
     points, name, fields, pos = None, None, {}, 0
 
     def block(dtype, count):
@@ -95,8 +99,8 @@ def read_vtk_point_data(path):
         nonlocal pos
         size = np.dtype(dtype).itemsize * count
         if pos + size > len(data):
-            raise ValueError(f"{path}: data block after {line!r} is cut "
-                             "short")
+            raise VtkError(f"{path}: data block after {line!r} is cut "
+                           "short")
         vals = np.frombuffer(data, dtype, count, pos)
         pos += size + 1
         return vals
@@ -110,7 +114,7 @@ def read_vtk_point_data(path):
         if key in _READ_ARG:
             arg = args[_READ_ARG[key]] if args else ""
             if not arg or key != "SCALARS" and not arg.isdecimal():
-                raise ValueError(f"{path}: malformed line {line!r}")
+                raise VtkError(f"{path}: malformed line {line!r}")
         if key == "POINTS":
             n = int(arg)
             points = block(">f8", 3 * n).reshape(n, 3)[:, :2]
@@ -120,9 +124,9 @@ def read_vtk_point_data(path):
             name = arg
         elif key == "LOOKUP_TABLE":
             if points is None or name is None:
-                raise ValueError(f"{path}: LOOKUP_TABLE before POINTS or "
-                                 "SCALARS")
+                raise VtkError(f"{path}: LOOKUP_TABLE before POINTS or "
+                               "SCALARS")
             fields[name] = block(">f8", n).astype(float)
     if points is None:
-        raise ValueError(f"{path}: no POINTS")
+        raise VtkError(f"{path}: no POINTS")
     return points.astype(float), fields

@@ -17,7 +17,7 @@ from idpfem.mesh import build_system, read_mesh, structured_rect
 from idpfem.models import AdmissibilityError, Euler
 from idpfem.runner import run
 from idpfem.timestepping import TimeControls
-from idpfem.vtk_io import read_vtk_point_data, vtk_grid, write_vtk
+from idpfem.vtk_io import VtkError, read_vtk_point_data, vtk_grid, write_vtk
 
 from conftest import single_triangle_system
 
@@ -218,6 +218,13 @@ class TestVtk:
         path = tmp_path / "old.vtk"
         path.write_text(ASCII_SNAPSHOT)
         with pytest.raises(ValueError, match="ASCII"):
+            read_vtk_point_data(path)
+
+    def test_reader_raises_its_own_error(self, tmp_path):
+        """The reader's errors are ``VtkError``, which the CLI reports."""
+        path = tmp_path / "old.vtk"
+        path.write_text(ASCII_SNAPSHOT)
+        with pytest.raises(VtkError, match="ASCII"):
             read_vtk_point_data(path)
 
 
@@ -569,6 +576,23 @@ class TestCliCommands:
         assert main(["norms", str(cfgfile), str(snap), "--t", "0.2"]) == 1
         assert capsys.readouterr().err == \
             "error: snapshot has no field 'rho'\n"
+
+    def test_norms_rejects_snapshot_of_another_mesh(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(CONSTANT_CFG + f"out = {tmp_path / 'o'}\n")
+        assert main(["solve", str(cfgfile), "--quiet"]) == 0
+        snap = sorted((tmp_path / "o").glob("state_*.vtk"))[-1]
+        cfgfile.write_text(CONSTANT_CFG.replace("h = 1/8", "h = 1/4"))
+        assert main(["norms", str(cfgfile), str(snap), "--t", "0.2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: snapshot nodes do not match the configured mesh\n"
+
+    def test_norms_needs_an_exact_solution(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("benchmark = burgers_riemann\nh = 1/4\n")
+        assert main(["norms", str(cfgfile), "unread.vtk", "--t", "0"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: benchmark 'burgers_riemann' has no exact solution\n")
 
     def test_audit_every_override(self, tmp_path):
         cfgfile = tmp_path / "c.txt"

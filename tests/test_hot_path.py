@@ -254,9 +254,10 @@ def _edges_reference(mesh):
 @pytest.mark.parametrize("make", [
     lambda: structured_rect(7, 4),
     lambda: structured_rect(5, 5, periodic=True),
-    lambda: Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-                                 [2.0, 0.5]]),
-                 triangles=np.array([[3, 2, 1], [0, 1, 2], [1, 4, 3]])).validate(),
+    lambda: build_system(Mesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                        [2.0, 0.5]]),
+        triangles=np.array([[3, 2, 1], [0, 1, 2], [1, 4, 3]]))).mesh,
 ])
 def test_edges_match_unique_rows(make):
     mesh = make()

@@ -80,20 +80,20 @@ class TestMeshValidation:
     def test_clockwise_triangles_are_reoriented(self):
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 2, 1]]))
-        mesh.validate()
+        build_system(mesh)
         assert _signed_areas(_corners(mesh.nodes, mesh.triangles))[0] > 0
 
     def test_degenerate_triangle_rejected(self):
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                     triangles=np.array([[0, 1, 2]]))
         with pytest.raises(MeshError, match="degenerate"):
-            mesh.validate()
+            build_system(mesh)
 
     def test_out_of_range_index_rejected(self):
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 3]]))
         with pytest.raises(MeshError, match="out of range"):
-            mesh.validate()
+            build_system(mesh)
 
     def test_nonconforming_edge_rejected(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -103,7 +103,7 @@ class TestMeshValidation:
         # ints, not as numpy scalars
         with pytest.raises(MeshError, match=r"^non-conforming mesh: edge "
                            r"\(0, 1\) shared by >2 triangles$"):
-            Mesh(nodes=nodes, triangles=tris).validate()
+            build_system(Mesh(nodes=nodes, triangles=tris))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, bad):
@@ -113,11 +113,12 @@ class TestMeshValidation:
         with pytest.raises(MeshError,
                            match=rf"^node 2 has a non-finite coordinate "
                                  rf"\(0, {bad:g}\)$"):
-            mesh.validate()
+            build_system(mesh)
 
     def test_non_finite_coordinate_in_a_mesh_file_rejected(self):
         with pytest.raises(MeshError, match="node 1 has a non-finite"):
-            read_mesh("nodes 3\n0 0\nnan 0\n0 1\ntriangles 1\n0 1 2\n")
+            build_system(read_mesh("nodes 3\n0 0\nnan 0\n0 1\ntriangles 1\n"
+                                   "0 1 2\n"))
 
     @pytest.mark.parametrize("index, message", [
         (2.7, "triangle 0 has a non-integer node index 2.7"),
@@ -128,12 +129,12 @@ class TestMeshValidation:
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=[[0, 1, index]])
         with pytest.raises(MeshError, match=f"^{message}"):
-            mesh.validate()
+            build_system(mesh)
 
     def test_whole_number_float_indices_accepted(self):
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=[[0.0, 2.0, 1.0]])
-        assert mesh.validate() is mesh
+        build_system(mesh)
         assert mesh.triangles.dtype == np.int64
         assert mesh.triangles.tolist() == [[0, 1, 2]]
 
@@ -141,14 +142,30 @@ class TestMeshValidation:
         mesh = structured_rect(2, 2)
         mesh.periodic_pairs = {0: 0}
         with pytest.raises(MeshError, match="paired with itself"):
-            mesh.validate()
+            build_system(mesh)
 
     @pytest.mark.parametrize("n_nodes", [0, 3])
     def test_mesh_without_triangles_rejected(self, n_nodes):
         mesh = Mesh(nodes=np.zeros((n_nodes, 2)),
                     triangles=np.zeros((0, 3), dtype=np.int64))
         with pytest.raises(MeshError, match="^mesh has no triangles$"):
-            mesh.validate()
+            build_system(mesh)
+
+
+def _assert_same_arrays(ms, ref):
+    """Every array of the mesh system ``ms``, of its geometry (``c_hat``
+    formed) and of its mesh has the name, dtype, shape and bytes of one of
+    ``ref``, and the other way round; returns how many there are."""
+    for s in (ms, ref):
+        s.geometry.c_hat                    # formed on first use
+    got, want = ({k: v for k, v in {**vars(s), **vars(s.geometry),
+                                    **vars(s.mesh)}.items()
+                  if isinstance(v, np.ndarray)} for s in (ms, ref))
+    assert got.keys() == want.keys()
+    for k, a in want.items():
+        assert got[k].dtype == a.dtype and got[k].shape == a.shape, k
+        assert got[k].tobytes() == a.tobytes(), k
+    return len(want)
 
 
 # A one-triangle mesh file.
@@ -188,8 +205,10 @@ class TestMeshIO:
              "boundary-index", "periodic-index", "tag-beyond-int64",
              "triangle-beyond-int64", "empty"])
     def test_bad_section_rejected(self, text, message):
+        """Each bad line is rejected by ``read_mesh``; a file without
+        triangles reads, and ``build_system`` rejects the mesh."""
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
-            read_mesh(text)
+            build_system(read_mesh(text))
 
     def test_boundary_section_is_read_and_dropped(self):
         """A file with a valid ``boundary`` section, as earlier versions of
@@ -205,16 +224,8 @@ class TestMeshIO:
         tagged = head + f"boundary {len(sides)}\n" + "".join(
             f"{i} {j} {tag}\n" for i, j, tag in sides) + "periodic" + periodic
         systems = [build_system(read_mesh(text)) for text in (plain, tagged)]
-        for ms in systems:
-            ms.geometry.c_hat               # formed on first use
-        got, want = ({k: v for k, v in {**vars(ms), **vars(ms.geometry),
-                                        **vars(ms.mesh)}.items()
-                      if isinstance(v, np.ndarray)} for ms in systems)
-        assert len(want) == 19 and got.keys() == want.keys()
+        assert _assert_same_arrays(*systems) == 19
         assert systems[0].mesh.periodic_pairs == systems[1].mesh.periodic_pairs
-        for k, a in want.items():
-            assert got[k].dtype == a.dtype and got[k].shape == a.shape, k
-            assert got[k].tobytes() == a.tobytes(), k
 
     def test_written_files_have_no_boundary_section(self):
         assert "boundary" not in write_mesh(structured_rect(4, 3))
@@ -264,11 +275,11 @@ class TestStructuredRect:
                                         (-2.0, 3.0, 1.0, 1.5),
                                         (1.0, 0.0, 1.0, 0.0)])
     def test_valid_as_built(self, extent, periodic):
-        """``structured_rect`` skips ``validate``, which finds nothing to
-        fix or reject in what it builds."""
+        """``build_system`` finds nothing to fix or reject in what
+        ``structured_rect`` builds."""
         mesh = structured_rect(3, 4, *extent, periodic=periodic)
         tris = mesh.triangles.copy()
-        assert mesh.validate() is mesh
+        build_system(mesh)
         assert np.array_equal(mesh.triangles, tris)
         assert mesh.nodes.dtype == float and tris.dtype == np.int64
 
@@ -280,15 +291,38 @@ class TestStructuredRect:
         with pytest.raises(MeshError, match="nondegenerate cells, got 3 x 4 over"):
             structured_rect(3, 4, *extent)
 
-    def test_setup_validates_each_mesh_once(self, monkeypatch):
-        # Mesh.validate and build_system both run the checks of
-        # Mesh._validated
+    def _count_validations(self, monkeypatch, cfg):
         calls = []
         original = Mesh._validated
         monkeypatch.setattr(Mesh, "_validated", lambda self: calls.append(1)
                             or original(self))
+        setup(cfg)
+        return len(calls)
+
+    def test_setup_validates_each_mesh_once(self, monkeypatch):
+        """``build_system`` is the one run of ``Mesh._validated``."""
+        cfg = RunConfig(benchmark="advected_gaussian", h=1 / 8)
+        assert self._count_validations(monkeypatch, cfg) == 1
+
+    def test_setup_validates_a_mesh_file_once(self, monkeypatch, tmp_path):
+        """A mesh read from a ``mesh =`` file is validated by
+        ``build_system`` alone, not also by ``read_mesh``."""
+        path = tmp_path / "m.mesh"
+        path.write_text(write_mesh(structured_rect(8, 8, periodic=True)))
+        cfg = RunConfig(benchmark="advected_gaussian", mesh=str(path))
+        assert self._count_validations(monkeypatch, cfg) == 1
+
+    def test_setup_of_a_built_mesh_takes_its_pairs_as_they_are(
+            self, monkeypatch):
+        """``structured_rect`` builds canonical pairs, so set-up runs no
+        union-find over them."""
+        import idpfem.mesh as mesh_mod
+        calls = []
+        original = mesh_mod.canonical_pairs
+        monkeypatch.setattr(mesh_mod, "canonical_pairs",
+                            lambda pairs: calls.append(1) or original(pairs))
         setup(RunConfig(benchmark="advected_gaussian", h=1 / 8))
-        assert len(calls) == 1
+        assert calls == []
 
     def test_boundary_normals_point_outward(self):
         ms = build_system(structured_rect(4, 4))
@@ -303,14 +337,50 @@ class TestPeriodicPairs:
         out = canonical_pairs(pairs)
         assert out == {4: 0, 20: 0, 24: 0}
 
-    def test_involution_pairs_accepted(self):
+    @pytest.mark.parametrize("pairs, node", [
+        ({0: 2, 2: 0, 3: 5, 5: 3}, 0), ({1: 4}, 1), ({1: 0, 2: 1}, 2)],
+        ids=["involution", "larger-representative", "chain"])
+    def test_non_canonical_pairs_rejected(self, pairs, node):
+        """A ``Mesh`` holds its pairs in canonical form only: each node
+        maps to a smaller one that is itself unpaired."""
         mesh = structured_rect(2, 1)
-        # identify left and right edge nodes as a plain symmetric pair
-        mesh.periodic_pairs = {0: 2, 2: 0, 3: 5, 5: 3}
+        mesh.periodic_pairs = pairs
+        with pytest.raises(MeshError, match="^inconsistent periodic pairing "
+                           f"at node {node}$"):
+            build_system(mesh)
+
+    def test_involution_pairs_in_a_mesh_file_accepted(self):
+        """The lines of a symmetric pairing, each pair both ways, read to
+        the canonical form."""
+        mesh = structured_rect(2, 1)
+        head = write_mesh(mesh)
+        mesh = read_mesh(head + "periodic 4\n0 2\n2 0\n3 5\n5 3\n")
+        assert mesh.periodic_pairs == {2: 0, 5: 3}
         ms = build_system(mesh)
         assert ms.n_dofs == mesh.n_nodes - 2
         # each group is numbered by its smallest node
         assert ms.dof_of_node.tolist() == [0, 1, 0, 2, 3, 2]
+
+    @pytest.mark.parametrize("form", ["corner-chain", "both-ways"])
+    def test_mesh_file_pair_forms_give_the_canonical_system(self, form):
+        """A torus file whose periodic lines chain the four corners, or
+        list every pair both ways, gives the system of the file that
+        ``mesh-gen`` writes, bit for bit."""
+        nx, ny, row = 3, 2, 4
+        canonical = write_mesh(structured_rect(nx, ny, periodic=True))
+        head, lines = canonical.split("periodic")
+        pairs = [tuple(map(int, ln.split()))
+                 for ln in lines.splitlines()[1:]]
+        corners = (0, nx, ny * row + nx, ny * row)
+        if form == "corner-chain":
+            pairs = [p for p in pairs if p[0] != 0] \
+                + list(zip(corners[:-1], corners[1:]))
+        else:
+            pairs += [(b, a) for a, b in pairs]
+        text = head + f"periodic {len(pairs)}\n" + "".join(
+            f"{a} {b}\n" for a, b in pairs)
+        _assert_same_arrays(*(build_system(read_mesh(t))
+                              for t in (text, canonical)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,6 +8,7 @@ from idpfem.models import (AdmissibilityError, Burgers2D, Euler,
                            translation_velocity)
 
 from conftest import random_euler_states
+from riemann import exact_fan_speed, star_pressure
 
 
 class TestLinearAdvection:
@@ -129,41 +130,22 @@ class TestEuler:
                            0.4 * model.internal_energy_density(u))
 
 
-def exact_fan_speed(model, ul, ur, n):
-    """max(-S_L, S_R, 0) of the exact Riemann fan between the states ul
-    (left) and ur (right) along the unit normal n. The star pressure p*
-    solves f_L(p) + f_R(p) + u_R - u_L = 0 (Toro, Sec. 4.2), by bisection;
-    S_L is the left shock speed where p* > p_L, else the rarefaction head
-    u_L - c_L, and S_R likewise."""
-    g = model.gamma
-    (rl, vl, pl, cl), (rr, vr, pr, cr) = (model.primitives(u)
-                                          for u in (ul, ur))
-    unl, unr = (vl * n).sum(axis=-1), (vr * n).sum(axis=-1)
-
-    def f(p, rho, pk, c):
-        shock = (p - pk) * np.sqrt(2.0 / ((g + 1.0) * rho)
-                                   / (p + (g - 1.0) / (g + 1.0) * pk))
-        fan = 2.0 * c / (g - 1.0) * ((p / pk) ** ((g - 1.0) / (2.0 * g))
-                                     - 1.0)
-        return np.where(p > pk, shock, fan)
-
-    def rises(p):
-        return f(p, rl, pl, cl) + f(p, rr, pr, cr) + unr - unl >= 0.0
-
-    lo, hi = np.zeros_like(pl), np.maximum(pl, pr)
-    while not np.all(rises(hi)):
-        hi = np.where(rises(hi), hi, 2.0 * hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        up = rises(mid)
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-
-    def speed(c, pk):
-        return c * np.sqrt(1.0 + (g + 1.0) / (2.0 * g)
-                           * np.maximum(hi / pk - 1.0, 0.0))
-
-    return np.maximum(np.maximum(speed(cl, pl) - unl, unr + speed(cr, pr)),
-                      0.0)
+@pytest.mark.parametrize("left, right, p_star, last_digit", [
+    ((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), 0.30313, 1e-5),
+    ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4), 0.00189, 1e-5),
+    ((1.0, 0.0, 1000.0), (1.0, 0.0, 0.01), 460.894, 1e-3)],
+    ids=["sod", "two-rarefactions", "strong-shock"])
+def test_star_pressure_matches_toro(left, right, p_star, last_digit):
+    """``riemann.star_pressure`` gives the p* of Toro's Table 4.3 (tests 1
+    to 3, gamma = 1.4, left and right states as (rho, u, p)) to the digits
+    quoted there, along either axis."""
+    model = Euler(gamma=1.4)
+    for n in ([1.0, 0.0], [0.0, 1.0]):
+        n = np.array(n)
+        ul, ur = (model.conserved(np.array([rho]), np.array([u * n]),
+                                  np.array([p])) for rho, u, p in (left, right))
+        got = star_pressure(model, ul, ur, n[None])
+        assert got == pytest.approx([p_star], abs=0.5 * last_digit)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
